@@ -1,19 +1,28 @@
 """Autoregressive image-token sampling with classifier-free guidance.
 
-Each decoding step evaluates the decoder under two conditions, the real text
-encoding and an all-PAD encoding (the same stand-in used for conditioning
-dropout during training), and combines the logit rows as u + lam * (c - u).
-Guidance endpoints short-circuit: lam = 0 returns the unconditional row
-bitwise and never runs the conditional branch, lam = 1 the reverse.
+Guidance combines two logit rows per sample, one under the real text
+encoding and one under an all-PAD encoding (the same stand-in used for
+conditioning dropout during training), as u + lam * (c - u). Both rows come
+from the same weights, so a guided step is one decoder pass over 2n stacked
+rows: the encoder runs once on the 2-row batch [PAD; prompt], rows :n
+cross-attend to the PAD encoding and rows n: to the prompt's, and every step
+feeds the same previous tokens to both halves. Guidance endpoints
+short-circuit: lam = 0 encodes only PAD and lam = 1 only the prompt, each
+decoding n rows, so the other condition never runs.
 
-The decoder here is a plain numpy re-implementation of the taped training
-forward with per-layer key/value caches, so a length-L chain costs O(L)
-block passes instead of O(L^2). Encoder outputs and the cross-attention
-K/V projections are computed once per condition and reused across steps.
+The decoder here is a numpy re-implementation of the taped training forward
+that calls the catalog's LayerNorm, GELU and softmax kernels and keeps
+per-layer key/value caches, so a length-L chain costs O(L) block passes
+instead of O(L^2). Self-attention gathers only the cached keys inside the
+conv window (at most 5 for conv_kernel=3), so a step's attention cost does
+not grow with its position. Encoder outputs and the cross-attention K/V
+projections are computed once per chain. Summation order differs from the
+taped forward, so cached logits are not bitwise equal to
+seq2seq.logits_fn; they agree within 1e-6, which the tests check.
 
 Every sample consumes exactly one uniform per step from its own rng stream
 (inverse-CDF draw), so a sample's grid does not depend on how many other
-samples were drawn alongside it.
+samples were drawn alongside it; a test checks this too.
 """
 
 from __future__ import annotations
@@ -21,13 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import seq2seq, textproc, vq
+from . import tensor as T
 from .errors import DataError, NumericError
-from .nn import NEG_FILL
-
-_SQRT_2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -74,75 +80,62 @@ def guided_logits(u, c, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cached decoder
 
-def _ln(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return (xc / np.sqrt(var + eps)) * g + b
-
-
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x * (1.0 / _SQRT_2)))
-
-
 class _Branch:
-    """Decoder state for one condition: fixed cross-attention K/V plus
-    self-attention caches that grow one position per step."""
+    """Cached decoder state for n rows: fixed cross-attention K/V plus
+    self-attention caches that grow one position per step.
+
+    enc_out holds G encoder outputs and G divides n: the rows split into G
+    equal consecutive groups and group g cross-attends to enc_out[g]."""
 
     def __init__(self, w: seq2seq.TransformerWeights, enc_out: np.ndarray, n: int):
         cfg = w.cfg
         p = {name: t.data for name, t in w.params.items()}
+        G, S = enc_out.shape[:2]
         self.cfg = cfg
         self.p = p
         self.n = n
+        self.groups = G
         self.heads = cfg.heads
         self.dh = cfg.d_model // cfg.heads
         self.scale = np.float32(1.0 / np.sqrt(self.dh))
-        S = enc_out.shape[1]
         self.cross = []
         for i in range(cfg.dec_layers):
             pre = f"dec.b{i}.xattn"
             k = enc_out @ p[pre + ".wk"] + p[pre + ".bk"]
             v = enc_out @ p[pre + ".wv"] + p[pre + ".bv"]
-            k = k.reshape(-1, S, self.heads, self.dh).transpose(0, 2, 1, 3)
-            v = v.reshape(-1, S, self.heads, self.dh).transpose(0, 2, 1, 3)
-            if k.shape[0] == 1 and n > 1:
-                k = np.broadcast_to(k, (n,) + k.shape[1:])
-                v = np.broadcast_to(v, (n,) + v.shape[1:])
-            self.cross.append((np.ascontiguousarray(k), np.ascontiguousarray(v)))
+            kt = k.reshape(G, S, self.heads, self.dh).transpose(0, 2, 3, 1)
+            v = v.reshape(G, S, self.heads, self.dh).transpose(0, 2, 1, 3)
+            self.cross.append((np.ascontiguousarray(kt), np.ascontiguousarray(v)))
         L = cfg.image_len
         self.keys = [np.empty((n, self.heads, L, self.dh), dtype=np.float32)
                      for _ in range(cfg.dec_layers)]
         self.vals = [np.empty((n, self.heads, L, self.dh), dtype=np.float32)
                      for _ in range(cfg.dec_layers)]
 
+    def _ln_affine(self, pre, x):
+        return T._fwd_layer_norm([x], {"axis": -1}) * self.p[pre + ".g"] + self.p[pre + ".b"]
+
     def _heads_of(self, x):
         return x.reshape(self.n, self.heads, self.dh)
 
-    def _attn_self(self, pre, x, layer, t, allowed_row):
+    def _attn_self(self, pre, x, layer, t, window):
         p = self.p
-        q = self._heads_of(x @ p[pre + ".wq"] + p[pre + ".bq"])
+        q = self._heads_of(x @ p[pre + ".wq"] + p[pre + ".bq"])[:, :, None, :]
         self.keys[layer][:, :, t, :] = self._heads_of(x @ p[pre + ".wk"] + p[pre + ".bk"])
         self.vals[layer][:, :, t, :] = self._heads_of(x @ p[pre + ".wv"] + p[pre + ".bv"])
-        ks = self.keys[layer][:, :, :t + 1, :]
-        vs = self.vals[layer][:, :, :t + 1, :]
-        scores = np.einsum("bhd,bhsd->bhs", q, ks) * self.scale
-        scores = np.where(allowed_row[:t + 1], scores, np.float32(NEG_FILL))
-        scores -= scores.max(axis=-1, keepdims=True)
-        att = np.exp(scores)
-        att /= att.sum(axis=-1, keepdims=True)
-        out = np.einsum("bhs,bhsd->bhd", att, vs).reshape(self.n, -1)
+        ks = self.keys[layer][:, :, window, :]
+        vs = self.vals[layer][:, :, window, :]
+        att = T._fwd_softmax([(q @ ks.swapaxes(-1, -2)) * self.scale], {"axis": -1})
+        out = (att @ vs).reshape(self.n, -1)
         return out @ p[pre + ".wo"] + p[pre + ".bo"]
 
     def _attn_cross(self, pre, x, layer):
         p = self.p
-        q = self._heads_of(x @ p[pre + ".wq"] + p[pre + ".bq"])
-        ks, vs = self.cross[layer]
-        scores = np.einsum("bhd,bhsd->bhs", q, ks) * self.scale
-        scores -= scores.max(axis=-1, keepdims=True)
-        att = np.exp(scores)
-        att /= att.sum(axis=-1, keepdims=True)
-        out = np.einsum("bhs,bhsd->bhd", att, vs).reshape(self.n, -1)
+        G, m = self.groups, self.n // self.groups
+        q = (x @ p[pre + ".wq"] + p[pre + ".bq"]).reshape(G, m, self.heads, self.dh)
+        kt, vs = self.cross[layer]
+        att = T._fwd_softmax([(q.transpose(0, 2, 1, 3) @ kt) * self.scale], {"axis": -1})
+        out = (att @ vs).transpose(0, 2, 1, 3).reshape(self.n, -1)
         return out @ p[pre + ".wo"] + p[pre + ".bo"]
 
     def step_logits(self, prev_tokens, t: int, allowed_row) -> np.ndarray:
@@ -155,16 +148,17 @@ class _Branch:
         else:
             x = p["image_emb"][prev_tokens]
         x = (x + p["image_pos"][t]).astype(np.float32)
+        window = np.flatnonzero(allowed_row[:t + 1])
         for i in range(cfg.dec_layers):
             pre = f"dec.b{i}"
-            h = _ln(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-            x = x + self._attn_self(pre + ".attn", h, i, t, allowed_row)
-            h = _ln(x, p[pre + ".lnx.g"], p[pre + ".lnx.b"])
+            h = self._ln_affine(pre + ".ln1", x)
+            x = x + self._attn_self(pre + ".attn", h, i, t, window)
+            h = self._ln_affine(pre + ".lnx", x)
             x = x + self._attn_cross(pre + ".xattn", h, i)
-            h = _ln(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
-            h = _gelu(h @ p[pre + ".mlp.fc1.w"] + p[pre + ".mlp.fc1.b"])
+            h = self._ln_affine(pre + ".ln2", x)
+            h = T._fwd_gelu([h @ p[pre + ".mlp.fc1.w"] + p[pre + ".mlp.fc1.b"]], {})
             x = x + (h @ p[pre + ".mlp.fc2.w"] + p[pre + ".mlp.fc2.b"])
-        x = _ln(x, p["dec.ln_out.g"], p["dec.ln_out.b"])
+        x = self._ln_affine("dec.ln_out", x)
         return x @ p["out.w"] + p["out.b"]
 
 
@@ -201,42 +195,29 @@ def _run_chains(w: seq2seq.TransformerWeights, text_ids, n: int,
     text_ids = np.asarray(text_ids)
     if text_ids.ndim == 1:
         text_ids = text_ids[None]
-    if cfg.guidance != 1.0:
-        pad = np.full_like(text_ids, textproc.PAD_ID)
-        uncond = _Branch(w, seq2seq.encode_text(w, pad).data, n)
+    lam = cfg.guidance
+    pad = np.full_like(text_ids, textproc.PAD_ID)
+    guided = lam not in (0.0, 1.0)
+    if guided:  # rows :n unconditional, rows n: conditional
+        cond_ids = np.concatenate([pad, text_ids])
     else:
-        uncond = None
-    if cfg.guidance != 0.0:
-        cond = _Branch(w, seq2seq.encode_text(w, text_ids).data, n)
-    else:
-        cond = None
+        cond_ids = pad if lam == 0.0 else text_ids
+    rows = 2 * n if guided else n
+    branch = _Branch(w, seq2seq.encode_text(w, cond_ids).data, rows)
     tokens = np.zeros((n, mcfg.image_len), dtype=np.int64)
     prev = None
     for t in range(mcfg.image_len):
-        row = w.mask[t]
-        lu = uncond.step_logits(prev, t, row) if uncond is not None else None
-        lc = cond.step_logits(prev, t, row) if cond is not None else None
-        if lu is None:
-            logits = lc
-        elif lc is None:
-            logits = lu
-        else:
-            logits = guided_logits(lu, lc, cfg.guidance)
+        logits = branch.step_logits(prev, t, w.mask[t])
+        if guided:
+            logits = guided_logits(logits[:n], logits[n:], lam)
         probs = _probs_from(logits, cfg)
         if cfg.top_k == 1:
-            prev = np.argmax(probs, axis=-1)
+            tok = np.argmax(probs, axis=-1)
         else:
-            prev = _draw(probs, uniform_fn(t))
-        tokens[:, t] = prev
+            tok = _draw(probs, uniform_fn(t))
+        tokens[:, t] = tok
+        prev = np.concatenate([tok, tok]) if guided else tok
     return tokens.reshape(n, mcfg.grid_h, mcfg.grid_w)
-
-
-def sample_tokens(w: seq2seq.TransformerWeights, text_ids,
-                  cfg: SamplerConfig) -> np.ndarray:
-    """One (grid_h, grid_w) token grid from a single stream seeded by cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
-    grids = _run_chains(w, text_ids, 1, cfg, lambda t: rng.random(1))
-    return grids[0]
 
 
 def sample_token_batch(w: seq2seq.TransformerWeights, text_ids,

@@ -1,5 +1,7 @@
 """Guided decoding: algebra, filtering, rng discipline, cache parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,25 @@ def test_rerank_rejects_bad_scorer_shape():
         sampling.rerank(batch, lambda imgs, p: np.zeros((2, 2), np.float32))
 
 
+def _cache_vs_forward_gap(w, forced, texts):
+    """Teacher-force forced (n, image_len) through one _Branch of
+    len(texts) * n rows, group j conditioned on texts[j] (each (1, L)), and
+    return the worst absolute gap to the one-shot forward's logits."""
+    cfg = w.cfg
+    enc = seq2seq.encode_text(w, np.concatenate(texts)).data
+    rows = len(texts) * len(forced)
+    branch = sampling._Branch(w, enc, rows)
+    prev = None
+    step_logits = np.zeros((rows, cfg.image_len, cfg.image_vocab), np.float32)
+    for t in range(cfg.image_len):
+        step_logits[:, t] = branch.step_logits(prev, t, w.mask[t])
+        prev = np.tile(forced[:, t], len(texts))
+    full = np.concatenate([
+        seq2seq.logits_fn(w, np.repeat(text, len(forced), axis=0), forced).data
+        for text in texts])
+    return np.abs(step_logits - full).max()
+
+
 def test_incremental_decoder_matches_full_forward():
     # teacher-force a fixed token sequence through the cached decoder and
     # compare every step's logits against the one-shot forward pass
@@ -232,16 +253,21 @@ def test_incremental_decoder_matches_full_forward():
     text = _text()
     rng = np.random.default_rng(4)
     forced = rng.integers(0, TINY.image_vocab, (2, TINY.image_len))
-    enc = seq2seq.encode_text(w, text).data
-    branch = sampling._Branch(w, enc, 2)
-    prev = None
-    step_logits = np.zeros((2, TINY.image_len, TINY.image_vocab), np.float32)
-    for t in range(TINY.image_len):
-        step_logits[:, t] = branch.step_logits(prev, t, w.mask[t])
-        prev = forced[:, t]
-    full = seq2seq.logits_fn(w, np.broadcast_to(text, (2,) + text.shape[1:]),
-                             forced).data
-    worst = np.abs(step_logits - full).max()
+    worst = _cache_vs_forward_gap(w, forced, [text])
+    assert worst < 1e-6, f"cache/forward divergence {worst:.2e}"
+
+
+@pytest.mark.parametrize("conv_kernel,grid_h,grid_w",
+                         [(1, 4, 4), (3, 4, 4), (5, 4, 4), (3, 3, 5)])
+def test_stacked_decoder_matches_full_forward(conv_kernel, grid_h, grid_w):
+    # the guided layout: rows :n cross-attend to the PAD encoding, rows n: to
+    # the prompt's; the window gather must agree with the masked forward for
+    # every kernel and on a non-square grid
+    cfg = replace(TINY, conv_kernel=conv_kernel, grid_h=grid_h, grid_w=grid_w)
+    w = seq2seq.build_model(cfg, seed=1)
+    text = _text()
+    forced = np.random.default_rng(4).integers(0, cfg.image_vocab, (2, cfg.image_len))
+    worst = _cache_vs_forward_gap(w, forced, [np.full_like(text, textproc.PAD_ID), text])
     assert worst < 1e-6, f"cache/forward divergence {worst:.2e}"
 
 
@@ -252,3 +278,49 @@ def test_greedy_chain_is_argmax_of_full_forward():
     toks = sampling.sample_token_batch(w, text, cfg).reshape(1, -1)
     full = seq2seq.logits_fn(w, text, toks).data
     np.testing.assert_array_equal(np.argmax(full[0], axis=-1), toks[0])
+
+
+def test_guided_greedy_chain_is_argmax_of_guided_full_forward():
+    # lambda = 1.2 runs both halves of the stacked step; the chain must pick
+    # the argmax of the guided teacher-forced logits on its own grid
+    w = _model(seed=2)
+    text = _text(seed=3)
+    cfg = sampling.SamplerConfig(guidance=1.2, n_samples=2, top_k=1, seed=0)
+    toks = sampling.sample_token_batch(w, text, cfg).reshape(2, -1)
+    texts = np.repeat(text, 2, axis=0)
+    z = sampling.guided_logits(
+        seq2seq.logits_fn(w, np.full_like(texts, textproc.PAD_ID), toks).data,
+        seq2seq.logits_fn(w, texts, toks).data, 1.2)
+    picked = np.take_along_axis(z, toks[..., None], axis=-1)[..., 0]
+    tie = picked >= z.max(axis=-1) - 1e-5
+    assert np.all((toks == z.argmax(axis=-1)) | tie)
+
+
+@pytest.mark.parametrize("lam,batch", [(0.0, 1), (1.0, 1), (1.2, 2)])
+def test_one_encoder_call_per_chain(monkeypatch, lam, batch):
+    w = _model()
+    seen = []
+    encode = seq2seq.encode_text
+
+    def counting_encode(w_, ids, *a, **kw):
+        seen.append(np.asarray(ids).shape[0])
+        return encode(w_, ids, *a, **kw)
+
+    monkeypatch.setattr(seq2seq, "encode_text", counting_encode)
+    cfg = sampling.SamplerConfig(guidance=lam, n_samples=3, seed=0)
+    sampling.sample_token_batch(w, _text(), cfg)
+    assert seen == [batch]
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.2])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_grid_does_not_depend_on_n_samples(lam, k):
+    # documented contract: sample i's grid is the same whether it was drawn
+    # alone or with 31 others
+    w = _model()
+    text = _text()
+    big = sampling.sample_token_batch(
+        w, text, sampling.SamplerConfig(guidance=lam, n_samples=32, seed=7))
+    small = sampling.sample_token_batch(
+        w, text, sampling.SamplerConfig(guidance=lam, n_samples=k, seed=7))
+    np.testing.assert_array_equal(small, big[:k])
