@@ -13,11 +13,18 @@ decoding n rows, so the other condition never runs.
 The decoder here is a numpy re-implementation of the taped training forward
 that calls the catalog's LayerNorm, GELU and softmax kernels and keeps
 per-layer key/value caches, so a length-L chain costs O(L) block passes
-instead of O(L^2). Self-attention gathers only the cached keys inside the
-conv window (at most 5 for conv_kernel=3), so a step's attention cost does
-not grow with its position. Encoder outputs and the cross-attention K/V
-projections are computed once per chain. Summation order differs from the
-taped forward, so cached logits are not bitwise equal to
+instead of O(L^2). The caches are position-major, (image_len, rows,
+d_model), so a step writes one contiguous slab per cache and self-attention
+gathers only the slabs inside the conv window (at most 5 for
+conv_kernel=3); a step's attention cost does not grow with its position.
+Q, K and V come from one (d_model, 3 d_model) matmul whose weights are packed
+once per chain. Heads are never split out: a window's scores are the
+elementwise product of query and keys times a (d_model, heads) head-indicator
+matrix that also carries the 1/sqrt(d_head) scale, the softmax runs over the
+window axis, and the transposed indicator spreads each head's weights back
+over its lanes before they weight the values. Encoder outputs and the
+cross-attention K/V projections are computed once per chain. Summation order
+differs from the taped forward, so cached logits are not bitwise equal to
 seq2seq.logits_fn; they agree within 1e-6, which the tests check.
 
 Every sample consumes exactly one uniform per step from its own rng stream
@@ -91,43 +98,56 @@ class _Branch:
         cfg = w.cfg
         p = {name: t.data for name, t in w.params.items()}
         G, S = enc_out.shape[:2]
+        d, heads = cfg.d_model, cfg.heads
+        dh = d // heads
         self.cfg = cfg
         self.p = p
         self.n = n
         self.groups = G
-        self.heads = cfg.heads
-        self.dh = cfg.d_model // cfg.heads
-        self.scale = np.float32(1.0 / np.sqrt(self.dh))
+        self.heads = heads
+        self.dh = dh
+        self.scale = np.float32(1.0 / np.sqrt(dh))
+        # lane j of the model width belongs to head j // dh: head_sum adds
+        # up each head's lanes (and applies the attention scale), head_spread
+        # copies each head's weight back onto its lanes
+        lanes = np.repeat(np.eye(heads, dtype=np.float32), dh, axis=0)
+        self.head_sum = lanes * self.scale                     # (d, heads)
+        self.head_spread = np.ascontiguousarray(lanes.T)       # (heads, d)
+        self.qkv = []
         self.cross = []
         for i in range(cfg.dec_layers):
+            pre = f"dec.b{i}.attn"
+            self.qkv.append((
+                np.concatenate([p[pre + ".wq"], p[pre + ".wk"], p[pre + ".wv"]], axis=1),
+                np.concatenate([p[pre + ".bq"], p[pre + ".bk"], p[pre + ".bv"]])))
             pre = f"dec.b{i}.xattn"
             k = enc_out @ p[pre + ".wk"] + p[pre + ".bk"]
             v = enc_out @ p[pre + ".wv"] + p[pre + ".bv"]
-            kt = k.reshape(G, S, self.heads, self.dh).transpose(0, 2, 3, 1)
-            v = v.reshape(G, S, self.heads, self.dh).transpose(0, 2, 1, 3)
+            kt = k.reshape(G, S, heads, dh).transpose(0, 2, 3, 1)
+            v = v.reshape(G, S, heads, dh).transpose(0, 2, 1, 3)
             self.cross.append((np.ascontiguousarray(kt), np.ascontiguousarray(v)))
         L = cfg.image_len
-        self.keys = [np.empty((n, self.heads, L, self.dh), dtype=np.float32)
-                     for _ in range(cfg.dec_layers)]
-        self.vals = [np.empty((n, self.heads, L, self.dh), dtype=np.float32)
-                     for _ in range(cfg.dec_layers)]
+        self.keys = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
+        self.vals = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
 
     def _ln_affine(self, pre, x):
         return T._fwd_layer_norm([x], {"axis": -1}) * self.p[pre + ".g"] + self.p[pre + ".b"]
 
-    def _heads_of(self, x):
-        return x.reshape(self.n, self.heads, self.dh)
-
     def _attn_self(self, pre, x, layer, t, window):
         p = self.p
-        q = self._heads_of(x @ p[pre + ".wq"] + p[pre + ".bq"])[:, :, None, :]
-        self.keys[layer][:, :, t, :] = self._heads_of(x @ p[pre + ".wk"] + p[pre + ".bk"])
-        self.vals[layer][:, :, t, :] = self._heads_of(x @ p[pre + ".wv"] + p[pre + ".bv"])
-        ks = self.keys[layer][:, :, window, :]
-        vs = self.vals[layer][:, :, window, :]
-        att = T._fwd_softmax([(q @ ks.swapaxes(-1, -2)) * self.scale], {"axis": -1})
-        out = (att @ vs).reshape(self.n, -1)
-        return out @ p[pre + ".wo"] + p[pre + ".bo"]
+        d = self.cfg.d_model
+        w, b = self.qkv[layer]
+        qkv = x @ w + b
+        keys, vals = self.keys[layer], self.vals[layer]
+        keys[t] = qkv[:, d:2 * d]
+        vals[t] = qkv[:, 2 * d:]
+        qk = keys[window]                                      # (w, n, d)
+        qk *= qkv[:, :d]
+        scores = (qk.reshape(-1, d) @ self.head_sum).reshape(len(window), self.n, self.heads)
+        att = T._fwd_softmax([scores], {"axis": 0})            # over the window
+        mix = (att.reshape(-1, self.heads) @ self.head_spread).reshape(qk.shape)
+        mix *= vals[window]
+        return np.add.reduce(mix, axis=0) @ p[pre + ".wo"] + p[pre + ".bo"]
 
     def _attn_cross(self, pre, x, layer):
         p = self.p

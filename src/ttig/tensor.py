@@ -177,10 +177,14 @@ def _require(cond, op, msg):
 # forward(datas, attrs) -> out array
 # backward(g, datas, out, attrs) -> list of per-input grads (None = no grad)
 
+# The checks on the hot ops (add/sub/mul/matmul) test first and format the
+# message only on failure: formatting dtype names costs about half an add.
+
 def _ew_check(op, a, b):
-    _require(a.dtype == b.dtype, op, f"dtype mismatch {a.dtype} vs {b.dtype}")
-    _require(_suffix_ok(a.shape, b.shape), op,
-             f"shapes {a.shape} and {b.shape} are not trailing-aligned")
+    if a.dtype != b.dtype:
+        raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
+    if not _suffix_ok(a.shape, b.shape):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not trailing-aligned")
 
 
 def _fwd_add(d, attrs):
@@ -212,14 +216,14 @@ def _bwd_mul(g, d, out, attrs):
 
 def _fwd_matmul(d, attrs):
     a, b = d
-    _require(a.dtype == b.dtype, "matmul", f"dtype mismatch {a.dtype} vs {b.dtype}")
-    _require(a.ndim >= 2 and b.ndim >= 2, "matmul", f"need ndim>=2, got {a.shape} @ {b.shape}")
-    if b.ndim == 2:
-        _require(a.shape[-1] == b.shape[0], "matmul", f"inner dims {a.shape} @ {b.shape}")
-    else:
-        _require(a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2],
-                 "matmul", f"leading dims differ: {a.shape} @ {b.shape}")
-        _require(a.shape[-1] == b.shape[-2], "matmul", f"inner dims {a.shape} @ {b.shape}")
+    if a.dtype != b.dtype:
+        raise ShapeError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: need ndim>=2, got {a.shape} @ {b.shape}")
+    if b.ndim > 2 and (a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]):
+        raise ShapeError(f"matmul: leading dims differ: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
     return a @ b
 
 
@@ -325,18 +329,22 @@ def _bwd_embedding_gather(g, d, out, attrs):
     return [gt]
 
 
+# softmax and layer_norm run the ufunc reductions directly: ndarray.max/sum
+# /mean are Python wrappers around the same reductions, so this is
+# bit-identical and skips their dispatch (a third of a small layer_norm).
+
 def _fwd_softmax(d, attrs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "softmax")
     x = d[0]
-    z = x - x.max(axis=axis, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    z /= np.add.reduce(z, axis=axis, keepdims=True)
     return z
 
 
 def _bwd_softmax(g, d, out, attrs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "softmax")
-    inner = (g * out).sum(axis=axis, keepdims=True)
+    inner = np.add.reduce(g * out, axis=axis, keepdims=True)
     r = g - inner
     r *= out
     return [r]
@@ -354,53 +362,103 @@ def _bwd_log_softmax(g, d, out, attrs):
     return [g - np.exp(out) * g.sum(axis=axis, keepdims=True)]
 
 
+def _mean(x, axis):
+    # what ndarray.mean computes: the add reduction divided by the count
+    return np.add.reduce(x, axis=axis, keepdims=True) / x.shape[axis]
+
+
+def _layer_norm_center(x, axis, eps):
+    xc = x - _mean(x, axis)
+    return xc, 1.0 / np.sqrt(_mean(xc * xc, axis) + eps)
+
+
 def _fwd_layer_norm(d, attrs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
-    eps = float(attrs.get("eps", 1e-5))
-    x = d[0]
-    mu = x.mean(axis=axis, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    xc, inv = _layer_norm_center(d[0], axis, float(attrs.get("eps", 1e-5)))
     attrs["_inv"] = inv  # reused by backward together with out (= xhat)
     return xc * inv
 
 
 def _bwd_layer_norm(g, d, out, attrs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
-    eps = float(attrs.get("eps", 1e-5))
     inv = attrs.get("_inv")
     if inv is None:
-        x = d[0]
-        mu = x.mean(axis=axis, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=axis, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = _layer_norm_center(d[0], axis, float(attrs.get("eps", 1e-5)))[1]
     xhat = out
-    gm = g.mean(axis=axis, keepdims=True)
-    gxm = (g * xhat).mean(axis=axis, keepdims=True)
+    gm = _mean(g, axis)
+    gxm = _mean(g * xhat, axis)
     r = g - gm
     r -= xhat * gxm
     r *= inv
     return [r]
 
 
+# Float32 GELU reads the normal CDF from a piecewise-linear table instead of
+# calling scipy's erf, which has no vectorised float32 kernel. The knots sit
+# on [-6, 6] at a power-of-two spacing, so a knot and the offset of x from
+# it are exact in float32; the CDF error stays below 1e-7 (float32 rounding
+# plus interpolation). Outside the range the CDF is exactly 0 or 1. Float64
+# keeps erf as the reference that grad_check and the tests use.
+_CDF_LO = -6.0
+_CDF_STEP = 2.0 ** -10
+_CDF_SEGMENTS = int(-2 * _CDF_LO / _CDF_STEP)
+_CDF_BLOCK = 1 << 14  # elements per pass, so the pass temporaries stay small
+
+
+def _cdf_table():
+    knots = _CDF_LO + _CDF_STEP * np.arange(_CDF_SEGMENTS + 1)
+    cdf = 0.5 * (1.0 + erf(knots / _SQRT_2))
+    cdf[0], cdf[-1] = 0.0, 1.0
+    slope = np.append(np.diff(cdf) / _CDF_STEP, 0.0)  # flat past the last knot
+    return cdf.astype(np.float32), slope.astype(np.float32)
+
+
+_CDF_VALUES, _CDF_SLOPES = _cdf_table()
+
+
+def _normal_cdf(x):
+    if x.dtype != np.float32:
+        cdf = erf(x * np.asarray(1.0 / _SQRT_2, dtype=x.dtype))
+        cdf += 1.0
+        cdf *= 0.5
+        return cdf
+    lo, hi = np.float32(_CDF_LO), np.float32(-_CDF_LO)
+    inv_step, step = np.float32(1.0 / _CDF_STEP), np.float32(_CDF_STEP)
+    mid = np.float32(_CDF_SEGMENTS // 2)
+    cdf = np.empty(x.shape, dtype=np.float32)
+    flat_x, flat_cdf = x.reshape(-1), cdf.reshape(-1)
+    for s in range(0, flat_x.size, _CDF_BLOCK):
+        # fmin/fmax map NaN to a bound, so the index cast never sees NaN;
+        # gelu's x * cdf turns NaN back into NaN
+        xc = np.fmin(flat_x[s:s + _CDF_BLOCK], hi)
+        np.fmax(xc, lo, out=xc)
+        knot = xc * inv_step
+        knot += mid
+        np.floor(knot, out=knot)
+        i = knot.astype(np.intp)
+        knot *= step
+        knot += lo
+        np.subtract(xc, knot, out=xc)
+        out = flat_cdf[s:s + _CDF_BLOCK]
+        _CDF_SLOPES.take(i, out=out, mode="clip")
+        out *= xc
+        out += _CDF_VALUES.take(i, mode="clip")
+    return cdf
+
+
 def _fwd_gelu(d, attrs):
     x = d[0]
-    cdf = erf(x * np.asarray(1.0 / _SQRT_2, dtype=x.dtype))
-    cdf += 1.0
-    cdf *= 0.5
-    attrs["_cdf"] = cdf  # reused by backward; erf is the expensive part
-    return (x * cdf).astype(x.dtype, copy=False)
+    cdf = _normal_cdf(x)
+    attrs["_cdf"] = cdf  # reused by backward
+    with np.errstate(invalid="ignore"):  # -inf * 0 is NaN, as erf gives
+        return (x * cdf).astype(x.dtype, copy=False)
 
 
 def _bwd_gelu(g, d, out, attrs):
     x = d[0]
     cdf = attrs.get("_cdf")
     if cdf is None:
-        cdf = erf(x * np.asarray(1.0 / _SQRT_2, dtype=x.dtype))
-        cdf += 1.0
-        cdf *= 0.5
+        cdf = _normal_cdf(x)
     t = x * x
     t *= -0.5
     np.exp(t, out=t)

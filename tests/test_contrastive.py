@@ -77,6 +77,28 @@ def test_loss_requires_two_examples():
     with pytest.raises(DataError):
         contrastive.contrastive_loss(enc, ds.images[:1],
                                      contrastive._pad_rows(CFG, ids[:1]))
+    with pytest.raises(DataError):
+        contrastive.train_contrastive(ds.images, ids,
+                                      contrastive.CLTrainConfig(steps=1, batch=1), CFG)
+
+
+def test_loss_does_not_depend_on_pair_order():
+    enc = _enc()
+    ds, _, ids = _data()
+    text = contrastive._pad_rows(CFG, ids)
+    perm = np.random.default_rng(0).permutation(len(text))
+    a = float(contrastive.contrastive_loss(enc, ds.images, text).data)
+    b = float(contrastive.contrastive_loss(enc, ds.images[perm], text[perm]).data)
+    assert abs(a - b) < 1e-5
+
+
+def test_zero_learning_rate_leaves_encoder_at_init():
+    ds, _, ids = _data()
+    tcfg = contrastive.CLTrainConfig(steps=3, batch=8, lr=0.0, warmup=0)
+    enc, _ = contrastive.train_contrastive(ds.images, ids, tcfg, CFG)
+    fresh = _enc(seed=tcfg.seed)
+    for name, t in fresh.params.items():
+        np.testing.assert_array_equal(enc.params[name].data, t.data)
 
 
 def test_pad_rows_clips_and_pads():
@@ -127,6 +149,8 @@ def test_build_index_and_nearest_matches_brute_force():
     ds, vocab, ids = _data(16, seed=3)
     index = contrastive.build_index(enc, ds.images)
     assert len(index) == 16
+    np.testing.assert_array_equal(contrastive.build_index(enc, ds.images).embeddings,
+                                  index.embeddings)
     q = ids[5]
     got_ids, got_sims = contrastive.retrieve_nearest(enc, index, q, 4)
     zq = contrastive.embed_text(enc, contrastive._pad_rows(CFG, [q]))[0]

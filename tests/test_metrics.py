@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttig import metrics, scenes
+from ttig import contrastive, metrics, scenes
 from ttig.errors import DataError, NumericError
 
 
@@ -86,6 +86,27 @@ def test_fid_over_feature_fn():
     assert same <= 1e-6
     cross = metrics.fid(imgs_a, imgs_b + 0.5, feat)
     assert cross > same
+    # the order of a set does not matter, and a per-image feature_fn works
+    perm = rng.permutation(20)
+    assert abs(metrics.fid(imgs_a[perm], imgs_b + 0.5, feat) - cross) < 1e-8
+    assert abs(metrics.fid(imgs_a, imgs_b + 0.5, lambda img: feat(img[None])[0]) - cross) < 1e-8
+
+
+def test_fid_separates_disjoint_scene_classes():
+    enc = contrastive.build_encoder(contrastive.EncoderConfig(), seed=0)
+
+    def renders(shape, color):
+        return np.stack([scenes.render(_spec(shape=shape, color=color, cell=(r, c)))
+                         for r in range(2) for c in range(2)] * 3)
+
+    red_circles, blue_squares = renders("circle", "red"), renders("square", "blue")
+
+    def feat(images):
+        return contrastive.image_features(enc, images)
+
+    across = metrics.fid(red_circles, blue_squares, feat)
+    within = metrics.fid(red_circles[:6], red_circles[6:], feat)
+    assert across > within
 
 
 def test_fid_requires_two_images_per_side():
@@ -116,6 +137,10 @@ def test_oracle_perfect_on_fresh_renders():
             spec = _spec(shape=shape, color="green", cell=(1, 0))
             img = scenes.render(spec, size=size)
             assert metrics.alignment_oracle(img, spec) == 1.0
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        spec = scenes.sample_spec(rng)
+        assert metrics.alignment_oracle(scenes.render(spec), spec) == 1.0
 
 
 def test_oracle_perfect_on_two_object_scene():
@@ -130,6 +155,11 @@ def test_oracle_perfect_on_two_object_scene():
 def test_oracle_blank_image_scores_zero():
     img = np.ones((32, 32, 3), np.float32)
     assert metrics.alignment_oracle(img, _spec()) == 0.0
+    # an all-black image never passes the color assertion
+    black = np.zeros((32, 32, 3), np.float32)
+    for color in ("red", "green", "orange"):
+        assert metrics.alignment_oracle(black, _spec(shape="square", color=color,
+                                                     cell=(1, 1))) <= 2 / 3 + 1e-9
 
 
 def test_oracle_wrong_color_fails_only_color_assertion():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttig import nn, optim
+from ttig import tensor as T
 from ttig.errors import NumericError
 
 
@@ -53,6 +54,7 @@ def test_matrix_params_use_factored_second_moment():
     optim.adafactor_step(ps, g, state, optim.OptimizerConfig(warmup=1))
     r, c = state.second["p"]
     assert r.shape == (6,) and c.shape == (5,)
+    assert state.first_q["p"].dtype == np.int8
 
 
 def test_vector_params_use_full_second_moment():
@@ -107,6 +109,24 @@ def test_small_gradients_are_not_clipped():
     st2 = optim.OptimizerState()
     optim.adafactor_step(ps2, {"p": g.copy()}, st2, cfg)
     np.testing.assert_array_equal(ps1["p"].data, ps2["p"].data)
+
+
+def test_adafactor_fits_a_linear_regression():
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((64, 8)).astype(np.float32)
+    y = x @ rng.standard_normal((8, 3)).astype(np.float32)
+    ps = nn.ParamSet()
+    nn.add_linear(ps, "lin", 8, 3, rng)
+    state = optim.OptimizerState()
+    cfg = optim.OptimizerConfig(base_lr=0.05, warmup=10, decay_start=150, total_steps=200)
+    losses = []
+    for _ in range(200):
+        with T.Tape():
+            loss = nn.mse(nn.linear(ps, "lin", T.constant(x)), T.constant(y))
+        gm = T.backward(loss)
+        optim.adafactor_step(ps, {n: gm[t.node_id].data for n, t in ps.items()}, state, cfg)
+        losses.append(float(loss.data))
+    assert losses[-1] < 0.05 * losses[0]
 
 
 def test_nonfinite_gradients_raise_with_param_name():

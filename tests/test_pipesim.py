@@ -37,7 +37,7 @@ def test_two_stage_one_microbatch_chain():
 
 def test_fill_drain_closed_form():
     # uniform costs, zero latency, one round: bubble = (S-1)/(M+S-1)
-    for s, m in [(2, 2), (3, 5), (4, 8), (5, 3), (8, 16)]:
+    for s, m in [(s, m) for s in range(1, 9) for m in range(1, 17)]:
         trace = _run(s, m)
         want = (s - 1) / (m + s - 1)
         assert pytest.approx(pipesim.bubble_ratio(trace), abs=1e-12) == want
@@ -65,6 +65,13 @@ def test_more_rounds_shrink_the_bubble():
     r1 = pipesim.bubble_ratio(_run(4, 4, rounds=1))
     r2 = pipesim.bubble_ratio(_run(4, 4, rounds=2))
     assert r2 < r1
+    # the paper's 16-stage, 8-microbatch pipeline, and never worse on a grid
+    assert (pipesim.bubble_ratio(_run(16, 8, rounds=4))
+            < pipesim.bubble_ratio(_run(16, 8, rounds=1)))
+    for s in (2, 4, 8):
+        for m in (2, 4, 8, 16):
+            assert (pipesim.bubble_ratio(_run(s, m, rounds=2))
+                    <= pipesim.bubble_ratio(_run(s, m, rounds=1)) + 1e-12)
 
 
 def test_round_robin_chunk_placement():

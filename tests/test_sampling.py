@@ -257,13 +257,25 @@ def test_incremental_decoder_matches_full_forward():
     assert worst < 1e-6, f"cache/forward divergence {worst:.2e}"
 
 
-@pytest.mark.parametrize("conv_kernel,grid_h,grid_w",
-                         [(1, 4, 4), (3, 4, 4), (5, 4, 4), (3, 3, 5)])
-def test_stacked_decoder_matches_full_forward(conv_kernel, grid_h, grid_w):
+DESK_D_MODEL = seq2seq.ModelConfig().d_model
+
+
+@pytest.mark.parametrize("conv_kernel,grid_h,grid_w,heads,d_model", [
+    pytest.param(1, 4, 4, TINY.heads, TINY.d_model, id="1-4-4"),
+    pytest.param(3, 4, 4, TINY.heads, TINY.d_model, id="3-4-4"),
+    pytest.param(5, 4, 4, TINY.heads, TINY.d_model, id="5-4-4"),
+    pytest.param(3, 3, 5, TINY.heads, TINY.d_model, id="3-3-5"),
+    (3, 4, 4, 1, DESK_D_MODEL),
+    (3, 4, 4, 2, DESK_D_MODEL),
+    (3, 4, 4, 8, DESK_D_MODEL),
+])
+def test_stacked_decoder_matches_full_forward(conv_kernel, grid_h, grid_w, heads, d_model):
     # the guided layout: rows :n cross-attend to the PAD encoding, rows n: to
-    # the prompt's; the window gather must agree with the masked forward for
-    # every kernel and on a non-square grid
-    cfg = replace(TINY, conv_kernel=conv_kernel, grid_h=grid_h, grid_w=grid_w)
+    # the prompt's; the window gather and the head-indicator scoring must
+    # agree with the masked forward for every kernel, on a non-square grid
+    # and for one to eight heads
+    cfg = replace(TINY, conv_kernel=conv_kernel, grid_h=grid_h, grid_w=grid_w,
+                  heads=heads, d_model=d_model)
     w = seq2seq.build_model(cfg, seed=1)
     text = _text()
     forced = np.random.default_rng(4).integers(0, cfg.image_vocab, (2, cfg.image_len))

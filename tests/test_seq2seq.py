@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttig import seq2seq, textproc
+from ttig import tensor as T
 from ttig.errors import DataError
 
 TINY = seq2seq.ModelConfig(enc_layers=1, dec_layers=2, d_model=32, d_mlp=64,
@@ -120,6 +121,48 @@ def test_conv_sparse_mask_window():
     # position 8 (center-adjacent corner) must see its spatial neighborhood only
     allowed = np.where(m[8])[0]
     assert set(allowed) <= set(range(9))
+    # the center cell sees the row above and its left neighbour
+    assert set(np.flatnonzero(m[4])) == {0, 1, 2, 3, 4}
+    np.testing.assert_array_equal(seq2seq.conv_sparse_mask(3, 3, 1), np.eye(9, dtype=bool))
+    with pytest.raises(DataError):
+        seq2seq.conv_sparse_mask(3, 3, 2)
+
+
+def test_build_model_is_seeded_and_validated():
+    a, b = _model(seed=3), _model(seed=3)
+    for name in a.params.names():
+        np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
+    with pytest.raises(DataError):
+        seq2seq.build_model(seq2seq.ModelConfig(d_model=66), seed=0)  # 4 heads
+
+
+def test_full_condition_dropout_ignores_the_text():
+    w = _model()
+    text, img = _ids(B=4)
+    text2, _ = _ids(B=4, seed=1)
+    losses = [float(seq2seq.forward_loss(w, t, img, rng=np.random.default_rng(9),
+                                         cond_dropout_rate=1.0).data)
+              for t in (text, text2)]
+    assert losses[0] == losses[1]
+
+
+@pytest.mark.parametrize("name", ["image_emb", "dec.b0.attn.wq", "enc.b0.mlp.fc1.w",
+                                  "out.w", "dec.start"])
+def test_forward_loss_gradient_matches_finite_differences(name):
+    cfg = seq2seq.ModelConfig(enc_layers=1, dec_layers=1, d_model=8, d_mlp=16, heads=2,
+                              text_vocab=11, image_vocab=5, text_len=3, grid_h=2,
+                              grid_w=2, dropout=0.0)
+    w = _model(cfg, seed=1)
+    for t in w.params.params.values():
+        t.data = t.data.astype(np.float64)
+    rng = np.random.default_rng(2)
+    text, img = rng.integers(0, 11, (2, 3)), rng.integers(0, 5, (2, 4))
+
+    def loss_at(leaf):
+        w.params.params[name] = leaf
+        return seq2seq.forward_loss(w, text, img)
+
+    assert T.grad_check(loss_at, w.params[name].data, eps=1e-4) < 1e-4
 
 
 def test_param_count_reports_totals():
@@ -160,7 +203,22 @@ def test_smoothed_window_mean():
 def test_pretrain_text_encoder_runs_and_changes_encoder():
     w = _model()
     before = w.params["enc.b0.attn.wq"].data.copy()
+    decoder = {n: t.data.copy() for n, t in w.params.items()
+               if n.startswith("dec.") or n.startswith("out.")}
     corpus = np.random.default_rng(0).integers(4, TINY.text_vocab, (32, TINY.text_len))
-    w, hist = seq2seq.pretrain_text_encoder(w, corpus, steps=5, batch=8)
-    assert len(hist) == 5
+    w, hist = seq2seq.pretrain_text_encoder(w, corpus, steps=80, batch=16)
+    assert len(hist) == 80
+    assert np.mean(hist[-10:]) < np.mean(hist[:10])
     assert np.abs(w.params["enc.b0.attn.wq"].data - before).max() > 0
+    for n, arr in decoder.items():
+        np.testing.assert_array_equal(w.params[n].data, arr)
+
+
+def test_pretrain_without_masking_is_a_no_op():
+    w = _model()
+    corpus = np.random.default_rng(0).integers(4, TINY.text_vocab, (32, TINY.text_len))
+    w, hist = seq2seq.pretrain_text_encoder(w, corpus, mask_rate=0.0, steps=3, batch=8)
+    assert hist == [0.0] * 3
+    fresh = _model()
+    for n, t in w.params.items():
+        np.testing.assert_array_equal(t.data, fresh.params[n].data)

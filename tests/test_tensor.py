@@ -1,7 +1,11 @@
 """Op catalog: forward oracles, gradient checks, shape rules, tape mechanics."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from ttig import tensor as T
 from ttig.tensor import CatalogError, ShapeError
@@ -50,6 +54,19 @@ def test_lower_rank_operand_must_equal_suffix():
         T.mul(a, T.constant(np.zeros((3,), np.float32)))
 
 
+def test_dtype_mismatch_message_unchanged():
+    a32 = T.constant(np.zeros((2, 2), np.float32))
+    a64 = T.constant(np.zeros((2, 2), np.float64))
+    for op in (T.add, T.sub, T.mul, T.matmul):
+        with pytest.raises(ShapeError) as e:
+            op(a32, a64)
+        assert str(e.value) == f"{op.__name__}: dtype mismatch float32 vs float64"
+    with pytest.raises(ShapeError, match=r"^add: shapes \(3,\) and \(2, 2\) are not trailing-aligned$"):
+        T.add(T.constant(np.zeros(3, np.float32)), a32)
+    with pytest.raises(ShapeError, match=r"^matmul: inner dims \(2, 2\) @ \(3, 2\)$"):
+        T.matmul(a32, T.constant(np.zeros((3, 2), np.float32)))
+
+
 def test_matmul_forward_and_shape_check():
     a = _rng().normal(size=(5, 3)).astype(np.float32)
     b = _rng(1).normal(size=(3, 7)).astype(np.float32)
@@ -89,9 +106,115 @@ def test_layer_norm_zero_mean_unit_var():
 
 def test_gelu_against_erf_form():
     x = np.linspace(-4, 4, 33, dtype=np.float32)
-    from scipy.special import erf
     want = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     np.testing.assert_allclose(T.gelu(T.constant(x)).data, want, atol=1e-6)
+
+
+def _erf_cdf(x):
+    # the float64 reference, and the float32 kernel the table replaced
+    cdf = erf(x * np.asarray(1.0 / np.sqrt(2.0), dtype=x.dtype))
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def test_float32_gelu_table_within_stated_tolerance_of_erf():
+    # stated tolerance: CDF within 2e-7 and GELU within 1e-6, absolute, of
+    # the float64 erf form (float32 rounding plus linear interpolation)
+    grid = np.linspace(-8.0, 8.0, 400_001)
+    normal = _rng().normal(scale=2.0, size=100_000)
+    x = np.concatenate([grid, normal]).astype(np.float32)
+    x64 = x.astype(np.float64)
+    want_cdf = _erf_cdf(x64)
+    attrs = {}
+    got = T._fwd_gelu([x], attrs)
+    assert got.dtype == np.float32 and attrs["_cdf"].dtype == np.float32
+    assert np.abs(attrs["_cdf"] - want_cdf).max() <= 2e-7
+    assert np.abs(got - x64 * want_cdf).max() <= 1e-6
+    # exactly 0 and 1 outside the table's range
+    far = np.array([-7.0, -6.5, 6.5, 7.0], np.float32)
+    np.testing.assert_array_equal(T._normal_cdf(far), [0.0, 0.0, 1.0, 1.0])
+
+
+def test_float64_gelu_is_the_erf_form():
+    x = np.linspace(-8.0, 8.0, 1001)
+    np.testing.assert_array_equal(T._fwd_gelu([x], {}), x * _erf_cdf(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_nonfinite_inputs_propagate_without_warning(dtype):
+    x = np.array([np.nan, np.inf, -np.inf, 1.0], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T._fwd_gelu([x], {})
+    assert np.isnan(y[0])
+    assert not np.isfinite(y[1]) and not np.isfinite(y[2])
+    assert np.isfinite(y[3])
+
+
+def test_gelu_peak_memory_within_one_block_of_erf_kernel():
+    x = _rng().normal(size=(2048, 256)).astype(np.float32)
+
+    def erf_kernel(x):
+        cdf = _erf_cdf(x)
+        return x * cdf, cdf
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            kept = f(x)  # noqa: F841  (both kernels keep the output and the cdf)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    old = peak(erf_kernel)
+    new = peak(lambda x: (T._fwd_gelu([x], {}),))
+    assert new <= old + T._CDF_BLOCK * x.itemsize, (new, old)
+
+
+def _mean_ln_fwd(x, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv
+
+
+def _mean_ln_bwd(g, x, out, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    r = g - g.mean(axis=-1, keepdims=True)
+    r -= out * (g * out).mean(axis=-1, keepdims=True)
+    r *= inv
+    return r
+
+
+def _sum_softmax_fwd(x, axis):
+    z = x - x.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_and_softmax_reductions_bit_identical_to_method_forms(dtype):
+    rng = _rng(3)
+    for shape in [(7, 64), (3, 5, 33), (2000, 256)]:
+        x = (rng.normal(size=shape) * rng.uniform(0.1, 30.0)).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        attrs = {"axis": -1}
+        out = T._fwd_layer_norm([x], attrs)
+        np.testing.assert_array_equal(out, _mean_ln_fwd(x))
+        want = _mean_ln_bwd(g, x, out)
+        np.testing.assert_array_equal(T._bwd_layer_norm(g, [x], out, attrs)[0], want)
+        np.testing.assert_array_equal(T._bwd_layer_norm(g, [x], out, {"axis": -1})[0], want)
+        for axis in (0, -1):
+            sm = T._fwd_softmax([x], {"axis": axis})
+            np.testing.assert_array_equal(sm, _sum_softmax_fwd(x, axis))
+            r = g - (g * sm).sum(axis=axis, keepdims=True)
+            r *= sm
+            np.testing.assert_array_equal(T._bwd_softmax(g, [x], sm, {"axis": axis})[0], r)
 
 
 def test_relu_clamps_negatives():

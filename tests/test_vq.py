@@ -36,6 +36,19 @@ def test_quantize_exact_match_zero_loss():
     np.testing.assert_array_equal(ids, np.arange(len(cb)))
 
 
+def test_quantize_hand_case_losses_and_ties():
+    cb = np.array([[1.0, 0.0], [0.0, 1.0]])
+    z = np.array([[0.9, 0.1], [0.1, 0.9]])
+    ids, zq, cl, co = vq.quantize(cb, z)
+    assert ids.tolist() == [0, 1]
+    zhat = z / np.linalg.norm(z, axis=1, keepdims=True)
+    assert abs(cl - ((zhat - cb) ** 2).sum(axis=1).mean()) < 1e-12
+    assert cl == co
+    # a duplicated codebook row goes to the lower index
+    ids, _, _, _ = vq.quantize(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[2.0, 0.0]]))
+    assert ids.tolist() == [0]
+
+
 def test_quantize_idempotent():
     cb = _unit_codebook()
     z = np.random.default_rng(1).normal(size=(10, 4)).astype(np.float32)
@@ -65,6 +78,8 @@ def test_quantize_rejects_bad_inputs():
     z[0, 0] = np.nan
     with pytest.raises(NumericError):
         vq.quantize(cb, z)
+    with pytest.raises(NumericError):
+        vq.quantize(cb, np.zeros((1, 4), np.float32))  # zero-norm code
 
 
 def test_straight_through_identity_gradient():
@@ -100,9 +115,11 @@ def test_tokenize_detokenize_shapes_and_determinism():
     assert toks.shape == (4, cfg.grid, cfg.grid)
     assert toks.min() >= 0 and toks.max() < cfg.codebook_size
     np.testing.assert_array_equal(toks, vq.tokenize(w, ds.images))
+    np.testing.assert_array_equal(vq.tokenize(w, ds.images[0]), toks[0])  # one image
     imgs = vq.detokenize(w, toks)
     assert imgs.shape == ds.images.shape
     assert np.isfinite(imgs).all()
+    assert imgs.min() >= 0.0 and imgs.max() <= 1.0
 
 
 def test_short_tokenizer_training_reduces_loss_and_keeps_unit_norm():
