@@ -2,8 +2,8 @@
 
 Pre-LN blocks, learned absolute positions, truncated-normal init (std 0.02,
 resampled beyond 2 sigma), layer norms carrying their own gain/bias params.
-Attention masks are boolean "allowed" matrices; disallowed slots are filled
-with -1e9 before the softmax.
+Attention masks are boolean "allowed" matrices; the softmax op fills
+disallowed slots with tensor.NEG_FILL (-1e9) before normalising.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError
-
-NEG_FILL = -1e9
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -140,10 +138,7 @@ def attention(p: ParamSet, pre: str, x, heads: int, kv=None, allowed=None):
     q = T.transpose(T.reshape(q, (B, L, heads, dh)), (0, 2, 1, 3))
     k = T.transpose(T.reshape(k, (B, S, heads, dh)), (0, 2, 3, 1))
     v = T.transpose(T.reshape(v, (B, S, heads, dh)), (0, 2, 1, 3))
-    scores = T.scale(T.matmul(q, k), 1.0 / np.sqrt(dh))
-    if allowed is not None:
-        scores = T.masked_fill(scores, ~allowed, NEG_FILL)
-    att = T.softmax(scores, axis=-1)
+    att = T.softmax(T.matmul(q, k), axis=-1, scale=1.0 / np.sqrt(dh), allowed=allowed)
     out = T.matmul(att, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, L, D))
     return T.add(T.matmul(out, p[pre + ".wo"]), p[pre + ".bo"])

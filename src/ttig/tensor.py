@@ -10,9 +10,17 @@ Design rules:
     must be a suffix of the other's, rank-0 scalars included); anything fancier
     must be spelled out with reshape/transpose
   * integer ids and boolean masks ride along as op attrs, never as Tensors
+  * a record keeps only what its backward reads: each op declares whether
+    that is its inputs, its output, the other input of a binary op, or
+    nothing; of the rest it keeps the shape and dtype. Backward computes a
+    gradient only for inputs that require one and drops each intermediate
+    gradient once its record has used it
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -110,7 +118,9 @@ class Tape:
     """Records ops applied while active (innermost tape wins)."""
 
     def __init__(self):
-        self.records = []  # (op, out_id, in_ids, in_datas, out_data, attrs)
+        # (op, out_id, in_ids, in_datas, out_data, attrs, needs): in_datas and
+        # out_data hold an array where the op's backward reads it, else a _Spec
+        self.records = []
         self.leaf_ids = set()
         self._out_ids = set()
         self._next_id = 0
@@ -173,9 +183,30 @@ def _require(cond, op, msg):
 
 
 # ---------------------------------------------------------------------------
-# op catalog: each entry is (n_inputs, forward, backward)
+# op catalog: each entry is an _Op (arity, forward, backward, reads)
 # forward(datas, attrs) -> out array
-# backward(g, datas, out, attrs) -> list of per-input grads (None = no grad)
+# backward(g, datas, out, attrs, needs) -> list of per-input grads; needs[i]
+#   says whether input i requires a gradient, and a rule may return None for
+#   one that does not
+# reads names what backward reads besides g and attrs (see _READS); the tape
+#   hands backward a _Spec, carrying only shape and dtype, for anything else
+
+class _Spec:
+    """Shape and dtype of an array a record does not keep."""
+
+    __slots__ = ("shape", "dtype")
+
+    def __init__(self, a: np.ndarray):
+        self.shape, self.dtype = a.shape, a.dtype
+
+    @property
+    def ndim(self):
+        return len(self.shape)
+
+    @property
+    def size(self):
+        return math.prod(self.shape)
+
 
 # The checks on the hot ops (add/sub/mul/matmul) test first and format the
 # message only on failure: formatting dtype names costs about half an add.
@@ -192,8 +223,8 @@ def _fwd_add(d, attrs):
     return d[0] + d[1]
 
 
-def _bwd_add(g, d, out, attrs):
-    return [_unbroadcast(g, d[0].shape), _unbroadcast(g, d[1].shape)]
+def _bwd_add(g, d, out, attrs, needs):
+    return [_unbroadcast(g, x.shape) if need else None for x, need in zip(d, needs)]
 
 
 def _fwd_sub(d, attrs):
@@ -201,8 +232,9 @@ def _fwd_sub(d, attrs):
     return d[0] - d[1]
 
 
-def _bwd_sub(g, d, out, attrs):
-    return [_unbroadcast(g, d[0].shape), _unbroadcast(-g, d[1].shape)]
+def _bwd_sub(g, d, out, attrs, needs):
+    return [_unbroadcast(g, d[0].shape) if needs[0] else None,
+            _unbroadcast(-g, d[1].shape) if needs[1] else None]
 
 
 def _fwd_mul(d, attrs):
@@ -210,8 +242,9 @@ def _fwd_mul(d, attrs):
     return d[0] * d[1]
 
 
-def _bwd_mul(g, d, out, attrs):
-    return [_unbroadcast(g * d[1], d[0].shape), _unbroadcast(g * d[0], d[1].shape)]
+def _bwd_mul(g, d, out, attrs, needs):
+    return [_unbroadcast(g * d[1], d[0].shape) if needs[0] else None,
+            _unbroadcast(g * d[0], d[1].shape) if needs[1] else None]
 
 
 def _fwd_matmul(d, attrs):
@@ -227,14 +260,19 @@ def _fwd_matmul(d, attrs):
     return a @ b
 
 
-def _bwd_matmul(g, d, out, attrs):
+def _bwd_matmul(g, d, out, attrs, needs):
     a, b = d
+    ga = gb = None
     if b.ndim == 2:
-        ga = g @ b.T
-        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if needs[0]:
+            ga = g @ b.T
+        if needs[1]:
+            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     else:
-        ga = g @ np.swapaxes(b, -1, -2)
-        gb = np.swapaxes(a, -1, -2) @ g
+        if needs[0]:
+            ga = g @ np.swapaxes(b, -1, -2)
+        if needs[1]:
+            gb = np.swapaxes(a, -1, -2) @ g
     return [ga, gb]
 
 
@@ -245,7 +283,7 @@ def _fwd_reshape(d, attrs):
     return d[0].reshape(shape)
 
 
-def _bwd_reshape(g, d, out, attrs):
+def _bwd_reshape(g, d, out, attrs, needs):
     return [g.reshape(d[0].shape)]
 
 
@@ -256,7 +294,7 @@ def _fwd_transpose(d, attrs):
     return np.transpose(d[0], axes)
 
 
-def _bwd_transpose(g, d, out, attrs):
+def _bwd_transpose(g, d, out, attrs, needs):
     axes = tuple(attrs["axes"])
     inv = np.argsort(axes)
     return [np.transpose(g, inv)]
@@ -287,9 +325,9 @@ def _fwd_slice(d, attrs):
     return d[0][key].copy()
 
 
-def _bwd_slice(g, d, out, attrs):
+def _bwd_slice(g, d, out, attrs, needs):
     bounds = _norm_bounds(attrs["bounds"], d[0].shape)
-    gx = np.zeros_like(d[0])
+    gx = np.zeros(d[0].shape, dtype=d[0].dtype)
     key = tuple(slice(s, e) for s, e in bounds)
     gx[key] = g
     return [gx]
@@ -306,7 +344,7 @@ def _fwd_concat(d, attrs):
     return np.concatenate(d, axis=axis)
 
 
-def _bwd_concat(g, d, out, attrs):
+def _bwd_concat(g, d, out, attrs, needs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "concat")
     splits = np.cumsum([x.shape[axis] for x in d])[:-1]
     return list(np.split(g, splits, axis=axis))
@@ -322,9 +360,9 @@ def _fwd_embedding_gather(d, attrs):
     return table[ids]
 
 
-def _bwd_embedding_gather(g, d, out, attrs):
+def _bwd_embedding_gather(g, d, out, attrs, needs):
     ids = np.asarray(attrs["ids"])
-    gt = np.zeros_like(d[0])
+    gt = np.zeros(d[0].shape, dtype=d[0].dtype)
     np.add.at(gt, ids.reshape(-1), g.reshape(-1, d[0].shape[1]))
     return [gt]
 
@@ -333,20 +371,40 @@ def _bwd_embedding_gather(g, d, out, attrs):
 # /mean are Python wrappers around the same reductions, so this is
 # bit-identical and skips their dispatch (a third of a small layer_norm).
 
+NEG_FILL = -1e9  # softmax input in the slots its "allowed" mask rules out
+
+
 def _fwd_softmax(d, attrs):
+    # optional attention-score prologue, run before the normalisation in
+    # this order: multiply by attrs["scale"], then set the slots where the
+    # boolean attrs["allowed"] is False to NEG_FILL, which gives them exactly
+    # zero weight in any row that allows at least one slot
     axis = _norm_axis(attrs["axis"], d[0].ndim, "softmax")
     x = d[0]
+    if "scale" in attrs:
+        x = x * np.asarray(float(attrs["scale"]), dtype=x.dtype)
+    if "allowed" in attrs:
+        allowed = np.asarray(attrs["allowed"])
+        _require(allowed.dtype == np.bool_, "softmax", "allowed must be boolean")
+        _require(_suffix_ok(allowed.shape, x.shape) and allowed.ndim <= x.ndim, "softmax",
+                 f"allowed shape {allowed.shape} not trailing-aligned with {x.shape}")
+        x = np.where(allowed, x, np.asarray(NEG_FILL, dtype=x.dtype))
     z = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=axis, keepdims=True)
     return z
 
 
-def _bwd_softmax(g, d, out, attrs):
+def _bwd_softmax(g, d, out, attrs, needs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "softmax")
     inner = np.add.reduce(g * out, axis=axis, keepdims=True)
     r = g - inner
     r *= out
+    # the prologue's backward, in reverse order
+    if "allowed" in attrs:
+        r = np.where(np.asarray(attrs["allowed"]), r, np.zeros((), dtype=r.dtype))
+    if "scale" in attrs:
+        r *= np.asarray(float(attrs["scale"]), dtype=r.dtype)
     return [r]
 
 
@@ -357,7 +415,7 @@ def _fwd_log_softmax(d, attrs):
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
-def _bwd_log_softmax(g, d, out, attrs):
+def _bwd_log_softmax(g, d, out, attrs, needs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "log_softmax")
     return [g - np.exp(out) * g.sum(axis=axis, keepdims=True)]
 
@@ -379,7 +437,7 @@ def _fwd_layer_norm(d, attrs):
     return xc * inv
 
 
-def _bwd_layer_norm(g, d, out, attrs):
+def _bwd_layer_norm(g, d, out, attrs, needs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
     inv = attrs.get("_inv")
     if inv is None:
@@ -454,7 +512,7 @@ def _fwd_gelu(d, attrs):
         return (x * cdf).astype(x.dtype, copy=False)
 
 
-def _bwd_gelu(g, d, out, attrs):
+def _bwd_gelu(g, d, out, attrs, needs):
     x = d[0]
     cdf = attrs.get("_cdf")
     if cdf is None:
@@ -473,8 +531,8 @@ def _fwd_relu(d, attrs):
     return np.maximum(d[0], 0)
 
 
-def _bwd_relu(g, d, out, attrs):
-    return [g * (d[0] > 0)]
+def _bwd_relu(g, d, out, attrs, needs):
+    return [g * (out > 0)]  # out > 0 exactly where the input is
 
 
 def _conv_geometry(x, w, stride, pad):
@@ -503,35 +561,25 @@ def _fwd_conv2d(d, attrs):
     return out
 
 
-def _bwd_conv2d(g, d, out, attrs):
+def _bwd_conv2d(g, d, out, attrs, needs):
     x, w = d
     stride = int(attrs.get("stride", 1))
     pad = int(attrs.get("pad", 0))
     kh, kw, ho, wo = _conv_geometry(x, w, stride, pad)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
+    b, h, wd, c = x.shape
+    gxp = np.zeros((b, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype) if needs[0] else None
+    gw = np.zeros(w.shape, dtype=w.dtype) if needs[1] else None
+    if needs[1]:
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     for i in range(kh):
         for j in range(kw):
             sl = np.s_[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :]
-            gw[i, j] = np.tensordot(xp[sl], g, axes=([0, 1, 2], [0, 1, 2]))
-            gxp[sl] += g @ w[i, j].T
-    gx = gxp[:, pad:pad + x.shape[1], pad:pad + x.shape[2], :] if pad else gxp
+            if needs[1]:
+                gw[i, j] = np.tensordot(xp[sl], g, axes=([0, 1, 2], [0, 1, 2]))
+            if needs[0]:
+                gxp[sl] += g @ w[i, j].T
+    gx = gxp[:, pad:pad + h, pad:pad + wd, :] if pad and needs[0] else gxp
     return [gx, gw]
-
-
-def _fwd_masked_fill(d, attrs):
-    x = d[0]
-    mask = np.asarray(attrs["mask"])
-    _require(mask.dtype == np.bool_, "masked_fill", "mask must be boolean")
-    _require(_suffix_ok(mask.shape, x.shape) and mask.ndim <= x.ndim, "masked_fill",
-             f"mask shape {mask.shape} not trailing-aligned with {x.shape}")
-    return np.where(mask, np.asarray(attrs["value"], dtype=x.dtype), x)
-
-
-def _bwd_masked_fill(g, d, out, attrs):
-    mask = np.asarray(attrs["mask"])
-    return [np.where(mask, np.zeros((), dtype=g.dtype), g)]
 
 
 def _fwd_reduce_sum(d, attrs):
@@ -541,7 +589,7 @@ def _fwd_reduce_sum(d, attrs):
     return d[0].sum(axis=_norm_axis(axis, d[0].ndim, "reduce_sum"))
 
 
-def _bwd_reduce_sum(g, d, out, attrs):
+def _bwd_reduce_sum(g, d, out, attrs, needs):
     axis = attrs.get("axis")
     if axis is None:
         return [np.broadcast_to(g, d[0].shape).astype(d[0].dtype, copy=False)]
@@ -556,7 +604,7 @@ def _fwd_reduce_mean(d, attrs):
     return d[0].mean(axis=_norm_axis(axis, d[0].ndim, "reduce_mean"))
 
 
-def _bwd_reduce_mean(g, d, out, attrs):
+def _bwd_reduce_mean(g, d, out, attrs, needs):
     axis = attrs.get("axis")
     if axis is None:
         n = d[0].size
@@ -571,7 +619,7 @@ def _fwd_scale(d, attrs):
     return d[0] * np.asarray(factor, dtype=d[0].dtype)
 
 
-def _bwd_scale(g, d, out, attrs):
+def _bwd_scale(g, d, out, attrs, needs):
     factor = float(attrs["factor"])
     return [g * np.asarray(factor, dtype=g.dtype)]
 
@@ -586,7 +634,7 @@ def _fwd_l2_normalize(d, attrs):
     return x / np.sqrt(sq)
 
 
-def _bwd_l2_normalize(g, d, out, attrs):
+def _bwd_l2_normalize(g, d, out, attrs, needs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "l2_normalize")
     eps = float(attrs.get("eps", 0.0))
     x = d[0]
@@ -612,7 +660,7 @@ def _fwd_cross_entropy(d, attrs):
     return lse - z[np.arange(logits.shape[0]), targets]
 
 
-def _bwd_cross_entropy(g, d, out, attrs):
+def _bwd_cross_entropy(g, d, out, attrs, needs):
     logits = d[0]
     targets = np.asarray(attrs["targets"])
     z = logits - logits.max(axis=1, keepdims=True)
@@ -622,31 +670,54 @@ def _bwd_cross_entropy(g, d, out, attrs):
     return [p * g[:, None]]
 
 
+class _Op(NamedTuple):
+    arity: int | None  # None: any positive number of inputs
+    forward: object
+    backward: object
+    reads: str  # one of _READS
+
+
+# What a backward rule reads besides g and attrs: nothing, all its inputs, its
+# output, or ("cross", binary ops only) for each input's gradient the other
+# input, so an input is kept only when the other one requires a gradient.
+_READS = ("nothing", "inputs", "output", "cross")
+
 _CATALOG = {
-    "add": (2, _fwd_add, _bwd_add),
-    "sub": (2, _fwd_sub, _bwd_sub),
-    "mul": (2, _fwd_mul, _bwd_mul),
-    "matmul": (2, _fwd_matmul, _bwd_matmul),
-    "reshape": (1, _fwd_reshape, _bwd_reshape),
-    "transpose": (1, _fwd_transpose, _bwd_transpose),
-    "slice": (1, _fwd_slice, _bwd_slice),
-    "concat": (None, _fwd_concat, _bwd_concat),
-    "embedding_gather": (1, _fwd_embedding_gather, _bwd_embedding_gather),
-    "softmax": (1, _fwd_softmax, _bwd_softmax),
-    "log_softmax": (1, _fwd_log_softmax, _bwd_log_softmax),
-    "layer_norm": (1, _fwd_layer_norm, _bwd_layer_norm),
-    "gelu": (1, _fwd_gelu, _bwd_gelu),
-    "relu": (1, _fwd_relu, _bwd_relu),
-    "conv2d": (2, _fwd_conv2d, _bwd_conv2d),
-    "masked_fill": (1, _fwd_masked_fill, _bwd_masked_fill),
-    "reduce_sum": (1, _fwd_reduce_sum, _bwd_reduce_sum),
-    "reduce_mean": (1, _fwd_reduce_mean, _bwd_reduce_mean),
-    "scale": (1, _fwd_scale, _bwd_scale),
-    "l2_normalize": (1, _fwd_l2_normalize, _bwd_l2_normalize),
-    "cross_entropy_with_logits": (1, _fwd_cross_entropy, _bwd_cross_entropy),
+    "add": _Op(2, _fwd_add, _bwd_add, "nothing"),
+    "sub": _Op(2, _fwd_sub, _bwd_sub, "nothing"),
+    "mul": _Op(2, _fwd_mul, _bwd_mul, "cross"),
+    "matmul": _Op(2, _fwd_matmul, _bwd_matmul, "cross"),
+    "reshape": _Op(1, _fwd_reshape, _bwd_reshape, "nothing"),
+    "transpose": _Op(1, _fwd_transpose, _bwd_transpose, "nothing"),
+    "slice": _Op(1, _fwd_slice, _bwd_slice, "nothing"),
+    "concat": _Op(None, _fwd_concat, _bwd_concat, "nothing"),
+    "embedding_gather": _Op(1, _fwd_embedding_gather, _bwd_embedding_gather, "nothing"),
+    "softmax": _Op(1, _fwd_softmax, _bwd_softmax, "output"),
+    "log_softmax": _Op(1, _fwd_log_softmax, _bwd_log_softmax, "output"),
+    "layer_norm": _Op(1, _fwd_layer_norm, _bwd_layer_norm, "output"),
+    "gelu": _Op(1, _fwd_gelu, _bwd_gelu, "inputs"),
+    "relu": _Op(1, _fwd_relu, _bwd_relu, "output"),
+    "conv2d": _Op(2, _fwd_conv2d, _bwd_conv2d, "cross"),
+    "reduce_sum": _Op(1, _fwd_reduce_sum, _bwd_reduce_sum, "nothing"),
+    "reduce_mean": _Op(1, _fwd_reduce_mean, _bwd_reduce_mean, "nothing"),
+    "scale": _Op(1, _fwd_scale, _bwd_scale, "nothing"),
+    "l2_normalize": _Op(1, _fwd_l2_normalize, _bwd_l2_normalize, "inputs"),
+    "cross_entropy_with_logits": _Op(1, _fwd_cross_entropy, _bwd_cross_entropy, "inputs"),
 }
 
 OP_KINDS = tuple(sorted(_CATALOG))
+
+
+def _kept(reads, datas, out, needs):
+    """The (inputs, output) a record keeps: arrays backward reads, else _Spec."""
+    if reads == "inputs":
+        ins = tuple(datas)
+    elif reads == "cross":
+        a, b = datas
+        ins = (a if needs[1] else _Spec(a), b if needs[0] else _Spec(b))
+    else:
+        ins = tuple(_Spec(x) for x in datas)
+    return ins, (out if reads == "output" else _Spec(out))
 
 
 def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
@@ -657,7 +728,7 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
     """
     if op_kind not in _CATALOG:
         raise CatalogError(f"unknown op kind: {op_kind!r}")
-    arity, fwd, _ = _CATALOG[op_kind]
+    arity, fwd, _, reads = _CATALOG[op_kind]
     inputs = list(inputs)
     if arity is not None and len(inputs) != arity:
         raise ShapeError(f"{op_kind}: expected {arity} inputs, got {len(inputs)}")
@@ -674,6 +745,7 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
     tape = _active_tape()
     if tape is not None and any(x.requires_grad for x in inputs):
+        needs = tuple(x.requires_grad for x in inputs)
         in_ids = [tape._bind(x) for x in inputs]
         out.requires_grad = True
         out_id = tape._bind(out)
@@ -682,8 +754,8 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
             if x.requires_grad and nid not in tape._out_ids:
                 tape.leaf_ids.add(nid)
         tape._out_ids.add(out_id)
-        tape.records.append((op_kind, out_id, tuple(in_ids),
-                             tuple(datas), out_data, attrs))
+        kept_in, kept_out = _kept(reads, datas, out_data, needs)
+        tape.records.append((op_kind, out_id, tuple(in_ids), kept_in, kept_out, attrs, needs))
     return out
 
 
@@ -697,14 +769,15 @@ def backward(root: Tensor) -> dict:
     if tape is None or root.node_id is None:
         return {}
     grads = {root.node_id: np.ones((), dtype=root.data.dtype)}
-    for op_kind, out_id, in_ids, in_datas, out_data, attrs in reversed(tape.records):
-        g = grads.get(out_id)
+    for op_kind, out_id, in_ids, in_datas, out_data, attrs, needs in reversed(tape.records):
+        # every consumer of out_id comes later on the tape, so its gradient
+        # is complete here and nothing reads it again
+        g = grads.pop(out_id, None)
         if g is None:
             continue
-        _, _, bwd = _CATALOG[op_kind]
-        in_grads = bwd(g, in_datas, out_data, attrs)
-        for nid, ig, idata in zip(in_ids, in_grads, in_datas):
-            if ig is None:
+        in_grads = _CATALOG[op_kind].backward(g, in_datas, out_data, attrs, needs)
+        for nid, ig, idata, need in zip(in_ids, in_grads, in_datas, needs):
+            if ig is None or not need:
                 continue
             ig = np.asarray(ig, dtype=idata.dtype)
             if nid in grads:
@@ -761,8 +834,16 @@ def embedding_gather(table, ids):
     return apply("embedding_gather", [table], {"ids": np.asarray(ids)})
 
 
-def softmax(x, axis=-1):
-    return apply("softmax", [x], {"axis": axis})
+def softmax(x, axis=-1, scale=None, allowed=None):
+    """softmax(x * scale) over axis, with zero weight where the boolean
+    allowed mask (trailing-aligned with x) is False; scale and allowed are
+    optional and fused into the one op."""
+    attrs = {"axis": axis}
+    if scale is not None:
+        attrs["scale"] = scale
+    if allowed is not None:
+        attrs["allowed"] = np.asarray(allowed)
+    return apply("softmax", [x], attrs)
 
 
 def log_softmax(x, axis=-1):
@@ -783,10 +864,6 @@ def relu(x):
 
 def conv2d(x, w, stride=1, pad=0):
     return apply("conv2d", [x, w], {"stride": stride, "pad": pad})
-
-
-def masked_fill(x, mask, value):
-    return apply("masked_fill", [x], {"mask": np.asarray(mask), "value": value})
 
 
 def reduce_sum(x, axis=None):

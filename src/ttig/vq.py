@@ -11,7 +11,7 @@ objective and is renormalized to unit rows after every optimizer step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,6 +156,12 @@ def quantize(codebook: np.ndarray, z: np.ndarray):
     return ids.reshape(lead), zq.reshape(z.shape), codebook_loss, commitment_loss
 
 
+# Images per encoder pass in tokenize: bounds its peak memory on large sets.
+# Every op of the untaped encoder acts row by row, so the codes do not depend
+# on the chunking.
+TOKENIZE_CHUNK = 64
+
+
 def tokenize(w: TokenizerWeights, images: np.ndarray) -> np.ndarray:
     """Image(s) in [0,1] -> int token grid(s) (grid, grid) over the codebook."""
     single = images.ndim == 3
@@ -166,9 +172,10 @@ def tokenize(w: TokenizerWeights, images: np.ndarray) -> np.ndarray:
         raise DataError(f"image dims {images.shape[1:3]} not divisible by patch {cfg.patch}")
     if images.shape[1] != cfg.image_size or images.shape[2] != cfg.image_size:
         raise DataError(f"expected {cfg.image_size}x{cfg.image_size} input, got {images.shape[1:3]}")
-    z = _encode_tensor(w, images).data
-    ids, _, _, _ = quantize(w.codebook, z)
-    grids = ids.reshape(images.shape[0], cfg.grid, cfg.grid)
+    ids = [quantize(w.codebook, _encode_tensor(w, images[s:s + TOKENIZE_CHUNK]).data)[0]
+           for s in range(0, len(images), TOKENIZE_CHUNK)]
+    grids = np.concatenate(ids or [np.zeros(0, np.intp)])
+    grids = grids.reshape(images.shape[0], cfg.grid, cfg.grid)
     return grids[0] if single else grids
 
 
@@ -269,46 +276,6 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
         if np.any(n == 0):
             raise NumericError("codebook row collapsed to zero norm")
         cb.data = (cb.data / n).astype(np.float32)
-        history.append(lval)
-    return w, history
-
-
-def rebuild_decoder(w: TokenizerWeights, dec_d_model: int, dec_blocks: int,
-                    seed: int) -> TokenizerWeights:
-    """Wider-decoder flag: fresh decoder at the given size, encoder and
-    codebook shared (same arrays)."""
-    cfg = replace(w.cfg, dec_d_model=dec_d_model, dec_blocks=dec_blocks)
-    w2 = build_tokenizer(cfg, seed)
-    for name, t in w.params.items():
-        if not name.startswith("dec."):
-            w2.params.params[name] = t
-    return TokenizerWeights(cfg=cfg, params=w2.params)
-
-
-def train_decoder_only(w: TokenizerWeights, images: np.ndarray, tcfg: TokTrainConfig,
-                       opt_cfg: optim.OptimizerConfig | None = None):
-    """Retrain just the decoder against frozen encoder + codebook."""
-    if opt_cfg is None:
-        opt_cfg = optim.OptimizerConfig(
-            base_lr=tcfg.lr, warmup=tcfg.warmup, decay_start=int(tcfg.steps * 0.6),
-            total_steps=tcfg.steps, final_ratio=0.05, weight_decay=0.0)
-    rng = np.random.default_rng(tcfg.seed + 2)
-    dec_params = w.params.subset(["dec."])
-    state = optim.OptimizerState()
-    history = []
-    for _ in range(tcfg.steps):
-        idx = rng.integers(0, len(images), tcfg.batch)
-        x = images[idx].astype(np.float32)
-        grid = tokenize(w, x)
-        zq = w.codebook[grid.reshape(len(x), -1)]
-        with T.Tape():
-            recon = _decode_tensor(w, T.constant(zq))
-            loss = nn.mse(recon, T.constant(patchify(x, w.cfg.patch)))
-        lval = float(loss.data)
-        if not np.isfinite(lval):
-            raise NumericError("decoder finetune diverged")
-        grads = nn.grads_of(loss, dec_params)
-        optim.adafactor_step(dec_params, grads, state, opt_cfg)
         history.append(lval)
     return w, history
 

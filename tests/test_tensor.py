@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from ttig import nn, seq2seq
 from ttig import tensor as T
 from ttig.tensor import CatalogError, ShapeError
 
@@ -207,14 +208,48 @@ def test_layer_norm_and_softmax_reductions_bit_identical_to_method_forms(dtype):
         out = T._fwd_layer_norm([x], attrs)
         np.testing.assert_array_equal(out, _mean_ln_fwd(x))
         want = _mean_ln_bwd(g, x, out)
-        np.testing.assert_array_equal(T._bwd_layer_norm(g, [x], out, attrs)[0], want)
-        np.testing.assert_array_equal(T._bwd_layer_norm(g, [x], out, {"axis": -1})[0], want)
+        np.testing.assert_array_equal(T._bwd_layer_norm(g, [x], out, attrs, (True,))[0], want)
+        np.testing.assert_array_equal(
+            T._bwd_layer_norm(g, [x], out, {"axis": -1}, (True,))[0], want)
         for axis in (0, -1):
             sm = T._fwd_softmax([x], {"axis": axis})
             np.testing.assert_array_equal(sm, _sum_softmax_fwd(x, axis))
             r = g - (g * sm).sum(axis=axis, keepdims=True)
             r *= sm
-            np.testing.assert_array_equal(T._bwd_softmax(g, [x], sm, {"axis": axis})[0], r)
+            np.testing.assert_array_equal(
+                T._bwd_softmax(g, [x], sm, {"axis": axis}, (True,))[0], r)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [True, False], ids=["conv_mask", "no_mask"])
+def test_fused_softmax_bit_identical_to_scale_fill_softmax_chain(dtype, masked):
+    # desk decoder self-attention scores: (batch, heads, image_len, image_len)
+    cfg = seq2seq.DESK
+    n = cfg.image_len
+    rng = _rng(5)
+    x = (rng.normal(size=(16, cfg.heads, n, n)) * 4.0).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    factor = 1.0 / np.sqrt(cfg.d_model // cfg.heads)
+    allowed = seq2seq.conv_sparse_mask(cfg.grid_h, cfg.grid_w, cfg.conv_kernel) if masked else None
+
+    # the unfused chain: scale, fill the disallowed slots, softmax
+    scaled = T._fwd_scale([x], {"factor": factor})
+    filled = scaled if allowed is None else \
+        np.where(~allowed, np.asarray(T.NEG_FILL, dtype=dtype), scaled)
+    want = T._fwd_softmax([filled], {"axis": -1})
+    gw = T._bwd_softmax(g, [filled], want, {"axis": -1}, (True,))[0]
+    if allowed is not None:
+        gw = np.where(~allowed, np.zeros((), dtype=dtype), gw)
+    gw = T._bwd_scale(gw, [scaled], None, {"factor": factor}, (True,))[0]
+
+    leaf = T.Tensor(x, requires_grad=True)
+    with T.Tape():
+        out = T.softmax(leaf, axis=-1, scale=factor, allowed=allowed)
+        loss = T.reduce_sum(T.mul(out, T.constant(g)))  # upstream gradient is g
+    got = T.backward(loss)[leaf.node_id].data
+    assert out.data.dtype == got.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(got, gw)
 
 
 def test_relu_clamps_negatives():
@@ -222,12 +257,18 @@ def test_relu_clamps_negatives():
     np.testing.assert_allclose(T.relu(T.constant(x)).data, [0.0, 0.0, 0.5])
 
 
-def test_masked_fill_replaces_only_masked():
-    x = np.ones((2, 3), np.float32)
-    mask = np.array([[True, False, False], [False, False, True]])
-    y = T.masked_fill(T.constant(x), mask, -9.0).data
-    assert y[0, 0] == -9.0 and y[1, 2] == -9.0
-    assert (y[~mask] == 1.0).all()
+def test_softmax_allowed_gives_masked_slots_zero_probability():
+    x = _rng().normal(size=(2, 3)).astype(np.float32)
+    allowed = np.array([[False, True, True], [True, True, False]])
+    y = T.softmax(T.constant(x), allowed=allowed).data
+    assert y[0, 0] == 0.0 and y[1, 2] == 0.0
+    for row, keep in enumerate(allowed):
+        e = np.exp(x[row, keep] - x[row, keep].max())
+        np.testing.assert_allclose(y[row, keep], e / e.sum(), rtol=1e-6)
+    with pytest.raises(ShapeError, match="boolean"):
+        T.softmax(T.constant(x), allowed=allowed.astype(np.float32))
+    with pytest.raises(ShapeError, match="trailing-aligned"):
+        T.softmax(T.constant(x), allowed=np.ones((3, 2), bool))
 
 
 def test_slice_matches_numpy_basic_indexing():
@@ -388,17 +429,18 @@ def test_grad_conv2d():
                                         T.conv2d(T.constant(x, np.float64), t, pad=1))), w, tol=1e-4)
 
 
-def test_grad_masked_fill_blocks_masked_positions():
+def test_grad_softmax_allowed_blocks_masked_positions():
     x = _rng().normal(size=(3, 4))
-    mask = np.zeros((3, 4), bool)
-    mask[0, 1] = mask[2, 3] = True
-    _check(lambda t: T.reduce_sum(T.mul(T.masked_fill(t, mask, -3.0),
-                                        T.masked_fill(t, mask, -3.0))), x)
+    w = _rng(1).normal(size=(3, 4))
+    allowed = np.ones((3, 4), bool)
+    allowed[0, 1] = allowed[2, 3] = False
+    _check(lambda t: T.reduce_sum(T.mul(T.softmax(t, scale=0.7, allowed=allowed),
+                                        T.constant(w, np.float64))), x)
     leaf = T.Tensor(x.astype(np.float32), requires_grad=True)
     with T.Tape():
-        out = T.reduce_sum(T.masked_fill(leaf, mask, 0.0))
+        out = T.reduce_sum(T.mul(T.softmax(leaf, allowed=allowed), T.constant(w, np.float32)))
     g = T.backward(out)[leaf.node_id].data
-    assert g[0, 1] == 0.0 and g[2, 3] == 0.0 and g[0, 0] == 1.0
+    assert g[0, 1] == 0.0 and g[2, 3] == 0.0 and g[0, 0] != 0.0
 
 
 # ---------------------------------------------------------------- tape
@@ -441,3 +483,99 @@ def test_float32_results_from_float32_inputs():
     x = T.constant(np.ones((2, 2), np.float32))
     assert T.matmul(x, x).data.dtype == np.float32
     assert T.layer_norm(x).data.dtype == np.float32
+
+
+# one application per op kind: input shapes and attrs
+_KIND_CASES = {
+    "add": ([(3, 4), (4,)], {}),
+    "sub": ([(3, 4), (4,)], {}),
+    "mul": ([(3, 4), (3, 4)], {}),
+    "matmul": ([(2, 3, 4), (4, 5)], {}),
+    "reshape": ([(3, 4)], {"shape": (4, 3)}),
+    "transpose": ([(3, 4)], {"axes": (1, 0)}),
+    "slice": ([(3, 4)], {"bounds": ((0, 2), (1, 3))}),
+    "concat": ([(3, 4), (3, 2)], {"axis": 1}),
+    "embedding_gather": ([(5, 3)], {"ids": np.array([0, 4, 4])}),
+    "softmax": ([(3, 4)], {"axis": -1, "scale": 0.5,
+                           "allowed": np.array([True, False, True, True])}),
+    "log_softmax": ([(3, 4)], {"axis": -1}),
+    "layer_norm": ([(3, 4)], {"axis": -1}),
+    "gelu": ([(3, 4)], {}),
+    "relu": ([(3, 4)], {}),
+    "conv2d": ([(2, 4, 4, 2), (3, 3, 2, 3)], {"pad": 1}),
+    "reduce_sum": ([(3, 4)], {"axis": 1}),
+    "reduce_mean": ([(3, 4)], {"axis": None}),
+    "scale": ([(3, 4)], {"factor": -1.5}),
+    "l2_normalize": ([(3, 4)], {"axis": -1}),
+    "cross_entropy_with_logits": ([(3, 4)], {"targets": np.array([0, 3, 1])}),
+}
+
+
+def test_every_op_kind_declares_its_reads():
+    assert set(_KIND_CASES) == set(T.OP_KINDS)
+    for kind in T.OP_KINDS:
+        assert T._CATALOG[kind].reads in T._READS, kind
+        assert T._CATALOG[kind].reads != "cross" or T._CATALOG[kind].arity == 2, kind
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CASES))
+def test_record_keeps_only_declared_reads_and_gradients_are_unchanged(kind):
+    shapes, attrs = _KIND_CASES[kind]
+    reads = T._CATALOG[kind].reads
+    rng = _rng(7)
+    datas = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    for needs in {(True,) * len(datas), (True, False)[:len(datas)], (False, True)[-len(datas):]}:
+        ins = [T.Tensor(d, requires_grad=n) for d, n in zip(datas, needs)]
+        with T.Tape() as tape:
+            out = T.apply(kind, ins, dict(attrs))
+            _, _, _, kept_in, kept_out, rec_attrs, rec_needs = tape.records[-1]
+            w = rng.normal(size=out.shape).astype(np.float32)
+            loss = T.reduce_sum(T.mul(out, T.constant(w)))
+        assert rec_needs == needs
+        for i, (d, k) in enumerate(zip(datas, kept_in)):
+            keep = reads == "inputs" or (reads == "cross" and needs[1 - i])
+            assert (k is d) if keep else isinstance(k, T._Spec), (i, needs)
+            assert (k.shape, k.dtype) == (d.shape, d.dtype)
+        assert (kept_out is out.data) if reads == "output" else isinstance(kept_out, T._Spec)
+        got = T.backward(loss)
+        # the rule on full arrays, asked for every input's gradient
+        want = T._CATALOG[kind].backward(w, datas, out.data, rec_attrs, (True,) * len(datas))
+        for x, n, wg in zip(ins, needs, want):
+            if n:
+                np.testing.assert_array_equal(got[x.node_id].data, wg)
+            else:
+                assert x.node_id not in got
+
+
+def _pinned_mib(tape):
+    """Bytes the records and their attrs hold, each owning array once."""
+    owners = {}
+    for _, _, _, kept_in, kept_out, attrs, _ in tape.records:
+        for a in (*kept_in, kept_out, *attrs.values()):
+            if isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                owners[id(a)] = a.nbytes
+    return sum(owners.values()) / 2**20
+
+
+def test_desk_train_step_tape_pins_at_most_45_mib(monkeypatch):
+    cfg = seq2seq.DESK
+    rng = _rng(11)
+    # scene captions encode to about 7 tokens; trim_pad drops the PAD tail
+    text = np.zeros((64, cfg.text_len), np.int64)
+    text[:, :8] = rng.integers(4, cfg.text_vocab, (64, 8))
+    image = rng.integers(0, cfg.image_vocab, (64, cfg.image_len))
+    pinned = []
+
+    def measuring_grads_of(loss, params):
+        pinned.append(_pinned_mib(loss._tape))
+        return grads_of(loss, params)
+
+    grads_of = nn.grads_of
+    monkeypatch.setattr(nn, "grads_of", measuring_grads_of)
+    seq2seq.train_model(seq2seq.build_model(cfg, 0), text, image,
+                        seq2seq.TrainConfig(steps=1, batch=16, seed=0))
+    # a tape that keeps every input and output of every op, with the score
+    # chain unfused (scale, fill, softmax), pins about 77 MiB here
+    assert len(pinned) == 1 and pinned[0] <= 45.0, pinned

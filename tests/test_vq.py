@@ -122,6 +122,17 @@ def test_tokenize_detokenize_shapes_and_determinism():
     assert imgs.min() >= 0.0 and imgs.max() <= 1.0
 
 
+def test_chunked_tokenize_equals_one_image_at_a_time(monkeypatch):
+    w = vq.build_tokenizer(vq.TokenizerConfig(), seed=0)
+    images = scenes.gen_dataset(130, 0).images  # chunks of 64, 64 and 2
+    assert len(images) > 2 * vq.TOKENIZE_CHUNK
+    toks = vq.tokenize(w, images)
+    one_by_one = np.stack([vq.tokenize(w, im) for im in images])
+    np.testing.assert_array_equal(toks, one_by_one)
+    monkeypatch.setattr(vq, "TOKENIZE_CHUNK", len(images))  # one pass over all
+    np.testing.assert_array_equal(vq.tokenize(w, images), toks)
+
+
 def test_short_tokenizer_training_reduces_loss_and_keeps_unit_norm():
     ds = scenes.gen_dataset(64, 0)
     cfg = vq.TokenizerConfig(codebook_size=16)
