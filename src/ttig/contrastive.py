@@ -13,14 +13,14 @@ descending, ties broken toward the lower identifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn, optim, textproc, vq
 from . import tensor as T
-from .errors import DataError, NumericError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,6 @@ class CLTrainConfig:
     lr: float = 2e-3
     seed: int = 0
     warmup: int = 50
-    log_every: int = 50
 
 
 def contrastive_loss(enc: DualEncoder, images: np.ndarray, text_ids: np.ndarray):
@@ -201,8 +200,7 @@ def contrastive_loss(enc: DualEncoder, images: np.ndarray, text_ids: np.ndarray)
 
 
 def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
-                      cfg: EncoderConfig | None = None,
-                      hook=None):
+                      cfg: EncoderConfig | None = None):
     """Train a dual encoder on paired (image, caption-id) data.
 
     captions_ids is one id row per image (variable length ok, padded here).
@@ -219,23 +217,18 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
     ocfg = optim.OptimizerConfig(base_lr=tcfg.lr, warmup=tcfg.warmup,
                                  decay_start=tcfg.steps // 2, total_steps=tcfg.steps,
                                  final_ratio=0.1)
-    state = optim.OptimizerState()
     rng = np.random.default_rng(tcfg.seed + 1)
-    history = []
     tau = enc.params["tau"]
-    for step in range(tcfg.steps):
+
+    def loss_at(step):
         idx = rng.choice(n, size=tcfg.batch, replace=False)
-        with T.Tape():
-            loss = contrastive_loss(enc, images[idx], text[idx])
-        val = float(loss.data)
-        if not np.isfinite(val):
-            raise NumericError(f"contrastive loss diverged at step {step}")
-        grads = nn.grads_of(loss, enc.params)
-        optim.adafactor_step(enc.params, grads, state, ocfg)
+        return contrastive_loss(enc, images[idx], text[idx])
+
+    def floor_tau(step, loss):
         np.maximum(tau.data, cfg.tau_min, out=tau.data)
-        history.append(val)
-        if hook and (step % tcfg.log_every == 0 or step == tcfg.steps - 1):
-            hook(step, val)
+
+    history = optim.train_loop(enc.params, loss_at, tcfg.steps, ocfg,
+                               "contrastive.train_contrastive", floor_tau)
     return enc, history
 
 

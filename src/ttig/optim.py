@@ -1,5 +1,6 @@
 """Adafactor-style optimizer: factored second moments, int8 first moment,
-global grad clipping, decoupled weight decay, warmup + exponential decay.
+global grad clipping, decoupled weight decay, warmup + exponential decay,
+and the one training loop every trainer runs on top of it.
 
 Memory shape: an m x n matrix keeps two mean accumulators of sizes m and n
 (never m*n); only vectors and scalars keep a full second moment. The first
@@ -13,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
+from . import tensor as T
 from .errors import NumericError
 
 
@@ -127,3 +130,32 @@ def adafactor_step(params, grads: dict, state: OptimizerState, cfg: OptimizerCon
         state.first_scale[name] = scale
     state.step += 1
     return params, state
+
+
+def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
+               after_step=None) -> list:
+    """Train params (a ParamSet) for `steps` steps; returns the per-step
+    losses.
+
+    loss_at(step) builds the scalar loss on the active tape, or returns None
+    to skip the step: the history records 0.0 and no optimizer step runs.
+    after_step(step, loss), if given, runs after every optimizer step. A
+    non-finite loss raises NumericError naming `what` and the step, before
+    any parameter of that step changes.
+    """
+    state = OptimizerState()
+    history = []
+    for step in range(steps):
+        with T.Tape():
+            loss = loss_at(step)
+        if loss is None:
+            history.append(0.0)
+            continue
+        lval = float(loss.data)
+        if not np.isfinite(lval):
+            raise NumericError(f"{what} diverged at step {step}: loss {lval}")
+        adafactor_step(params, nn.grads_of(loss, params), state, cfg)
+        history.append(lval)
+        if after_step is not None:
+            after_step(step, lval)
+    return history

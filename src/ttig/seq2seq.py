@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn, optim, textproc
 from . import tensor as T
-from .errors import DataError, NumericError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,10 @@ class ModelConfig:
 
 DESK = ModelConfig()
 
-# reference-scale rows: (enc_layers, dec_layers, d_model, d_mlp, heads);
-# all use a 32x32 token grid, 8192-way image vocab, 128-token text window
-def _preset(e, d, dm, dmlp, h):
-    return ModelConfig(enc_layers=e, dec_layers=d, d_model=dm, d_mlp=dmlp, heads=h,
-                       text_vocab=16384, image_vocab=8192, text_len=128,
-                       grid_h=32, grid_w=32)
-
-
-PRESETS = {
-    "350m": _preset(12, 12, 1024, 4096, 16),
-    "750m": _preset(12, 36, 1024, 4096, 16),
-    "3b": _preset(12, 36, 2048, 8192, 32),
-    "20b": _preset(16, 64, 4096, 16384, 64),
-}
-
 
 def param_count(cfg: ModelConfig) -> dict:
     """Analytic parameter counts. core_blocks covers attention + MLP + their
-    layer norms only; size-class labels for the presets refer to that core."""
+    layer norms only, the part a model's size class usually refers to."""
     d, m = cfg.d_model, cfg.d_mlp
     attn = 4 * d * d + 4 * d
     mlp = 2 * d * m + m + d
@@ -263,21 +248,18 @@ def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarr
             decay_start=int(tcfg.steps * 0.5), total_steps=tcfg.steps,
             final_ratio=0.05, weight_decay=1e-4)
     rng = np.random.default_rng(tcfg.seed)
-    state = optim.OptimizerState()
-    history = []
-    for step in range(tcfg.steps):
+
+    def loss_at(step):
         idx = rng.integers(0, len(text_ids), tcfg.batch)
-        with T.Tape():
-            loss = forward_loss(w, trim_pad(text_ids[idx]), image_ids[idx], rng=rng)
-        lval = float(loss.data)
-        if not np.isfinite(lval):
-            raise NumericError(f"training diverged at step {step}")
-        grads = nn.grads_of(loss, w.params)
-        optim.adafactor_step(w.params, grads, state, opt_cfg)
-        history.append(lval)
+        return forward_loss(w, trim_pad(text_ids[idx]), image_ids[idx], rng=rng)
+
+    def run_hooks(step, loss):
         if hooks and (step + 1) % tcfg.log_every == 0:
             for h in hooks:
-                h(step + 1, lval, w)
+                h(step + 1, loss, w)
+
+    history = optim.train_loop(w.params, loss_at, tcfg.steps, opt_cfg,
+                               "seq2seq.train_model", run_hooks)
     return w, history
 
 
@@ -302,8 +284,6 @@ def pretrain_text_encoder(w: TransformerWeights, corpus_ids: np.ndarray,
     corpus_ids = _check_ids(corpus_ids, cfg.text_vocab, "corpus_ids")
     if corpus_ids.shape[1] != cfg.text_len:
         raise DataError(f"corpus rows must have length text_len={cfg.text_len}")
-    if mask_rate == 0.0:
-        return w, [0.0] * steps
     rng = np.random.default_rng(seed)
     head = nn.ParamSet()
     nn.add_linear(head, "mlm", cfg.d_model, cfg.text_vocab, rng)
@@ -315,32 +295,26 @@ def pretrain_text_encoder(w: TransformerWeights, corpus_ids: np.ndarray,
         opt_cfg = optim.OptimizerConfig(
             base_lr=3e-3, warmup=max(1, steps // 20), decay_start=int(steps * 0.6),
             total_steps=steps, final_ratio=0.1, weight_decay=0.0)
-    state = optim.OptimizerState()
-    history = []
-    for step in range(steps):
+
+    def loss_at(step):
         rows = rng.integers(0, len(corpus_ids), batch)
         ids = trim_pad(corpus_ids[rows]).copy()
         maskable = ids >= textproc.N_SPECIALS
         chosen = maskable & (rng.random(ids.shape) < mask_rate)
         if not chosen.any():
-            history.append(0.0)
-            continue
+            return None
         flat_mask = chosen.reshape(-1)
         targets = np.where(flat_mask, ids.reshape(-1), 0)
         ids[chosen] = textproc.UNK_ID
         n_masked = int(flat_mask.sum())
-        with T.Tape():
-            h = encode_text(w, ids)
-            logits = nn.linear(head, "mlm", h)
-            flat = T.reshape(logits, (ids.size, cfg.text_vocab))
-            # cross-entropy over every position, zero-weighted where unmasked
-            per_tok = T.cross_entropy_with_logits(flat, targets)
-            picked = T.mul(per_tok, T.constant(flat_mask.astype(np.float32)))
-            loss = T.scale(T.reduce_sum(picked), 1.0 / n_masked)
-        lval = float(loss.data)
-        if not np.isfinite(lval):
-            raise NumericError(f"encoder pretraining diverged at step {step}")
-        grads = nn.grads_of(loss, trainable)
-        optim.adafactor_step(trainable, grads, state, opt_cfg)
-        history.append(lval)
+        h = encode_text(w, ids)
+        logits = nn.linear(head, "mlm", h)
+        flat = T.reshape(logits, (ids.size, cfg.text_vocab))
+        # cross-entropy over every position, zero-weighted where unmasked
+        per_tok = T.cross_entropy_with_logits(flat, targets)
+        picked = T.mul(per_tok, T.constant(flat_mask.astype(np.float32)))
+        return T.scale(T.reduce_sum(picked), 1.0 / n_masked)
+
+    history = optim.train_loop(trainable, loss_at, steps, opt_cfg,
+                               "seq2seq.pretrain_text_encoder")
     return w, history

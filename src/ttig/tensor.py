@@ -408,18 +408,6 @@ def _bwd_softmax(g, d, out, attrs, needs):
     return [r]
 
 
-def _fwd_log_softmax(d, attrs):
-    axis = _norm_axis(attrs["axis"], d[0].ndim, "log_softmax")
-    x = d[0]
-    z = x - x.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
-def _bwd_log_softmax(g, d, out, attrs, needs):
-    axis = _norm_axis(attrs["axis"], d[0].ndim, "log_softmax")
-    return [g - np.exp(out) * g.sum(axis=axis, keepdims=True)]
-
-
 def _mean(x, axis):
     # what ndarray.mean computes: the add reduction divided by the count
     return np.add.reduce(x, axis=axis, keepdims=True) / x.shape[axis]
@@ -693,7 +681,6 @@ _CATALOG = {
     "concat": _Op(None, _fwd_concat, _bwd_concat, "nothing"),
     "embedding_gather": _Op(1, _fwd_embedding_gather, _bwd_embedding_gather, "nothing"),
     "softmax": _Op(1, _fwd_softmax, _bwd_softmax, "output"),
-    "log_softmax": _Op(1, _fwd_log_softmax, _bwd_log_softmax, "output"),
     "layer_norm": _Op(1, _fwd_layer_norm, _bwd_layer_norm, "output"),
     "gelu": _Op(1, _fwd_gelu, _bwd_gelu, "inputs"),
     "relu": _Op(1, _fwd_relu, _bwd_relu, "output"),
@@ -844,10 +831,6 @@ def softmax(x, axis=-1, scale=None, allowed=None):
     if allowed is not None:
         attrs["allowed"] = np.asarray(allowed)
     return apply("softmax", [x], attrs)
-
-
-def log_softmax(x, axis=-1):
-    return apply("log_softmax", [x], {"axis": axis})
 
 
 def layer_norm(x, axis=-1, eps=1e-5):

@@ -248,35 +248,32 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
         opt_cfg = optim.OptimizerConfig(
             base_lr=tcfg.lr, warmup=tcfg.warmup, decay_start=int(tcfg.steps * 0.6),
             total_steps=tcfg.steps, final_ratio=0.05, weight_decay=0.0)
-    state = optim.OptimizerState()
     cb = w.params["codebook"]
-    history = []
-    for _ in range(tcfg.steps):
+
+    def loss_at(step):
         idx = rng.integers(0, len(images), tcfg.batch)
         x = images[idx].astype(np.float32)
-        with T.Tape():
-            z = _encode_tensor(w, x)
-            zhat = T.l2_normalize(z, axis=-1, eps=0.0)
-            ids, zq, _, _ = quantize(cb.data, zhat.data)
-            e = T.embedding_gather(cb, ids.reshape(-1))
-            e = T.reshape(e, z.shape)
-            z_q_st = T.add(z, T.constant(e.data - z.data))  # straight-through
-            recon = _decode_tensor(w, z_q_st)
-            target = T.constant(patchify(x, cfg.patch))
-            rec_loss = nn.mse(recon, target)
-            cb_loss = _row_mean_sq(T.sub(T.constant(zhat.data), e))
-            commit = _row_mean_sq(T.sub(zhat, T.constant(e.data)))
-            loss = T.add(T.add(rec_loss, cb_loss), T.scale(commit, tcfg.beta_commit))
-        lval = float(loss.data)
-        if not np.isfinite(lval):
-            raise NumericError(f"tokenizer training diverged at step {state.step}")
-        grads = nn.grads_of(loss, w.params)
-        optim.adafactor_step(w.params, grads, state, opt_cfg)
+        z = _encode_tensor(w, x)
+        zhat = T.l2_normalize(z, axis=-1, eps=0.0)
+        ids, zq, _, _ = quantize(cb.data, zhat.data)
+        e = T.embedding_gather(cb, ids.reshape(-1))
+        e = T.reshape(e, z.shape)
+        z_q_st = T.add(z, T.constant(e.data - z.data))  # straight-through
+        recon = _decode_tensor(w, z_q_st)
+        target = T.constant(patchify(x, cfg.patch))
+        rec_loss = nn.mse(recon, target)
+        cb_loss = _row_mean_sq(T.sub(T.constant(zhat.data), e))
+        commit = _row_mean_sq(T.sub(zhat, T.constant(e.data)))
+        return T.add(T.add(rec_loss, cb_loss), T.scale(commit, tcfg.beta_commit))
+
+    def renormalize_codebook(step, loss):
         n = np.linalg.norm(cb.data, axis=1, keepdims=True)
         if np.any(n == 0):
             raise NumericError("codebook row collapsed to zero norm")
         cb.data = (cb.data / n).astype(np.float32)
-        history.append(lval)
+
+    history = optim.train_loop(w.params, loss_at, tcfg.steps, opt_cfg,
+                               "vq.train_tokenizer", renormalize_codebook)
     return w, history
 
 
@@ -363,17 +360,10 @@ def train_sr(lo: np.ndarray, hi: np.ndarray, cfg: SRConfig, steps: int = 400,
     opt_cfg = optim.OptimizerConfig(base_lr=lr, warmup=max(1, steps // 20),
                                     decay_start=int(steps * 0.6), total_steps=steps,
                                     final_ratio=0.1, weight_decay=0.0)
-    state = optim.OptimizerState()
-    history = []
-    for _ in range(steps):
+
+    def loss_at(step):
         idx = rng.integers(0, len(lo), batch)
-        with T.Tape():
-            pred = _sr_tensor(w, T.constant(lo[idx].astype(np.float32)))
-            loss = nn.mse(pred, T.constant(hi[idx].astype(np.float32)))
-        lval = float(loss.data)
-        if not np.isfinite(lval):
-            raise NumericError("sr training diverged")
-        grads = nn.grads_of(loss, w.params)
-        optim.adafactor_step(w.params, grads, state, opt_cfg)
-        history.append(lval)
-    return w, history
+        pred = _sr_tensor(w, T.constant(lo[idx].astype(np.float32)))
+        return nn.mse(pred, T.constant(hi[idx].astype(np.float32)))
+
+    return w, optim.train_loop(w.params, loss_at, steps, opt_cfg, "vq.train_sr")

@@ -120,7 +120,7 @@ def test_alignment_score_matches_scorer():
 
 def test_short_training_separates_pairs():
     ds, vocab, ids = _data(32, seed=1)
-    tcfg = contrastive.CLTrainConfig(steps=120, batch=16, log_every=40)
+    tcfg = contrastive.CLTrainConfig(steps=120, batch=16)
     enc, hist = contrastive.train_contrastive(ds.images, ids, tcfg, CFG)
     assert len(hist) == 120
     assert np.mean(hist[-20:]) < np.mean(hist[:20])

@@ -1,9 +1,12 @@
-"""Schedule shape, factored second moment, clipping, failure modes."""
+"""Schedule shape, factored second moment, clipping, failure modes, and
+the training loop every trainer shares."""
+
+import re
 
 import numpy as np
 import pytest
 
-from ttig import nn, optim
+from ttig import contrastive, nn, optim, scenes, seq2seq, vq
 from ttig import tensor as T
 from ttig.errors import NumericError
 
@@ -169,3 +172,74 @@ def test_full_scale_preset_values():
     assert c.base_lr == 4.5e-5 and c.warmup == 5000
     assert c.decay_start == 85000 and c.total_steps == 450000
     assert c.weight_decay == 4.5e-2 and c.final_ratio == 0.025
+
+
+_TOK = vq.TokenizerConfig(image_size=8, d_model=8, n_blocks=1, heads=2, d_mlp=16,
+                          codebook_size=4)
+_SR = vq.SRConfig(n_blocks=1, channels=4)
+_MODEL = seq2seq.ModelConfig(enc_layers=1, dec_layers=1, d_model=16, d_mlp=32, heads=2,
+                             text_vocab=64, image_vocab=8, text_len=8, grid_h=2, grid_w=2)
+_ENC = contrastive.EncoderConfig(d_model=8, n_blocks=1, heads=2, d_mlp=16, d_e=4,
+                                 text_vocab=64, text_len=8)
+
+
+def _ids(low, high, shape):
+    return np.random.default_rng(0).integers(low, high, shape)
+
+
+# trainer -> (module, the function in it that takes the weights first and
+# builds the loss, a short run of the trainer, a fresh build of its weights)
+_TRAINERS = {
+    "vq.train_tokenizer": (
+        vq, "_decode_tensor",
+        lambda: vq.train_tokenizer(scenes.gen_dataset(4, 0, size=8).images, _TOK,
+                                   vq.TokTrainConfig(steps=2, batch=2, data_init=False)),
+        lambda: vq.build_tokenizer(_TOK, 0)),
+    "vq.train_sr": (
+        vq, "_sr_tensor",
+        lambda: vq.train_sr(scenes.gen_dataset(2, 0, size=8).images,
+                            scenes.gen_dataset(2, 0, size=16).images, _SR, steps=2, batch=2),
+        lambda: vq.build_sr(_SR, 0)),
+    "seq2seq.train_model": (
+        seq2seq, "forward_loss",
+        lambda: seq2seq.train_model(seq2seq.build_model(_MODEL, 0), _ids(4, 64, (4, 8)),
+                                    _ids(0, 8, (4, 4)), seq2seq.TrainConfig(steps=2, batch=2)),
+        lambda: seq2seq.build_model(_MODEL, 0)),
+    # every id is a content token, so step 0 masks some and is not skipped
+    "seq2seq.pretrain_text_encoder": (
+        seq2seq, "encode_text",
+        lambda: seq2seq.pretrain_text_encoder(seq2seq.build_model(_MODEL, 0),
+                                              _ids(4, 64, (4, 8)), mask_rate=0.5,
+                                              steps=2, batch=2),
+        lambda: seq2seq.build_model(_MODEL, 0)),
+    "contrastive.train_contrastive": (
+        contrastive, "contrastive_loss",
+        lambda: contrastive.train_contrastive(scenes.gen_dataset(2, 0).images,
+                                              _ids(4, 64, (2, 8)),
+                                              contrastive.CLTrainConfig(steps=2, batch=2),
+                                              _ENC),
+        lambda: contrastive.build_encoder(_ENC, 0)),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+def test_training_loops_fail_loudly_on_nan_loss(trainer, monkeypatch):
+    module, loss_fn, train, fresh = _TRAINERS[trainer]
+    original = getattr(module, loss_fn)
+    seen = []
+
+    def nan_loss_fn(w, *args, **kwargs):
+        seen.append(w)
+        out = original(w, *args, **kwargs)
+        out.data = np.full_like(out.data, np.nan)
+        return out
+
+    monkeypatch.setattr(module, loss_fn, nan_loss_fn)
+    with pytest.raises(NumericError,
+                       match=rf"^{re.escape(trainer)} diverged at step 0: loss nan$"):
+        train()
+    # the loss of step 0 was the only one built, and no optimizer step ran
+    assert len(seen) == 1
+    want = fresh().params
+    for name, t in seen[0].params.items():
+        np.testing.assert_array_equal(t.data, want[name].data, err_msg=name)

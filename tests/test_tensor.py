@@ -83,13 +83,6 @@ def test_softmax_rows_sum_to_one():
     assert (s > 0).all()
 
 
-def test_log_softmax_matches_log_of_softmax():
-    x = _rng().normal(size=(3, 6)).astype(np.float32)
-    ls = T.log_softmax(T.constant(x)).data
-    s = T.softmax(T.constant(x)).data
-    np.testing.assert_allclose(ls, np.log(s), atol=1e-6)
-
-
 def test_softmax_shift_invariance():
     x = _rng().normal(size=(2, 5)).astype(np.float32)
     a = T.softmax(T.constant(x)).data
@@ -308,7 +301,9 @@ def test_cross_entropy_is_per_example_nll():
     logits = _rng().normal(size=(4, 7)).astype(np.float32)
     targets = np.array([2, 0, 6, 3])
     got = T.cross_entropy_with_logits(T.constant(logits), targets).data
-    ls = T.log_softmax(T.constant(logits)).data
+    z = logits.astype(np.float64)
+    z -= z.max(axis=1, keepdims=True)
+    ls = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     want = -ls[np.arange(4), targets]
     np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -368,7 +363,6 @@ def test_grad_softmax_family():
     x = _rng().normal(size=(3, 5))
     w = _rng(1).normal(size=(3, 5))
     _check(lambda t: T.reduce_sum(T.mul(T.softmax(t), T.constant(w, np.float64))), x)
-    _check(lambda t: T.reduce_sum(T.mul(T.log_softmax(t), T.constant(w, np.float64))), x)
 
 
 def test_grad_layer_norm():
@@ -498,7 +492,6 @@ _KIND_CASES = {
     "embedding_gather": ([(5, 3)], {"ids": np.array([0, 4, 4])}),
     "softmax": ([(3, 4)], {"axis": -1, "scale": 0.5,
                            "allowed": np.array([True, False, True, True])}),
-    "log_softmax": ([(3, 4)], {"axis": -1}),
     "layer_norm": ([(3, 4)], {"axis": -1}),
     "gelu": ([(3, 4)], {}),
     "relu": ([(3, 4)], {}),
