@@ -155,13 +155,6 @@ def _pad_rows(cfg: EncoderConfig, text_ids):
     return out
 
 
-def alignment_score(enc: DualEncoder, image: np.ndarray, text_ids) -> float:
-    """Cosine between projected embeddings, in [-1, 1]."""
-    zi = embed_image(enc, image)
-    zt = embed_text(enc, text_ids)
-    return float(zi[0] @ zt[0])
-
-
 def make_scorer(enc: DualEncoder, vocab: textproc.Vocab):
     """rerank-compatible scorer: (images, prompt) -> per-image cosines."""
     def scorer(images, prompt):

@@ -70,9 +70,6 @@ class ParamSet:
                 raise DataError(f"shape mismatch for {name}: {arr.shape} vs {t.shape}")
             t.data = np.ascontiguousarray(arr, dtype=np.float32)
 
-    def n_params(self):
-        return sum(t.data.size for t in self.params.values())
-
 
 def add_linear(ps: ParamSet, pre: str, d_in: int, d_out: int, rng):
     ps.add(pre + ".w", trunc_normal(rng, (d_in, d_out)))

@@ -33,13 +33,6 @@ class OptimizerConfig:
     eps: float = 1e-30
 
 
-# hyperparameters of the full-scale training run, kept as a named preset
-FULL_SCALE_PRESET = OptimizerConfig(
-    base_lr=4.5e-5, warmup=5000, decay_start=85000, total_steps=450000,
-    final_ratio=0.025, weight_decay=4.5e-2,
-)
-
-
 def lr_at(step: int, cfg: OptimizerConfig) -> float:
     """Piecewise schedule: linear 0 -> base over warmup, constant until
     decay_start, then exponential decay hitting base*final_ratio at
@@ -142,20 +135,29 @@ def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
     after_step(step, loss), if given, runs after every optimizer step. A
     non-finite loss raises NumericError naming `what` and the step, before
     any parameter of that step changes.
+
+    At most one step's tape is alive: each step's tape replaces the previous
+    one record by record as its forward runs, and the last one is released
+    on return, so the trained params pin no records.
     """
     state = OptimizerState()
     history = []
-    for step in range(steps):
-        with T.Tape():
-            loss = loss_at(step)
-        if loss is None:
-            history.append(0.0)
-            continue
-        lval = float(loss.data)
-        if not np.isfinite(lval):
-            raise NumericError(f"{what} diverged at step {step}: loss {lval}")
-        adafactor_step(params, nn.grads_of(loss, params), state, cfg)
-        history.append(lval)
-        if after_step is not None:
-            after_step(step, lval)
+    tape = None
+    try:
+        for step in range(steps):
+            with T.Tape(replaces=tape) as tape:
+                loss = loss_at(step)
+            if loss is None:
+                history.append(0.0)
+                continue
+            lval = float(loss.data)
+            if not np.isfinite(lval):
+                raise NumericError(f"{what} diverged at step {step}: loss {lval}")
+            adafactor_step(params, nn.grads_of(loss, params), state, cfg)
+            history.append(lval)
+            if after_step is not None:
+                after_step(step, lval)
+    finally:
+        if tape is not None:
+            tape.release()
     return history

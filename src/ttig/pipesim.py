@@ -22,9 +22,8 @@ from pathlib import Path
 
 from .errors import DataError
 
-# full-scale deployment preset: 16-stage pipeline with a 4-round circular schedule
+# stage count of the full-scale deployment's pipeline
 FULL_SCALE_STAGES = 16
-FULL_SCALE_ROUNDS = 4
 
 
 @dataclass(frozen=True)

@@ -59,30 +59,6 @@ class ModelConfig:
 DESK = ModelConfig()
 
 
-def param_count(cfg: ModelConfig) -> dict:
-    """Analytic parameter counts. core_blocks covers attention + MLP + their
-    layer norms only, the part a model's size class usually refers to."""
-    d, m = cfg.d_model, cfg.d_mlp
-    attn = 4 * d * d + 4 * d
-    mlp = 2 * d * m + m + d
-    ln = 2 * d
-    enc_layer = attn + mlp + 2 * ln
-    dec_layer = enc_layer + attn + ln
-    emb = (cfg.text_vocab * d + cfg.text_len * d
-           + cfg.image_vocab * d + cfg.image_len * d + d)
-    head = d * cfg.image_vocab + cfg.image_vocab
-    core = cfg.enc_layers * enc_layer + cfg.dec_layers * dec_layer
-    return {
-        "encoder_blocks": cfg.enc_layers * enc_layer,
-        "decoder_blocks": cfg.dec_layers * dec_layer,
-        "final_norms": 2 * ln,
-        "embeddings": emb,
-        "output_head": head,
-        "core_blocks": core,
-        "total": core + 2 * ln + emb + head,
-    }
-
-
 @dataclass
 class TransformerWeights:
     cfg: ModelConfig

@@ -15,6 +15,11 @@ Design rules:
     nothing; of the rest it keeps the shape and dtype. Backward computes a
     gradient only for inputs that require one and drops each intermediate
     gradient once its record has used it
+  * a tape's records live until the next step's forward replaces them: a Tape
+    built with replaces=<the previous step's tape> drops that tape's record i
+    just before it records its own op i, so the freed arrays, which have the
+    same shapes, are what the new arrays reuse; the rest goes when the new
+    tape's block exits. A replaced or released tape rejects backward
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ class CatalogError(ValueError):
 
 class ShapeError(ValueError):
     """Input shapes or attrs violate an op's contract."""
+
+
+class TapeReleasedError(RuntimeError):
+    """backward() on a tape whose records were released."""
 
 
 _check_finite = False
@@ -115,15 +124,24 @@ _TAPES: list["Tape"] = []
 
 
 class Tape:
-    """Records ops applied while active (innermost tape wins)."""
+    """Records ops applied while active (innermost tape wins).
 
-    def __init__(self):
+    replaces, if given, is a finished tape whose records this one's forward
+    frees as it goes (see the module docstring); it is released from the
+    moment this tape is built.
+    """
+
+    def __init__(self, replaces: "Tape | None" = None):
         # (op, out_id, in_ids, in_datas, out_data, attrs, needs): in_datas and
         # out_data hold an array where the op's backward reads it, else a _Spec
         self.records = []
         self.leaf_ids = set()
         self._out_ids = set()
         self._next_id = 0
+        self.released = False
+        self._replaces = replaces
+        if replaces is not None:
+            replaces.released = True
 
     def __enter__(self):
         _TAPES.append(self)
@@ -132,7 +150,16 @@ class Tape:
     def __exit__(self, *exc):
         popped = _TAPES.pop()
         assert popped is self
+        if self._replaces is not None:
+            self._replaces.release()
+            self._replaces = None
         return False
+
+    def release(self):
+        """Drop every record; backward on this tape then raises
+        TapeReleasedError."""
+        self.released = True
+        self.records.clear()
 
     def _bind(self, t: Tensor) -> int:
         if t._tape is self and t.node_id is not None:
@@ -726,12 +753,20 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
             raise ShapeError(f"{op_kind}: inputs must be Tensors, got {type(x).__name__}")
     attrs = attrs or {}
     datas = [x.data for x in inputs]
+    tape = _active_tape()
+    if tape is not None and not any(x.requires_grad for x in inputs):
+        tape = None  # nothing to record
+    if tape is not None and tape._replaces is not None:
+        i, old = len(tape.records), tape._replaces.records
+        if i < len(old):
+            # free the replaced tape's record at this position before the
+            # forward allocates the arrays that take its place
+            old[i] = None
     out_data = fwd(datas, attrs)
     if _check_finite and not np.all(np.isfinite(out_data)):
         raise NumericError(f"{op_kind}: non-finite values in output")
     out = Tensor(out_data, dtype=out_data.dtype)
-    tape = _active_tape()
-    if tape is not None and any(x.requires_grad for x in inputs):
+    if tape is not None:
         needs = tuple(x.requires_grad for x in inputs)
         in_ids = [tape._bind(x) for x in inputs]
         out.requires_grad = True
@@ -755,6 +790,10 @@ def backward(root: Tensor) -> dict:
     tape = root._tape
     if tape is None or root.node_id is None:
         return {}
+    if tape.released:
+        raise TapeReleasedError(
+            "backward: the root's tape was released (a later step's tape replaced "
+            "it, or its training loop returned), so its records are gone")
     grads = {root.node_id: np.ones((), dtype=root.data.dtype)}
     for op_kind, out_id, in_ids, in_datas, out_data, attrs, needs in reversed(tape.records):
         # every consumer of out_id comes later on the tape, so its gradient

@@ -108,14 +108,15 @@ def test_pad_rows_clips_and_pads():
     assert rows.dtype == np.int64
 
 
-def test_alignment_score_matches_scorer():
+def test_scorer_is_cosine_of_image_and_caption_embeddings():
     enc = _enc()
     ds, vocab, ids = _data()
-    s1 = contrastive.alignment_score(enc, ds.images[0], ids[0])
-    scorer = contrastive.make_scorer(enc, vocab)
-    s2 = scorer(ds.images[:1], ds.captions[0])[0]
-    assert abs(s1 - s2) < 1e-6
-    assert -1.0 - 1e-6 <= s1 <= 1.0 + 1e-6  # cosine range
+    scores = contrastive.make_scorer(enc, vocab)(ds.images[:3], ds.captions[0])
+    zt = contrastive.embed_text(enc, ids[0])[0]
+    for k in range(3):
+        zi = contrastive.embed_image(enc, ds.images[k])[0]
+        assert abs(scores[k] - float(zi @ zt)) < 1e-6
+    assert np.all(np.abs(scores) <= 1.0 + 1e-6)  # cosine range
 
 
 def test_short_training_separates_pairs():

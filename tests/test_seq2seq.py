@@ -165,12 +165,6 @@ def test_forward_loss_gradient_matches_finite_differences(name):
     assert T.grad_check(loss_at, w.params[name].data, eps=1e-4) < 1e-4
 
 
-def test_param_count_reports_totals():
-    pc = seq2seq.param_count(TINY)
-    w = _model()
-    assert pc["total"] == w.params.n_params()
-
-
 def test_short_training_run_reduces_loss():
     rng = np.random.default_rng(0)
     n = 64

@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from ttig import nn, seq2seq
 from ttig import tensor as T
-from ttig.tensor import CatalogError, ShapeError
+from ttig.tensor import CatalogError, ShapeError, TapeReleasedError
 
 TOL = 1e-5
 
@@ -471,6 +471,47 @@ def test_grad_helper_returns_leaf_gradient():
     with T.Tape():
         y = T.reduce_sum(T.mul(x, x))
     np.testing.assert_allclose(T.grad(y, x), [2.0, 4.0], atol=1e-6)
+
+
+def _square_sum(x):
+    return T.reduce_sum(T.mul(T.add(x, x), x))  # d/dx = 4x
+
+
+def test_replacing_tape_drops_old_records_as_it_records_and_keeps_gradients():
+    x = T.Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+    with T.Tape() as first:
+        y1 = _square_sum(x)
+    g1 = T.backward(y1)[x.node_id].data
+    assert len(first.records) == 3
+    with T.Tape(replaces=first) as second:
+        a = T.add(x, x)
+        # the new tape's op 0 took the place of the old tape's record 0
+        assert first.records[0] is None and first.records[1] is not None
+        y2 = T.reduce_sum(T.mul(a, x))
+    assert first.records == [] and len(second.records) == 3
+    np.testing.assert_array_equal(T.backward(y2)[x.node_id].data, g1)
+    np.testing.assert_allclose(g1, [4.0, 8.0], atol=1e-6)
+
+
+def test_backward_on_a_released_tape_raises_a_typed_error():
+    x = T.Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+    with T.Tape() as first:
+        y1 = _square_sum(x)
+    with T.Tape(replaces=first):
+        y2 = _square_sum(x)
+    with pytest.raises(TapeReleasedError, match="tape was released"):
+        T.backward(y1)
+    y2._tape.release()
+    assert y2._tape.records == []
+    with pytest.raises(TapeReleasedError, match="tape was released"):
+        T.backward(y2)
+    # the error is raised before any record is read, also mid-replacement
+    with T.Tape() as third:
+        y3 = _square_sum(x)
+    with T.Tape(replaces=third):
+        T.add(x, x)
+        with pytest.raises(TapeReleasedError):
+            T.backward(y3)
 
 
 def test_float32_results_from_float32_inputs():
