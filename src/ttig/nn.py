@@ -2,8 +2,11 @@
 
 Pre-LN blocks, learned absolute positions, truncated-normal init (std 0.02,
 resampled beyond 2 sigma), layer norms carrying their own gain/bias params.
-Attention masks are boolean "allowed" matrices; the softmax op fills
-disallowed slots with tensor.NEG_FILL (-1e9) before normalising.
+Attention is one tensor.attention op after the Q/K/V projections. A
+self-attention mask is a boolean "allowed" matrix, or the tensor.Window
+derived from one once per model: the op then scores only the window's keys
+and gives ruled-out slots tensor.NEG_FILL (-1e9), which is exactly zero
+weight, before normalising. A mask row that allows no key is a ShapeError.
 """
 
 from __future__ import annotations
@@ -124,20 +127,16 @@ def dropout(x, drop):
 
 def attention(p: ParamSet, pre: str, x, heads: int, kv=None, allowed=None):
     """x (B,L,D) queries; kv (B,S,D) or None for self-attention; allowed is an
-    optional boolean (L,S) mask, True where attention is permitted."""
-    B, L, D = x.shape
-    dh = D // heads
+    optional self-attention mask: a boolean (L,L) matrix, True where attention
+    is permitted, or the tensor.Window built from one."""
+    if allowed is not None and kv is not None:
+        raise T.ShapeError("attention: an allowed mask applies to self-attention only, "
+                           "but kv was given")
     src = x if kv is None else kv
-    S = src.shape[1]
     q = T.add(T.matmul(x, p[pre + ".wq"]), p[pre + ".bq"])
     k = T.add(T.matmul(src, p[pre + ".wk"]), p[pre + ".bk"])
     v = T.add(T.matmul(src, p[pre + ".wv"]), p[pre + ".bv"])
-    q = T.transpose(T.reshape(q, (B, L, heads, dh)), (0, 2, 1, 3))
-    k = T.transpose(T.reshape(k, (B, S, heads, dh)), (0, 2, 3, 1))
-    v = T.transpose(T.reshape(v, (B, S, heads, dh)), (0, 2, 1, 3))
-    att = T.softmax(T.matmul(q, k), axis=-1, scale=1.0 / np.sqrt(dh), allowed=allowed)
-    out = T.matmul(att, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, L, D))
+    out = T.attention(q, k, v, heads, allowed)
     return T.add(T.matmul(out, p[pre + ".wo"]), p[pre + ".bo"])
 
 

@@ -17,13 +17,16 @@ instead of O(L^2). The caches are position-major, (image_len, rows,
 d_model), so a step writes one contiguous slab per cache and self-attention
 gathers only the slabs inside the conv window (at most 5 for
 conv_kernel=3); a step's attention cost does not grow with its position.
-Q, K and V come from one (d_model, 3 d_model) matmul whose weights are packed
-once per chain. Heads are never split out: a window's scores are the
-elementwise product of query and keys times a (d_model, heads) head-indicator
-matrix that also carries the 1/sqrt(d_head) scale, the softmax runs over the
-window axis, and the transposed indicator spreads each head's weights back
-over its lanes before they weight the values. Encoder outputs and the
-cross-attention K/V projections are computed once per chain. Summation order
+Step t reads its window from the model's tensor.Window, the table the
+training op's windowed mode uses: keys t - offsets[w] where valid[w, t], in
+ascending order. Q, K and V come from one (d_model, 3 d_model) matmul whose
+weights are packed once per chain. Heads are never split out: a window's
+scores are the elementwise product of query and keys times a (d_model, heads)
+head-indicator matrix that also carries the 1/sqrt(d_head) scale, the softmax
+runs over the window axis, and the transposed indicator spreads each head's
+weights back over its lanes before they weight the values, the layout the
+training op shares. Encoder outputs and the cross-attention K/V projections
+are computed once per chain. Summation order
 differs from the taped forward, so cached logits are not bitwise equal to
 seq2seq.logits_fn; they agree within 1e-6, which the tests check.
 
@@ -110,7 +113,7 @@ class _Branch:
         # lane j of the model width belongs to head j // dh: head_sum adds
         # up each head's lanes (and applies the attention scale), head_spread
         # copies each head's weight back onto its lanes
-        lanes = np.repeat(np.eye(heads, dtype=np.float32), dh, axis=0)
+        lanes = T.head_lanes(d, heads, np.float32)
         self.head_sum = lanes * self.scale                     # (d, heads)
         self.head_spread = np.ascontiguousarray(lanes.T)       # (heads, d)
         self.qkv = []
@@ -127,6 +130,7 @@ class _Branch:
             v = v.reshape(G, S, heads, dh).transpose(0, 2, 1, 3)
             self.cross.append((np.ascontiguousarray(kt), np.ascontiguousarray(v)))
         L = cfg.image_len
+        self.window = w.window
         self.keys = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
         self.vals = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
 
@@ -158,7 +162,7 @@ class _Branch:
         out = (att @ vs).transpose(0, 2, 1, 3).reshape(self.n, -1)
         return out @ p[pre + ".wo"] + p[pre + ".bo"]
 
-    def step_logits(self, prev_tokens, t: int, allowed_row) -> np.ndarray:
+    def step_logits(self, prev_tokens, t: int) -> np.ndarray:
         """Advance to position t given the token drawn at t-1 (None at t=0);
         returns next-token logits (n, image_vocab)."""
         cfg = self.cfg
@@ -168,7 +172,7 @@ class _Branch:
         else:
             x = p["image_emb"][prev_tokens]
         x = (x + p["image_pos"][t]).astype(np.float32)
-        window = np.flatnonzero(allowed_row[:t + 1])
+        window = t - self.window.offsets[self.window.valid[:, t]]  # ascending keys
         for i in range(cfg.dec_layers):
             pre = f"dec.b{i}"
             h = self._ln_affine(pre + ".ln1", x)
@@ -227,7 +231,7 @@ def _run_chains(w: seq2seq.TransformerWeights, text_ids, n: int,
     tokens = np.zeros((n, mcfg.image_len), dtype=np.int64)
     prev = None
     for t in range(mcfg.image_len):
-        logits = branch.step_logits(prev, t, w.mask[t])
+        logits = branch.step_logits(prev, t)
         if guided:
             logits = guided_logits(logits[:n], logits[n:], lam)
         probs = _probs_from(logits, cfg)

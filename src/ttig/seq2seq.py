@@ -63,7 +63,7 @@ DESK = ModelConfig()
 class TransformerWeights:
     cfg: ModelConfig
     params: nn.ParamSet
-    mask: np.ndarray  # (image_len, image_len) decoder self-attention mask
+    window: T.Window  # decoder self-attention keys, from conv_sparse_mask
 
 
 def conv_sparse_mask(grid_h: int, grid_w: int, k: int) -> np.ndarray:
@@ -98,8 +98,8 @@ def build_model(cfg: ModelConfig, seed: int) -> TransformerWeights:
         nn.add_block(ps, f"dec.b{i}", cfg.d_model, cfg.d_mlp, rng, cross=True)
     nn.add_ln(ps, "dec.ln_out", cfg.d_model)
     nn.add_linear(ps, "out", cfg.d_model, cfg.image_vocab, rng)
-    return TransformerWeights(cfg=cfg, params=ps,
-                              mask=conv_sparse_mask(cfg.grid_h, cfg.grid_w, cfg.conv_kernel))
+    mask = conv_sparse_mask(cfg.grid_h, cfg.grid_w, cfg.conv_kernel)
+    return TransformerWeights(cfg=cfg, params=ps, window=T.attention_window(mask))
 
 
 def _check_ids(ids, vocab, what):
@@ -158,7 +158,7 @@ def decode_logits(w: TransformerWeights, enc_out, image_ids: np.ndarray, drop=No
     h = T.add(h, p["image_pos"])
     h = nn.dropout(h, drop)
     for i in range(cfg.dec_layers):
-        h = nn.block(p, f"dec.b{i}", h, cfg.heads, allowed=w.mask,
+        h = nn.block(p, f"dec.b{i}", h, cfg.heads, allowed=w.window,
                      cross_kv=enc_out, drop=drop)
     h = nn.ln_affine(p, "dec.ln_out", h)
     return nn.linear(p, "out", h)

@@ -117,6 +117,14 @@ def test_cross_attention_reads_kv_not_x():
     assert np.abs(out - out2).max() > 0
 
 
+def test_attention_rejects_a_mask_with_kv():
+    ps = nn.ParamSet()
+    nn.add_attn(ps, "a", 8, np.random.default_rng(0))
+    x = T.constant(np.zeros((1, 3, 8), np.float32))
+    with pytest.raises(T.ShapeError, match="self-attention only"):
+        nn.attention(ps, "a", x, 2, kv=x, allowed=np.ones((3, 3), bool))
+
+
 def test_trunc_normal_bounded_and_deterministic():
     a = nn.trunc_normal(np.random.default_rng(3), (200, 5), std=0.02)
     b = nn.trunc_normal(np.random.default_rng(3), (200, 5), std=0.02)

@@ -238,7 +238,7 @@ def _cache_vs_forward_gap(w, forced, texts):
     prev = None
     step_logits = np.zeros((rows, cfg.image_len, cfg.image_vocab), np.float32)
     for t in range(cfg.image_len):
-        step_logits[:, t] = branch.step_logits(prev, t, w.mask[t])
+        step_logits[:, t] = branch.step_logits(prev, t)
         prev = np.tile(forced[:, t], len(texts))
     full = np.concatenate([
         seq2seq.logits_fn(w, np.repeat(text, len(forced), axis=0), forced).data

@@ -178,6 +178,27 @@ def test_short_training_run_reduces_loss():
     assert np.mean(hist[-10:]) < np.mean(hist[:10])
 
 
+def test_desk_step_records_one_attention_op_per_attention():
+    cfg = seq2seq.DESK
+    rng = np.random.default_rng(11)
+    text = np.zeros((16, cfg.text_len), np.int64)
+    text[:, :8] = rng.integers(4, cfg.text_vocab, (16, 8))
+    img = rng.integers(0, cfg.image_vocab, (16, cfg.image_len))
+    w = seq2seq.build_model(cfg, 0)
+    with T.Tape() as tape:
+        seq2seq.forward_loss(w, seq2seq.trim_pad(text), img, rng=np.random.default_rng(0))
+    kinds = [r[0] for r in tape.records]
+    # the attention ops took 320 records down to 220: each attention was
+    # eleven (3 reshapes, 4 transposes, 2 matmuls, softmax, reshape)
+    assert len(kinds) == 220
+    assert "softmax" not in kinds and "transpose" not in kinds
+    att = [r for r in tape.records if r[0] == "attention"]
+    windowed = [r for r in att if "window" in r[5]]
+    cross = [r for r in att if r[3][0].shape[1] != r[3][1].shape[1]]
+    assert len(att) == 10 and len(windowed) == cfg.dec_layers and len(cross) == cfg.dec_layers
+    assert all(r[5]["window"] is w.window for r in windowed)
+
+
 def test_train_model_hooks_fire():
     w = _model()
     text, img = _ids(B=8, seed=3)

@@ -213,55 +213,118 @@ def test_layer_norm_and_softmax_reductions_bit_identical_to_method_forms(dtype):
                 T._bwd_softmax(g, [x], sm, {"axis": axis}, (True,))[0], r)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("masked", [True, False], ids=["conv_mask", "no_mask"])
-def test_fused_softmax_bit_identical_to_scale_fill_softmax_chain(dtype, masked):
-    # desk decoder self-attention scores: (batch, heads, image_len, image_len)
-    cfg = seq2seq.DESK
-    n = cfg.image_len
-    rng = _rng(5)
-    x = (rng.normal(size=(16, cfg.heads, n, n)) * 4.0).astype(dtype)
-    g = rng.normal(size=x.shape).astype(dtype)
-    factor = 1.0 / np.sqrt(cfg.d_model // cfg.heads)
-    allowed = seq2seq.conv_sparse_mask(cfg.grid_h, cfg.grid_w, cfg.conv_kernel) if masked else None
-
-    # the unfused chain: scale, fill the disallowed slots, softmax
-    scaled = T._fwd_scale([x], {"factor": factor})
-    filled = scaled if allowed is None else \
-        np.where(~allowed, np.asarray(T.NEG_FILL, dtype=dtype), scaled)
-    want = T._fwd_softmax([filled], {"axis": -1})
-    gw = T._bwd_softmax(g, [filled], want, {"axis": -1}, (True,))[0]
+def _chain_attention(q, k, v, heads, allowed, g):
+    """The chain attention ran as before it was one op: split heads, q @ kT,
+    scale, fill the ruled-out slots, softmax over the last axis, @ v, merge
+    heads; with its backward for upstream gradient g. Returns out, gq, gk, gv."""
+    B, L, D = q.shape
+    S, dh = k.shape[1], D // heads
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype)
+    qh, kh, vh, gh = (x.reshape(B, -1, heads, dh).transpose(0, 2, 1, 3) for x in (q, k, v, g))
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
     if allowed is not None:
-        gw = np.where(~allowed, np.zeros((), dtype=dtype), gw)
-    gw = T._bwd_scale(gw, [scaled], None, {"factor": factor}, (True,))[0]
+        s = np.where(allowed, s, np.asarray(-1e9, dtype=q.dtype))
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    gp = gh @ vh.swapaxes(-1, -2)
+    gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p
+    if allowed is not None:
+        gs = np.where(allowed, gs, np.zeros((), dtype=q.dtype))
+    gs *= scale
 
-    leaf = T.Tensor(x, requires_grad=True)
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, -1, D)
+
+    return merge(p @ vh), merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), \
+        merge(p.swapaxes(-1, -2) @ gh)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["conv_mask", "no_mask", "cross"])
+def test_attention_matches_scale_fill_softmax_chain(dtype, mode):
+    # desk shapes: decoder self-attention under the conv mask, dense
+    # self-attention, and cross-attention to a trimmed caption; inputs and
+    # upstream gradient at std 0.5, above what a desk layer's projections give
+    cfg = seq2seq.DESK
+    B, L, S = 16, cfg.image_len, (9 if mode == "cross" else cfg.image_len)
+    rng = _rng(5)
+    q, g = (rng.normal(scale=0.5, size=(B, L, cfg.d_model)).astype(dtype) for _ in range(2))
+    k, v = (rng.normal(scale=0.5, size=(B, S, cfg.d_model)).astype(dtype) for _ in range(2))
+    allowed = seq2seq.conv_sparse_mask(cfg.grid_h, cfg.grid_w, cfg.conv_kernel) \
+        if mode == "conv_mask" else None
+    want = _chain_attention(q, k, v, cfg.heads, allowed, g)
+
+    leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
     with T.Tape():
-        out = T.softmax(leaf, axis=-1, scale=factor, allowed=allowed)
+        out = T.attention(*leaves, cfg.heads, allowed)
         loss = T.reduce_sum(T.mul(out, T.constant(g)))  # upstream gradient is g
-    got = T.backward(loss)[leaf.node_id].data
-    assert out.data.dtype == got.dtype == dtype
-    np.testing.assert_array_equal(out.data, want)
-    np.testing.assert_array_equal(got, gw)
+    grads = T.backward(loss)
+    got = [out.data] + [grads[x.node_id].data for x in leaves]
+    for name, a, b in zip(("out", "gq", "gk", "gv"), got, want):
+        assert a.dtype == dtype, name
+        err = np.abs(a - b).max()
+        assert err <= 1e-6, f"{name}: {err:.2e}"
+
+
+def test_attention_window_gives_ruled_out_keys_zero_weight_and_gradient():
+    allowed = seq2seq.conv_sparse_mask(4, 4, 3)
+    rng = _rng(2)
+    q, k, v = (rng.normal(size=(2, 16, 8)).astype(np.float32) for _ in range(3))
+    i = 9
+    ruled_out = ~allowed[i]
+    leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+    with T.Tape():
+        out = T.attention(*leaves, 2, allowed)
+        loss = T.reduce_sum(T.slice_(out, (None, (i, i + 1), None)))
+    grads = T.backward(loss)
+    for x in leaves[1:]:
+        g = grads[x.node_id].data
+        assert (g[:, ruled_out] == 0.0).all() and (g[:, allowed[i]] != 0.0).all()
+    # keys and values query i rules out do not move its output by one bit
+    k2, v2 = k.copy(), v.copy()
+    k2[:, ruled_out] += 3.0
+    v2[:, ruled_out] -= 5.0
+    moved = T.attention(*(T.constant(x) for x in (q, k2, v2)), 2, allowed).data
+    np.testing.assert_array_equal(moved[:, i], out.data[:, i])
+
+
+_WINDOW_CASES = [pytest.param(k, grid, id=f"k{k}-{grid[0]}x{grid[1]}")
+                 for grid in [(8, 8), (3, 5)] for k in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("kernel,grid", _WINDOW_CASES)
+def test_attention_window_round_trips_its_mask(kernel, grid):
+    allowed = seq2seq.conv_sparse_mask(*grid, kernel)
+    window = T.attention_window(allowed)
+    n = allowed.shape[0]
+    rebuilt = np.zeros_like(allowed)
+    for o, valid in zip(window.offsets, window.valid):
+        rows = np.flatnonzero(valid)
+        rebuilt[rows, rows - o] = True
+    np.testing.assert_array_equal(rebuilt, allowed)
+    assert (np.diff(window.offsets) < 0).all()  # the keys of a row ascend
+    # a non-causal mask gives negative offsets: keys after the query
+    full = T.attention_window(np.ones((n, n), bool))
+    np.testing.assert_array_equal(full.offsets, np.arange(n - 1, -n, -1))
+
+
+def test_attention_window_rejects_a_row_allowing_no_key():
+    allowed = np.tril(np.ones((4, 4), bool))
+    allowed[2] = False
+    with pytest.raises(ShapeError, match=r"query rows \[2\] allow no key"):
+        T.attention_window(allowed)
+
+
+def test_attention_window_rejects_a_non_square_mask():
+    with pytest.raises(ShapeError, match="square"):
+        T.attention_window(np.ones((3, 4), bool))
+    with pytest.raises(ShapeError, match="boolean"):
+        T.attention_window(np.ones((4, 4), np.float32))
 
 
 def test_relu_clamps_negatives():
     x = np.array([-2.0, -0.0, 0.5], np.float32)
     np.testing.assert_allclose(T.relu(T.constant(x)).data, [0.0, 0.0, 0.5])
-
-
-def test_softmax_allowed_gives_masked_slots_zero_probability():
-    x = _rng().normal(size=(2, 3)).astype(np.float32)
-    allowed = np.array([[False, True, True], [True, True, False]])
-    y = T.softmax(T.constant(x), allowed=allowed).data
-    assert y[0, 0] == 0.0 and y[1, 2] == 0.0
-    for row, keep in enumerate(allowed):
-        e = np.exp(x[row, keep] - x[row, keep].max())
-        np.testing.assert_allclose(y[row, keep], e / e.sum(), rtol=1e-6)
-    with pytest.raises(ShapeError, match="boolean"):
-        T.softmax(T.constant(x), allowed=allowed.astype(np.float32))
-    with pytest.raises(ShapeError, match="trailing-aligned"):
-        T.softmax(T.constant(x), allowed=np.ones((3, 2), bool))
 
 
 def test_slice_matches_numpy_basic_indexing():
@@ -423,18 +486,29 @@ def test_grad_conv2d():
                                         T.conv2d(T.constant(x, np.float64), t, pad=1))), w, tol=1e-4)
 
 
-def test_grad_softmax_allowed_blocks_masked_positions():
-    x = _rng().normal(size=(3, 4))
-    w = _rng(1).normal(size=(3, 4))
-    allowed = np.ones((3, 4), bool)
-    allowed[0, 1] = allowed[2, 3] = False
-    _check(lambda t: T.reduce_sum(T.mul(T.softmax(t, scale=0.7, allowed=allowed),
-                                        T.constant(w, np.float64))), x)
-    leaf = T.Tensor(x.astype(np.float32), requires_grad=True)
-    with T.Tape():
-        out = T.reduce_sum(T.mul(T.softmax(leaf, allowed=allowed), T.constant(w, np.float32)))
-    g = T.backward(out)[leaf.node_id].data
-    assert g[0, 1] == 0.0 and g[2, 3] == 0.0 and g[0, 0] != 0.0
+def _check_attention_grads(B, L, S, D, heads, allowed=None):
+    rng = _rng(heads)
+    xs = [rng.normal(size=(B, n, D)) for n in (L, S, S)]
+    w = rng.normal(size=(B, L, D))
+    for i in range(3):
+        def f(t):
+            ins = [t if j == i else T.constant(x, np.float64) for j, x in enumerate(xs)]
+            return T.reduce_sum(T.mul(T.attention(*ins, heads, allowed),
+                                      T.constant(w, np.float64)))
+        _check(f, xs[i])
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4], ids=lambda h: f"h{h}")
+@pytest.mark.parametrize("L,S", [(5, 5), (5, 3)], ids=["self", "cross"])
+def test_grad_attention_dense(L, S, heads):
+    _check_attention_grads(2, L, S, 4, heads)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4], ids=lambda h: f"h{h}")
+@pytest.mark.parametrize("kernel,grid", _WINDOW_CASES)
+def test_grad_attention_window(kernel, grid, heads):
+    allowed = seq2seq.conv_sparse_mask(*grid, kernel)
+    _check_attention_grads(1, len(allowed), len(allowed), 4, heads, T.attention_window(allowed))
 
 
 # ---------------------------------------------------------------- tape
@@ -531,8 +605,8 @@ _KIND_CASES = {
     "slice": ([(3, 4)], {"bounds": ((0, 2), (1, 3))}),
     "concat": ([(3, 4), (3, 2)], {"axis": 1}),
     "embedding_gather": ([(5, 3)], {"ids": np.array([0, 4, 4])}),
-    "softmax": ([(3, 4)], {"axis": -1, "scale": 0.5,
-                           "allowed": np.array([True, False, True, True])}),
+    "softmax": ([(3, 4)], {"axis": -1}),
+    "attention": ([(2, 5, 8), (2, 3, 8), (2, 3, 8)], {"heads": 2}),
     "layer_norm": ([(3, 4)], {"axis": -1}),
     "gelu": ([(3, 4)], {}),
     "relu": ([(3, 4)], {}),
@@ -558,7 +632,8 @@ def test_record_keeps_only_declared_reads_and_gradients_are_unchanged(kind):
     reads = T._CATALOG[kind].reads
     rng = _rng(7)
     datas = [rng.normal(size=s).astype(np.float32) for s in shapes]
-    for needs in {(True,) * len(datas), (True, False)[:len(datas)], (False, True)[-len(datas):]}:
+    n = len(datas)
+    for needs in {(True,) * n, (True,) + (False,) * (n - 1), (False,) * (n - 1) + (True,)}:
         ins = [T.Tensor(d, requires_grad=n) for d, n in zip(datas, needs)]
         with T.Tape() as tape:
             out = T.apply(kind, ins, dict(attrs))
