@@ -7,6 +7,13 @@ self-attention mask is a boolean "allowed" matrix, or the tensor.Window
 derived from one once per model: the op then scores only the window's keys
 and gives ruled-out slots tensor.NEG_FILL (-1e9), which is exactly zero
 weight, before normalising. A mask row that allows no key is a ShapeError.
+
+Keys carry no bias. A key bias bk adds q . bk to every key's score for a
+query, a shift softmax ignores, so it has no effect on the output and a true
+gradient of exactly zero; an optimizer that normalises updates would still
+turn its rounding-noise gradient into lr-sized steps. add_attn keeps the .bk
+parameter, so the checkpoint format is unchanged, but attention never reads
+it, and grads_of never returns it.
 """
 
 from __future__ import annotations
@@ -134,7 +141,7 @@ def attention(p: ParamSet, pre: str, x, heads: int, kv=None, allowed=None):
                            "but kv was given")
     src = x if kv is None else kv
     q = T.add(T.matmul(x, p[pre + ".wq"]), p[pre + ".bq"])
-    k = T.add(T.matmul(src, p[pre + ".wk"]), p[pre + ".bk"])
+    k = T.matmul(src, p[pre + ".wk"])  # .bk is never read, see the module docstring
     v = T.add(T.matmul(src, p[pre + ".wv"]), p[pre + ".bv"])
     out = T.attention(q, k, v, heads, allowed)
     return T.add(T.matmul(out, p[pre + ".wo"]), p[pre + ".bo"])

@@ -19,16 +19,25 @@ gathers only the slabs inside the conv window (at most 5 for
 conv_kernel=3); a step's attention cost does not grow with its position.
 Step t reads its window from the model's tensor.Window, the table the
 training op's windowed mode uses: keys t - offsets[w] where valid[w, t], in
-ascending order. Q, K and V come from one (d_model, 3 d_model) matmul whose
-weights are packed once per chain. Heads are never split out: a window's
-scores are the elementwise product of query and keys times a (d_model, heads)
+ascending order. Heads are never split out: a window's scores are the
+elementwise product of query and keys times a (d_model, heads)
 head-indicator matrix that also carries the 1/sqrt(d_head) scale, the softmax
 runs over the window axis, and the transposed indicator spreads each head's
 weights back over its lanes before they weight the values, the layout the
-training op shares. Encoder outputs and the cross-attention K/V projections
-are computed once per chain. Summation order
-differs from the taped forward, so cached logits are not bitwise equal to
-seq2seq.logits_fn; they agree within 1e-6, which the tests check.
+training op shares.
+
+Weights are packed once per chain, with every LayerNorm's gain g and bias b
+folded into the projection after it: (xhat * g + b) @ W + c is
+xhat @ (g W) + (b @ W + c). So each of a step's 13 LayerNorms is a bare
+normalise: ln1 folds into the one (d_model, 3 d_model) QKV matmul, ln2 into
+fc1, dec.ln_out into out. The key bias .bk is never read (see nn).
+Cross-attention keys and values are fixed for the chain, so lnx, the
+1/sqrt(d_head) scale and the query projection fold into each group's keys,
+one (S * heads, d_model) score matrix, and the values into the output
+projection: the step is two matmuls around a softmax over the leading text
+axis. Folding and summation order differ from the taped forward, so cached
+logits are not bitwise equal to seq2seq.logits_fn; they agree within 1e-6,
+which the tests check on weights whose gains and biases are perturbed.
 
 Every sample consumes exactly one uniform per step from its own rng stream
 (inverse-CDF draw), so a sample's grid does not depend on how many other
@@ -90,9 +99,20 @@ def guided_logits(u, c, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cached decoder
 
+def _affine(x, w, b):
+    y = x @ w
+    y += b
+    return y
+
+
+def _normalize(x):
+    return T._fwd_layer_norm([x], {"axis": -1})
+
+
 class _Branch:
-    """Cached decoder state for n rows: fixed cross-attention K/V plus
-    self-attention caches that grow one position per step.
+    """Cached decoder state for n rows: weights packed once per chain, fixed
+    cross-attention matrices and self-attention caches that grow one position
+    per step.
 
     enc_out holds G encoder outputs and G divides n: the rows split into G
     equal consecutive groups and group g cross-attends to enc_out[g]."""
@@ -103,87 +123,88 @@ class _Branch:
         G, S = enc_out.shape[:2]
         d, heads = cfg.d_model, cfg.heads
         dh = d // heads
-        self.cfg = cfg
-        self.p = p
-        self.n = n
-        self.groups = G
-        self.heads = heads
-        self.dh = dh
-        self.scale = np.float32(1.0 / np.sqrt(dh))
+        scale = np.float32(1.0 / np.sqrt(dh))
+        self.cfg, self.p, self.n, self.groups, self.heads = cfg, p, n, G, heads
         # lane j of the model width belongs to head j // dh: head_sum adds
         # up each head's lanes (and applies the attention scale), head_spread
         # copies each head's weight back onto its lanes
         lanes = T.head_lanes(d, heads, np.float32)
-        self.head_sum = lanes * self.scale                     # (d, heads)
+        self.head_sum = lanes * scale                          # (d, heads)
         self.head_spread = np.ascontiguousarray(lanes.T)       # (heads, d)
-        self.qkv = []
-        self.cross = []
+
+        def folded(ln, wt, b, s=np.float32(1.0)):
+            # (xhat * g + beta) @ wt + b == xhat @ (g wt) + (beta @ wt + b)
+            return wt * (p[ln + ".g"] * s)[:, None], (p[ln + ".b"] @ wt + b) * s
+
+        self.qkv, self.cross, self.fc1 = [], [], []
         for i in range(cfg.dec_layers):
-            pre = f"dec.b{i}.attn"
-            self.qkv.append((
-                np.concatenate([p[pre + ".wq"], p[pre + ".wk"], p[pre + ".wv"]], axis=1),
-                np.concatenate([p[pre + ".bq"], p[pre + ".bk"], p[pre + ".bv"]])))
-            pre = f"dec.b{i}.xattn"
-            k = enc_out @ p[pre + ".wk"] + p[pre + ".bk"]
-            v = enc_out @ p[pre + ".wv"] + p[pre + ".bv"]
-            kt = k.reshape(G, S, heads, dh).transpose(0, 2, 3, 1)
-            v = v.reshape(G, S, heads, dh).transpose(0, 2, 1, 3)
-            self.cross.append((np.ascontiguousarray(kt), np.ascontiguousarray(v)))
+            pre, a, c = f"dec.b{i}", f"dec.b{i}.attn", f"dec.b{i}.xattn"
+            self.qkv.append(folded(
+                pre + ".ln1", np.concatenate([p[a + ".wq"], p[a + ".wk"], p[a + ".wv"]], axis=1),
+                np.concatenate([p[a + ".bq"], np.zeros(d, np.float32), p[a + ".bv"]])))
+            self.fc1.append(folded(pre + ".ln2", p[pre + ".mlp.fc1.w"], p[pre + ".mlp.fc1.b"]))
+            wq, bq = folded(pre + ".lnx", p[c + ".wq"], p[c + ".bq"], scale)
+            k = (enc_out @ p[c + ".wk"]).reshape(G, S, heads, dh).transpose(0, 2, 1, 3)
+            v = _affine(enc_out, p[c + ".wv"], p[c + ".bv"]).reshape(G, S, heads, dh)
+            # per group, rows (text position, head): query and key projections
+            # in one score matrix, value and output projections in another
+            qk = k @ wq.reshape(d, heads, dh).transpose(1, 2, 0)         # (G, heads, S, d)
+            vo = v.transpose(0, 2, 1, 3) @ p[c + ".wo"].reshape(heads, dh, d)
+            self.cross.append((
+                qk.transpose(0, 2, 1, 3).reshape(G, S * heads, d),
+                (k @ bq.reshape(heads, dh, 1)).transpose(0, 2, 1, 3).reshape(G, S * heads, 1),
+                vo.transpose(0, 2, 1, 3).reshape(G, S * heads, d)))
+        self.out = folded("dec.ln_out", p["out.w"], p["out.b"])
         L = cfg.image_len
-        self.window = w.window
+        # step t's keys t - offsets[w] where valid[w, t], ascending
+        keys = (np.arange(L) - w.window.offsets[:, None]).T[w.window.valid.T]
+        self.windows = np.split(keys, np.cumsum(w.window.valid.sum(axis=0))[:-1])
         self.keys = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
         self.vals = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
 
-    def _ln_affine(self, pre, x):
-        return T._fwd_layer_norm([x], {"axis": -1}) * self.p[pre + ".g"] + self.p[pre + ".b"]
-
-    def _attn_self(self, pre, x, layer, t, window):
-        p = self.p
+    def _attn_self(self, x, layer, t):
         d = self.cfg.d_model
-        w, b = self.qkv[layer]
-        qkv = x @ w + b
+        qkv = _affine(x, *self.qkv[layer])
         keys, vals = self.keys[layer], self.vals[layer]
         keys[t] = qkv[:, d:2 * d]
         vals[t] = qkv[:, 2 * d:]
+        window = self.windows[t]
         qk = keys[window]                                      # (w, n, d)
         qk *= qkv[:, :d]
         scores = (qk.reshape(-1, d) @ self.head_sum).reshape(len(window), self.n, self.heads)
         att = T._fwd_softmax([scores], {"axis": 0})            # over the window
-        mix = (att.reshape(-1, self.heads) @ self.head_spread).reshape(qk.shape)
+        mix = np.matmul(att.reshape(-1, self.heads), self.head_spread,
+                        out=qk.reshape(-1, d)).reshape(qk.shape)
         mix *= vals[window]
-        return np.add.reduce(mix, axis=0) @ p[pre + ".wo"] + p[pre + ".bo"]
+        return np.add.reduce(mix, axis=0)
 
-    def _attn_cross(self, pre, x, layer):
-        p = self.p
-        G, m = self.groups, self.n // self.groups
-        q = (x @ p[pre + ".wq"] + p[pre + ".bq"]).reshape(G, m, self.heads, self.dh)
-        kt, vs = self.cross[layer]
-        att = T._fwd_softmax([(q.transpose(0, 2, 1, 3) @ kt) * self.scale], {"axis": -1})
-        out = (att @ vs).transpose(0, 2, 1, 3).reshape(self.n, -1)
-        return out @ p[pre + ".wo"] + p[pre + ".bo"]
+    def _attn_cross(self, x, layer):
+        qk, bias, vo = self.cross[layer]
+        G = self.groups
+        scores = qk @ x.reshape(G, -1, x.shape[1]).swapaxes(1, 2)  # (G, S * heads, m)
+        scores += bias
+        att = T._fwd_softmax([scores.reshape(G, -1, self.heads * scores.shape[2])], {"axis": 1})
+        return (att.reshape(scores.shape).swapaxes(1, 2) @ vo).reshape(self.n, -1)
 
     def step_logits(self, prev_tokens, t: int) -> np.ndarray:
         """Advance to position t given the token drawn at t-1 (None at t=0);
         returns next-token logits (n, image_vocab)."""
-        cfg = self.cfg
         p = self.p
         if t == 0:
-            x = np.broadcast_to(p["dec.start"], (self.n, cfg.d_model))
+            x = np.tile(p["dec.start"] + p["image_pos"][0], (self.n, 1))
         else:
             x = p["image_emb"][prev_tokens]
-        x = (x + p["image_pos"][t]).astype(np.float32)
-        window = t - self.window.offsets[self.window.valid[:, t]]  # ascending keys
-        for i in range(cfg.dec_layers):
+            x += p["image_pos"][t]
+        for i in range(self.cfg.dec_layers):
             pre = f"dec.b{i}"
-            h = self._ln_affine(pre + ".ln1", x)
-            x = x + self._attn_self(pre + ".attn", h, i, t, window)
-            h = self._ln_affine(pre + ".lnx", x)
-            x = x + self._attn_cross(pre + ".xattn", h, i)
-            h = self._ln_affine(pre + ".ln2", x)
-            h = T._fwd_gelu([h @ p[pre + ".mlp.fc1.w"] + p[pre + ".mlp.fc1.b"]], {})
-            x = x + (h @ p[pre + ".mlp.fc2.w"] + p[pre + ".mlp.fc2.b"])
-        x = self._ln_affine("dec.ln_out", x)
-        return x @ p["out.w"] + p["out.b"]
+            a = self._attn_self(_normalize(x), i, t)
+            x += _affine(a, p[pre + ".attn.wo"], p[pre + ".attn.bo"])
+            a = self._attn_cross(_normalize(x), i)
+            a += p[pre + ".xattn.bo"]
+            x += a
+            h = T._fwd_gelu([_affine(_normalize(x), *self.fc1[i])], {})
+            x += _affine(h, p[pre + ".mlp.fc2.w"], p[pre + ".mlp.fc2.b"])
+        return _affine(_normalize(x), *self.out)
 
 
 def _filter_top_k(z: np.ndarray, k: int) -> np.ndarray:
@@ -194,13 +215,15 @@ def _filter_top_k(z: np.ndarray, k: int) -> np.ndarray:
 
 
 def _probs_from(logits: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
-    z = logits / np.float32(cfg.temperature)
+    z = logits if cfg.temperature == 1.0 else logits / np.float32(cfg.temperature)
     z = _filter_top_k(z, cfg.top_k)
-    m = z.max(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise NumericError("sampling: a logit row has no finite entries")
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, m)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

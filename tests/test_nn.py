@@ -117,6 +117,23 @@ def test_cross_attention_reads_kv_not_x():
     assert np.abs(out - out2).max() > 0
 
 
+@pytest.mark.parametrize("mask", ["dense", "windowed"])
+def test_attention_ignores_a_key_bias(mask):
+    # q . bk shifts every key's score of a query alike, which softmax ignores:
+    # the reason nn.attention never reads .bk
+    B, L, d, heads = 2, 6, 8, 2
+    rng = np.random.default_rng(2)
+    q = rng.normal(size=(B, L, d)).astype(np.float32)
+    S = 5 if mask == "dense" else L
+    k, v = (rng.normal(size=(B, S, d)).astype(np.float32) for _ in range(2))
+    bk = rng.normal(size=d).astype(np.float32)
+    band = np.subtract.outer(np.arange(L), np.arange(L))
+    allowed = None if mask == "dense" else (band >= 0) & (band <= 2)
+    with_bias = T.attention(T.constant(q), T.constant(k + bk), T.constant(v), heads, allowed)
+    without = T.attention(T.constant(q), T.constant(k), T.constant(v), heads, allowed)
+    np.testing.assert_allclose(with_bias.data, without.data, atol=1e-6, rtol=0)
+
+
 def test_attention_rejects_a_mask_with_kv():
     ps = nn.ParamSet()
     nn.add_attn(ps, "a", 8, np.random.default_rng(0))

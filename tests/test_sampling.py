@@ -167,6 +167,21 @@ def test_temperature_sharpens_distribution():
     assert cold[0, 1] > hot[0, 1]
 
 
+@pytest.mark.parametrize("top_k", [0, 1, 5])
+def test_unit_temperature_probs_are_bit_identical_to_dividing(top_k):
+    # at temperature 1 the head skips the divide and normalises in place; the
+    # probabilities must be exactly those of the explicit logits / 1.0 path,
+    # and the logits must come back untouched
+    logits = (np.random.default_rng(6).normal(size=(6, 16)) * 3).astype(np.float32)
+    kept = logits.copy()
+    z = sampling._filter_top_k(logits / np.float32(1.0), top_k)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    got = sampling._probs_from(logits, sampling.SamplerConfig(temperature=1.0, top_k=top_k))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(logits, kept)
+
+
 def test_inverse_cdf_draw_covers_edges():
     probs = np.array([[0.25, 0.25, 0.5]], np.float64)
     assert sampling._draw(probs, np.array([0.0]))[0] == 0
@@ -230,8 +245,17 @@ def test_rerank_rejects_bad_scorer_shape():
 def _cache_vs_forward_gap(w, forced, texts):
     """Teacher-force forced (n, image_len) through one _Branch of
     len(texts) * n rows, group j conditioned on texts[j] (each (1, L)), and
-    return the worst absolute gap to the one-shot forward's logits."""
+    return the worst absolute gap to the one-shot forward's logits.
+
+    Every LayerNorm gain and bias and every bias first gets seeded noise:
+    untrained they are exactly 1 and 0, where a wrong fold into the packed
+    projections would still agree."""
     cfg = w.cfg
+    rng = np.random.default_rng(0)
+    for name, t in w.params.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "g" or leaf.startswith("b"):
+            t.data = t.data + rng.normal(0.0, 0.1, t.shape).astype(np.float32)
     enc = seq2seq.encode_text(w, np.concatenate(texts)).data
     rows = len(texts) * len(forced)
     branch = sampling._Branch(w, enc, rows)
