@@ -10,11 +10,12 @@ a save/load round trip reproduces every parameter bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import contrastive, seq2seq, vq
 from .errors import DataError
 
 FORMAT_VERSION = 1
@@ -99,62 +100,63 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 # typed wrappers: each stores the config dataclass next to the weights
 
-def _load_kind(path, kind):
+# checkpoint kind -> the config section that holds its dataclass
+_SECTION = {"seq2seq": "model", "tokenizer": "tokenizer",
+            "dual_encoder": "encoder", "sr": "sr"}
+
+
+def _save_typed(w, kind, path):
+    save_checkpoint(w.params.state_dict(),
+                    {"kind": kind, _SECTION[kind]: asdict(w.cfg)}, path)
+
+
+def _load_typed(path, kind, cfg_cls, build):
+    """Validate kind and config section, then build(cfg, seed) and load."""
     state, config = load_checkpoint(path)
     if config.get("kind") != kind:
         raise DataError(f"expected a {kind!r} checkpoint, found "
                         f"{config.get('kind')!r} at {path}")
-    return state, config
+    key = _SECTION[kind]
+    section = config.get(key)
+    if not isinstance(section, dict):
+        raise DataError(f"{kind!r} checkpoint at {path} has no {key!r} config")
+    unknown = set(section) - {f.name for f in fields(cfg_cls)}
+    if unknown:
+        raise DataError(f"{kind!r} checkpoint at {path} has unknown {key!r} "
+                        f"config field(s) {sorted(unknown)}")
+    w = build(cfg_cls(**section), seed=0)
+    w.params.load_state(state)
+    return w
 
 
 def save_model(w, path):
-    save_checkpoint(w.params.state_dict(),
-                    {"kind": "seq2seq", "model": asdict(w.cfg)}, path)
+    _save_typed(w, "seq2seq", path)
 
 
 def load_model(path):
-    from . import seq2seq
-    state, config = _load_kind(path, "seq2seq")
-    w = seq2seq.build_model(seq2seq.ModelConfig(**config["model"]), seed=0)
-    w.params.load_state(state)
-    return w
+    return _load_typed(path, "seq2seq", seq2seq.ModelConfig, seq2seq.build_model)
 
 
 def save_tokenizer(w, path):
-    save_checkpoint(w.params.state_dict(),
-                    {"kind": "tokenizer", "tokenizer": asdict(w.cfg)}, path)
+    _save_typed(w, "tokenizer", path)
 
 
 def load_tokenizer(path):
-    from . import vq
-    state, config = _load_kind(path, "tokenizer")
-    w = vq.build_tokenizer(vq.TokenizerConfig(**config["tokenizer"]), seed=0)
-    w.params.load_state(state)
-    return w
+    return _load_typed(path, "tokenizer", vq.TokenizerConfig, vq.build_tokenizer)
 
 
 def save_encoder(enc, path):
-    save_checkpoint(enc.params.state_dict(),
-                    {"kind": "dual_encoder", "encoder": asdict(enc.cfg)}, path)
+    _save_typed(enc, "dual_encoder", path)
 
 
 def load_encoder(path):
-    from . import contrastive
-    state, config = _load_kind(path, "dual_encoder")
-    enc = contrastive.build_encoder(
-        contrastive.EncoderConfig(**config["encoder"]), seed=0)
-    enc.params.load_state(state)
-    return enc
+    return _load_typed(path, "dual_encoder", contrastive.EncoderConfig,
+                       contrastive.build_encoder)
 
 
 def save_sr(w, path):
-    save_checkpoint(w.params.state_dict(),
-                    {"kind": "sr", "sr": asdict(w.cfg)}, path)
+    _save_typed(w, "sr", path)
 
 
 def load_sr(path):
-    from . import vq
-    state, config = _load_kind(path, "sr")
-    w = vq.build_sr(vq.SRConfig(**config["sr"]), seed=0)
-    w.params.load_state(state)
-    return w
+    return _load_typed(path, "sr", vq.SRConfig, vq.build_sr)

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,13 @@ class _Parser(argparse.ArgumentParser):
 # run config
 
 def _names(cls):
-    return {f.name for f in dc_fields(cls)}
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 _DATA_KEYS = {"n_train", "n_eval", "seed", "holdout_frac", "holdout_seed",
               "image_size"}
-_SIM_KEYS = {"stages", "microbatches", "rounds", "t_f", "t_b", "latency",
-             "n_way", "batch", "seq", "d_model", "d_mlp", "strategy",
-             "element_size", "prologue", "epilogue", "dp_ways"}
+_SIM_KEYS = (_names(pipesim.PipelineSpec) | _names(pipesim.ShardSpec)
+             | {"prologue", "epilogue", "dp_ways"})
 
 _SCHEMA = {
     "data": _DATA_KEYS,
@@ -94,20 +92,20 @@ def _data_params(cfg: dict) -> dict:
     return d
 
 
-def _caption_splits(d: dict):
-    return scenes.split_captions(d["holdout_seed"], d["holdout_frac"])
+def _split_seed(d: dict, split: str) -> int:
+    return d["seed"] + (1 if split == "eval" else 0)
 
 
-def _train_dataset(d: dict, size=None):
-    _, held = _caption_splits(d)
-    return scenes.gen_dataset(d["n_train"], d["seed"], exclude_captions=held,
-                              size=size or d["image_size"])
-
-
-def _eval_dataset(d: dict, size=None):
-    train_caps, _ = _caption_splits(d)
-    return scenes.gen_dataset(d["n_eval"], d["seed"] + 1,
-                              exclude_captions=train_caps,
+def _dataset(d: dict, split="train", n=None, size=None, also_exclude=()):
+    """One split of the seeded scene data. train and eval draw from disjoint
+    parts of the caption space; all draws from the whole space."""
+    train_caps, held_caps = scenes.split_captions(d["holdout_seed"],
+                                                  d["holdout_frac"])
+    exclude = {"train": held_caps, "eval": train_caps, "all": ()}[split]
+    if n is None:
+        n = d["n_eval"] if split == "eval" else d["n_train"]
+    return scenes.gen_dataset(n, _split_seed(d, split),
+                              exclude_captions=set(exclude) | set(also_exclude),
                               size=size or d["image_size"])
 
 
@@ -117,6 +115,23 @@ def _emit(record: dict, out=None):
         with open(out, "a") as f:
             f.write(line + "\n")
     print(line)
+
+
+def _finish_run(out, history, records: dict, n: int, seed):
+    """A trainer's ending: history.json, then its final metric records."""
+    out = Path(out)
+    (out / "history.json").write_text(json.dumps(history))
+    for name, value in records.items():
+        _emit(metrics.metric_record(name, value, n, 0, "none", seed),
+              out / "metrics.jsonl")
+
+
+def _write_pngs(out: Path, images, prefix: str) -> list:
+    out.mkdir(parents=True, exist_ok=True)
+    names = [f"{prefix}_{i:02d}.png" for i in range(len(images))]
+    for name, img in zip(names, images):
+        pngio.write_png(out / name, img)
+    return names
 
 
 def _read_image_dir(path) -> np.ndarray:
@@ -133,17 +148,11 @@ def _read_image_dir(path) -> np.ndarray:
 # subcommands
 
 def cmd_make_data(args) -> int:
-    cfg = load_config(args.config)
-    d = _data_params(cfg)
+    d = _data_params(load_config(args.config))
     if args.seed is not None:
         d["seed"] = args.seed
-    n = args.n if args.n is not None else (
-        d["n_eval"] if args.split == "eval" else d["n_train"])
-    train_caps, held_caps = _caption_splits(d)
-    exclude = {"train": held_caps, "eval": train_caps, "all": ()}[args.split]
-    seed = d["seed"] + (1 if args.split == "eval" else 0)
-    ds = scenes.gen_dataset(n, seed, exclude_captions=exclude,
-                            size=d["image_size"])
+    ds = _dataset(d, args.split, n=args.n)
+    n, seed = len(ds), _split_seed(d, args.split)
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(ds.images):
@@ -154,8 +163,7 @@ def cmd_make_data(args) -> int:
                 "holdout_frac": d["holdout_frac"],
                 "holdout_seed": d["holdout_seed"]}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    _emit({"metric": "dataset_size", "value": n, "n_a": n, "n_b": 0,
-           "feature_fn": "none", "seed": seed})
+    _emit(metrics.metric_record("dataset_size", n, n, 0, "none", seed))
     return 0
 
 
@@ -165,21 +173,17 @@ def cmd_train_tokenizer(args) -> int:
     sec = cfg.get("tokenizer", {})
     tok_cfg = _pick(sec, vq.TokenizerConfig, image_size=d["image_size"])
     tcfg = _pick(sec, vq.TokTrainConfig, steps=args.steps, seed=args.seed)
-    ds = _train_dataset(d)
+    ds = _dataset(d)
     w, history = vq.train_tokenizer(ds.images, tok_cfg, tcfg)
     checkpoint.save_tokenizer(w, args.out)
-    held = _eval_dataset(d)
-    mse = vq.reconstruction_mse(w, held.images)
+    held = _dataset(d, "eval")
     ids = vq.tokenize(w, ds.images[:256]).reshape(-1)
     stats = vq.codebook_stats(ids, tok_cfg.codebook_size)
-    hist_path = Path(args.out) / "history.json"
-    hist_path.write_text(json.dumps(history))
-    for name, value in (("tokenizer_holdout_mse", mse),
-                        ("codebook_usage_fraction", stats["usage_fraction"]),
-                        ("codebook_perplexity", stats["perplexity"])):
-        _emit({"metric": name, "value": value, "n_a": len(held), "n_b": 0,
-               "feature_fn": "none", "seed": tcfg.seed},
-              Path(args.out) / "metrics.jsonl")
+    _finish_run(args.out, history,
+                {"tokenizer_holdout_mse": vq.reconstruction_mse(w, held.images),
+                 "codebook_usage_fraction": stats["usage_fraction"],
+                 "codebook_perplexity": stats["perplexity"]},
+                len(held), tcfg.seed)
     return 0
 
 
@@ -195,14 +199,13 @@ def cmd_train_model(args) -> int:
     sec = cfg.get("model", {})
     mcfg = _pick(sec, seq2seq.ModelConfig)
     tcfg = _pick(sec, seq2seq.TrainConfig, steps=args.steps, seed=args.seed)
-    opt_cfg = None
-    if "optimizer" in cfg:
-        opt_cfg = _pick(cfg["optimizer"], optim.OptimizerConfig)
+    opt_cfg = (_pick(cfg["optimizer"], optim.OptimizerConfig)
+               if "optimizer" in cfg else None)
     tok = checkpoint.load_tokenizer(args.tokenizer)
     if tok.cfg.codebook_size != mcfg.image_vocab:
         raise DataError(f"tokenizer codebook size {tok.cfg.codebook_size} != "
                         f"model image_vocab {mcfg.image_vocab}")
-    ds = _train_dataset(d)
+    ds = _dataset(d)
     vocab = textproc.train_bpe(ds.captions, vocab_size=mcfg.text_vocab)
     text_ids = _encode_captions(vocab, ds.captions, mcfg.text_len)
     image_ids = vq.tokenize(tok, ds.images).reshape(len(ds), -1)
@@ -215,10 +218,9 @@ def cmd_train_model(args) -> int:
     w, history = seq2seq.train_model(w, text_ids, image_ids, tcfg, opt_cfg)
     checkpoint.save_model(w, args.out)
     textproc.save_vocab(vocab, Path(args.out) / "vocab.json")
-    Path(args.out, "history.json").write_text(json.dumps(history))
-    _emit({"metric": "final_smoothed_loss", "value": seq2seq.smoothed(history),
-           "n_a": len(ds), "n_b": 0, "feature_fn": "none", "seed": tcfg.seed},
-          Path(args.out) / "metrics.jsonl")
+    _finish_run(args.out, history,
+                {"final_smoothed_loss": seq2seq.smoothed(history)},
+                len(ds), tcfg.seed)
     return 0
 
 
@@ -229,44 +231,35 @@ def cmd_train_reranker(args) -> int:
     ecfg = _pick(sec, contrastive.EncoderConfig, image_size=d["image_size"])
     tcfg = _pick(sec, contrastive.CLTrainConfig, steps=args.steps,
                  seed=args.seed)
-    ds = _train_dataset(d)
+    ds = _dataset(d)
     vocab = textproc.train_bpe(ds.captions, vocab_size=ecfg.text_vocab)
     cap_ids = [textproc.encode_clipped(vocab, c, ecfg.text_len)
                for c in ds.captions]
     enc, history = contrastive.train_contrastive(ds.images, cap_ids, tcfg, ecfg)
     checkpoint.save_encoder(enc, args.out)
     textproc.save_vocab(vocab, Path(args.out) / "vocab.json")
-    Path(args.out, "history.json").write_text(json.dumps(history))
-    _emit({"metric": "contrastive_final_loss", "value": float(np.mean(history[-20:])),
-           "n_a": len(ds), "n_b": 0, "feature_fn": "none", "seed": tcfg.seed},
-          Path(args.out) / "metrics.jsonl")
+    _finish_run(args.out, history,
+                {"contrastive_final_loss": np.mean(history[-20:])},
+                len(ds), tcfg.seed)
     return 0
 
 
 def cmd_train_sr(args) -> int:
-    cfg = load_config(args.config)
-    d = _data_params(cfg)
-    lo = _train_dataset(d, size=d["image_size"])
-    hi = _train_dataset(d, size=2 * d["image_size"])
+    d = _data_params(load_config(args.config))
+    lo = _dataset(d)
+    hi = _dataset(d, size=2 * d["image_size"])
     srcfg = vq.SRConfig()
     steps = args.steps if args.steps is not None else 400
     seed = args.seed if args.seed is not None else 0
     w, history = vq.train_sr(lo.images, hi.images, srcfg, steps=steps, seed=seed)
     checkpoint.save_sr(w, args.out)
-    Path(args.out, "history.json").write_text(json.dumps(history))
-    _emit({"metric": "sr_final_loss", "value": float(np.mean(history[-20:])),
-           "n_a": len(lo), "n_b": 0, "feature_fn": "none", "seed": seed},
-          Path(args.out) / "metrics.jsonl")
+    _finish_run(args.out, history, {"sr_final_loss": np.mean(history[-20:])},
+                len(lo), seed)
     return 0
 
 
 def _write_sample_dir(out: Path, batch, scfg, extra=None):
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, img in enumerate(batch.images):
-        name = f"sample_{i:02d}.png"
-        pngio.write_png(out / name, img)
-        names.append(name)
+    names = _write_pngs(out, batch.images, "sample")
     meta = {"prompt": batch.prompt, "seed": scfg.seed,
             "guidance": scfg.guidance, "temperature": scfg.temperature,
             "top_k": scfg.top_k, "n_samples": scfg.n_samples,
@@ -296,9 +289,8 @@ def cmd_sample(args) -> int:
     if rows is None:
         batch = sampling.generate(w, vocab, tok, args.prompt, scfg, sr=sr)
         names = _write_sample_dir(out, batch, scfg)
-        _emit({"metric": "samples_written", "value": len(names),
-               "n_a": len(names), "n_b": 0, "feature_fn": "none",
-               "seed": scfg.seed})
+        _emit(metrics.metric_record("samples_written", len(names), len(names),
+                                    0, "none", scfg.seed))
         return 0
     index = []
     total = 0
@@ -315,9 +307,8 @@ def cmd_sample(args) -> int:
                       "category": row.category, "challenge": row.challenge,
                       "seed": row_cfg.seed})
     (out / "index.json").write_text(json.dumps(index, indent=2))
-    _emit({"metric": "samples_written", "value": total,
-           "n_a": total, "n_b": len(rows), "feature_fn": "none",
-           "seed": scfg.seed})
+    _emit(metrics.metric_record("samples_written", total, total, len(rows),
+                                "none", scfg.seed))
     return 0
 
 
@@ -339,20 +330,14 @@ def cmd_rerank(args) -> int:
                                  images=images, seed=meta["seed"])
     ranked = sampling.rerank(batch, contrastive.make_scorer(enc, vocab))
     out = Path(args.out or (Path(args.dir) / "reranked"))
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, img in enumerate(ranked.images):
-        name = f"rank_{i:02d}.png"
-        pngio.write_png(out / name, img)
-        names.append(name)
-    meta_out = dict(meta)
-    meta_out.update({"files": names, "scores": ranked.scores.tolist(),
-                     "grids": np.asarray(ranked.grids).tolist(),
-                     "source": str(args.dir)})
+    names = _write_pngs(out, ranked.images, "rank")
+    meta_out = {**meta, "files": names, "scores": ranked.scores.tolist(),
+                "grids": np.asarray(ranked.grids).tolist(),
+                "source": str(args.dir)}
     (out / "meta.json").write_text(json.dumps(meta_out, indent=2))
-    _emit({"metric": "rerank_top_score", "value": float(ranked.scores[0]),
-           "n_a": len(names), "n_b": 0, "feature_fn": "contrastive-cosine",
-           "seed": meta["seed"]})
+    _emit(metrics.metric_record("rerank_top_score", ranked.scores[0],
+                                len(names), 0, "contrastive-cosine",
+                                meta["seed"]))
     return 0
 
 
@@ -370,12 +355,10 @@ def cmd_eval_fid(args) -> int:
 def cmd_eval_alignment(args) -> int:
     meta, images = _load_sample_dir(args.dir)
     scores = [metrics.caption_fidelity(img, meta["prompt"]) for img in images]
-    _emit(metrics.metric_record("caption_fidelity_mean", float(np.mean(scores)),
-                                len(images), 0, "oracle", meta["seed"]),
-          args.out)
-    _emit(metrics.metric_record("caption_fidelity_best", float(np.max(scores)),
-                                len(images), 0, "oracle", meta["seed"]),
-          args.out)
+    for name, value in (("caption_fidelity_mean", np.mean(scores)),
+                        ("caption_fidelity_best", np.max(scores))):
+        _emit(metrics.metric_record(name, value, len(images), 0, "oracle",
+                                    meta["seed"]), args.out)
     return 0
 
 
@@ -387,16 +370,8 @@ def cmd_retrieve(args) -> int:
     if args.index:
         index = contrastive.load_index(args.index)
     else:
-        cfg = load_config(args.config)
-        d = _data_params(cfg)
-        if args.exclude_query:
-            _, held = _caption_splits(d)
-            exclude = set(held) | {args.caption}
-            ds = scenes.gen_dataset(d["n_train"], d["seed"],
-                                    exclude_captions=exclude,
-                                    size=d["image_size"])
-        else:
-            ds = _train_dataset(d)
+        d = _data_params(load_config(args.config))
+        ds = _dataset(d, also_exclude=[args.caption] if args.exclude_query else ())
         captions = ds.captions
         index = contrastive.build_index(enc, ds.images)
         if args.index_out:
@@ -416,14 +391,9 @@ def cmd_retrieve(args) -> int:
 
 def cmd_simulate_pipeline(args) -> int:
     cfg = load_config(args.config).get("sim", {})
-    spec = pipesim.PipelineSpec(
-        stages=args.stages if args.stages is not None else cfg.get("stages", pipesim.FULL_SCALE_STAGES),
-        microbatches=args.microbatches if args.microbatches is not None else cfg.get("microbatches", 8),
-        rounds=args.rounds if args.rounds is not None else cfg.get("rounds", 1),
-        t_f=args.t_f if args.t_f is not None else cfg.get("t_f", 1.0),
-        t_b=args.t_b if args.t_b is not None else cfg.get("t_b", 1.0),
-        latency=args.latency if args.latency is not None else cfg.get("latency", 0.0),
-    )
+    spec = _pick(cfg, pipesim.PipelineSpec, stages=args.stages,
+                 microbatches=args.microbatches, rounds=args.rounds,
+                 t_f=args.t_f, t_b=args.t_b, latency=args.latency)
     prologue = cfg.get("prologue", 0.0)
     epilogue = cfg.get("epilogue", 0.0)
     dp_ways = cfg.get("dp_ways", 1)
@@ -436,7 +406,7 @@ def cmd_simulate_pipeline(args) -> int:
             raise UsageError(f"bad --sweep {args.sweep!r}; expected name=lo:hi")
         if field not in ("microbatches", "rounds", "stages"):
             raise UsageError(f"--sweep field must be microbatches, rounds or stages")
-        specs = [pipesim.PipelineSpec(**{**spec.__dict__, field: v}) for v in values]
+        specs = [dataclasses.replace(spec, **{field: v}) for v in values]
         rows = pipesim.sweep_rows(specs, prologue, epilogue, dp_ways)
         if not args.csv:
             raise UsageError("--sweep requires --csv OUT")
@@ -456,19 +426,16 @@ def cmd_simulate_pipeline(args) -> int:
 
 def cmd_shard_cost(args) -> int:
     cfg = load_config(args.config).get("sim", {})
-    base = dict(
-        n_way=args.n_way if args.n_way is not None else cfg.get("n_way", 4),
-        batch=args.batch if args.batch is not None else cfg.get("batch", 16),
-        seq=args.seq if args.seq is not None else cfg.get("seq", 256),
-        d_model=args.d_model if args.d_model is not None else cfg.get("d_model", 1024),
-        d_mlp=args.d_mlp if args.d_mlp is not None else cfg.get("d_mlp", 4096),
-        element_size=args.element_size if args.element_size is not None else cfg.get("element_size", 2),
-    )
-    strategies = [args.strategy] if args.strategy else list(pipesim.STRATEGIES)
-    out = {}
-    for strat in strategies:
-        out[strat] = pipesim.shard_cost(pipesim.ShardSpec(strategy=strat, **base))
-    print(json.dumps({"spec": base, "costs": out}))
+    spec = _pick(cfg, pipesim.ShardSpec, n_way=args.n_way, batch=args.batch,
+                 seq=args.seq, d_model=args.d_model, d_mlp=args.d_mlp,
+                 element_size=args.element_size, strategy=args.strategy)
+    # a strategy set by flag or config is the only one costed
+    chosen = args.strategy or "strategy" in cfg
+    strategies = [spec.strategy] if chosen else pipesim.STRATEGIES
+    costs = {s: pipesim.shard_cost(dataclasses.replace(spec, strategy=s))
+             for s in strategies}
+    base = {k: v for k, v in dataclasses.asdict(spec).items() if k != "strategy"}
+    print(json.dumps({"spec": base, "costs": costs}))
     return 0
 
 
@@ -505,20 +472,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--split", choices=("train", "eval", "all"), default="train")
 
-    for name, fn in (("train-tokenizer", cmd_train_tokenizer),
-                     ("train-reranker", cmd_train_reranker)):
-        sp = add(name, fn, help=f"{name.replace('-', ' ')} and checkpoint it")
+    for name, fn, what in (
+            ("train-tokenizer", cmd_train_tokenizer, "train tokenizer and checkpoint it"),
+            ("train-reranker", cmd_train_reranker, "train reranker and checkpoint it"),
+            ("train-model", cmd_train_model, "train the text-to-image model"),
+            ("train-sr", cmd_train_sr, "train the 2x upsampler")):
+        sp = add(name, fn, help=what)
+        if fn is cmd_train_model:
+            sp.add_argument("--tokenizer", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--steps", type=int, default=None)
-
-    sp = add("train-model", cmd_train_model, help="train the text-to-image model")
-    sp.add_argument("--tokenizer", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--steps", type=int, default=None)
-
-    sp = add("train-sr", cmd_train_sr, help="train the 2x upsampler")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--steps", type=int, default=None)
 
     sp = add("sample", cmd_sample, help="generate images for a prompt")
     sp.add_argument("--model", required=True)

@@ -287,9 +287,20 @@ def load_index(path) -> RetrievalIndex:
         raise DataError(f"index manifest at {path} is not valid JSON: {e}") from None
     if manifest.get("format_version") != 1:
         raise DataError(f"unsupported index format: {manifest.get('format_version')}")
+    missing = [k for k in ("n", "d_e", "ids") if k not in manifest]
+    if missing:
+        raise DataError(f"index manifest at {path} is missing {missing}")
+    if manifest.get("dtype") != "<f4":
+        raise DataError(f"index at {path} has dtype {manifest.get('dtype')!r}, "
+                        f"expected '<f4'")
     n, d = manifest["n"], manifest["d_e"]
+    if not (isinstance(n, int) and isinstance(d, int) and n >= 0 and d >= 0):
+        raise DataError(f"index manifest at {path} has bad n={n!r} or d_e={d!r}")
     raw = (path / "embeddings.bin").read_bytes()
-    emb = np.frombuffer(raw, dtype=manifest["dtype"], count=n * d).reshape(n, d)
+    if len(raw) != 4 * n * d:
+        raise DataError(f"{path / 'embeddings.bin'} holds {len(raw)} bytes, "
+                        f"expected 4 * n * d_e = {4 * n * d}")
+    emb = np.frombuffer(raw, dtype="<f4").reshape(n, d)
     if len(manifest["ids"]) != n:
         raise DataError("index manifest ids length mismatch")
     return RetrievalIndex(embeddings=emb.astype(np.float32),

@@ -100,10 +100,12 @@ def _features_of(images, feature_fn) -> np.ndarray:
     return np.stack([np.asarray(feature_fn(img)).reshape(-1) for img in images])
 
 
-def metric_record(metric: str, value: float, n_a: int, n_b: int,
+def metric_record(metric: str, value, n_a: int, n_b: int,
                   feature_fn: str, seed) -> dict:
-    """One JSON-lines record; feature_fn names the extractor explicitly."""
-    return {"metric": metric, "value": float(value), "n_a": int(n_a),
+    """One JSON-lines record; feature_fn names the extractor explicitly.
+    A count (a Python int, such as dataset_size) stays an integer."""
+    value = value if isinstance(value, int) else float(value)
+    return {"metric": metric, "value": value, "n_a": int(n_a),
             "n_b": int(n_b), "feature_fn": feature_fn, "seed": seed}
 
 

@@ -28,8 +28,8 @@ FULL_SCALE_STAGES = 16
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    stages: int
-    microbatches: int
+    stages: int = FULL_SCALE_STAGES
+    microbatches: int = 8
     rounds: int = 1
     t_f: float = 1.0
     t_b: float = 1.0
@@ -235,11 +235,11 @@ STRATEGIES = ("allreduce", "reducescatter_allgather")
 
 @dataclass(frozen=True)
 class ShardSpec:
-    n_way: int
-    batch: int
-    seq: int
-    d_model: int
-    d_mlp: int
+    n_way: int = 4
+    batch: int = 16
+    seq: int = 256
+    d_model: int = 1024
+    d_mlp: int = 4096
     strategy: str = "allreduce"
     element_size: int = 2      # bf16 wire format
 

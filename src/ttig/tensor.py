@@ -56,15 +56,6 @@ class TapeReleasedError(RuntimeError):
     """backward() on a tape whose records were released."""
 
 
-_check_finite = False
-
-
-def set_check_finite(flag: bool):
-    """Debug mode: verify every op output is finite (slows training)."""
-    global _check_finite
-    _check_finite = bool(flag)
-
-
 class Tensor:
     """A numpy array plus autodiff bookkeeping.
 
@@ -93,33 +84,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
-
-    # arithmetic sugar; all routed through apply() so everything is on-tape
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -944,8 +910,6 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
             # forward allocates the arrays that take its place
             old[i] = None
     out_data = fwd(datas, attrs)
-    if _check_finite and not np.all(np.isfinite(out_data)):
-        raise NumericError(f"{op_kind}: non-finite values in output")
     out = Tensor(out_data, dtype=out_data.dtype)
     if tape is not None:
         needs = tuple(x.requires_grad for x in inputs)

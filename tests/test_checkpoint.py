@@ -172,3 +172,41 @@ def test_kind_mismatch_rejected(tmp_path):
     checkpoint.save_tokenizer(vq.build_tokenizer(cfg, seed=0), tmp_path / "t")
     with pytest.raises(DataError, match="seq2seq"):
         checkpoint.load_model(tmp_path / "t")
+
+
+_TYPED = {
+    "seq2seq": (checkpoint.save_model, checkpoint.load_model,
+                lambda: seq2seq.build_model(seq2seq.ModelConfig(
+                    d_model=16, heads=2, enc_layers=1, dec_layers=1, d_mlp=32,
+                    text_vocab=300, image_vocab=16, text_len=8, grid_h=4,
+                    grid_w=4), seed=0)),
+    "tokenizer": (checkpoint.save_tokenizer, checkpoint.load_tokenizer,
+                  lambda: vq.build_tokenizer(vq.TokenizerConfig(
+                      image_size=16, patch=4, d_model=16, heads=2, n_blocks=1,
+                      d_mlp=32, codebook_size=16), seed=0)),
+    "dual_encoder": (checkpoint.save_encoder, checkpoint.load_encoder,
+                     lambda: contrastive.build_encoder(contrastive.EncoderConfig(
+                         image_size=16, d_model=16, heads=2, n_blocks=1,
+                         d_mlp=32, text_vocab=300, text_len=8), seed=0)),
+    "sr": (checkpoint.save_sr, checkpoint.load_sr,
+           lambda: vq.build_sr(vq.SRConfig(n_blocks=1, channels=8), seed=0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TYPED))
+@pytest.mark.parametrize("damage", ["unknown_field", "no_section"])
+def test_typed_load_rejects_bad_config_section(tmp_path, kind, damage):
+    save, load, build = _TYPED[kind]
+    path = tmp_path / "ck"
+    save(build(), path)
+    load(path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    section = next(k for k in manifest["config"] if k != "kind")
+    if damage == "unknown_field":
+        manifest["config"][section]["bogus"] = 1
+    else:
+        del manifest["config"][section]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=kind) as err:
+        load(path)
+    assert str(path) in str(err.value)

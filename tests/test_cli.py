@@ -245,3 +245,42 @@ def test_sample_missing_prompt_list_is_a_data_error(tmp_path, capsys):
     assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
                     "--prompts", str(tmp_path / "no.tsv"),
                     "--out", str(tmp_path / "s")]) == 2
+
+
+def test_sample_with_damaged_model_config_is_a_data_error(tmp_path, capsys):
+    model, tok = _tiny_checkpoints(tmp_path)
+    manifest = json.loads((model / "manifest.json").read_text())
+    manifest["config"]["model"]["bogus"] = 1
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
+                    "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_retrieve_with_truncated_index_is_a_data_error(tmp_path, capsys):
+    from ttig import contrastive, textproc
+    enc = contrastive.build_encoder(contrastive.EncoderConfig(
+        image_size=16, d_model=16, heads=2, n_blocks=1, d_mlp=32,
+        text_vocab=300, text_len=8), seed=0)
+    checkpoint.save_encoder(enc, tmp_path / "rr")
+    textproc.save_vocab(textproc.train_bpe(["a red circle"], 300),
+                        tmp_path / "rr" / "vocab.json")
+    contrastive.save_index(contrastive.RetrievalIndex(
+        embeddings=np.ones((3, enc.cfg.d_e), np.float32),
+        ids=np.arange(3)), tmp_path / "idx")
+    raw = (tmp_path / "idx" / "embeddings.bin").read_bytes()
+    (tmp_path / "idx" / "embeddings.bin").write_bytes(raw[:-4])
+    assert cli.run(["retrieve", "--reranker", str(tmp_path / "rr"),
+                    "--caption", "a red circle", "--k", "2",
+                    "--index", str(tmp_path / "idx")]) == 2
+
+
+def test_shard_cost_honours_config_strategy_and_flag_wins(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"sim": {"strategy": "reducescatter_allgather"}})
+    dims = ["--n-way", "2", "--batch", "1", "--seq", "4", "--d-model", "8",
+            "--d-mlp", "32"]
+    assert cli.run(["shard-cost", "--config", cfg, *dims]) == 0
+    assert set(_last_json(capsys)["costs"]) == {"reducescatter_allgather"}
+    assert cli.run(["shard-cost", "--config", cfg, *dims,
+                    "--strategy", "allreduce"]) == 0
+    assert set(_last_json(capsys)["costs"]) == {"allreduce"}

@@ -1,0 +1,108 @@
+"""Every subcommand on a toy config, run twice: the same config and seeds must
+give byte-identical files and stdout (the determinism contract, end to end)."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from ttig import cli
+
+TOY = {
+    "data": {"n_train": 16, "n_eval": 8, "seed": 3, "image_size": 16},
+    "tokenizer": {"patch": 4, "d_model": 16, "n_blocks": 1, "heads": 2,
+                  "d_mlp": 32, "d_code": 4, "codebook_size": 16, "batch": 8,
+                  "warmup": 1},
+    "model": {"enc_layers": 1, "dec_layers": 1, "d_model": 16, "d_mlp": 32,
+              "heads": 2, "text_vocab": 300, "image_vocab": 16, "text_len": 12,
+              "grid_h": 4, "grid_w": 4, "batch": 4, "log_every": 1,
+              "pretrain_steps": 2},
+    "optimizer": {"base_lr": 0.01, "warmup": 1, "decay_start": 2,
+                  "total_steps": 4},
+    "sampler": {"guidance": 1.2, "n_samples": 3, "top_k": 8},
+    "reranker": {"patch": 4, "d_model": 16, "n_blocks": 1, "heads": 2,
+                 "d_mlp": 32, "d_e": 8, "text_vocab": 300, "text_len": 12,
+                 "batch": 4, "warmup": 1},
+    "sim": {"stages": 4, "rounds": 2, "latency": 0.5, "n_way": 2, "batch": 2,
+            "seq": 8, "d_model": 16, "d_mlp": 64, "prologue": 1.0,
+            "epilogue": 2.0, "dp_ways": 2},
+}
+
+PROMPTS = ("Prompt\tCategory\tChallenge\n"
+           "a red circle\tAbstract\tBasic\n"
+           "a blue square above a green triangle\tArts\tSimple Detail\n")
+
+CFG = ["--config", "cfg.json"]
+CAPTION = "a red circle"
+
+# every subcommand, in pipeline order; paths are relative to the run directory
+CHAIN = [
+    ["make-data", *CFG, "--out", "data/train"],
+    ["make-data", *CFG, "--split", "eval", "--out", "data/eval"],
+    ["make-data", *CFG, "--split", "all", "--n", "5", "--seed", "9",
+     "--out", "data/all"],
+    ["train-tokenizer", *CFG, "--steps", "3", "--out", "tok"],
+    ["train-model", *CFG, "--steps", "3", "--tokenizer", "tok", "--out", "model"],
+    ["train-reranker", *CFG, "--steps", "3", "--out", "rr"],
+    ["train-sr", *CFG, "--steps", "2", "--seed", "1", "--out", "sr"],
+    ["sample", *CFG, "--model", "model", "--tokenizer", "tok",
+     "--prompt", CAPTION, "--out", "one"],
+    ["sample", *CFG, "--model", "model", "--tokenizer", "tok",
+     "--prompts", "prompts.tsv", "--n-samples", "2", "--seed", "5",
+     "--out", "many"],
+    ["rerank", "--dir", "one", "--reranker", "rr"],
+    ["eval-alignment", "--dir", "one/reranked", "--out", "align.jsonl"],
+    ["eval-fid", "--real", "data/eval", "--gen", "one", "--features", "rr",
+     "--out", "fid.jsonl"],
+    ["retrieve", *CFG, "--reranker", "rr", "--caption", CAPTION, "--k", "3",
+     "--index-out", "idx"],
+    ["retrieve", "--reranker", "rr", "--caption", CAPTION, "--index", "idx"],
+    ["retrieve", *CFG, "--reranker", "rr", "--caption", CAPTION,
+     "--exclude-query"],
+    ["simulate-pipeline", *CFG, "--microbatches", "3", "--trace", "trace.json"],
+    ["simulate-pipeline", *CFG, "--sweep", "microbatches=1:4",
+     "--csv", "sweep.csv"],
+    ["simulate-pipeline", "--rounds", "2"],
+    ["shard-cost", *CFG, "--n-way", "4"],
+    ["shard-cost", "--strategy", "allreduce"],
+    ["inspect-checkpoint", "--dir", "model"],
+    ["inspect-checkpoint", "--dir", "tok", "--full"],
+]
+
+
+def run_chain(root: Path):
+    """Run CHAIN with root as the working directory.
+
+    -> (stdout lines, {relative path: file bytes}).
+    """
+    (root / "cfg.json").write_text(json.dumps(TOY))
+    (root / "prompts.tsv").write_text(PROMPTS)
+    lines = []
+    for argv in CHAIN:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(argv)
+        assert code == 0, (argv, code)
+        lines += [f"{argv[0]}: {line}" for line in buf.getvalue().splitlines()]
+    files = {str(p.relative_to(root)): p.read_bytes()
+             for p in sorted(root.rglob("*")) if p.is_file()}
+    return lines, files
+
+
+def test_every_subcommand_twice_gives_identical_bytes(tmp_path, monkeypatch):
+    runs = []
+    for name in ("a", "b"):
+        # both passes use the same relative paths: rerank records its source
+        root = tmp_path / name
+        root.mkdir()
+        monkeypatch.chdir(root)
+        runs.append(run_chain(root))
+    (lines_a, files_a), (lines_b, files_b) = runs
+    assert lines_a == lines_b
+    assert sorted(files_a) == sorted(files_b)
+    for rel in files_a:
+        assert files_a[rel] == files_b[rel], rel
+    produced = {rel.split("/")[0] for rel in files_a}
+    assert {"data", "tok", "model", "rr", "sr", "one", "many", "idx",
+            "align.jsonl", "fid.jsonl", "trace.json", "sweep.csv"} <= produced
+    assert len(lines_a) >= len(CHAIN)

@@ -1,5 +1,7 @@
 """Dual encoder: symmetric loss, temperature, retrieval, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,28 @@ def test_index_save_load_roundtrip(tmp_path):
 def test_load_index_rejects_bad_dir(tmp_path):
     with pytest.raises(DataError):
         contrastive.load_index(tmp_path / "missing")
+
+
+def _saved_index(path):
+    index = contrastive.RetrievalIndex(
+        embeddings=np.arange(12, dtype=np.float32).reshape(3, 4),
+        ids=np.array([5, 6, 7]))
+    contrastive.save_index(index, path)
+    return json.loads((path / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("damage", ["truncated", "dtype", "no_n", "no_d_e",
+                                    "no_ids"])
+def test_load_index_rejects_damaged_index(tmp_path, damage):
+    path = tmp_path / "idx"
+    manifest = _saved_index(path)
+    if damage == "truncated":
+        raw = (path / "embeddings.bin").read_bytes()
+        (path / "embeddings.bin").write_bytes(raw[:-4])
+    elif damage == "dtype":
+        manifest["dtype"] = "<f8"
+    else:
+        del manifest[damage[3:]]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError):
+        contrastive.load_index(path)
