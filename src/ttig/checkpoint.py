@@ -103,6 +103,8 @@ def load_checkpoint(path):
 # checkpoint kind -> the config section that holds its dataclass
 _SECTION = {"seq2seq": "model", "tokenizer": "tokenizer",
             "dual_encoder": "encoder", "sr": "sr"}
+# config field annotation -> the JSON value types it takes (a bool never)
+_VALUE_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def _save_typed(w, kind, path):
@@ -111,7 +113,8 @@ def _save_typed(w, kind, path):
 
 
 def _load_typed(path, kind, cfg_cls, build):
-    """Validate kind and config section, then build(cfg, seed) and load."""
+    """Validate kind and config section (field names and value types), then
+    build(cfg, seed) and load."""
     state, config = load_checkpoint(path)
     if config.get("kind") != kind:
         raise DataError(f"expected a {kind!r} checkpoint, found "
@@ -120,10 +123,15 @@ def _load_typed(path, kind, cfg_cls, build):
     section = config.get(key)
     if not isinstance(section, dict):
         raise DataError(f"{kind!r} checkpoint at {path} has no {key!r} config")
-    unknown = set(section) - {f.name for f in fields(cfg_cls)}
+    types = {f.name: f.type for f in fields(cfg_cls)}
+    unknown = set(section) - set(types)
     if unknown:
         raise DataError(f"{kind!r} checkpoint at {path} has unknown {key!r} "
                         f"config field(s) {sorted(unknown)}")
+    for name, value in section.items():
+        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[types[name]]):
+            raise DataError(f"{kind!r} checkpoint at {path} has config field "
+                            f"{key}.{name} = {value!r}, which is not {types[name]}")
     w = build(cfg_cls(**section), seed=0)
     w.params.load_state(state)
     return w

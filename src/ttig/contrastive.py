@@ -71,15 +71,11 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0) -> DualEncoder:
     ps = nn.ParamSet()
     nn.add_linear(ps, "img.in", cfg.patch_dim, cfg.d_model, rng)
     ps.add("img.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
-    for i in range(cfg.n_blocks):
-        nn.add_block(ps, f"img.b{i}", cfg.d_model, cfg.d_mlp, rng)
-    nn.add_ln(ps, "img.ln_out", cfg.d_model)
+    nn.add_stack(ps, "img", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
     nn.add_linear(ps, "img.proj", cfg.d_model, cfg.d_e, rng)
     ps.add("txt.emb", nn.trunc_normal(rng, (cfg.text_vocab, cfg.d_model)))
     ps.add("txt.pos", nn.trunc_normal(rng, (cfg.text_len, cfg.d_model)))
-    for i in range(cfg.n_blocks):
-        nn.add_block(ps, f"txt.b{i}", cfg.d_model, cfg.d_mlp, rng)
-    nn.add_ln(ps, "txt.ln_out", cfg.d_model)
+    nn.add_stack(ps, "txt", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
     nn.add_linear(ps, "txt.proj", cfg.d_model, cfg.d_e, rng)
     ps.add("tau", np.array([[cfg.tau_init]], dtype=np.float32))
     return DualEncoder(cfg=cfg, params=ps)
@@ -97,9 +93,7 @@ def _image_pooled(enc: DualEncoder, images: np.ndarray):
                         f"got {images.shape[1:]}")
     x = nn.linear(p, "img.in", T.constant(vq.patchify(images, cfg.patch)))
     x = T.add(x, p["img.pos"])
-    for i in range(cfg.n_blocks):
-        x = nn.block(p, f"img.b{i}", x, cfg.heads)
-    x = nn.ln_affine(p, "img.ln_out", x)
+    x = nn.stack(p, "img", x, cfg.n_blocks, cfg.heads)
     return T.reduce_mean(x, axis=1)
 
 
@@ -113,12 +107,8 @@ def _text_pooled(enc: DualEncoder, text_ids: np.ndarray):
         raise DataError(f"text rows must have length {cfg.text_len}, got {ids.shape[1]}")
     if ids.min() < 0 or ids.max() >= cfg.text_vocab:
         raise DataError("text id out of range")
-    x = T.embedding_gather(p["txt.emb"], ids.reshape(-1))
-    x = T.reshape(x, (ids.shape[0], cfg.text_len, cfg.d_model))
-    x = T.add(x, p["txt.pos"])
-    for i in range(cfg.n_blocks):
-        x = nn.block(p, f"txt.b{i}", x, cfg.heads)
-    x = nn.ln_affine(p, "txt.ln_out", x)
+    x = T.add(T.embedding_gather(p["txt.emb"], ids), p["txt.pos"])
+    x = nn.stack(p, "txt", x, cfg.n_blocks, cfg.heads)
     return T.reduce_mean(x, axis=1)
 
 

@@ -51,8 +51,8 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
-    vals = np.where(vals < -1e-10, 0.0, np.maximum(vals, 0.0))
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    # rounding leaves a PSD matrix's smallest eigenvalues slightly negative
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
@@ -68,9 +68,7 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     ra = _psd_sqrt(a.sigma)
     inner = ra @ b.sigma @ ra
     inner = 0.5 * (inner + inner.T)
-    vals = np.linalg.eigvalsh(inner)
-    vals = np.where(vals < -1e-10, 0.0, np.maximum(vals, 0.0))
-    tr_sqrt = float(np.sqrt(vals).sum())
+    tr_sqrt = float(np.sqrt(np.maximum(np.linalg.eigvalsh(inner), 0.0)).sum())
     val = float(diff @ diff + np.trace(a.sigma) + np.trace(b.sigma) - 2.0 * tr_sqrt)
     if val < -1e-6:
         raise NumericError(f"frechet distance came out {val}, below the rounding guard")

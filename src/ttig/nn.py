@@ -8,6 +8,11 @@ derived from one once per model: the op then scores only the window's keys
 and gives ruled-out slots tensor.NEG_FILL (-1e9), which is exactly zero
 weight, before normalising. A mask row that allows no key is a ShapeError.
 
+Every transformer tower (tokenizer encoder and decoder, text encoder and
+image decoder, reranker image and text towers) is one add_stack/stack pair:
+blocks pre.b0 ... pre.b{n-1}, then the final LayerNorm pre.ln_out. Outside
+this module only the sampler's per-chain packing reads those names.
+
 Keys carry no bias. A key bias bk adds q . bk to every key's score for a
 query, a shift softmax ignores, so it has no effect on the output and a true
 gradient of exactly zero; an optimizer that normalises updates would still
@@ -113,6 +118,13 @@ def add_block(ps: ParamSet, pre: str, d: int, d_mlp: int, rng, cross: bool = Fal
     add_mlp(ps, pre + ".mlp", d, d_mlp, rng)
 
 
+def add_stack(ps: ParamSet, pre: str, n: int, d: int, d_mlp: int, rng, cross: bool = False):
+    """n blocks pre.b0 ... pre.b{n-1}, then the final LayerNorm pre.ln_out."""
+    for i in range(n):
+        add_block(ps, f"{pre}.b{i}", d, d_mlp, rng, cross=cross)
+    add_ln(ps, pre + ".ln_out", d)
+
+
 def linear(p: ParamSet, pre: str, x):
     return T.add(T.matmul(x, p[pre + ".w"]), p[pre + ".b"])
 
@@ -160,6 +172,14 @@ def block(p: ParamSet, pre: str, x, heads: int, allowed=None, cross_kv=None, dro
         x = T.add(x, dropout(a, drop))
     m = mlp(p, pre + ".mlp", ln_affine(p, pre + ".ln2", x))
     return T.add(x, dropout(m, drop))
+
+
+def stack(p: ParamSet, pre: str, x, n: int, heads: int, allowed=None, cross_kv=None,
+          drop=None):
+    """The n blocks of add_stack(..., pre, n, ...) and their final LayerNorm."""
+    for i in range(n):
+        x = block(p, f"{pre}.b{i}", x, heads, allowed=allowed, cross_kv=cross_kv, drop=drop)
+    return ln_affine(p, pre + ".ln_out", x)
 
 
 def grads_of(loss, params: ParamSet) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import DataError
@@ -175,14 +175,7 @@ def critical_path_bound(spec: PipelineSpec) -> float:
 
 def trace_to_json(trace: ScheduleTrace) -> dict:
     return {
-        "spec": {
-            "stages": trace.spec.stages,
-            "microbatches": trace.spec.microbatches,
-            "rounds": trace.spec.rounds,
-            "t_f": trace.spec.t_f,
-            "t_b": trace.spec.t_b,
-            "latency": trace.spec.latency,
-        },
+        "spec": asdict(trace.spec),
         "devices": [
             {"tasks": [{"stage": t.stage, "chunk": t.chunk, "microbatch": t.microbatch,
                         "dir": t.direction, "start": start, "end": end}
@@ -208,9 +201,7 @@ def sweep_rows(specs, prologue: float = 0.0, epilogue: float = 0.0,
         ratio = bubble_ratio(trace)
         total = prologue + trace.makespan + epilogue
         rows.append({
-            "stages": spec.stages, "microbatches": spec.microbatches,
-            "rounds": spec.rounds, "t_f": spec.t_f, "t_b": spec.t_b,
-            "latency": spec.latency, "makespan": trace.makespan,
+            **asdict(spec), "makespan": trace.makespan,
             "bubble_ratio": ratio, "total_time": total,
             "dp_ways": dp_ways,
             "microbatches_per_time": dp_ways * spec.microbatches / total,

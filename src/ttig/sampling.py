@@ -11,7 +11,7 @@ short-circuit: lam = 0 encodes only PAD and lam = 1 only the prompt, each
 decoding n rows, so the other condition never runs.
 
 The decoder here is a numpy re-implementation of the taped training forward
-that calls the catalog's LayerNorm, GELU and softmax kernels and keeps
+that calls tensor's LayerNorm, GELU and softmax kernels and keeps
 per-layer key/value caches, so a length-L chain costs O(L) block passes
 instead of O(L^2). The caches are position-major, (image_len, rows,
 d_model), so a step writes one contiguous slab per cache and self-attention

@@ -203,6 +203,8 @@ class Dataset:
 def gen_dataset(n: int, seed: int, exclude_captions=(), size: int = IMAGE_SIZE) -> Dataset:
     """n scenes drawn with a seeded rng. exclude_captions filters draws whose
     caption is held out (draws continue until n survivors)."""
+    if n < 1:
+        raise DataError(f"a dataset needs at least one scene, got n={n}")
     rng = np.random.default_rng(seed)
     excl = frozenset(exclude_captions)
     specs, caps = [], []

@@ -91,12 +91,8 @@ def build_model(cfg: ModelConfig, seed: int) -> TransformerWeights:
     ps.add("image_emb", nn.trunc_normal(rng, (cfg.image_vocab, cfg.d_model)))
     ps.add("image_pos", nn.trunc_normal(rng, (cfg.image_len, cfg.d_model)))
     ps.add("dec.start", nn.trunc_normal(rng, (cfg.d_model,)))
-    for i in range(cfg.enc_layers):
-        nn.add_block(ps, f"enc.b{i}", cfg.d_model, cfg.d_mlp, rng)
-    nn.add_ln(ps, "enc.ln_out", cfg.d_model)
-    for i in range(cfg.dec_layers):
-        nn.add_block(ps, f"dec.b{i}", cfg.d_model, cfg.d_mlp, rng, cross=True)
-    nn.add_ln(ps, "dec.ln_out", cfg.d_model)
+    nn.add_stack(ps, "enc", cfg.enc_layers, cfg.d_model, cfg.d_mlp, rng)
+    nn.add_stack(ps, "dec", cfg.dec_layers, cfg.d_model, cfg.d_mlp, rng, cross=True)
     nn.add_linear(ps, "out", cfg.d_model, cfg.image_vocab, rng)
     mask = conv_sparse_mask(cfg.grid_h, cfg.grid_w, cfg.conv_kernel)
     return TransformerWeights(cfg=cfg, params=ps, window=T.attention_window(mask))
@@ -125,13 +121,9 @@ def encode_text(w: TransformerWeights, text_ids: np.ndarray, drop=None):
     L = text_ids.shape[1]
     if not 1 <= L <= cfg.text_len:
         raise DataError(f"text length {L} not in [1, text_len={cfg.text_len}]")
-    pos = p["text_pos"] if L == cfg.text_len else \
-        T.slice_(p["text_pos"], ((0, L), None))
-    h = T.add(T.embedding_gather(p["text_emb"], text_ids), pos)
-    h = nn.dropout(h, drop)
-    for i in range(cfg.enc_layers):
-        h = nn.block(p, f"enc.b{i}", h, cfg.heads, drop=drop)
-    return nn.ln_affine(p, "enc.ln_out", h)
+    pos = T.embedding_gather(p["text_pos"], np.arange(L))
+    h = nn.dropout(T.add(T.embedding_gather(p["text_emb"], text_ids), pos), drop)
+    return nn.stack(p, "enc", h, cfg.enc_layers, cfg.heads, drop=drop)
 
 
 def trim_pad(text_ids: np.ndarray) -> np.ndarray:
@@ -157,10 +149,8 @@ def decode_logits(w: TransformerWeights, enc_out, image_ids: np.ndarray, drop=No
     h = T.concat([T.add(base, p["dec.start"]), prev], axis=1)
     h = T.add(h, p["image_pos"])
     h = nn.dropout(h, drop)
-    for i in range(cfg.dec_layers):
-        h = nn.block(p, f"dec.b{i}", h, cfg.heads, allowed=w.window,
-                     cross_kv=enc_out, drop=drop)
-    h = nn.ln_affine(p, "dec.ln_out", h)
+    h = nn.stack(p, "dec", h, cfg.dec_layers, cfg.heads, allowed=w.window,
+                 cross_kv=enc_out, drop=drop)
     return nn.linear(p, "out", h)
 
 

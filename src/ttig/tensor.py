@@ -5,7 +5,11 @@ Design rules:
   * a Tape records op applications; backward replays it in reverse order, so
     gradient accumulation order is deterministic run to run
   * the op catalog is closed: apply() rejects unknown kinds, every op carries
-    its own shape check and backward rule
+    its own shape check and backward rule, and every kind in it is one that
+    a training loop records. Softmax is a kernel pair, not a catalog op: the
+    attention op and the sampler call it directly
+  * backward rules may read what their forward stored in the recorded attrs
+    (layer_norm's inverse deviation, gelu's normal CDF)
   * broadcasting is restricted to trailing-axis alignment (one operand's shape
     must be a suffix of the other's, rank-0 scalars included); anything fancier
     must be spelled out with reshape/transpose
@@ -299,39 +303,6 @@ def _bwd_transpose(g, d, out, attrs, needs):
     return [np.transpose(g, inv)]
 
 
-def _norm_bounds(bounds, shape):
-    out = []
-    _require(len(bounds) == len(shape), "slice",
-             f"need one (start, stop) per axis, got {len(bounds)} for shape {shape}")
-    for ax, b in enumerate(bounds):
-        if b is None:
-            out.append((0, shape[ax]))
-            continue
-        start, stop = b
-        if start is None:
-            start = 0
-        if stop is None:
-            stop = shape[ax]
-        _require(0 <= start <= stop <= shape[ax], "slice",
-                 f"bounds {b} invalid for axis {ax} of extent {shape[ax]}")
-        out.append((int(start), int(stop)))
-    return out
-
-
-def _fwd_slice(d, attrs):
-    bounds = _norm_bounds(attrs["bounds"], d[0].shape)
-    key = tuple(slice(s, e) for s, e in bounds)
-    return d[0][key].copy()
-
-
-def _bwd_slice(g, d, out, attrs, needs):
-    bounds = _norm_bounds(attrs["bounds"], d[0].shape)
-    gx = np.zeros(d[0].shape, dtype=d[0].dtype)
-    key = tuple(slice(s, e) for s, e in bounds)
-    gx[key] = g
-    return [gx]
-
-
 def _fwd_concat(d, attrs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "concat")
     for x in d[1:]:
@@ -586,24 +557,17 @@ def _mean(x, axis):
     return np.add.reduce(x, axis=axis, keepdims=True) / x.shape[axis]
 
 
-def _layer_norm_center(x, axis, eps):
-    xc = x - _mean(x, axis)
-    return xc, 1.0 / np.sqrt(_mean(xc * xc, axis) + eps)
-
-
 def _fwd_layer_norm(d, attrs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
-    xc, inv = _layer_norm_center(d[0], axis, float(attrs.get("eps", 1e-5)))
+    xc = d[0] - _mean(d[0], axis)
+    inv = 1.0 / np.sqrt(_mean(xc * xc, axis) + float(attrs.get("eps", 1e-5)))
     attrs["_inv"] = inv  # reused by backward together with out (= xhat)
     return xc * inv
 
 
 def _bwd_layer_norm(g, d, out, attrs, needs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
-    inv = attrs.get("_inv")
-    if inv is None:
-        inv = _layer_norm_center(d[0], axis, float(attrs.get("eps", 1e-5)))[1]
-    xhat = out
+    inv, xhat = attrs["_inv"], out
     gm = _mean(g, axis)
     gxm = _mean(g * xhat, axis)
     r = g - gm
@@ -675,9 +639,7 @@ def _fwd_gelu(d, attrs):
 
 def _bwd_gelu(g, d, out, attrs, needs):
     x = d[0]
-    cdf = attrs.get("_cdf")
-    if cdf is None:
-        cdf = _normal_cdf(x)
+    cdf = attrs["_cdf"]
     t = x * x
     t *= -0.5
     np.exp(t, out=t)
@@ -850,10 +812,8 @@ _CATALOG = {
     "matmul": _Op(2, _fwd_matmul, _bwd_matmul, "cross"),
     "reshape": _Op(1, _fwd_reshape, _bwd_reshape, "nothing"),
     "transpose": _Op(1, _fwd_transpose, _bwd_transpose, "nothing"),
-    "slice": _Op(1, _fwd_slice, _bwd_slice, "nothing"),
     "concat": _Op(None, _fwd_concat, _bwd_concat, "nothing"),
     "embedding_gather": _Op(1, _fwd_embedding_gather, _bwd_embedding_gather, "nothing"),
-    "softmax": _Op(1, _fwd_softmax, _bwd_softmax, "output"),
     "attention": _Op(3, _fwd_attention, _bwd_attention, "inputs"),
     "layer_norm": _Op(1, _fwd_layer_norm, _bwd_layer_norm, "output"),
     "gelu": _Op(1, _fwd_gelu, _bwd_gelu, "inputs"),
@@ -958,14 +918,6 @@ def backward(root: Tensor) -> dict:
     return {nid: Tensor(grads[nid]) for nid in tape.leaf_ids if nid in grads}
 
 
-def grad(root: Tensor, leaf: Tensor) -> np.ndarray:
-    """Convenience: gradient of scalar root with respect to one leaf."""
-    gm = backward(root)
-    if leaf.node_id not in gm:
-        raise ShapeError("grad: leaf not reachable from root")
-    return gm[leaf.node_id].data
-
-
 # ---------------------------------------------------------------------------
 # thin named wrappers (the public surface most code uses)
 
@@ -993,20 +945,12 @@ def transpose(x, axes):
     return apply("transpose", [x], {"axes": tuple(axes)})
 
 
-def slice_(x, bounds):
-    return apply("slice", [x], {"bounds": tuple(bounds)})
-
-
 def concat(xs, axis):
     return apply("concat", list(xs), {"axis": axis})
 
 
 def embedding_gather(table, ids):
     return apply("embedding_gather", [table], {"ids": np.asarray(ids)})
-
-
-def softmax(x, axis=-1):
-    return apply("softmax", [x], {"axis": axis})
 
 
 def attention(q, k, v, heads, allowed=None):

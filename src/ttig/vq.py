@@ -73,18 +73,14 @@ def build_tokenizer(cfg: TokenizerConfig, seed: int) -> TokenizerWeights:
     ps = nn.ParamSet()
     nn.add_linear(ps, "enc.in", cfg.patch_dim, cfg.d_model, rng)
     ps.add("enc.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
-    for i in range(cfg.n_blocks):
-        nn.add_block(ps, f"enc.b{i}", cfg.d_model, cfg.d_mlp, rng)
-    nn.add_ln(ps, "enc.ln_out", cfg.d_model)
+    nn.add_stack(ps, "enc", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
     nn.add_linear(ps, "enc.proj", cfg.d_model, cfg.d_code, rng)
     cb = rng.standard_normal((cfg.codebook_size, cfg.d_code))
     cb /= np.linalg.norm(cb, axis=1, keepdims=True)
     ps.add("codebook", cb)
     nn.add_linear(ps, "dec.in", cfg.d_code, cfg.dec_d, rng)
     ps.add("dec.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.dec_d)))
-    for i in range(cfg.dec_n):
-        nn.add_block(ps, f"dec.b{i}", cfg.dec_d, cfg.d_mlp, rng)
-    nn.add_ln(ps, "dec.ln_out", cfg.dec_d)
+    nn.add_stack(ps, "dec", cfg.dec_n, cfg.dec_d, cfg.d_mlp, rng)
     nn.add_linear(ps, "dec.out", cfg.dec_d, cfg.patch_dim, rng)
     return TokenizerWeights(cfg=cfg, params=ps)
 
@@ -110,9 +106,7 @@ def _encode_tensor(w: TokenizerWeights, images: np.ndarray):
     p = w.params
     x = T.constant(patchify(images.astype(np.float32), cfg.patch))
     h = T.add(nn.linear(p, "enc.in", x), p["enc.pos"])
-    for i in range(cfg.n_blocks):
-        h = nn.block(p, f"enc.b{i}", h, cfg.heads)
-    h = nn.ln_affine(p, "enc.ln_out", h)
+    h = nn.stack(p, "enc", h, cfg.n_blocks, cfg.heads)
     return nn.linear(p, "enc.proj", h)  # (B, n_patches, d_code)
 
 
@@ -120,9 +114,7 @@ def _decode_tensor(w: TokenizerWeights, z_q):
     cfg = w.cfg
     p = w.params
     h = T.add(nn.linear(p, "dec.in", z_q), p["dec.pos"])
-    for i in range(cfg.dec_n):
-        h = nn.block(p, f"dec.b{i}", h, cfg.heads)
-    h = nn.ln_affine(p, "dec.ln_out", h)
+    h = nn.stack(p, "dec", h, cfg.dec_n, cfg.heads)
     return nn.linear(p, "dec.out", h)  # (B, n_patches, patch_dim), unclamped
 
 

@@ -194,7 +194,7 @@ _TYPED = {
 
 
 @pytest.mark.parametrize("kind", sorted(_TYPED))
-@pytest.mark.parametrize("damage", ["unknown_field", "no_section"])
+@pytest.mark.parametrize("damage", ["unknown_field", "no_section", "wrong_type"])
 def test_typed_load_rejects_bad_config_section(tmp_path, kind, damage):
     save, load, build = _TYPED[kind]
     path = tmp_path / "ck"
@@ -204,9 +204,15 @@ def test_typed_load_rejects_bad_config_section(tmp_path, kind, damage):
     section = next(k for k in manifest["config"] if k != "kind")
     if damage == "unknown_field":
         manifest["config"][section]["bogus"] = 1
+    elif damage == "wrong_type":
+        # an int field written as a JSON string, like sr.channels = "8"
+        field = next(iter(manifest["config"][section]))
+        manifest["config"][section][field] = str(manifest["config"][section][field])
     else:
         del manifest["config"][section]
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match=kind) as err:
         load(path)
     assert str(path) in str(err.value)
+    if damage == "wrong_type":
+        assert f"{section}.{field}" in str(err.value)

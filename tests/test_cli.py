@@ -73,6 +73,18 @@ def test_make_data_eval_split_differs(tmp_path, capsys):
     assert not tr & ev
 
 
+def test_make_data_with_no_scenes_is_a_data_error(tmp_path, capsys):
+    for n in ("0", "-3"):
+        assert cli.run(["make-data", "--config", _cfg(tmp_path, TINY_DATA),
+                        "--n", n, "--out", str(tmp_path / "d")]) == 2
+    empty = {"data": {**TINY_DATA["data"], "n_train": 0}}
+    assert cli.run(["make-data", "--config", _cfg(tmp_path, empty),
+                    "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("at least one scene" in line for line in err)
+    assert not (tmp_path / "d").exists()
+
+
 def test_unknown_config_section_rejected(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"dta": {}})
     assert cli.run(["make-data", "--config", cfg,
