@@ -10,7 +10,6 @@ Subpackage map:
     sampling     classifier-free-guided ancestral sampling and reranking
     contrastive  dual-encoder scorer, retrieval index
     metrics      frechet distance, scene alignment oracle
-    pipesim      deterministic pipeline/sharding cost simulator
     cli          subcommand front end
 """
 

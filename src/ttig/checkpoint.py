@@ -103,8 +103,27 @@ def load_checkpoint(path):
 # checkpoint kind -> the config section that holds its dataclass
 _SECTION = {"seq2seq": "model", "tokenizer": "tokenizer",
             "dual_encoder": "encoder", "sr": "sr"}
-# config field annotation -> the JSON value types it takes (a bool never)
-_VALUE_TYPES = {"int": (int,), "float": (int, float)}
+# config field annotation -> the exact JSON value types it takes: a bool is
+# never a number and a number is never a bool
+_VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def field_types(cls) -> dict:
+    """Field name -> annotation string of a config dataclass."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+def check_section(section: dict, types: dict, key: str, where: str):
+    """Raise DataError, naming where and key, unless every name in section
+    is in types and every value has the JSON type its annotation takes."""
+    unknown = set(section) - set(types)
+    if unknown:
+        raise DataError(f"{where} has unknown {key!r} config field(s) "
+                        f"{sorted(unknown)}")
+    for name, value in section.items():
+        if type(value) not in _VALUE_TYPES[types[name]]:
+            raise DataError(f"{where} has config field {key}.{name} = "
+                            f"{value!r}, which is not {types[name]}")
 
 
 def _save_typed(w, kind, path):
@@ -123,15 +142,8 @@ def _load_typed(path, kind, cfg_cls, build):
     section = config.get(key)
     if not isinstance(section, dict):
         raise DataError(f"{kind!r} checkpoint at {path} has no {key!r} config")
-    types = {f.name: f.type for f in fields(cfg_cls)}
-    unknown = set(section) - set(types)
-    if unknown:
-        raise DataError(f"{kind!r} checkpoint at {path} has unknown {key!r} "
-                        f"config field(s) {sorted(unknown)}")
-    for name, value in section.items():
-        if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[types[name]]):
-            raise DataError(f"{kind!r} checkpoint at {path} has config field "
-                            f"{key}.{name} = {value!r}, which is not {types[name]}")
+    check_section(section, field_types(cfg_cls), key,
+                  f"{kind!r} checkpoint at {path}")
     w = build(cfg_cls(**section), seed=0)
     w.params.load_state(state)
     return w

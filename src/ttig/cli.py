@@ -1,9 +1,10 @@
-"""Command-line orchestration: data, training, sampling, evaluation, sims.
+"""Command-line orchestration: data, training, sampling, evaluation.
 
-Every subcommand reads an optional JSON run config (strict schema, unknown
-keys rejected) plus flag overrides, and exits 0 on success, 1 on usage
-errors, 2 on data/format errors, 3 on numeric failures. Diagnostics are one
-line on stderr; structured results are JSON lines on stdout or in files.
+Every subcommand reads an optional JSON run config (strict schema: unknown
+keys and values of the wrong JSON type are rejected) plus flag overrides, and
+exits 0 on success, 1 on usage errors, 2 on data/format errors, 3 on numeric
+failures. Diagnostics are one line on stderr; structured results are JSON
+lines on stdout or in files.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (checkpoint, contrastive, metrics, optim, pipesim, pngio,
-               sampling, scenes, seq2seq, textproc, vq)
+from . import (checkpoint, contrastive, metrics, optim, pngio, sampling,
+               scenes, seq2seq, textproc, vq)
+from .checkpoint import check_section, field_types
 from .errors import DataError, NumericError, UsageError
 from .tensor import CatalogError, ShapeError
 
@@ -30,29 +32,28 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # run config
 
-def _names(cls):
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-_DATA_KEYS = {"n_train", "n_eval", "seed", "holdout_frac", "holdout_seed",
-              "image_size"}
-_SIM_KEYS = (_names(pipesim.PipelineSpec) | _names(pipesim.ShardSpec)
-             | {"prologue", "epilogue", "dp_ways"})
+# the keys no config dataclass declares, with their JSON value types
+_DATA_KEYS = {"n_train": "int", "n_eval": "int", "seed": "int",
+              "holdout_frac": "float", "holdout_seed": "int",
+              "image_size": "int"}
+_PRETRAIN_KEYS = {"pretrain_steps": "int", "pretrain_mask_rate": "float"}
 
 _SCHEMA = {
     "data": _DATA_KEYS,
-    "tokenizer": _names(vq.TokenizerConfig) | _names(vq.TokTrainConfig),
-    "model": _names(seq2seq.ModelConfig) | _names(seq2seq.TrainConfig)
-             | {"pretrain_steps", "pretrain_mask_rate"},
-    "optimizer": _names(optim.OptimizerConfig),
-    "sampler": _names(sampling.SamplerConfig),
-    "reranker": _names(contrastive.EncoderConfig) | _names(contrastive.CLTrainConfig),
-    "sim": _SIM_KEYS,
+    "tokenizer": field_types(vq.TokenizerConfig)
+                 | field_types(vq.TokTrainConfig),
+    "model": field_types(seq2seq.ModelConfig)
+             | field_types(seq2seq.TrainConfig) | _PRETRAIN_KEYS,
+    "optimizer": field_types(optim.OptimizerConfig),
+    "sampler": field_types(sampling.SamplerConfig),
+    "reranker": field_types(contrastive.EncoderConfig)
+                | field_types(contrastive.CLTrainConfig),
 }
 
 
 def load_config(path) -> dict:
-    """Parse and validate a RunConfig JSON file; unknown keys are rejected."""
+    """Parse and validate a RunConfig JSON file: unknown sections and keys,
+    and values of the wrong JSON type, are rejected."""
     if path is None:
         return {}
     try:
@@ -69,16 +70,13 @@ def load_config(path) -> dict:
                             f"(expected one of {sorted(_SCHEMA)})")
         if not isinstance(content, dict):
             raise DataError(f"config section {section!r} must be an object")
-        unknown = set(content) - _SCHEMA[section]
-        if unknown:
-            raise DataError(f"unknown key(s) {sorted(unknown)} in config "
-                            f"section {section!r}")
+        check_section(content, _SCHEMA[section], section, f"config {path}")
     return doc
 
 
 def _pick(section: dict, cls, **overrides):
     """Instantiate cls from the matching keys of a config section."""
-    kwargs = {k: v for k, v in section.items() if k in _names(cls)}
+    kwargs = {k: v for k, v in section.items() if k in field_types(cls)}
     for k, v in overrides.items():
         if v is not None:
             kwargs[k] = v
@@ -389,56 +387,6 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def cmd_simulate_pipeline(args) -> int:
-    cfg = load_config(args.config).get("sim", {})
-    spec = _pick(cfg, pipesim.PipelineSpec, stages=args.stages,
-                 microbatches=args.microbatches, rounds=args.rounds,
-                 t_f=args.t_f, t_b=args.t_b, latency=args.latency)
-    prologue = cfg.get("prologue", 0.0)
-    epilogue = cfg.get("epilogue", 0.0)
-    dp_ways = cfg.get("dp_ways", 1)
-    if args.sweep:
-        field, _, rng = args.sweep.partition("=")
-        lo, _, hi = rng.partition(":")
-        try:
-            values = range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise UsageError(f"bad --sweep {args.sweep!r}; expected name=lo:hi")
-        if field not in ("microbatches", "rounds", "stages"):
-            raise UsageError(f"--sweep field must be microbatches, rounds or stages")
-        specs = [dataclasses.replace(spec, **{field: v}) for v in values]
-        rows = pipesim.sweep_rows(specs, prologue, epilogue, dp_ways)
-        if not args.csv:
-            raise UsageError("--sweep requires --csv OUT")
-        pipesim.write_sweep_csv(rows, args.csv)
-        print(json.dumps({"sweep": field, "rows": len(rows), "csv": args.csv}))
-        return 0
-    trace = pipesim.simulate_pipeline(spec)
-    if args.trace:
-        pipesim.write_trace(trace, args.trace)
-    print(json.dumps({"stages": spec.stages, "microbatches": spec.microbatches,
-                      "rounds": spec.rounds, "makespan": trace.makespan,
-                      "bubble_ratio": pipesim.bubble_ratio(trace),
-                      "total_time": prologue + trace.makespan + epilogue,
-                      "dp_ways": dp_ways}))
-    return 0
-
-
-def cmd_shard_cost(args) -> int:
-    cfg = load_config(args.config).get("sim", {})
-    spec = _pick(cfg, pipesim.ShardSpec, n_way=args.n_way, batch=args.batch,
-                 seq=args.seq, d_model=args.d_model, d_mlp=args.d_mlp,
-                 element_size=args.element_size, strategy=args.strategy)
-    # a strategy set by flag or config is the only one costed
-    chosen = args.strategy or "strategy" in cfg
-    strategies = [spec.strategy] if chosen else pipesim.STRATEGIES
-    costs = {s: pipesim.shard_cost(dataclasses.replace(spec, strategy=s))
-             for s in strategies}
-    base = {k: v for k, v in dataclasses.asdict(spec).items() if k != "strategy"}
-    print(json.dumps({"spec": base, "costs": costs}))
-    return 0
-
-
 def cmd_inspect_checkpoint(args) -> int:
     state, config = checkpoint.load_checkpoint(args.dir)
     total = sum(a.size for a in state.values())
@@ -519,26 +467,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--index-out", default=None, help="save the built index")
     sp.add_argument("--exclude-query", action="store_true",
                     help="out-of-dataset mode: index built without the query caption")
-
-    sp = add("simulate-pipeline", cmd_simulate_pipeline, help="pipeline schedule sim")
-    sp.add_argument("--stages", type=int, default=None)
-    sp.add_argument("--microbatches", type=int, default=None)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--t-f", dest="t_f", type=float, default=None)
-    sp.add_argument("--t-b", dest="t_b", type=float, default=None)
-    sp.add_argument("--latency", type=float, default=None)
-    sp.add_argument("--trace", default=None, help="write the full trace JSON here")
-    sp.add_argument("--sweep", default=None, help="e.g. microbatches=1:16")
-    sp.add_argument("--csv", default=None, help="sweep summary CSV path")
-
-    sp = add("shard-cost", cmd_shard_cost, help="in-layer sharding cost model")
-    sp.add_argument("--n-way", type=int, default=None)
-    sp.add_argument("--batch", type=int, default=None)
-    sp.add_argument("--seq", type=int, default=None)
-    sp.add_argument("--d-model", type=int, default=None)
-    sp.add_argument("--d-mlp", type=int, default=None)
-    sp.add_argument("--element-size", type=int, default=None)
-    sp.add_argument("--strategy", choices=pipesim.STRATEGIES, default=None)
 
     sp = add("inspect-checkpoint", cmd_inspect_checkpoint, help="print checkpoint summary")
     sp.add_argument("--dir", required=True)

@@ -337,10 +337,6 @@ def upsample(w: SRWeights, images: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def nn_upsample_baseline(images: np.ndarray) -> np.ndarray:
-    return images.repeat(2, axis=-3).repeat(2, axis=-2)
-
-
 def train_sr(lo: np.ndarray, hi: np.ndarray, cfg: SRConfig, steps: int = 400,
              lr: float = 3e-3, batch: int = 8, seed: int = 0):
     """Fit the SR head on (low-res, high-res) render pairs. Returns

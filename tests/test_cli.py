@@ -1,12 +1,17 @@
-"""Command-line surface: fast subcommands, config validation, exit codes."""
+"""Command-line surface: fast subcommands, config validation, exit codes, and
+the README and format docs that show them."""
 
-import csv
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ttig import checkpoint, cli, pngio
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _cfg(tmp_path, body):
@@ -89,12 +94,32 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"dta": {}})
     assert cli.run(["make-data", "--config", cfg,
                     "--out", str(tmp_path / "d")]) == 2
+    cfg = _cfg(tmp_path, {"sim": {}})
+    assert cli.run(["make-data", "--config", cfg,
+                    "--out", str(tmp_path / "d")]) == 2
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"data": {"n_trian": 8}})
     assert cli.run(["make-data", "--config", cfg,
                     "--out", str(tmp_path / "d")]) == 2
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "n_train", "8"),
+    ("model", "steps", 1.5),
+    ("optimizer", "base_lr", True),
+    ("tokenizer", "data_init", 1),
+    ("model", "pretrain_mask_rate", "x"),
+])
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, section, key,
+                                             value):
+    cfg = _cfg(tmp_path, {section: {key: value}})
+    assert cli.run(["make-data", "--config", cfg,
+                    "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{section}.{key}" in err[0]
+    assert not (tmp_path / "d").exists()
 
 
 def test_malformed_config_json_rejected(tmp_path, capsys):
@@ -107,72 +132,6 @@ def test_malformed_config_json_rejected(tmp_path, capsys):
 def test_missing_config_file_rejected(tmp_path, capsys):
     assert cli.run(["make-data", "--config", str(tmp_path / "none.json"),
                     "--out", str(tmp_path / "d")]) == 2
-
-
-def test_simulate_pipeline_closed_form(capsys):
-    assert cli.run(["simulate-pipeline", "--stages", "4",
-                    "--microbatches", "8"]) == 0
-    rec = _last_json(capsys)
-    assert rec["stages"] == 4 and rec["microbatches"] == 8
-    assert rec["bubble_ratio"] == pytest.approx(3.0 / 11.0)
-    assert rec["makespan"] == 22.0
-
-
-def test_simulate_pipeline_bad_spec_is_a_data_error(capsys):
-    assert cli.run(["simulate-pipeline", "--stages", "0",
-                    "--microbatches", "4"]) == 2
-
-
-def test_simulate_pipeline_trace_file(tmp_path, capsys):
-    trace = tmp_path / "trace.json"
-    assert cli.run(["simulate-pipeline", "--stages", "2", "--microbatches", "3",
-                    "--trace", str(trace)]) == 0
-    blob = json.loads(trace.read_text())
-    assert set(blob) == {"spec", "devices", "makespan"}
-    assert len(blob["devices"]) == 2
-
-
-def test_simulate_pipeline_sweep_csv(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    assert cli.run(["simulate-pipeline", "--stages", "2",
-                    "--sweep", "microbatches=1:4", "--csv", str(out)]) == 0
-    with open(out) as f:
-        rows = list(csv.DictReader(f))
-    assert [int(r["microbatches"]) for r in rows] == [1, 2, 3, 4]
-    assert float(rows[-1]["bubble_ratio"]) < float(rows[0]["bubble_ratio"])
-
-
-def test_sweep_without_csv_is_a_usage_error(capsys):
-    assert cli.run(["simulate-pipeline", "--sweep", "microbatches=1:4"]) == 1
-
-
-def test_bad_sweep_spec_is_a_usage_error(tmp_path, capsys):
-    assert cli.run(["simulate-pipeline", "--sweep", "microbatches=alpha:4",
-                    "--csv", str(tmp_path / "s.csv")]) == 1
-
-
-def test_shard_cost_reports_both_strategies(capsys):
-    assert cli.run(["shard-cost", "--n-way", "4", "--batch", "2", "--seq", "8",
-                    "--d-model", "16", "--d-mlp", "64"]) == 0
-    rec = _last_json(capsys)
-    costs = rec["costs"]
-    assert set(costs) == {"allreduce", "reducescatter_allgather"}
-    ar, sc = costs["allreduce"], costs["reducescatter_allgather"]
-    assert ar["comm_bytes_per_layer"] == sc["comm_bytes_per_layer"]
-    assert sc["peak_activation_elems"] * 4 == ar["peak_activation_elems"]
-
-
-def test_shard_cost_single_strategy(capsys):
-    assert cli.run(["shard-cost", "--n-way", "2", "--batch", "1", "--seq", "4",
-                    "--d-model", "8", "--d-mlp", "32",
-                    "--strategy", "allreduce"]) == 0
-    rec = _last_json(capsys)
-    assert set(rec["costs"]) == {"allreduce"}
-
-
-def test_shard_cost_invalid_split_is_a_data_error(capsys):
-    assert cli.run(["shard-cost", "--n-way", "3", "--batch", "2", "--seq", "8",
-                    "--d-model", "16", "--d-mlp", "64"]) == 2
 
 
 def test_inspect_checkpoint(tmp_path, capsys):
@@ -287,12 +246,21 @@ def test_retrieve_with_truncated_index_is_a_data_error(tmp_path, capsys):
                     "--index", str(tmp_path / "idx")]) == 2
 
 
-def test_shard_cost_honours_config_strategy_and_flag_wins(tmp_path, capsys):
-    cfg = _cfg(tmp_path, {"sim": {"strategy": "reducescatter_allgather"}})
-    dims = ["--n-way", "2", "--batch", "1", "--seq", "4", "--d-model", "8",
-            "--d-mlp", "32"]
-    assert cli.run(["shard-cost", "--config", cfg, *dims]) == 0
-    assert set(_last_json(capsys)["costs"]) == {"reducescatter_allgather"}
-    assert cli.run(["shard-cost", "--config", cfg, *dims,
-                    "--strategy", "allreduce"]) == 0
-    assert set(_last_json(capsys)["costs"]) == {"allreduce"}
+def _code_blocks(markdown):
+    return re.findall(r"^```[^\n]*\n(.*?)^```", markdown, re.M | re.S)
+
+
+def test_readme_usage_shows_every_subcommand_and_no_other():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    shown = {word for block in _code_blocks((ROOT / "README.md").read_text())
+             for word in re.findall(r"\bttig ([a-z][a-z-]*)", block)}
+    assert shown == set(sub.choices)
+
+
+def test_formats_doc_example_config_loads(tmp_path):
+    doc = (ROOT / "docs" / "formats.md").read_text()
+    example = _code_blocks(doc[doc.index("## Run configuration"):])[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    assert set(cli.load_config(path)) == set(cli._SCHEMA)

@@ -1,6 +1,7 @@
 """Every subcommand on a toy config, run twice: the same config and seeds must
 give byte-identical files and stdout (the determinism contract, end to end)."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -23,9 +24,6 @@ TOY = {
     "reranker": {"patch": 4, "d_model": 16, "n_blocks": 1, "heads": 2,
                  "d_mlp": 32, "d_e": 8, "text_vocab": 300, "text_len": 12,
                  "batch": 4, "warmup": 1},
-    "sim": {"stages": 4, "rounds": 2, "latency": 0.5, "n_way": 2, "batch": 2,
-            "seq": 8, "d_model": 16, "d_mlp": 64, "prologue": 1.0,
-            "epilogue": 2.0, "dp_ways": 2},
 }
 
 PROMPTS = ("Prompt\tCategory\tChallenge\n"
@@ -59,12 +57,6 @@ CHAIN = [
     ["retrieve", "--reranker", "rr", "--caption", CAPTION, "--index", "idx"],
     ["retrieve", *CFG, "--reranker", "rr", "--caption", CAPTION,
      "--exclude-query"],
-    ["simulate-pipeline", *CFG, "--microbatches", "3", "--trace", "trace.json"],
-    ["simulate-pipeline", *CFG, "--sweep", "microbatches=1:4",
-     "--csv", "sweep.csv"],
-    ["simulate-pipeline", "--rounds", "2"],
-    ["shard-cost", *CFG, "--n-way", "4"],
-    ["shard-cost", "--strategy", "allreduce"],
     ["inspect-checkpoint", "--dir", "model"],
     ["inspect-checkpoint", "--dir", "tok", "--full"],
 ]
@@ -104,5 +96,11 @@ def test_every_subcommand_twice_gives_identical_bytes(tmp_path, monkeypatch):
         assert files_a[rel] == files_b[rel], rel
     produced = {rel.split("/")[0] for rel in files_a}
     assert {"data", "tok", "model", "rr", "sr", "one", "many", "idx",
-            "align.jsonl", "fid.jsonl", "trace.json", "sweep.csv"} <= produced
+            "align.jsonl", "fid.jsonl"} <= produced
     assert len(lines_a) >= len(CHAIN)
+
+
+def test_chain_runs_every_subcommand_and_no_other():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in CHAIN} == set(sub.choices)

@@ -40,7 +40,7 @@ def _ttig_references(tree):
 
 
 def test_demos_exist():
-    assert {p.name for p in DEMOS} >= {"guidance_sweep.py", "parallelism_study.py"}
+    assert "guidance_sweep.py" in {p.name for p in DEMOS}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

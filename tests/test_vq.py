@@ -160,13 +160,6 @@ def test_codebook_stats_uniform_hits_K():
     assert abs(st["perplexity"] - 16.0) < 1e-9
 
 
-def test_nn_upsample_baseline_repeats():
-    img = np.arange(12, dtype=np.float32).reshape(1, 2, 2, 3)
-    up = vq.nn_upsample_baseline(img)
-    assert up.shape == (1, 4, 4, 3)
-    np.testing.assert_array_equal(up[0, :2, :2, 0], np.full((2, 2), img[0, 0, 0, 0]))
-
-
 def test_sr_upsample_shape_and_training_improves_over_start():
     lo = scenes.gen_dataset(24, 0, size=16).images
     hi = scenes.gen_dataset(24, 0, size=32).images
