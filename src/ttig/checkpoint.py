@@ -131,13 +131,19 @@ def _save_typed(w, kind, path):
                     {"kind": kind, _SECTION[kind]: asdict(w.cfg)}, path)
 
 
-def _load_typed(path, kind, cfg_cls, build):
-    """Validate kind and config section (field names and value types), then
-    build(cfg, seed) and load."""
+def _load_kind(path, kind):
+    """load_checkpoint, then reject any other kind -> (state, config)."""
     state, config = load_checkpoint(path)
     if config.get("kind") != kind:
         raise DataError(f"expected a {kind!r} checkpoint, found "
                         f"{config.get('kind')!r} at {path}")
+    return state, config
+
+
+def _load_typed(path, kind, cfg_cls, build):
+    """Validate kind and config section (field names and value types), then
+    build(cfg, seed) and load."""
+    state, config = _load_kind(path, kind)
     key = _SECTION[kind]
     section = config.get(key)
     if not isinstance(section, dict):
@@ -180,3 +186,25 @@ def save_sr(w, path):
 
 def load_sr(path):
     return _load_typed(path, "sr", vq.SRConfig, vq.build_sr)
+
+
+def save_index(index, path):
+    """A contrastive.RetrievalIndex as a 'retrieval_index' checkpoint: one
+    embeddings parameter, with the ids in the config."""
+    save_checkpoint({"embeddings": index.embeddings},
+                    {"kind": "retrieval_index",
+                     "ids": [int(i) for i in index.ids]}, path)
+
+
+def load_index(path) -> contrastive.RetrievalIndex:
+    state, config = _load_kind(path, "retrieval_index")
+    emb, ids = state.get("embeddings"), config.get("ids")
+    if list(state) != ["embeddings"] or emb.ndim != 2:
+        raise DataError(f"retrieval index at {path} must hold exactly one 2-D "
+                        f"'embeddings' parameter")
+    if (not isinstance(ids, list) or len(ids) != len(emb)
+            or any(type(i) is not int for i in ids)):
+        raise DataError(f"retrieval index at {path} must have one integer id "
+                        f"per embeddings row ({len(emb)})")
+    return contrastive.RetrievalIndex(embeddings=emb,
+                                      ids=np.asarray(ids, dtype=np.int64))

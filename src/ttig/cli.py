@@ -32,18 +32,23 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # run config
 
-# the keys no config dataclass declares, with their JSON value types
-_DATA_KEYS = {"n_train": "int", "n_eval": "int", "seed": "int",
-              "holdout_frac": "float", "holdout_seed": "int",
-              "image_size": "int"}
-_PRETRAIN_KEYS = {"pretrain_steps": "int", "pretrain_mask_rate": "float"}
+@dataclasses.dataclass(frozen=True)
+class DataConfig:
+    """The seeded scene data every command draws its splits from."""
+    n_train: int = 2048
+    n_eval: int = 256
+    seed: int = 0
+    holdout_frac: float = 0.15
+    holdout_seed: int = 0
+    image_size: int = 32
+
 
 _SCHEMA = {
-    "data": _DATA_KEYS,
+    "data": field_types(DataConfig),
     "tokenizer": field_types(vq.TokenizerConfig)
                  | field_types(vq.TokTrainConfig),
     "model": field_types(seq2seq.ModelConfig)
-             | field_types(seq2seq.TrainConfig) | _PRETRAIN_KEYS,
+             | field_types(seq2seq.TrainConfig),
     "optimizer": field_types(optim.OptimizerConfig),
     "sampler": field_types(sampling.SamplerConfig),
     "reranker": field_types(contrastive.EncoderConfig)
@@ -83,28 +88,21 @@ def _pick(section: dict, cls, **overrides):
     return cls(**kwargs)
 
 
-def _data_params(cfg: dict) -> dict:
-    d = {"n_train": 2048, "n_eval": 256, "seed": 0, "holdout_frac": 0.15,
-         "holdout_seed": 0, "image_size": 32}
-    d.update(cfg.get("data", {}))
-    return d
+def _split_seed(d: DataConfig, split: str) -> int:
+    return d.seed + (1 if split == "eval" else 0)
 
 
-def _split_seed(d: dict, split: str) -> int:
-    return d["seed"] + (1 if split == "eval" else 0)
-
-
-def _dataset(d: dict, split="train", n=None, size=None, also_exclude=()):
+def _dataset(d: DataConfig, split="train", n=None, size=None, also_exclude=()):
     """One split of the seeded scene data. train and eval draw from disjoint
     parts of the caption space; all draws from the whole space."""
-    train_caps, held_caps = scenes.split_captions(d["holdout_seed"],
-                                                  d["holdout_frac"])
+    train_caps, held_caps = scenes.split_captions(d.holdout_seed,
+                                                  d.holdout_frac)
     exclude = {"train": held_caps, "eval": train_caps, "all": ()}[split]
     if n is None:
-        n = d["n_eval"] if split == "eval" else d["n_train"]
+        n = d.n_eval if split == "eval" else d.n_train
     return scenes.gen_dataset(n, _split_seed(d, split),
                               exclude_captions=set(exclude) | set(also_exclude),
-                              size=size or d["image_size"])
+                              size=size or d.image_size)
 
 
 def _emit(record: dict, out=None):
@@ -146,9 +144,8 @@ def _read_image_dir(path) -> np.ndarray:
 # subcommands
 
 def cmd_make_data(args) -> int:
-    d = _data_params(load_config(args.config))
-    if args.seed is not None:
-        d["seed"] = args.seed
+    d = _pick(load_config(args.config).get("data", {}), DataConfig,
+              seed=args.seed)
     ds = _dataset(d, args.split, n=args.n)
     n, seed = len(ds), _split_seed(d, args.split)
     out = Path(args.out)
@@ -157,9 +154,9 @@ def cmd_make_data(args) -> int:
         pngio.write_png(out / "images" / f"img_{i:05d}.png", img)
     (out / "captions.txt").write_text("\n".join(ds.captions) + "\n")
     manifest = {"kind": "dataset", "format_version": 1, "n": n, "seed": seed,
-                "split": args.split, "image_size": d["image_size"],
-                "holdout_frac": d["holdout_frac"],
-                "holdout_seed": d["holdout_seed"]}
+                "split": args.split, "image_size": d.image_size,
+                "holdout_frac": d.holdout_frac,
+                "holdout_seed": d.holdout_seed}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     _emit(metrics.metric_record("dataset_size", n, n, 0, "none", seed))
     return 0
@@ -167,9 +164,9 @@ def cmd_make_data(args) -> int:
 
 def cmd_train_tokenizer(args) -> int:
     cfg = load_config(args.config)
-    d = _data_params(cfg)
+    d = _pick(cfg.get("data", {}), DataConfig)
     sec = cfg.get("tokenizer", {})
-    tok_cfg = _pick(sec, vq.TokenizerConfig, image_size=d["image_size"])
+    tok_cfg = _pick(sec, vq.TokenizerConfig, image_size=d.image_size)
     tcfg = _pick(sec, vq.TokTrainConfig, steps=args.steps, seed=args.seed)
     ds = _dataset(d)
     w, history = vq.train_tokenizer(ds.images, tok_cfg, tcfg)
@@ -193,12 +190,10 @@ def _encode_captions(vocab, captions, text_len):
 
 def cmd_train_model(args) -> int:
     cfg = load_config(args.config)
-    d = _data_params(cfg)
+    d = _pick(cfg.get("data", {}), DataConfig)
     sec = cfg.get("model", {})
     mcfg = _pick(sec, seq2seq.ModelConfig)
     tcfg = _pick(sec, seq2seq.TrainConfig, steps=args.steps, seed=args.seed)
-    opt_cfg = (_pick(cfg["optimizer"], optim.OptimizerConfig)
-               if "optimizer" in cfg else None)
     tok = checkpoint.load_tokenizer(args.tokenizer)
     if tok.cfg.codebook_size != mcfg.image_vocab:
         raise DataError(f"tokenizer codebook size {tok.cfg.codebook_size} != "
@@ -208,12 +203,8 @@ def cmd_train_model(args) -> int:
     text_ids = _encode_captions(vocab, ds.captions, mcfg.text_len)
     image_ids = vq.tokenize(tok, ds.images).reshape(len(ds), -1)
     w = seq2seq.build_model(mcfg, seed=tcfg.seed)
-    pre_steps = int(sec.get("pretrain_steps", 0))
-    if pre_steps:
-        w, _ = seq2seq.pretrain_text_encoder(
-            w, text_ids, mask_rate=float(sec.get("pretrain_mask_rate", 0.15)),
-            steps=pre_steps, seed=tcfg.seed)
-    w, history = seq2seq.train_model(w, text_ids, image_ids, tcfg, opt_cfg)
+    w, history = seq2seq.train_model(w, text_ids, image_ids, tcfg,
+                                     cfg.get("optimizer"))
     checkpoint.save_model(w, args.out)
     textproc.save_vocab(vocab, Path(args.out) / "vocab.json")
     _finish_run(args.out, history,
@@ -224,9 +215,9 @@ def cmd_train_model(args) -> int:
 
 def cmd_train_reranker(args) -> int:
     cfg = load_config(args.config)
-    d = _data_params(cfg)
+    d = _pick(cfg.get("data", {}), DataConfig)
     sec = cfg.get("reranker", {})
-    ecfg = _pick(sec, contrastive.EncoderConfig, image_size=d["image_size"])
+    ecfg = _pick(sec, contrastive.EncoderConfig, image_size=d.image_size)
     tcfg = _pick(sec, contrastive.CLTrainConfig, steps=args.steps,
                  seed=args.seed)
     ds = _dataset(d)
@@ -243,9 +234,9 @@ def cmd_train_reranker(args) -> int:
 
 
 def cmd_train_sr(args) -> int:
-    d = _data_params(load_config(args.config))
+    d = _pick(load_config(args.config).get("data", {}), DataConfig)
     lo = _dataset(d)
-    hi = _dataset(d, size=2 * d["image_size"])
+    hi = _dataset(d, size=2 * d.image_size)
     srcfg = vq.SRConfig()
     steps = args.steps if args.steps is not None else 400
     seed = args.seed if args.seed is not None else 0
@@ -366,14 +357,14 @@ def cmd_retrieve(args) -> int:
     cap_ids = textproc.encode_clipped(vocab, args.caption, enc.cfg.text_len)
     captions = None
     if args.index:
-        index = contrastive.load_index(args.index)
+        index = checkpoint.load_index(args.index)
     else:
-        d = _data_params(load_config(args.config))
+        d = _pick(load_config(args.config).get("data", {}), DataConfig)
         ds = _dataset(d, also_exclude=[args.caption] if args.exclude_query else ())
         captions = ds.captions
         index = contrastive.build_index(enc, ds.images)
         if args.index_out:
-            contrastive.save_index(index, args.index_out)
+            checkpoint.save_index(index, args.index_out)
     ids, sims = contrastive.retrieve_nearest(enc, index, cap_ids, args.k)
     results = []
     for i, s in zip(ids.tolist(), sims.tolist()):

@@ -12,9 +12,7 @@ descending, ties broken toward the lower identifier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -198,8 +196,8 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
     enc = build_encoder(cfg, seed=tcfg.seed)
     text = _pad_rows(cfg, captions_ids)
     ocfg = optim.OptimizerConfig(base_lr=tcfg.lr, warmup=tcfg.warmup,
-                                 decay_start=tcfg.steps // 2, total_steps=tcfg.steps,
-                                 final_ratio=0.1)
+                                 decay_frac=0.5, final_ratio=0.1,
+                                 weight_decay=0.0)
     rng = np.random.default_rng(tcfg.seed + 1)
     tau = enc.params["tau"]
 
@@ -250,48 +248,3 @@ def retrieve_nearest(enc: DualEncoder, index: RetrievalIndex, text_ids, k: int):
     top = order[:k]
     return index.ids[top], sims[top]
 
-
-def save_index(index: RetrievalIndex, path):
-    """Manifest JSON next to raw little-endian float32 rows."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    emb = np.ascontiguousarray(index.embeddings, dtype="<f4")
-    (path / "embeddings.bin").write_bytes(emb.tobytes())
-    manifest = {
-        "format_version": 1,
-        "n": int(len(index)),
-        "d_e": int(index.embeddings.shape[1]),
-        "dtype": "<f4",
-        "ids": [int(i) for i in index.ids],
-    }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-
-def load_index(path) -> RetrievalIndex:
-    path = Path(path)
-    try:
-        manifest = json.loads((path / "manifest.json").read_text())
-    except FileNotFoundError:
-        raise DataError(f"{path} is not a saved index directory") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"index manifest at {path} is not valid JSON: {e}") from None
-    if manifest.get("format_version") != 1:
-        raise DataError(f"unsupported index format: {manifest.get('format_version')}")
-    missing = [k for k in ("n", "d_e", "ids") if k not in manifest]
-    if missing:
-        raise DataError(f"index manifest at {path} is missing {missing}")
-    if manifest.get("dtype") != "<f4":
-        raise DataError(f"index at {path} has dtype {manifest.get('dtype')!r}, "
-                        f"expected '<f4'")
-    n, d = manifest["n"], manifest["d_e"]
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 0 and d >= 0):
-        raise DataError(f"index manifest at {path} has bad n={n!r} or d_e={d!r}")
-    raw = (path / "embeddings.bin").read_bytes()
-    if len(raw) != 4 * n * d:
-        raise DataError(f"{path / 'embeddings.bin'} holds {len(raw)} bytes, "
-                        f"expected 4 * n * d_e = {4 * n * d}")
-    emb = np.frombuffer(raw, dtype="<f4").reshape(n, d)
-    if len(manifest["ids"]) != n:
-        raise DataError("index manifest ids length mismatch")
-    return RetrievalIndex(embeddings=emb.astype(np.float32),
-                          ids=np.asarray(manifest["ids"], dtype=np.int64))

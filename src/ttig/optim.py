@@ -23,8 +23,7 @@ from .errors import NumericError
 class OptimizerConfig:
     base_lr: float = 1e-2
     warmup: int = 500
-    decay_start: int = 4000
-    total_steps: int = 20000
+    decay_frac: float = 0.2
     final_ratio: float = 0.025
     beta1: float = 0.9
     beta2: float = 0.96
@@ -33,15 +32,17 @@ class OptimizerConfig:
     eps: float = 1e-30
 
 
-def lr_at(step: int, cfg: OptimizerConfig) -> float:
-    """Piecewise schedule: linear 0 -> base over warmup, constant until
-    decay_start, then exponential decay hitting base*final_ratio at
-    total_steps (held there after)."""
+def lr_at(step: int, steps: int, cfg: OptimizerConfig) -> float:
+    """Piecewise schedule over a run of `steps` steps: linear 0 -> base over
+    warmup, constant until decay starts at int(steps * decay_frac), then
+    exponential decay hitting base*final_ratio at `steps` (held there
+    after)."""
     if step < cfg.warmup:
         return cfg.base_lr * step / cfg.warmup
-    if step <= cfg.decay_start or cfg.total_steps <= cfg.decay_start:
+    start = int(steps * cfg.decay_frac)
+    if step <= start or steps <= start:
         return cfg.base_lr
-    frac = (step - cfg.decay_start) / (cfg.total_steps - cfg.decay_start)
+    frac = (step - start) / (steps - start)
     return cfg.base_lr * cfg.final_ratio ** min(frac, 1.0)
 
 
@@ -79,10 +80,11 @@ def _full_vhat(name, g2, state, beta2):
     return v
 
 
-def adafactor_step(params, grads: dict, state: OptimizerState, cfg: OptimizerConfig):
-    """One optimizer step over params (a ParamSet). grads maps a subset of
-    parameter names to arrays; absent names are untouched. Updates in place
-    and returns (params, state)."""
+def adafactor_step(params, grads: dict, state: OptimizerState,
+                   cfg: OptimizerConfig, lr: float):
+    """One optimizer step of learning rate lr over params (a ParamSet).
+    grads maps a subset of parameter names to arrays; absent names are
+    untouched. Updates in place and returns (params, state)."""
     sq_sum = 0.0
     for name, g in grads.items():
         flat = g.reshape(-1)
@@ -92,7 +94,6 @@ def adafactor_step(params, grads: dict, state: OptimizerState, cfg: OptimizerCon
         raise NumericError(f"non-finite gradient for {bad or 'unknown parameters'}")
     gnorm = np.sqrt(sq_sum)
     clip = 1.0 if gnorm <= cfg.clip_norm or gnorm == 0.0 else cfg.clip_norm / gnorm
-    lr = lr_at(state.step, cfg)
 
     for name, t in params.items():
         g = grads.get(name)
@@ -127,8 +128,8 @@ def adafactor_step(params, grads: dict, state: OptimizerState, cfg: OptimizerCon
 
 def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
                after_step=None) -> list:
-    """Train params (a ParamSet) for `steps` steps; returns the per-step
-    losses.
+    """Train params (a ParamSet) for `steps` steps, the length of cfg's
+    schedule; returns the per-step losses.
 
     loss_at(step) builds the scalar loss on the active tape, or returns None
     to skip the step: the history records 0.0 and no optimizer step runs.
@@ -153,7 +154,8 @@ def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
             lval = float(loss.data)
             if not np.isfinite(lval):
                 raise NumericError(f"{what} diverged at step {step}: loss {lval}")
-            adafactor_step(params, nn.grads_of(loss, params), state, cfg)
+            adafactor_step(params, nn.grads_of(loss, params), state, cfg,
+                           lr_at(state.step, steps, cfg))
             history.append(lval)
             if after_step is not None:
                 after_step(step, lval)

@@ -196,23 +196,28 @@ class TrainConfig:
     batch: int = 16
     seed: int = 0
     log_every: int = 200
+    pretrain_steps: int = 0      # masked-text encoder steps run first
+    pretrain_mask_rate: float = 0.15
 
 
 def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarray,
-                tcfg: TrainConfig, opt_cfg: optim.OptimizerConfig | None = None,
-                hooks=None):
-    """Train on aligned (N, text_len) / (N, image_len) id arrays.
+                tcfg: TrainConfig, opt_overrides: dict | None = None, hooks=None):
+    """Train on aligned (N, text_len) / (N, image_len) id arrays, after
+    tcfg.pretrain_steps of pretrain_text_encoder on text_ids.
 
-    Returns (weights, history of per-step losses). hooks, if given, is a list
-    of callables (step, loss, weights) -> None run every log_every steps.
+    opt_overrides, if given, maps OptimizerConfig fields to values that
+    replace those of this trainer's own schedule. Returns (weights, history
+    of per-step losses). hooks, if given, is a list of callables
+    (step, loss, weights) -> None run every log_every steps.
     """
     if len(text_ids) != len(image_ids) or len(text_ids) == 0:
         raise DataError("train_model: need matching nonempty id arrays")
-    if opt_cfg is None:
-        opt_cfg = optim.OptimizerConfig(
-            base_lr=6e-3, warmup=max(1, tcfg.steps // 40),
-            decay_start=int(tcfg.steps * 0.5), total_steps=tcfg.steps,
-            final_ratio=0.05, weight_decay=1e-4)
+    if tcfg.pretrain_steps > 0:
+        w, _ = pretrain_text_encoder(w, text_ids, mask_rate=tcfg.pretrain_mask_rate,
+                                     steps=tcfg.pretrain_steps, seed=tcfg.seed)
+    opt_cfg = replace(optim.OptimizerConfig(
+        base_lr=6e-3, warmup=max(1, tcfg.steps // 40), decay_frac=0.5,
+        final_ratio=0.05, weight_decay=1e-4), **(opt_overrides or {}))
     rng = np.random.default_rng(tcfg.seed)
 
     def loss_at(step):
@@ -238,8 +243,7 @@ def smoothed(history, window: int = 100) -> float:
 
 def pretrain_text_encoder(w: TransformerWeights, corpus_ids: np.ndarray,
                           mask_rate: float = 0.15, steps: int = 1000,
-                          batch: int = 32, seed: int = 0,
-                          opt_cfg: optim.OptimizerConfig | None = None):
+                          batch: int = 32, seed: int = 0):
     """Masked-token pretraining of the encoder alone.
 
     Content tokens (ids >= first byte id) are masked to UNK at mask_rate and
@@ -257,10 +261,9 @@ def pretrain_text_encoder(w: TransformerWeights, corpus_ids: np.ndarray,
     trainable = nn.ParamSet()
     trainable.params.update(enc_params.params)
     trainable.params.update(head.params)
-    if opt_cfg is None:
-        opt_cfg = optim.OptimizerConfig(
-            base_lr=3e-3, warmup=max(1, steps // 20), decay_start=int(steps * 0.6),
-            total_steps=steps, final_ratio=0.1, weight_decay=0.0)
+    opt_cfg = optim.OptimizerConfig(base_lr=3e-3, warmup=max(1, steps // 20),
+                                    decay_frac=0.6, final_ratio=0.1,
+                                    weight_decay=0.0)
 
     def loss_at(step):
         rows = rng.integers(0, len(corpus_ids), batch)

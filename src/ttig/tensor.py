@@ -111,8 +111,6 @@ class Tape:
         # (op, out_id, in_ids, in_datas, out_data, attrs, needs): in_datas and
         # out_data hold an array where the op's backward reads it, else a _Spec
         self.records = []
-        self.leaf_ids = set()
-        self._out_ids = set()
         self._next_id = 0
         self.released = False
         self._replaces = replaces
@@ -658,37 +656,34 @@ def _bwd_relu(g, d, out, attrs, needs):
     return [g * (out > 0)]  # out > 0 exactly where the input is
 
 
-def _conv_geometry(x, w, stride, pad):
+def _conv_geometry(x, w, pad):
     _require(x.ndim == 4, "conv2d", f"input must be (B,H,W,Cin), got {x.shape}")
     _require(w.ndim == 4, "conv2d", f"kernel must be (kh,kw,Cin,Cout), got {w.shape}")
     _require(x.shape[3] == w.shape[2], "conv2d",
              f"channel mismatch: input {x.shape} kernel {w.shape}")
     kh, kw = w.shape[0], w.shape[1]
-    ho = (x.shape[1] + 2 * pad - kh) // stride + 1
-    wo = (x.shape[2] + 2 * pad - kw) // stride + 1
+    ho = x.shape[1] + 2 * pad - kh + 1
+    wo = x.shape[2] + 2 * pad - kw + 1
     _require(ho > 0 and wo > 0, "conv2d", f"empty output for {x.shape} with k=({kh},{kw})")
     return kh, kw, ho, wo
 
 
 def _fwd_conv2d(d, attrs):
     x, w = d
-    stride = int(attrs.get("stride", 1))
     pad = int(attrs.get("pad", 0))
-    kh, kw, ho, wo = _conv_geometry(x, w, stride, pad)
+    kh, kw, ho, wo = _conv_geometry(x, w, pad)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     out = np.zeros((x.shape[0], ho, wo, w.shape[3]), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :]
-            out += patch @ w[i, j]
+            out += xp[:, i:i + ho, j:j + wo, :] @ w[i, j]
     return out
 
 
 def _bwd_conv2d(g, d, out, attrs, needs):
     x, w = d
-    stride = int(attrs.get("stride", 1))
     pad = int(attrs.get("pad", 0))
-    kh, kw, ho, wo = _conv_geometry(x, w, stride, pad)
+    kh, kw, ho, wo = _conv_geometry(x, w, pad)
     b, h, wd, c = x.shape
     gxp = np.zeros((b, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype) if needs[0] else None
     gw = np.zeros(w.shape, dtype=w.dtype) if needs[1] else None
@@ -696,7 +691,7 @@ def _bwd_conv2d(g, d, out, attrs, needs):
         xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
     for i in range(kh):
         for j in range(kw):
-            sl = np.s_[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :]
+            sl = np.s_[:, i:i + ho, j:j + wo, :]
             if needs[1]:
                 gw[i, j] = np.tensordot(xp[sl], g, axes=([0, 1, 2], [0, 1, 2]))
             if needs[0]:
@@ -876,11 +871,6 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
         in_ids = [tape._bind(x) for x in inputs]
         out.requires_grad = True
         out_id = tape._bind(out)
-        # a leaf is a grad-requiring tensor that is not itself a record output
-        for x, nid in zip(inputs, in_ids):
-            if x.requires_grad and nid not in tape._out_ids:
-                tape.leaf_ids.add(nid)
-        tape._out_ids.add(out_id)
         kept_in, kept_out = _kept(reads, datas, out_data, needs)
         tape.records.append((op_kind, out_id, tuple(in_ids), kept_in, kept_out, attrs, needs))
     return out
@@ -888,12 +878,12 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
 
 def backward(root: Tensor) -> dict:
     """Walk root's tape in reverse; returns {node_id: Tensor} for every
-    requires_grad leaf reachable from root. A scalar constant root (nothing
-    recorded) yields an empty map."""
+    requires_grad leaf reachable from root. A scalar constant root yields an
+    empty map."""
     if root.shape != ():
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
     tape = root._tape
-    if tape is None or root.node_id is None:
+    if tape is None or root.node_id is None or not root.requires_grad:
         return {}
     if tape.released:
         raise TapeReleasedError(
@@ -915,7 +905,9 @@ def backward(root: Tensor) -> dict:
                 grads[nid] = grads[nid] + ig
             else:
                 grads[nid] = ig
-    return {nid: Tensor(grads[nid]) for nid in tape.leaf_ids if nid in grads}
+    # each record popped its output's gradient, so what is left belongs to
+    # the grad-requiring inputs no record produced: the leaves
+    return {nid: Tensor(g) for nid, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -975,8 +967,8 @@ def relu(x):
     return apply("relu", [x])
 
 
-def conv2d(x, w, stride=1, pad=0):
-    return apply("conv2d", [x, w], {"stride": stride, "pad": pad})
+def conv2d(x, w, pad=0):
+    return apply("conv2d", [x, w], {"pad": pad})
 
 
 def reduce_sum(x, axis=None):

@@ -69,6 +69,8 @@ def build_tokenizer(cfg: TokenizerConfig, seed: int) -> TokenizerWeights:
         raise DataError(f"image_size {cfg.image_size} not divisible by patch {cfg.patch}")
     if cfg.d_model % cfg.heads:
         raise DataError(f"heads {cfg.heads} must divide d_model {cfg.d_model}")
+    if cfg.dec_d % cfg.heads:
+        raise DataError(f"heads {cfg.heads} must divide dec_d_model {cfg.dec_d}")
     rng = np.random.default_rng(seed)
     ps = nn.ParamSet()
     nn.add_linear(ps, "enc.in", cfg.patch_dim, cfg.d_model, rng)
@@ -223,8 +225,7 @@ def _init_codebook_from_data(w: TokenizerWeights, images, rng):
     w.params["codebook"].data = np.stack(uniq).astype(np.float32)
 
 
-def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConfig,
-                    opt_cfg: optim.OptimizerConfig | None = None):
+def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConfig):
     """Train encoder/decoder/codebook on images (n, H, W, 3) in [0,1].
 
     Loss = mean||x_hat - x||^2 + codebook_loss + beta_commit * commitment.
@@ -236,10 +237,9 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
     rng = np.random.default_rng(tcfg.seed + 1)
     if tcfg.data_init:
         _init_codebook_from_data(w, images, rng)
-    if opt_cfg is None:
-        opt_cfg = optim.OptimizerConfig(
-            base_lr=tcfg.lr, warmup=tcfg.warmup, decay_start=int(tcfg.steps * 0.6),
-            total_steps=tcfg.steps, final_ratio=0.05, weight_decay=0.0)
+    opt_cfg = optim.OptimizerConfig(base_lr=tcfg.lr, warmup=tcfg.warmup,
+                                    decay_frac=0.6, final_ratio=0.05,
+                                    weight_decay=0.0)
     cb = w.params["codebook"]
 
     def loss_at(step):
@@ -317,13 +317,13 @@ def build_sr(cfg: SRConfig, seed: int) -> SRWeights:
 def _sr_tensor(w: SRWeights, x):
     p = w.params
     pad = w.cfg.kernel // 2
-    h = T.add(T.conv2d(x, p["in.w"], stride=1, pad=pad), p["in.b"])
+    h = T.add(T.conv2d(x, p["in.w"], pad=pad), p["in.b"])
     for i in range(w.cfg.n_blocks):
-        r = T.relu(T.add(T.conv2d(h, p[f"b{i}.w1"], stride=1, pad=pad), p[f"b{i}.b1"]))
-        r = T.add(T.conv2d(r, p[f"b{i}.w2"], stride=1, pad=pad), p[f"b{i}.b2"])
+        r = T.relu(T.add(T.conv2d(h, p[f"b{i}.w1"], pad=pad), p[f"b{i}.b1"]))
+        r = T.add(T.conv2d(r, p[f"b{i}.w2"], pad=pad), p[f"b{i}.b2"])
         h = T.add(h, r)
     up = nn.upsample2x(h)
-    out = T.add(T.conv2d(up, p["out.w"], stride=1, pad=pad), p["out.b"])
+    out = T.add(T.conv2d(up, p["out.w"], pad=pad), p["out.b"])
     return T.add(out, nn.upsample2x(x))  # global nearest-neighbor skip
 
 
@@ -346,8 +346,8 @@ def train_sr(lo: np.ndarray, hi: np.ndarray, cfg: SRConfig, steps: int = 400,
     w = build_sr(cfg, seed)
     rng = np.random.default_rng(seed + 3)
     opt_cfg = optim.OptimizerConfig(base_lr=lr, warmup=max(1, steps // 20),
-                                    decay_start=int(steps * 0.6), total_steps=steps,
-                                    final_ratio=0.1, weight_decay=0.0)
+                                    decay_frac=0.6, final_ratio=0.1,
+                                    weight_decay=0.0)
 
     def loss_at(step):
         idx = rng.integers(0, len(lo), batch)

@@ -176,6 +176,24 @@ def _tiny_checkpoints(tmp_path):
     return tmp_path / "model", tmp_path / "tok"
 
 
+def test_optimizer_section_overrides_only_the_fields_it_names(tmp_path, capsys):
+    # clip_norm 4.0 is the default, so train-model must run the model
+    # trainer's own schedule unchanged
+    _, tok = _tiny_checkpoints(tmp_path)
+    model = {"enc_layers": 1, "dec_layers": 1, "d_model": 32, "d_mlp": 64,
+             "heads": 4, "text_vocab": 300, "image_vocab": 16, "text_len": 12,
+             "grid_h": 4, "grid_w": 4, "batch": 4}
+    runs = []
+    for name, extra in (("plain", {}), ("clip", {"optimizer": {"clip_norm": 4.0}})):
+        out = tmp_path / name
+        assert cli.run(["train-model", "--steps", "3", "--tokenizer", str(tok),
+                        "--config", _cfg(tmp_path, {**TINY_DATA, "model": model, **extra}),
+                        "--out", str(out)]) == 0
+        runs.append({f: (out / f).read_bytes()
+                     for f in ("weights.bin", "history.json", "metrics.jsonl")})
+    assert runs[0] == runs[1]
+
+
 def test_sample_requires_exactly_one_prompt_source(tmp_path, capsys):
     model, tok = _tiny_checkpoints(tmp_path)
     base = ["sample", "--model", str(model), "--tokenizer", str(tok),
@@ -236,11 +254,11 @@ def test_retrieve_with_truncated_index_is_a_data_error(tmp_path, capsys):
     checkpoint.save_encoder(enc, tmp_path / "rr")
     textproc.save_vocab(textproc.train_bpe(["a red circle"], 300),
                         tmp_path / "rr" / "vocab.json")
-    contrastive.save_index(contrastive.RetrievalIndex(
+    checkpoint.save_index(contrastive.RetrievalIndex(
         embeddings=np.ones((3, enc.cfg.d_e), np.float32),
         ids=np.arange(3)), tmp_path / "idx")
-    raw = (tmp_path / "idx" / "embeddings.bin").read_bytes()
-    (tmp_path / "idx" / "embeddings.bin").write_bytes(raw[:-4])
+    raw = (tmp_path / "idx" / "weights.bin").read_bytes()
+    (tmp_path / "idx" / "weights.bin").write_bytes(raw[:-4])
     assert cli.run(["retrieve", "--reranker", str(tmp_path / "rr"),
                     "--caption", "a red circle", "--k", "2",
                     "--index", str(tmp_path / "idx")]) == 2

@@ -18,8 +18,7 @@ TOY = {
               "heads": 2, "text_vocab": 300, "image_vocab": 16, "text_len": 12,
               "grid_h": 4, "grid_w": 4, "batch": 4, "log_every": 1,
               "pretrain_steps": 2},
-    "optimizer": {"base_lr": 0.01, "warmup": 1, "decay_start": 2,
-                  "total_steps": 4},
+    "optimizer": {"base_lr": 0.01, "warmup": 1, "decay_frac": 0.5},
     "sampler": {"guidance": 1.2, "n_samples": 3, "top_k": 8},
     "reranker": {"patch": 4, "d_model": 16, "n_blocks": 1, "heads": 2,
                  "d_mlp": 32, "d_e": 8, "text_vocab": 300, "text_len": 12,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ttig import contrastive, scenes, textproc
+from ttig import checkpoint, contrastive, scenes, textproc
 from ttig import tensor as T
 from ttig.errors import DataError
 
@@ -201,8 +201,8 @@ def test_index_save_load_roundtrip(tmp_path):
     enc = _enc()
     ds, _, ids = _data(6)
     index = contrastive.build_index(enc, ds.images)
-    contrastive.save_index(index, tmp_path / "idx")
-    back = contrastive.load_index(tmp_path / "idx")
+    checkpoint.save_index(index, tmp_path / "idx")
+    back = checkpoint.load_index(tmp_path / "idx")
     np.testing.assert_array_equal(back.embeddings, index.embeddings)
     np.testing.assert_array_equal(back.ids, index.ids)
     a_ids, a_sims = contrastive.retrieve_nearest(enc, index, ids[2], 3)
@@ -213,29 +213,28 @@ def test_index_save_load_roundtrip(tmp_path):
 
 def test_load_index_rejects_bad_dir(tmp_path):
     with pytest.raises(DataError):
-        contrastive.load_index(tmp_path / "missing")
+        checkpoint.load_index(tmp_path / "missing")
 
 
-def _saved_index(path):
-    index = contrastive.RetrievalIndex(
-        embeddings=np.arange(12, dtype=np.float32).reshape(3, 4),
-        ids=np.array([5, 6, 7]))
-    contrastive.save_index(index, path)
-    return json.loads((path / "manifest.json").read_text())
-
-
-@pytest.mark.parametrize("damage", ["truncated", "dtype", "no_n", "no_d_e",
-                                    "no_ids"])
+@pytest.mark.parametrize("damage", ["truncated", "dtype", "no_ids",
+                                    "wrong_count", "wrong_kind"])
 def test_load_index_rejects_damaged_index(tmp_path, damage):
     path = tmp_path / "idx"
-    manifest = _saved_index(path)
+    checkpoint.save_index(contrastive.RetrievalIndex(
+        embeddings=np.arange(12, dtype=np.float32).reshape(3, 4),
+        ids=np.array([5, 6, 7])), path)
+    manifest = json.loads((path / "manifest.json").read_text())
     if damage == "truncated":
-        raw = (path / "embeddings.bin").read_bytes()
-        (path / "embeddings.bin").write_bytes(raw[:-4])
+        raw = (path / "weights.bin").read_bytes()
+        (path / "weights.bin").write_bytes(raw[:-4])
     elif damage == "dtype":
-        manifest["dtype"] = "<f8"
+        manifest["params"][0]["dtype"] = "<f8"
+    elif damage == "no_ids":
+        del manifest["config"]["ids"]
+    elif damage == "wrong_count":
+        manifest["config"]["ids"] = [5, 6]
     else:
-        del manifest[damage[3:]]
+        manifest["config"]["kind"] = "dual_encoder"
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError):
-        contrastive.load_index(path)
+        checkpoint.load_index(path)
