@@ -20,7 +20,7 @@ ttig sample --config $CFG --model $OUT/model --tokenizer $OUT/tok \
 ttig rerank --dir $OUT/samples --reranker $OUT/reranker
 
 ttig eval-alignment --dir $OUT/samples
-ttig eval-fid --config $CFG --real $OUT/data_eval --gen $OUT/samples \
+ttig eval-fid --real $OUT/data_eval --gen $OUT/samples \
               --features $OUT/reranker
 ttig retrieve --config $CFG --reranker $OUT/reranker --caption "$PROMPT" --k 3
 

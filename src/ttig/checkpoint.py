@@ -118,8 +118,8 @@ def check_section(section: dict, types: dict, key: str, where: str):
     is in types and every value has the JSON type its annotation takes."""
     unknown = set(section) - set(types)
     if unknown:
-        raise DataError(f"{where} has unknown {key!r} config field(s) "
-                        f"{sorted(unknown)}")
+        raise DataError(f"{where} has unknown config field(s) "
+                        f"{', '.join(f'{key}.{name}' for name in sorted(unknown))}")
     for name, value in section.items():
         if type(value) not in _VALUE_TYPES[types[name]]:
             raise DataError(f"{where} has config field {key}.{name} = "

@@ -1,10 +1,11 @@
 """Command-line orchestration: data, training, sampling, evaluation.
 
-Every subcommand reads an optional JSON run config (strict schema: unknown
-keys and values of the wrong JSON type are rejected) plus flag overrides, and
-exits 0 on success, 1 on usage errors, 2 on data/format errors, 3 on numeric
-failures. Diagnostics are one line on stderr; structured results are JSON
-lines on stdout or in files.
+The commands that render, train, sample or build a retrieval index read an
+optional JSON run config (strict schema: unknown keys and values of the
+wrong JSON type are rejected) plus flag overrides; no command accepts a flag
+or key it does not read. Exit codes: 0 success, 1 usage error, 2 data/format
+error, 3 numeric failure. Diagnostics are one line on stderr; structured
+results are JSON lines on stdout or in files.
 """
 
 from __future__ import annotations
@@ -43,17 +44,19 @@ class DataConfig:
     image_size: int = 32
 
 
-_SCHEMA = {
-    "data": field_types(DataConfig),
-    "tokenizer": field_types(vq.TokenizerConfig)
-                 | field_types(vq.TokTrainConfig),
-    "model": field_types(seq2seq.ModelConfig)
-             | field_types(seq2seq.TrainConfig),
-    "optimizer": field_types(optim.OptimizerConfig),
-    "sampler": field_types(sampling.SamplerConfig),
-    "reranker": field_types(contrastive.EncoderConfig)
-                | field_types(contrastive.CLTrainConfig),
-}
+# Keys a command sets from elsewhere, so no section but data takes them:
+# image_size comes from data, the generator's image vocabulary and grid from
+# its tokenizer, and log_every paces hooks, which train-model does not pass.
+_DERIVED = {"image_size", "image_vocab", "grid_h", "grid_w", "log_every"}
+_SCHEMA = {"data": field_types(DataConfig)} | {
+    section: {k: v for cls in classes for k, v in field_types(cls).items()
+              if k not in _DERIVED}
+    for section, classes in (
+        ("tokenizer", (vq.TokenizerConfig, vq.TokTrainConfig)),
+        ("model", (seq2seq.ModelConfig, seq2seq.TrainConfig)),
+        ("optimizer", (optim.OptimizerConfig,)),
+        ("sampler", (sampling.SamplerConfig,)),
+        ("reranker", (contrastive.EncoderConfig, contrastive.CLTrainConfig)))}
 
 
 def load_config(path) -> dict:
@@ -192,12 +195,10 @@ def cmd_train_model(args) -> int:
     cfg = load_config(args.config)
     d = _pick(cfg.get("data", {}), DataConfig)
     sec = cfg.get("model", {})
-    mcfg = _pick(sec, seq2seq.ModelConfig)
-    tcfg = _pick(sec, seq2seq.TrainConfig, steps=args.steps, seed=args.seed)
     tok = checkpoint.load_tokenizer(args.tokenizer)
-    if tok.cfg.codebook_size != mcfg.image_vocab:
-        raise DataError(f"tokenizer codebook size {tok.cfg.codebook_size} != "
-                        f"model image_vocab {mcfg.image_vocab}")
+    mcfg = _pick(sec, seq2seq.ModelConfig, image_vocab=tok.cfg.codebook_size,
+                 grid_h=tok.cfg.grid, grid_w=tok.cfg.grid)
+    tcfg = _pick(sec, seq2seq.TrainConfig, steps=args.steps, seed=args.seed)
     ds = _dataset(d)
     vocab = textproc.train_bpe(ds.captions, vocab_size=mcfg.text_vocab)
     text_ids = _encode_captions(vocab, ds.captions, mcfg.text_len)
@@ -352,6 +353,9 @@ def cmd_eval_alignment(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    if args.index and (args.index_out or args.exclude_query or args.config):
+        raise UsageError("--index-out, --exclude-query and --config build an "
+                         "index, so they do not go with --index")
     enc = checkpoint.load_encoder(args.reranker)
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     cap_ids = textproc.encode_clipped(vocab, args.caption, enc.cfg.text_len)
@@ -399,14 +403,16 @@ def build_parser() -> _Parser:
     p = _Parser(prog="ttig", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **help_kw):
-        sp = sub.add_parser(name, **help_kw)
+    def add(name, fn, help, config=True, seed=True):
+        sp = sub.add_parser(name, help=help)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--config", default=None, help="RunConfig JSON path")
-        sp.add_argument("--seed", type=int, default=None)
+        if config:
+            sp.add_argument("--config", default=None, help="RunConfig JSON path")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
         return sp
 
-    sp = add("make-data", cmd_make_data, help="render a captioned dataset to PNGs")
+    sp = add("make-data", cmd_make_data, "render a captioned dataset to PNGs")
     sp.add_argument("--out", required=True)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--split", choices=("train", "eval", "all"), default="train")
@@ -416,13 +422,13 @@ def build_parser() -> _Parser:
             ("train-reranker", cmd_train_reranker, "train reranker and checkpoint it"),
             ("train-model", cmd_train_model, "train the text-to-image model"),
             ("train-sr", cmd_train_sr, "train the 2x upsampler")):
-        sp = add(name, fn, help=what)
+        sp = add(name, fn, what)
         if fn is cmd_train_model:
             sp.add_argument("--tokenizer", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--steps", type=int, default=None)
 
-    sp = add("sample", cmd_sample, help="generate images for a prompt")
+    sp = add("sample", cmd_sample, "generate images for a prompt")
     sp.add_argument("--model", required=True)
     sp.add_argument("--tokenizer", required=True)
     sp.add_argument("--sr", default=None)
@@ -435,22 +441,26 @@ def build_parser() -> _Parser:
     sp.add_argument("--top-k", type=int, default=None)
     sp.add_argument("--temperature", type=float, default=None)
 
-    sp = add("rerank", cmd_rerank, help="order sampled images by alignment")
+    sp = add("rerank", cmd_rerank, "order sampled images by alignment",
+             config=False, seed=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--reranker", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = add("eval-fid", cmd_eval_fid, help="FID between two image directories")
+    sp = add("eval-fid", cmd_eval_fid, "FID between two image directories",
+             config=False)
     sp.add_argument("--real", required=True)
     sp.add_argument("--gen", required=True)
     sp.add_argument("--features", required=True, help="dual-encoder checkpoint")
     sp.add_argument("--out", default=None)
 
-    sp = add("eval-alignment", cmd_eval_alignment, help="oracle fidelity of a sample dir")
+    sp = add("eval-alignment", cmd_eval_alignment, "oracle fidelity of a sample dir",
+             config=False, seed=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = add("retrieve", cmd_retrieve, help="nearest training images for a caption")
+    sp = add("retrieve", cmd_retrieve, "nearest training images for a caption",
+             seed=False)
     sp.add_argument("--reranker", required=True)
     sp.add_argument("--caption", required=True)
     sp.add_argument("--k", type=int, default=5)
@@ -459,7 +469,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--exclude-query", action="store_true",
                     help="out-of-dataset mode: index built without the query caption")
 
-    sp = add("inspect-checkpoint", cmd_inspect_checkpoint, help="print checkpoint summary")
+    sp = add("inspect-checkpoint", cmd_inspect_checkpoint, "print checkpoint summary",
+             config=False, seed=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--full", action="store_true")
 

@@ -84,8 +84,6 @@ def _image_pooled(enc: DualEncoder, images: np.ndarray):
     cfg = enc.cfg
     p = enc.params
     images = np.asarray(images, dtype=np.float32)
-    if images.ndim == 3:
-        images = images[None]
     if images.shape[1:] != (cfg.image_size, cfg.image_size, 3):
         raise DataError(f"expected {cfg.image_size}x{cfg.image_size}x3 images, "
                         f"got {images.shape[1:]}")
@@ -99,8 +97,6 @@ def _text_pooled(enc: DualEncoder, text_ids: np.ndarray):
     cfg = enc.cfg
     p = enc.params
     ids = np.asarray(text_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None]
     if ids.shape[1] != cfg.text_len:
         raise DataError(f"text rows must have length {cfg.text_len}, got {ids.shape[1]}")
     if ids.min() < 0 or ids.max() >= cfg.text_vocab:

@@ -78,8 +78,7 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
 def fid(images_a, images_b, feature_fn) -> float:
     """Frechet distance between feature Gaussians of two image sets.
 
-    feature_fn maps a stacked (n, H, W, 3) array to (n, d) features, or a
-    single image to a d-vector; both shapes are accepted.
+    feature_fn maps a stacked (n, H, W, 3) array to (n, d) features.
     """
     fa = _features_of(images_a, feature_fn)
     fb = _features_of(images_b, feature_fn)
@@ -93,9 +92,10 @@ def _features_of(images, feature_fn) -> np.ndarray:
     if images.shape[0] < 2:
         raise DataError("each image set needs at least 2 images")
     out = np.asarray(feature_fn(images))
-    if out.ndim == 2 and out.shape[0] == images.shape[0]:
-        return out
-    return np.stack([np.asarray(feature_fn(img)).reshape(-1) for img in images])
+    if out.ndim != 2 or out.shape[0] != images.shape[0]:
+        raise DataError(f"feature_fn must map {images.shape[0]} images to "
+                        f"(n, d) features, got {out.shape}")
+    return out
 
 
 def metric_record(metric: str, value, n_a: int, n_b: int,

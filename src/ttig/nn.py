@@ -12,13 +12,6 @@ Every transformer tower (tokenizer encoder and decoder, text encoder and
 image decoder, reranker image and text towers) is one add_stack/stack pair:
 blocks pre.b0 ... pre.b{n-1}, then the final LayerNorm pre.ln_out. Outside
 this module only the sampler's per-chain packing reads those names.
-
-Keys carry no bias. A key bias bk adds q . bk to every key's score for a
-query, a shift softmax ignores, so it has no effect on the output and a true
-gradient of exactly zero; an optimizer that normalises updates would still
-turn its rounding-noise gradient into lr-sized steps. add_attn keeps the .bk
-parameter, so the checkpoint format is unchanged, but attention never reads
-it, and grads_of never returns it.
 """
 
 from __future__ import annotations
@@ -99,7 +92,7 @@ def add_ln(ps: ParamSet, pre: str, d: int):
 def add_attn(ps: ParamSet, pre: str, d: int, rng):
     for nm in ("wq", "wk", "wv", "wo"):
         ps.add(f"{pre}.{nm}", trunc_normal(rng, (d, d)))
-    for nm in ("bq", "bk", "bv", "bo"):
+    for nm in ("bq", "bv", "bo"):
         ps.add(f"{pre}.{nm}", np.zeros(d, dtype=np.float32))
 
 
@@ -153,7 +146,7 @@ def attention(p: ParamSet, pre: str, x, heads: int, kv=None, allowed=None):
                            "but kv was given")
     src = x if kv is None else kv
     q = T.add(T.matmul(x, p[pre + ".wq"]), p[pre + ".bq"])
-    k = T.matmul(src, p[pre + ".wk"])  # .bk is never read, see the module docstring
+    k = T.matmul(src, p[pre + ".wk"])
     v = T.add(T.matmul(src, p[pre + ".wv"]), p[pre + ".bv"])
     out = T.attention(q, k, v, heads, allowed)
     return T.add(T.matmul(out, p[pre + ".wo"]), p[pre + ".bo"])

@@ -30,7 +30,7 @@ Weights are packed once per chain, with every LayerNorm's gain g and bias b
 folded into the projection after it: (xhat * g + b) @ W + c is
 xhat @ (g W) + (b @ W + c). So each of a step's 13 LayerNorms is a bare
 normalise: ln1 folds into the one (d_model, 3 d_model) QKV matmul, ln2 into
-fc1, dec.ln_out into out. The key bias .bk is never read (see nn).
+fc1, dec.ln_out into out.
 Cross-attention keys and values are fixed for the chain, so lnx, the
 1/sqrt(d_head) scale and the query projection fold into each group's keys,
 one (S * heads, d_model) score matrix, and the values into the output

@@ -157,10 +157,7 @@ TOKENIZE_CHUNK = 64
 
 
 def tokenize(w: TokenizerWeights, images: np.ndarray) -> np.ndarray:
-    """Image(s) in [0,1] -> int token grid(s) (grid, grid) over the codebook."""
-    single = images.ndim == 3
-    if single:
-        images = images[None]
+    """Images (n, H, W, 3) in [0,1] -> int token grids (n, grid, grid)."""
     cfg = w.cfg
     if images.shape[1] % cfg.patch or images.shape[2] % cfg.patch:
         raise DataError(f"image dims {images.shape[1:3]} not divisible by patch {cfg.patch}")
@@ -169,23 +166,19 @@ def tokenize(w: TokenizerWeights, images: np.ndarray) -> np.ndarray:
     ids = [quantize(w.codebook, _encode_tensor(w, images[s:s + TOKENIZE_CHUNK]).data)[0]
            for s in range(0, len(images), TOKENIZE_CHUNK)]
     grids = np.concatenate(ids or [np.zeros(0, np.intp)])
-    grids = grids.reshape(images.shape[0], cfg.grid, cfg.grid)
-    return grids[0] if single else grids
+    return grids.reshape(images.shape[0], cfg.grid, cfg.grid)
 
 
 def detokenize(w: TokenizerWeights, tokens: np.ndarray) -> np.ndarray:
-    """Token grid(s) -> image(s), clamped to [0,1] here at materialization."""
+    """Token grids (n, grid, grid) -> images (n, H, W, 3), clamped to [0,1]
+    here at materialization."""
     tokens = np.asarray(tokens)
-    single = tokens.ndim == 2
-    if single:
-        tokens = tokens[None]
     cfg = w.cfg
     if tokens.min() < 0 or tokens.max() >= cfg.codebook_size:
         raise DataError(f"token id outside [0, {cfg.codebook_size})")
     zq = w.codebook[tokens.reshape(tokens.shape[0], -1)]
     flat = _decode_tensor(w, T.constant(zq)).data
-    imgs = np.clip(unpatchify(flat, cfg.patch, cfg.grid), 0.0, 1.0)
-    return imgs[0] if single else imgs
+    return np.clip(unpatchify(flat, cfg.patch, cfg.grid), 0.0, 1.0)
 
 
 def reconstruction_mse(w: TokenizerWeights, images: np.ndarray) -> float:
@@ -328,13 +321,9 @@ def _sr_tensor(w: SRWeights, x):
 
 
 def upsample(w: SRWeights, images: np.ndarray) -> np.ndarray:
-    """2x super-resolution; clamps to [0,1] at materialization."""
-    single = images.ndim == 3
-    if single:
-        images = images[None]
+    """2x super-resolution of (n, H, W, 3); clamps to [0,1] at materialization."""
     out = _sr_tensor(w, T.constant(images.astype(np.float32))).data
-    out = np.clip(out, 0.0, 1.0)
-    return out[0] if single else out
+    return np.clip(out, 0.0, 1.0)
 
 
 def train_sr(lo: np.ndarray, hi: np.ndarray, cfg: SRConfig, steps: int = 400,

@@ -122,6 +122,47 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, section, key,
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("tokenizer", "image_size", 32),  # data.image_size
+    ("reranker", "image_size", 32),
+    ("model", "image_vocab", 64),     # the tokenizer's codebook_size
+    ("model", "grid_h", 8),           # the tokenizer's grid
+    ("model", "grid_w", 8),
+    ("model", "log_every", 200),      # train-model passes no hooks
+])
+def test_config_key_set_from_elsewhere_rejected(tmp_path, capsys, section, key,
+                                                value):
+    cfg = _cfg(tmp_path, {section: {key: value}})
+    assert cli.run(["make-data", "--config", cfg,
+                    "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{section}.{key}" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rerank", "--dir", "s", "--reranker", "rr", "--config", "c.json"],
+    ["rerank", "--dir", "s", "--reranker", "rr", "--seed", "1"],
+    ["eval-alignment", "--dir", "s", "--config", "c.json"],
+    ["eval-alignment", "--dir", "s", "--seed", "1"],
+    ["inspect-checkpoint", "--dir", "ck", "--config", "c.json"],
+    ["inspect-checkpoint", "--dir", "ck", "--seed", "1"],
+    ["eval-fid", "--real", "a", "--gen", "b", "--features", "rr",
+     "--config", "c.json"],
+    ["retrieve", "--reranker", "rr", "--caption", "a red circle",
+     "--seed", "1"],
+    # a loaded index is used as built
+    ["retrieve", "--reranker", "rr", "--caption", "a red circle",
+     "--index", "idx", "--index-out", "idx2"],
+    ["retrieve", "--reranker", "rr", "--caption", "a red circle",
+     "--index", "idx", "--exclude-query"],
+    ["retrieve", "--reranker", "rr", "--caption", "a red circle",
+     "--index", "idx", "--config", "c.json"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv
+                             if a.startswith("--") or a == argv[0]))
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    assert cli.run(argv) == 1
+
+
 def test_malformed_config_json_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{oops")
@@ -181,8 +222,7 @@ def test_optimizer_section_overrides_only_the_fields_it_names(tmp_path, capsys):
     # trainer's own schedule unchanged
     _, tok = _tiny_checkpoints(tmp_path)
     model = {"enc_layers": 1, "dec_layers": 1, "d_model": 32, "d_mlp": 64,
-             "heads": 4, "text_vocab": 300, "image_vocab": 16, "text_len": 12,
-             "grid_h": 4, "grid_w": 4, "batch": 4}
+             "heads": 4, "text_vocab": 300, "text_len": 12, "batch": 4}
     runs = []
     for name, extra in (("plain", {}), ("clip", {"optimizer": {"clip_norm": 4.0}})):
         out = tmp_path / name
@@ -192,6 +232,20 @@ def test_optimizer_section_overrides_only_the_fields_it_names(tmp_path, capsys):
         runs.append({f: (out / f).read_bytes()
                      for f in ("weights.bin", "history.json", "metrics.jsonl")})
     assert runs[0] == runs[1]
+
+
+def test_train_model_takes_image_vocab_and_grid_from_the_tokenizer(tmp_path, capsys):
+    # a 4x4 tokenizer with 16 codes; ModelConfig's defaults are 8x8 and 64
+    _, tok = _tiny_checkpoints(tmp_path)
+    model = {"enc_layers": 1, "dec_layers": 1, "d_model": 32, "d_mlp": 64,
+             "heads": 4, "text_vocab": 300, "text_len": 12, "batch": 4}
+    out = tmp_path / "m"
+    assert cli.run(["train-model", "--steps", "1", "--tokenizer", str(tok),
+                    "--config", _cfg(tmp_path, {**TINY_DATA, "model": model}),
+                    "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    got = manifest["config"]["model"]
+    assert (got["grid_h"], got["grid_w"], got["image_vocab"]) == (4, 4, 16)
 
 
 def test_sample_requires_exactly_one_prompt_source(tmp_path, capsys):

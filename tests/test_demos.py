@@ -1,17 +1,25 @@
-"""The demo scripts only reference ttig names that exist.
+"""The demos and the README only use ttig names, flags and keys that exist.
 
 Nothing runs the demos in the test suite (they train or load checkpoints),
 so an API rename would break them silently. This parses each demos/*.py
-without running it and checks every ttig module attribute it names.
+without running it and checks every ttig module attribute it names, parses
+every documented `ttig ...` command line with the real argument parser, and
+loads the demo run config with the real schema.
 """
 
 import ast
 import importlib
+import re
+import shlex
+import string
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+from ttig import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _ttig_references(tree):
@@ -50,3 +58,33 @@ def test_demo_references_existing_ttig_names(path):
     missing = [f"{path.name}:{line}: {mod}.{attr}" for line, mod, attr in refs
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, "demo references names ttig no longer has:\n" + "\n".join(missing)
+
+
+def _ttig_command_lines(path):
+    """The argv of every `ttig ...` line in a README's code blocks or in a
+    shell script, continuation lines joined and NAME=value variables
+    substituted."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        text = "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S))
+    env, lines = {}, []
+    for line in text.replace("\\\n", " ").splitlines():
+        assign = re.fullmatch(r"([A-Z_]+)=(.*)", line.strip())
+        if assign:
+            env[assign[1]] = shlex.split(assign[2])[0]
+        elif line.strip().startswith("ttig "):
+            words = shlex.split(string.Template(line).substitute(env), comments=True)
+            lines.append(words[1:])
+    return lines
+
+
+@pytest.mark.parametrize("doc", ["README.md", "demos/quickstart.sh"])
+def test_documented_command_lines_parse(doc):
+    lines = _ttig_command_lines(ROOT / doc)
+    assert len(lines) >= 8
+    for argv in lines:
+        cli.build_parser().parse_args(argv)  # a usage error raises
+
+
+def test_desk_config_loads():
+    assert set(cli.load_config(ROOT / "demos" / "config_desk.json")) <= set(cli._SCHEMA)

@@ -86,10 +86,11 @@ def test_fid_over_feature_fn():
     assert same <= 1e-6
     cross = metrics.fid(imgs_a, imgs_b + 0.5, feat)
     assert cross > same
-    # the order of a set does not matter, and a per-image feature_fn works
+    # the order of a set does not matter
     perm = rng.permutation(20)
     assert abs(metrics.fid(imgs_a[perm], imgs_b + 0.5, feat) - cross) < 1e-8
-    assert abs(metrics.fid(imgs_a, imgs_b + 0.5, lambda img: feat(img[None])[0]) - cross) < 1e-8
+    with pytest.raises(DataError, match="feature_fn"):  # one row per image
+        metrics.fid(imgs_a, imgs_b, lambda images: feat(images)[0])
 
 
 def test_fid_separates_disjoint_scene_classes():

@@ -120,7 +120,7 @@ def test_cross_attention_reads_kv_not_x():
 @pytest.mark.parametrize("mask", ["dense", "windowed"])
 def test_attention_ignores_a_key_bias(mask):
     # q . bk shifts every key's score of a query alike, which softmax ignores:
-    # the reason nn.attention never reads .bk
+    # the reason add_attn creates no key bias
     B, L, d, heads = 2, 6, 8, 2
     rng = np.random.default_rng(2)
     q = rng.normal(size=(B, L, d)).astype(np.float32)

@@ -271,6 +271,24 @@ def test_trained_params_pin_no_tape_records(trainer):
         assert tape.records == [] and tape.released, name
 
 
+@pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+def test_every_trainable_parameter_receives_a_gradient(trainer, monkeypatch):
+    # a parameter no loss reads is dead weight in every checkpoint
+    calls = []
+    grads_of = nn.grads_of
+
+    def recording_grads_of(loss, params):
+        grads = grads_of(loss, params)
+        calls.append((set(params.names()), set(grads)))
+        return grads
+
+    monkeypatch.setattr(nn, "grads_of", recording_grads_of)
+    _TRAINERS[trainer][2]()
+    assert calls
+    for trainable, reached in calls:
+        assert reached == trainable, sorted(trainable ^ reached)
+
+
 def test_train_loop_holds_one_step_tape(monkeypatch):
     # the desk tokenizer at batch 8: each step's tape holds about 13.5 MiB
     images = scenes.gen_dataset(8, 0).images

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttig import nn, seq2seq, textproc
+from ttig import seq2seq, textproc
 from ttig import tensor as T
 from ttig.errors import DataError
 
@@ -198,27 +198,6 @@ def test_desk_step_records_one_attention_op_per_attention():
     cross = [r for r in att if r[3][0].shape[1] != r[3][1].shape[1]]
     assert len(att) == 10 and len(windowed) == cfg.dec_layers and len(cross) == cfg.dec_layers
     assert all(r[5]["window"] is w.window for r in windowed)
-
-
-def test_training_leaves_the_attention_key_biases_unread(monkeypatch):
-    # nn.attention never reads .bk (softmax ignores it), so no step gets a
-    # gradient for it and it keeps the zeros add_attn wrote
-    seen = set()
-    grads_of = nn.grads_of
-
-    def recording_grads_of(loss, params):
-        g = grads_of(loss, params)
-        seen.update(g)
-        return g
-
-    monkeypatch.setattr(nn, "grads_of", recording_grads_of)
-    text, img = _ids(B=8, seed=5)
-    w, _ = seq2seq.train_model(_model(), text, img,
-                               seq2seq.TrainConfig(steps=6, batch=4, log_every=6))
-    bk = [name for name in w.params.names() if name.endswith(".bk")]
-    assert len(bk) == TINY.enc_layers + 2 * TINY.dec_layers
-    assert all(np.all(w.params[name].data == 0) for name in bk)
-    assert "dec.b0.attn.wk" in seen and not any(name.endswith(".bk") for name in seen)
 
 
 def test_train_model_hooks_fire():
