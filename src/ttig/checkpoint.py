@@ -190,15 +190,21 @@ def load_sr(path):
 
 def save_index(index, path):
     """A contrastive.RetrievalIndex as a 'retrieval_index' checkpoint: one
-    embeddings parameter, with the ids in the config."""
+    embeddings parameter, with the ids and the excluded caption (or null) in
+    the config."""
     save_checkpoint({"embeddings": index.embeddings},
                     {"kind": "retrieval_index",
-                     "ids": [int(i) for i in index.ids]}, path)
+                     "ids": [int(i) for i in index.ids],
+                     "excluded_caption": index.excluded_caption}, path)
 
 
 def load_index(path) -> contrastive.RetrievalIndex:
     state, config = _load_kind(path, "retrieval_index")
     emb, ids = state.get("embeddings"), config.get("ids")
+    excluded = config.get("excluded_caption")
+    if "excluded_caption" not in config or not (excluded is None or isinstance(excluded, str)):
+        raise DataError(f"retrieval index at {path} must record 'excluded_caption': "
+                        f"the caption it was built without, or null")
     if list(state) != ["embeddings"] or emb.ndim != 2:
         raise DataError(f"retrieval index at {path} must hold exactly one 2-D "
                         f"'embeddings' parameter")
@@ -207,4 +213,5 @@ def load_index(path) -> contrastive.RetrievalIndex:
         raise DataError(f"retrieval index at {path} must have one integer id "
                         f"per embeddings row ({len(emb)})")
     return contrastive.RetrievalIndex(embeddings=emb,
-                                      ids=np.asarray(ids, dtype=np.int64))
+                                      ids=np.asarray(ids, dtype=np.int64),
+                                      excluded_caption=excluded)

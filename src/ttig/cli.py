@@ -367,6 +367,8 @@ def cmd_retrieve(args) -> int:
         ds = _dataset(d, also_exclude=[args.caption] if args.exclude_query else ())
         captions = ds.captions
         index = contrastive.build_index(enc, ds.images)
+        if args.exclude_query:
+            index.excluded_caption = args.caption
         if args.index_out:
             checkpoint.save_index(index, args.index_out)
     ids, sims = contrastive.retrieve_nearest(enc, index, cap_ids, args.k)
@@ -377,7 +379,7 @@ def cmd_retrieve(args) -> int:
             row["caption"] = captions[i]
         results.append(row)
     print(json.dumps({"caption": args.caption, "k": args.k,
-                      "in_dataset": not args.exclude_query,
+                      "in_dataset": args.caption != index.excluded_caption,
                       "results": results}))
     return 0
 
@@ -484,7 +486,6 @@ def run(argv=None) -> int:
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return 1
     except FileNotFoundError as e:
         print(f"data error: {e}", file=sys.stderr)

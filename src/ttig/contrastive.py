@@ -216,6 +216,7 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
 class RetrievalIndex:
     embeddings: np.ndarray        # (n, d_e), unit rows
     ids: np.ndarray               # (n,) integer identifiers
+    excluded_caption: str | None = None  # the caption its images were drawn without
 
     def __len__(self):
         return len(self.ids)

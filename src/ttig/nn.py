@@ -3,8 +3,8 @@
 Pre-LN blocks, learned absolute positions, truncated-normal init (std 0.02,
 resampled beyond 2 sigma), layer norms carrying their own gain/bias params.
 Attention is one tensor.attention op after the Q/K/V projections. A
-self-attention mask is a boolean "allowed" matrix, or the tensor.Window
-derived from one once per model: the op then scores only the window's keys
+self-attention mask is the tensor.Window that tensor.attention_window builds
+once per model from a boolean "allowed" matrix: the op scores only its keys
 and gives ruled-out slots tensor.NEG_FILL (-1e9), which is exactly zero
 weight, before normalising. A mask row that allows no key is a ShapeError.
 
@@ -137,18 +137,17 @@ def dropout(x, drop):
     return T.mul(x, T.constant(keep, dtype=x.dtype))
 
 
-def attention(p: ParamSet, pre: str, x, heads: int, kv=None, allowed=None):
-    """x (B,L,D) queries; kv (B,S,D) or None for self-attention; allowed is an
-    optional self-attention mask: a boolean (L,L) matrix, True where attention
-    is permitted, or the tensor.Window built from one."""
-    if allowed is not None and kv is not None:
-        raise T.ShapeError("attention: an allowed mask applies to self-attention only, "
+def attention(p: ParamSet, pre: str, x, heads: int, kv=None, window=None):
+    """x (B,L,D) queries; kv (B,S,D) or None for self-attention; window is an
+    optional self-attention mask, the tensor.Window of an (L,L) one."""
+    if window is not None and kv is not None:
+        raise T.ShapeError("attention: a window applies to self-attention only, "
                            "but kv was given")
     src = x if kv is None else kv
     q = T.add(T.matmul(x, p[pre + ".wq"]), p[pre + ".bq"])
     k = T.matmul(src, p[pre + ".wk"])
     v = T.add(T.matmul(src, p[pre + ".wv"]), p[pre + ".bv"])
-    out = T.attention(q, k, v, heads, allowed)
+    out = T.attention(q, k, v, heads, window)
     return T.add(T.matmul(out, p[pre + ".wo"]), p[pre + ".bo"])
 
 
@@ -156,9 +155,9 @@ def mlp(p: ParamSet, pre: str, x):
     return linear(p, pre + ".fc2", T.gelu(linear(p, pre + ".fc1", x)))
 
 
-def block(p: ParamSet, pre: str, x, heads: int, allowed=None, cross_kv=None, drop=None):
+def block(p: ParamSet, pre: str, x, heads: int, window=None, cross_kv=None, drop=None):
     """One pre-LN block: self-attn, optional cross-attn, MLP, residuals."""
-    a = attention(p, pre + ".attn", ln_affine(p, pre + ".ln1", x), heads, allowed=allowed)
+    a = attention(p, pre + ".attn", ln_affine(p, pre + ".ln1", x), heads, window=window)
     x = T.add(x, dropout(a, drop))
     if cross_kv is not None:
         a = attention(p, pre + ".xattn", ln_affine(p, pre + ".lnx", x), heads, kv=cross_kv)
@@ -167,19 +166,20 @@ def block(p: ParamSet, pre: str, x, heads: int, allowed=None, cross_kv=None, dro
     return T.add(x, dropout(m, drop))
 
 
-def stack(p: ParamSet, pre: str, x, n: int, heads: int, allowed=None, cross_kv=None,
+def stack(p: ParamSet, pre: str, x, n: int, heads: int, window=None, cross_kv=None,
           drop=None):
     """The n blocks of add_stack(..., pre, n, ...) and their final LayerNorm."""
     for i in range(n):
-        x = block(p, f"{pre}.b{i}", x, heads, allowed=allowed, cross_kv=cross_kv, drop=drop)
+        x = block(p, f"{pre}.b{i}", x, heads, window=window, cross_kv=cross_kv, drop=drop)
     return ln_affine(p, pre + ".ln_out", x)
 
 
 def grads_of(loss, params: ParamSet) -> dict:
-    """Gradient arrays for the params reached by backward, keyed by name."""
+    """Gradient arrays for the params reached by backward, keyed by name; a
+    param bound to an earlier tape keeps that tape's id, so it must not count."""
     gm = T.backward(loss)
     return {name: gm[t.node_id].data for name, t in params.items()
-            if t.node_id is not None and t.node_id in gm}
+            if t._tape is loss._tape and t.node_id in gm}
 
 
 def mse(a, b):

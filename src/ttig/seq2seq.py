@@ -149,7 +149,7 @@ def decode_logits(w: TransformerWeights, enc_out, image_ids: np.ndarray, drop=No
     h = T.concat([T.add(base, p["dec.start"]), prev], axis=1)
     h = T.add(h, p["image_pos"])
     h = nn.dropout(h, drop)
-    h = nn.stack(p, "dec", h, cfg.dec_layers, cfg.heads, allowed=w.window,
+    h = nn.stack(p, "dec", h, cfg.dec_layers, cfg.heads, window=w.window,
                  cross_kv=enc_out, drop=drop)
     return nn.linear(p, "out", h)
 
@@ -170,18 +170,16 @@ def drop_condition(text_ids: np.ndarray, rng, rate: float) -> np.ndarray:
 
 
 def forward_loss(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarray,
-                 rng=None, cond_dropout_rate: float | None = None):
+                 rng=None):
     """Mean next-token cross-entropy over image positions and batch.
 
-    rng drives conditioning dropout and activation dropout; pass None for a
-    deterministic evaluation pass with both off.
+    rng drives conditioning dropout (cfg.cond_dropout_rate) and activation
+    dropout; pass None for a deterministic evaluation pass with both off.
     """
     cfg = w.cfg
-    if cond_dropout_rate is None:
-        cond_dropout_rate = cfg.cond_dropout_rate if rng is not None else 0.0
     text_ids = _check_ids(text_ids, cfg.text_vocab, "text_ids")
     image_ids = _check_ids(image_ids, cfg.image_vocab, "image_ids")
-    text_ids = drop_condition(text_ids, rng, cond_dropout_rate)
+    text_ids = drop_condition(text_ids, rng, cfg.cond_dropout_rate)
     drop = (rng, cfg.dropout) if rng is not None and cfg.dropout > 0 else None
     logits = decode_logits(w, encode_text(w, text_ids, drop=drop), image_ids, drop=drop)
     B, L, V = logits.shape

@@ -13,7 +13,7 @@ Design rules:
   * broadcasting is restricted to trailing-axis alignment (one operand's shape
     must be a suffix of the other's, rank-0 scalars included); anything fancier
     must be spelled out with reshape/transpose
-  * integer ids, boolean masks and attention windows ride along as op attrs,
+  * integer ids and attention windows ride along as op attrs,
     never as Tensors
   * multi-head attention over projected q, k, v is one op that splits the
     heads itself; it scores every key, or only a self-attention mask's
@@ -38,13 +38,13 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError
 
 DEFAULT_DTYPE = np.float32
 
 _SQRT_2 = float(np.sqrt(2.0))
+_erf = np.vectorize(math.erf, otypes=[np.float64])  # elementwise, any shape
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
@@ -426,6 +426,8 @@ def _check_attention(d, attrs):
              "attention", f"heads {heads!r} must divide width {q.shape[2]}")
     window = attrs.get("window")
     if window is not None:
+        _require(isinstance(window, Window), "attention",
+                 f"window must be a Window, got {type(window).__name__}")
         _require(q.shape[1] == k.shape[1] == window.valid.shape[1], "attention",
                  f"a window of {window.valid.shape[1]} positions needs self-attention "
                  f"over as many, got q {q.shape}, k {k.shape}")
@@ -574,12 +576,12 @@ def _bwd_layer_norm(g, d, out, attrs, needs):
     return [r]
 
 
-# Float32 GELU reads the normal CDF from a piecewise-linear table instead of
-# calling scipy's erf, which has no vectorised float32 kernel. The knots sit
-# on [-6, 6] at a power-of-two spacing, so a knot and the offset of x from
-# it are exact in float32; the CDF error stays below 1e-7 (float32 rounding
-# plus interpolation). Outside the range the CDF is exactly 0 or 1. Float64
-# keeps erf as the reference that grad_check and the tests use.
+# Float32 GELU reads the normal CDF from a piecewise-linear table built once
+# with math.erf. The knots sit on [-6, 6] at a power-of-two spacing, so a
+# knot and the offset of x from it are exact in float32; the CDF error stays
+# below 1e-7 (float32 rounding plus interpolation). Outside the range the CDF
+# is exactly 0 or 1. Float64, the reference that grad_check and the tests
+# use, calls math.erf per element: 0.5 * (1 + erf(x / sqrt 2)).
 _CDF_LO = -6.0
 _CDF_STEP = 2.0 ** -10
 _CDF_SEGMENTS = int(-2 * _CDF_LO / _CDF_STEP)
@@ -588,7 +590,7 @@ _CDF_BLOCK = 1 << 14  # elements per pass, so the pass temporaries stay small
 
 def _cdf_table():
     knots = _CDF_LO + _CDF_STEP * np.arange(_CDF_SEGMENTS + 1)
-    cdf = 0.5 * (1.0 + erf(knots / _SQRT_2))
+    cdf = 0.5 * (1.0 + _erf(knots / _SQRT_2))
     cdf[0], cdf[-1] = 0.0, 1.0
     slope = np.append(np.diff(cdf) / _CDF_STEP, 0.0)  # flat past the last knot
     return cdf.astype(np.float32), slope.astype(np.float32)
@@ -599,7 +601,7 @@ _CDF_VALUES, _CDF_SLOPES = _cdf_table()
 
 def _normal_cdf(x):
     if x.dtype != np.float32:
-        cdf = erf(x * np.asarray(1.0 / _SQRT_2, dtype=x.dtype))
+        cdf = _erf(x / _SQRT_2)
         cdf += 1.0
         cdf *= 0.5
         return cdf
@@ -945,13 +947,13 @@ def embedding_gather(table, ids):
     return apply("embedding_gather", [table], {"ids": np.asarray(ids)})
 
 
-def attention(q, k, v, heads, allowed=None):
+def attention(q, k, v, heads, window=None):
     """Multi-head attention of projected q (B,L,D) over k, v (B,S,D): the
-    (B,L,D) head mix before the output projection. allowed is None (every
-    key), a boolean (L,L) self-attention mask or the Window built from one."""
+    (B,L,D) head mix before the output projection. window is None (every
+    key) or the Window of a self-attention mask (see attention_window)."""
     attrs = {"heads": heads}
-    if allowed is not None:
-        attrs["window"] = allowed if isinstance(allowed, Window) else attention_window(allowed)
+    if window is not None:
+        attrs["window"] = window
     return apply("attention", [q, k, v], attrs)
 
 

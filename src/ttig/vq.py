@@ -123,9 +123,9 @@ def _decode_tensor(w: TokenizerWeights, z_q):
 def quantize(codebook: np.ndarray, z: np.ndarray):
     """Nearest-codebook assignment in the normalized code space.
 
-    Returns (indices, z_q, codebook_loss, commitment_loss). z may be (n, d_c)
-    or batched (..., d_c). Straight-through convention: train-time graphs
-    treat d z_q / d z as identity (see train_tokenizer).
+    z may be (n, d_c) or batched (..., d_c); returns the nearest code's index
+    per row, shaped z.shape[:-1]. Straight-through convention: train-time
+    graphs treat d z_q / d z as identity (see train_tokenizer).
     """
     codebook = np.asarray(codebook)
     z = np.asarray(z)
@@ -143,11 +143,7 @@ def quantize(codebook: np.ndarray, z: np.ndarray):
     zhat = flat / zn_norm
     # unit vectors: argmin Euclidean == argmax dot; argmax takes lowest index on ties
     ids = np.argmax(zhat @ codebook.T, axis=1)
-    zq = codebook[ids]
-    codebook_loss = float(((zhat - zq) ** 2).sum(axis=1).mean())
-    commitment_loss = codebook_loss  # identical value; gradients differ by stop-grad side
-    lead = z.shape[:-1]
-    return ids.reshape(lead), zq.reshape(z.shape), codebook_loss, commitment_loss
+    return ids.reshape(z.shape[:-1])
 
 
 # Images per encoder pass in tokenize: bounds its peak memory on large sets.
@@ -163,7 +159,7 @@ def tokenize(w: TokenizerWeights, images: np.ndarray) -> np.ndarray:
         raise DataError(f"image dims {images.shape[1:3]} not divisible by patch {cfg.patch}")
     if images.shape[1] != cfg.image_size or images.shape[2] != cfg.image_size:
         raise DataError(f"expected {cfg.image_size}x{cfg.image_size} input, got {images.shape[1:3]}")
-    ids = [quantize(w.codebook, _encode_tensor(w, images[s:s + TOKENIZE_CHUNK]).data)[0]
+    ids = [quantize(w.codebook, _encode_tensor(w, images[s:s + TOKENIZE_CHUNK]).data)
            for s in range(0, len(images), TOKENIZE_CHUNK)]
     grids = np.concatenate(ids or [np.zeros(0, np.intp)])
     return grids.reshape(images.shape[0], cfg.grid, cfg.grid)
@@ -240,7 +236,7 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
         x = images[idx].astype(np.float32)
         z = _encode_tensor(w, x)
         zhat = T.l2_normalize(z, axis=-1, eps=0.0)
-        ids, zq, _, _ = quantize(cb.data, zhat.data)
+        ids = quantize(cb.data, zhat.data)
         e = T.embedding_gather(cb, ids.reshape(-1))
         e = T.reshape(e, z.shape)
         z_q_st = T.add(z, T.constant(e.data - z.data))  # straight-through

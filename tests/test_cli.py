@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttig import checkpoint, cli, pngio
+from ttig import checkpoint, cli, contrastive, pngio, seq2seq, textproc, vq
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,16 +28,24 @@ def _last_json(capsys):
 TINY_DATA = {"data": {"n_train": 8, "n_eval": 4, "image_size": 16, "seed": 0}}
 
 
+def _one_usage_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("usage error: ")
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     assert cli.run([]) == 1
+    assert _one_usage_error_line(capsys)
 
 
 def test_unknown_command_is_a_usage_error(capsys):
     assert cli.run(["frobnicate"]) == 1
+    assert _one_usage_error_line(capsys)
 
 
 def test_missing_required_flag_is_a_usage_error(capsys):
     assert cli.run(["make-data"]) == 1
+    assert _one_usage_error_line(capsys)
 
 
 def test_make_data_writes_images_and_manifest(tmp_path, capsys):
@@ -161,6 +169,7 @@ def test_config_key_set_from_elsewhere_rejected(tmp_path, capsys, section, key,
                              if a.startswith("--") or a == argv[0]))
 def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
     assert cli.run(argv) == 1
+    assert _one_usage_error_line(capsys)
 
 
 def test_malformed_config_json_rejected(tmp_path, capsys):
@@ -201,7 +210,6 @@ def test_inspect_checkpoint_rejects_corrupt_manifest(tmp_path, capsys):
 
 
 def _tiny_checkpoints(tmp_path):
-    from ttig import seq2seq, vq
     tok_cfg = vq.TokenizerConfig(image_size=16, patch=4, d_model=32, heads=4,
                                  n_blocks=1, d_mlp=64, codebook_size=16)
     checkpoint.save_tokenizer(vq.build_tokenizer(tok_cfg, seed=0),
@@ -211,7 +219,6 @@ def _tiny_checkpoints(tmp_path):
                                image_vocab=16, text_len=12, grid_h=4, grid_w=4)
     w = seq2seq.build_model(mcfg, seed=0)
     checkpoint.save_model(w, tmp_path / "model")
-    from ttig import scenes, textproc
     vocab = textproc.train_bpe(["a red circle", "a blue square"], 300)
     textproc.save_vocab(vocab, tmp_path / "model" / "vocab.json")
     return tmp_path / "model", tmp_path / "tok"
@@ -300,14 +307,18 @@ def test_sample_with_damaged_model_config_is_a_data_error(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_retrieve_with_truncated_index_is_a_data_error(tmp_path, capsys):
-    from ttig import contrastive, textproc
+def _tiny_reranker(tmp_path):
     enc = contrastive.build_encoder(contrastive.EncoderConfig(
         image_size=16, d_model=16, heads=2, n_blocks=1, d_mlp=32,
         text_vocab=300, text_len=8), seed=0)
     checkpoint.save_encoder(enc, tmp_path / "rr")
     textproc.save_vocab(textproc.train_bpe(["a red circle"], 300),
                         tmp_path / "rr" / "vocab.json")
+    return enc
+
+
+def test_retrieve_with_truncated_index_is_a_data_error(tmp_path, capsys):
+    enc = _tiny_reranker(tmp_path)
     checkpoint.save_index(contrastive.RetrievalIndex(
         embeddings=np.ones((3, enc.cfg.d_e), np.float32),
         ids=np.arange(3)), tmp_path / "idx")
@@ -316,6 +327,19 @@ def test_retrieve_with_truncated_index_is_a_data_error(tmp_path, capsys):
     assert cli.run(["retrieve", "--reranker", str(tmp_path / "rr"),
                     "--caption", "a red circle", "--k", "2",
                     "--index", str(tmp_path / "idx")]) == 2
+
+
+def test_loaded_index_is_out_of_dataset_only_for_the_caption_it_excluded(tmp_path, capsys):
+    _tiny_reranker(tmp_path)
+    retrieve = ["retrieve", "--reranker", str(tmp_path / "rr"), "--k", "2"]
+    assert cli.run([*retrieve, "--caption", "a red circle", "--exclude-query",
+                    "--config", _cfg(tmp_path, TINY_DATA),
+                    "--index-out", str(tmp_path / "idx")]) == 0
+    assert _last_json(capsys)["in_dataset"] is False
+    for caption, in_dataset in (("a red circle", False), ("a blue square", True)):
+        assert cli.run([*retrieve, "--caption", caption,
+                        "--index", str(tmp_path / "idx")]) == 0
+        assert _last_json(capsys)["in_dataset"] is in_dataset
 
 
 def _code_blocks(markdown):

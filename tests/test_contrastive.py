@@ -209,7 +209,8 @@ def test_load_index_rejects_bad_dir(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "dtype", "no_ids",
-                                    "wrong_count", "wrong_kind"])
+                                    "wrong_count", "wrong_kind",
+                                    "no_excluded_caption"])
 def test_load_index_rejects_damaged_index(tmp_path, damage):
     path = tmp_path / "idx"
     checkpoint.save_index(contrastive.RetrievalIndex(
@@ -225,6 +226,8 @@ def test_load_index_rejects_damaged_index(tmp_path, damage):
         del manifest["config"]["ids"]
     elif damage == "wrong_count":
         manifest["config"]["ids"] = [5, 6]
+    elif damage == "no_excluded_caption":
+        del manifest["config"]["excluded_caption"]
     else:
         manifest["config"]["kind"] = "dual_encoder"
     (path / "manifest.json").write_text(json.dumps(manifest))

@@ -82,12 +82,12 @@ def test_attention_mask_blocks_future_positions():
     nn.add_attn(ps, "a", d, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, L, d)).astype(np.float32)
-    causal = np.tril(np.ones((L, L), bool))
-    base = nn.attention(ps, "a", T.constant(x), heads, allowed=causal).data
+    causal = T.attention_window(np.tril(np.ones((L, L), bool)))
+    base = nn.attention(ps, "a", T.constant(x), heads, window=causal).data
     # changing position 3 must not affect outputs at positions 0..2
     x2 = x.copy()
     x2[0, 3] += 5.0
-    out2 = nn.attention(ps, "a", T.constant(x2), heads, allowed=causal).data
+    out2 = nn.attention(ps, "a", T.constant(x2), heads, window=causal).data
     np.testing.assert_array_equal(base[0, :3], out2[0, :3])
     assert np.abs(base[0, 3] - out2[0, 3]).max() > 0
 
@@ -97,8 +97,8 @@ def test_attention_all_allowed_matches_dense():
     ps = nn.ParamSet()
     nn.add_attn(ps, "a", d, np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(2, L, d)).astype(np.float32)
-    full = np.ones((L, L), bool)
-    a = nn.attention(ps, "a", T.constant(x), heads, allowed=full).data
+    full = T.attention_window(np.ones((L, L), bool))
+    a = nn.attention(ps, "a", T.constant(x), heads, window=full).data
     b = nn.attention(ps, "a", T.constant(x), heads).data
     np.testing.assert_allclose(a, b, atol=1e-6)
 
@@ -128,9 +128,9 @@ def test_attention_ignores_a_key_bias(mask):
     k, v = (rng.normal(size=(B, S, d)).astype(np.float32) for _ in range(2))
     bk = rng.normal(size=d).astype(np.float32)
     band = np.subtract.outer(np.arange(L), np.arange(L))
-    allowed = None if mask == "dense" else (band >= 0) & (band <= 2)
-    with_bias = T.attention(T.constant(q), T.constant(k + bk), T.constant(v), heads, allowed)
-    without = T.attention(T.constant(q), T.constant(k), T.constant(v), heads, allowed)
+    window = None if mask == "dense" else T.attention_window((band >= 0) & (band <= 2))
+    with_bias = T.attention(T.constant(q), T.constant(k + bk), T.constant(v), heads, window)
+    without = T.attention(T.constant(q), T.constant(k), T.constant(v), heads, window)
     np.testing.assert_allclose(with_bias.data, without.data, atol=1e-6, rtol=0)
 
 
@@ -138,8 +138,9 @@ def test_attention_rejects_a_mask_with_kv():
     ps = nn.ParamSet()
     nn.add_attn(ps, "a", 8, np.random.default_rng(0))
     x = T.constant(np.zeros((1, 3, 8), np.float32))
+    window = T.attention_window(np.ones((3, 3), bool))
     with pytest.raises(T.ShapeError, match="self-attention only"):
-        nn.attention(ps, "a", x, 2, kv=x, allowed=np.ones((3, 3), bool))
+        nn.attention(ps, "a", x, 2, kv=x, window=window)
 
 
 def test_trunc_normal_bounded_and_deterministic():
@@ -161,6 +162,20 @@ def test_grads_of_returns_only_reached_params():
     assert "used.w" in g and "used.b" in g
     assert "unused.w" not in g
     np.testing.assert_allclose(g["used.b"], 4.0 * np.ones(2), atol=1e-6)
+
+
+def test_grads_of_skips_a_param_left_bound_to_an_earlier_tape():
+    ps = nn.ParamSet()
+    a = ps.add("a", np.ones(2, np.float32))
+    b = ps.add("b", np.ones(2, np.float32))
+    with T.Tape():
+        T.reduce_sum(T.mul(a, b))
+    with T.Tape():
+        loss = T.reduce_sum(T.mul(b, T.constant(np.full(2, 4.0, np.float32))))
+    assert a.node_id == b.node_id  # a's stale id names b on tape 2
+    g = nn.grads_of(loss, ps)
+    assert set(g) == {"b"}
+    np.testing.assert_array_equal(g["b"], [4.0, 4.0])
 
 
 def test_mse_oracle():

@@ -1,5 +1,7 @@
 """Encoder-decoder model: shapes, causality, conditioning, short training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,11 +139,10 @@ def test_build_model_is_seeded_and_validated():
 
 
 def test_full_condition_dropout_ignores_the_text():
-    w = _model()
+    w = _model(dataclasses.replace(TINY, cond_dropout_rate=1.0))
     text, img = _ids(B=4)
     text2, _ = _ids(B=4, seed=1)
-    losses = [float(seq2seq.forward_loss(w, t, img, rng=np.random.default_rng(9),
-                                         cond_dropout_rate=1.0).data)
+    losses = [float(seq2seq.forward_loss(w, t, img, rng=np.random.default_rng(9)).data)
               for t in (text, text2)]
     assert losses[0] == losses[1]
 

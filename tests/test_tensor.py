@@ -1,7 +1,11 @@
 """Op catalog: forward oracles, gradient checks, shape rules, tape mechanics."""
 
+import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +109,8 @@ def test_gelu_against_erf_form():
 
 
 def _erf_cdf(x):
-    # the float64 reference, and the float32 kernel the table replaced
+    # scipy's erf form: an independent float64 reference, and the float32
+    # kernel the table replaced
     cdf = erf(x * np.asarray(1.0 / np.sqrt(2.0), dtype=x.dtype))
     cdf += 1.0
     cdf *= 0.5
@@ -130,9 +135,44 @@ def test_float32_gelu_table_within_stated_tolerance_of_erf():
     np.testing.assert_array_equal(T._normal_cdf(far), [0.0, 0.0, 1.0, 1.0])
 
 
+def test_float32_cdf_table_is_the_one_scipy_erf_builds():
+    knots = T._CDF_LO + T._CDF_STEP * np.arange(T._CDF_SEGMENTS + 1)
+    cdf = 0.5 * (1.0 + erf(knots / np.sqrt(2.0)))
+    cdf[0], cdf[-1] = 0.0, 1.0
+    slope = np.append(np.diff(cdf) / T._CDF_STEP, 0.0)
+    np.testing.assert_array_equal(T._CDF_VALUES, cdf.astype(np.float32))
+    np.testing.assert_array_equal(T._CDF_SLOPES, slope.astype(np.float32))
+
+
 def test_float64_gelu_is_the_erf_form():
     x = np.linspace(-8.0, 8.0, 1001)
-    np.testing.assert_array_equal(T._fwd_gelu([x], {}), x * _erf_cdf(x))
+    got = T._fwd_gelu([x], {})
+    want = [v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(got, x * _erf_cdf(x), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0, 3), (3, 4)],
+                         ids=["0d", "empty", "empty_3d", "2d"])
+def test_float64_gelu_takes_any_shape(shape):
+    x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+    y = T._fwd_gelu([x], {})
+    assert y.shape == shape and y.dtype == np.float64
+    np.testing.assert_allclose(y, x * _erf_cdf(x), rtol=0, atol=1e-15)
+
+
+def test_importing_every_ttig_module_loads_no_scipy():
+    # a fresh interpreter, so no other test's import of scipy is seen
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import importlib, pkgutil, sys; sys.path.insert(0, {src!r}); import ttig\n"
+            "for m in pkgutil.iter_modules(ttig.__path__):\n"
+            "    if m.name != '__main__':\n"
+            "        importlib.import_module('ttig.' + m.name)\n"
+            "assert 'ttig.cli' in sys.modules\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -254,7 +294,8 @@ def test_attention_matches_scale_fill_softmax_chain(dtype, mode):
 
     leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
     with T.Tape():
-        out = T.attention(*leaves, cfg.heads, allowed)
+        window = None if allowed is None else T.attention_window(allowed)
+        out = T.attention(*leaves, cfg.heads, window)
         loss = T.reduce_sum(T.mul(out, T.constant(g)))  # upstream gradient is g
     grads = T.backward(loss)
     got = [out.data] + [grads[x.node_id].data for x in leaves]
@@ -266,6 +307,7 @@ def test_attention_matches_scale_fill_softmax_chain(dtype, mode):
 
 def test_attention_window_gives_ruled_out_keys_zero_weight_and_gradient():
     allowed = seq2seq.conv_sparse_mask(4, 4, 3)
+    window = T.attention_window(allowed)
     rng = _rng(2)
     q, k, v = (rng.normal(size=(2, 16, 8)).astype(np.float32) for _ in range(3))
     i = 9
@@ -274,7 +316,7 @@ def test_attention_window_gives_ruled_out_keys_zero_weight_and_gradient():
     pick = np.zeros((16, 8), np.float32)
     pick[i] = 1.0  # the loss reads query i's output only
     with T.Tape():
-        out = T.attention(*leaves, 2, allowed)
+        out = T.attention(*leaves, 2, window)
         loss = T.reduce_sum(T.mul(out, T.constant(pick)))
     grads = T.backward(loss)
     for x in leaves[1:]:
@@ -284,7 +326,7 @@ def test_attention_window_gives_ruled_out_keys_zero_weight_and_gradient():
     k2, v2 = k.copy(), v.copy()
     k2[:, ruled_out] += 3.0
     v2[:, ruled_out] -= 5.0
-    moved = T.attention(*(T.constant(x) for x in (q, k2, v2)), 2, allowed).data
+    moved = T.attention(*(T.constant(x) for x in (q, k2, v2)), 2, window).data
     np.testing.assert_array_equal(moved[:, i], out.data[:, i])
 
 
@@ -313,6 +355,12 @@ def test_attention_window_rejects_a_row_allowing_no_key():
     allowed[2] = False
     with pytest.raises(ShapeError, match=r"query rows \[2\] allow no key"):
         T.attention_window(allowed)
+
+
+def test_attention_takes_a_window_not_a_mask():
+    x = T.constant(np.zeros((1, 4, 8), np.float32))
+    with pytest.raises(ShapeError, match="window must be a Window"):
+        T.attention(x, x, x, 2, np.tril(np.ones((4, 4), bool)))
 
 
 def test_attention_window_rejects_a_non_square_mask():
@@ -471,14 +519,14 @@ def test_grad_conv2d():
                                         T.conv2d(T.constant(x, np.float64), t, pad=1))), w, tol=1e-4)
 
 
-def _check_attention_grads(B, L, S, D, heads, allowed=None):
+def _check_attention_grads(B, L, S, D, heads, window=None):
     rng = _rng(heads)
     xs = [rng.normal(size=(B, n, D)) for n in (L, S, S)]
     w = rng.normal(size=(B, L, D))
     for i in range(3):
         def f(t):
             ins = [t if j == i else T.constant(x, np.float64) for j, x in enumerate(xs)]
-            return T.reduce_sum(T.mul(T.attention(*ins, heads, allowed),
+            return T.reduce_sum(T.mul(T.attention(*ins, heads, window),
                                       T.constant(w, np.float64)))
         _check(f, xs[i])
 
