@@ -38,7 +38,7 @@ def main():
         scores = []
         for prompt in prompts:
             out = sampling.generate(model, vocab, tok, prompt, cfg)
-            scores += [metrics.caption_fidelity(img, prompt) for img in out.images]
+            scores += metrics.caption_fidelities(out.images, prompt).tolist()
         print(f"{lam:>7.1f} {np.mean(scores):>15.3f}")
 
 

@@ -142,7 +142,7 @@ def _load_kind(path, kind):
 
 def _load_typed(path, kind, cfg_cls, build):
     """Validate kind and config section (field names and value types), then
-    build(cfg, seed) and load."""
+    build(cfg, 0, skeleton=True), zeros with no random draws, and load."""
     state, config = _load_kind(path, kind)
     key = _SECTION[kind]
     section = config.get(key)
@@ -150,7 +150,7 @@ def _load_typed(path, kind, cfg_cls, build):
         raise DataError(f"{kind!r} checkpoint at {path} has no {key!r} config")
     check_section(section, field_types(cfg_cls), key,
                   f"{kind!r} checkpoint at {path}")
-    w = build(cfg_cls(**section), seed=0)
+    w = build(cfg_cls(**section), 0, skeleton=True)
     w.params.load_state(state)
     return w
 

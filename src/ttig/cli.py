@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -344,7 +345,7 @@ def cmd_eval_fid(args) -> int:
 
 def cmd_eval_alignment(args) -> int:
     meta, images = _load_sample_dir(args.dir)
-    scores = [metrics.caption_fidelity(img, meta["prompt"]) for img in images]
+    scores = metrics.caption_fidelities(images, meta["prompt"])
     for name, value in (("caption_fidelity_mean", np.mean(scores)),
                         ("caption_fidelity_best", np.max(scores))):
         _emit(metrics.metric_record(name, value, len(images), 0, "oracle",
@@ -405,32 +406,32 @@ def build_parser() -> _Parser:
     p = _Parser(prog="ttig", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, help, config=True, seed=True):
+    def add(name, help, config=True, seed=True):
+        """The subparser of name; run() calls cmd_<name, "-" read as "_">."""
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(fn=fn)
         if config:
             sp.add_argument("--config", default=None, help="RunConfig JSON path")
         if seed:
             sp.add_argument("--seed", type=int, default=None)
         return sp
 
-    sp = add("make-data", cmd_make_data, "render a captioned dataset to PNGs")
+    sp = add("make-data", "render a captioned dataset to PNGs")
     sp.add_argument("--out", required=True)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--split", choices=("train", "eval", "all"), default="train")
 
-    for name, fn, what in (
-            ("train-tokenizer", cmd_train_tokenizer, "train tokenizer and checkpoint it"),
-            ("train-reranker", cmd_train_reranker, "train reranker and checkpoint it"),
-            ("train-model", cmd_train_model, "train the text-to-image model"),
-            ("train-sr", cmd_train_sr, "train the 2x upsampler")):
-        sp = add(name, fn, what)
-        if fn is cmd_train_model:
+    for name, what in (
+            ("train-tokenizer", "train tokenizer and checkpoint it"),
+            ("train-reranker", "train reranker and checkpoint it"),
+            ("train-model", "train the text-to-image model"),
+            ("train-sr", "train the 2x upsampler")):
+        sp = add(name, what)
+        if name == "train-model":
             sp.add_argument("--tokenizer", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--steps", type=int, default=None)
 
-    sp = add("sample", cmd_sample, "generate images for a prompt")
+    sp = add("sample", "generate images for a prompt")
     sp.add_argument("--model", required=True)
     sp.add_argument("--tokenizer", required=True)
     sp.add_argument("--sr", default=None)
@@ -443,25 +444,25 @@ def build_parser() -> _Parser:
     sp.add_argument("--top-k", type=int, default=None)
     sp.add_argument("--temperature", type=float, default=None)
 
-    sp = add("rerank", cmd_rerank, "order sampled images by alignment",
+    sp = add("rerank", "order sampled images by alignment",
              config=False, seed=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--reranker", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = add("eval-fid", cmd_eval_fid, "FID between two image directories",
+    sp = add("eval-fid", "FID between two image directories",
              config=False)
     sp.add_argument("--real", required=True)
     sp.add_argument("--gen", required=True)
     sp.add_argument("--features", required=True, help="dual-encoder checkpoint")
     sp.add_argument("--out", default=None)
 
-    sp = add("eval-alignment", cmd_eval_alignment, "oracle fidelity of a sample dir",
+    sp = add("eval-alignment", "oracle fidelity of a sample dir",
              config=False, seed=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = add("retrieve", cmd_retrieve, "nearest training images for a caption",
+    sp = add("retrieve", "nearest training images for a caption",
              seed=False)
     sp.add_argument("--reranker", required=True)
     sp.add_argument("--caption", required=True)
@@ -471,7 +472,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--exclude-query", action="store_true",
                     help="out-of-dataset mode: index built without the query caption")
 
-    sp = add("inspect-checkpoint", cmd_inspect_checkpoint, "print checkpoint summary",
+    sp = add("inspect-checkpoint", "print checkpoint summary",
              config=False, seed=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--full", action="store_true")
@@ -479,11 +480,19 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser(), built on the first run() and shared by every later one:
+    parsing reads the parser and never changes it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        # looked up on every call, not kept in the parser that outlives it, so
+        # a wrapper set on the module attribute (perfbench's tracer) runs
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

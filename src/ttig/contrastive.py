@@ -63,9 +63,10 @@ class DualEncoder:
         return float(self.params["tau"].data[0, 0])
 
 
-def build_encoder(cfg: EncoderConfig, seed: int = 0) -> DualEncoder:
+def build_encoder(cfg: EncoderConfig, seed: int = 0, *,
+                  skeleton: bool = False) -> DualEncoder:
     cfg.validate()
-    rng = np.random.default_rng(seed)
+    rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     nn.add_linear(ps, "img.in", cfg.patch_dim, cfg.d_model, rng)
     ps.add("img.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))

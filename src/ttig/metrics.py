@@ -8,8 +8,14 @@ are not mistaken for published figures.
 The alignment oracle inverts the renderer: it knows where each specified
 object must sit, re-detects shape by footprint overlap and color by nearest
 palette entry, and scores the fraction of satisfied assertions. A freshly
-rendered spec scores exactly 1.0. caption_fidelity lifts the oracle to
+rendered spec scores exactly 1.0. caption_fidelities lifts the oracle to
 captions by taking the best score over all placements the caption allows.
+
+Both work from one per-cell table, vectorised over a stack of images: for
+every cell, the foreground, the best-overlap glyph and whether any paint is
+there; for every cell and caption object, whether presence, shape and color
+pass. A placement's score is then a lookup and a sum, so a caption's 4 or 12
+placements cost one pass over the images.
 """
 
 from __future__ import annotations
@@ -115,58 +121,82 @@ _PRESENCE_FLOOR = 0.5   # fraction of the expected footprint that must be filled
 _FG_TOL = 0.25          # distance from white background that counts as paint
 
 
-def _foreground(region: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(region - 1.0, axis=-1) > _FG_TOL
+def _image_stack(images, one: bool = False) -> np.ndarray:
+    """images (one (size, size, 3) image if one) as a float32
+    (n, size, size, 3) stack at a renderer resolution."""
+    given = np.asarray(images, dtype=np.float32)
+    images = given[None] if one else given
+    if images.ndim != 4 or images.shape[3] != 3 or images.shape[1] != images.shape[2]:
+        want = "a square (size, size, 3) image" if one else "square (n, size, size, 3) images"
+        raise DataError(f"expected {want}, got {given.shape}")
+    size = images.shape[1]
+    if size % scenes.GRID:
+        raise DataError(f"size {size} is not a renderer resolution "
+                        f"(must be divisible by {scenes.GRID})")
+    return images
+
+
+def _cell_passes(images: np.ndarray, objects) -> dict:
+    """(shape, color) of each object -> (n, GRID**2) count of its assertions
+    (presence, shape, color) that hold with the object in each cell, cells in
+    row-major order. The foreground, its overlap with each glyph and the
+    best-overlap glyph are found once per (image, cell)."""
+    n, size = images.shape[:2]
+    g, cell_px = scenes.GRID, size // scenes.GRID
+    cells = (images.reshape(n, g, cell_px, g, cell_px, 3).swapaxes(2, 3)
+             .reshape(n, g * g, cell_px, cell_px, 3))
+    fg = np.linalg.norm(cells - 1.0, axis=-1) > _FG_TOL
+    glyphs = np.stack([scenes.glyph_mask(s, cell_px) for s in scenes.SHAPES])
+    glyph_px = np.count_nonzero(glyphs, axis=(1, 2))
+    fg_px = np.count_nonzero(fg, axis=(2, 3))
+    inter = np.count_nonzero(fg[:, :, None] & glyphs, axis=(3, 4))  # (n, cells, shapes)
+    union = fg_px[..., None] + glyph_px - inter
+    iou = np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
+    # the first glyph in SHAPES order with the highest IoU
+    best = np.where(fg_px > 0, iou.argmax(axis=-1), -1)
+    # the nearest palette entry is searched in sorted-name order: ties go to
+    # the first name
+    names = sorted(scenes.PALETTE)
+    palette = np.array([scenes.PALETTE[nm] for nm in names], dtype=np.float32) / 255.0
+    out = {}
+    for obj in objects:
+        if (obj.shape, obj.color) in out:
+            continue
+        k = scenes.SHAPES.index(obj.shape)
+        # presence: the expected footprint is mostly painted
+        coverage = np.divide(inter[..., k], glyph_px[k], out=np.zeros(fg_px.shape),
+                             where=glyph_px[k] > 0)
+        present = coverage >= _PRESENCE_FLOOR
+        # shape: detected foreground overlaps the right glyph best
+        shape_ok = best == k
+        # color: mean paint over the expected footprint, nearest palette entry,
+        # and close enough to the expected entry that off-palette fills fail.
+        # The norm of one vector is the sqrt of its float32 dot, which vecdot
+        # (numpy 2.0+) takes row by row; norm(axis=-1) would sum and round
+        # differently.
+        mean_rgb = cells[:, :, glyphs[k]].mean(axis=2)
+        diff = mean_rgb[:, :, None, :] - palette
+        dist = np.sqrt(np.vecdot(diff, diff))
+        c = names.index(obj.color)
+        color_ok = ((dist.argmin(axis=-1) == c)
+                    & (dist[..., c].astype(np.float64) <= _COLOR_TOL))
+        out[obj.shape, obj.color] = (present.astype(np.int64) + shape_ok + color_ok)
+    return out
+
+
+def _scores(passes: dict, spec: scenes.SceneSpec) -> np.ndarray:
+    """(n,) fraction of spec's assertions that hold, read from _cell_passes."""
+    passed = sum(passes[o.shape, o.color][:, o.cell[0] * scenes.GRID + o.cell[1]]
+                 for o in spec.objects)
+    return passed / (3 * len(spec.objects))
 
 
 def alignment_oracle(image: np.ndarray, spec: scenes.SceneSpec) -> float:
     """Fraction of per-object (shape, color, presence-in-cell) assertions that
     hold when each object is sampled at the cell the spec pins it to."""
     spec.validate()
-    image = np.asarray(image, dtype=np.float32)
-    if image.ndim != 3 or image.shape[2] != 3 or image.shape[0] != image.shape[1]:
-        raise DataError(f"expected a square (size, size, 3) image, got {image.shape}")
-    size = image.shape[0]
-    if size % scenes.GRID:
-        raise DataError(f"size {size} is not a renderer resolution "
-                        f"(must be divisible by {scenes.GRID})")
-    cell_px = size // scenes.GRID
-    glyphs = {s: scenes.glyph_mask(s, cell_px) for s in scenes.SHAPES}
-    palette = {name: np.asarray(rgb, dtype=np.float32) / 255.0
-               for name, rgb in scenes.PALETTE.items()}
-    passed = 0
-    total = 0
-    for obj in spec.objects:
-        r0 = obj.cell[0] * cell_px
-        c0 = obj.cell[1] * cell_px
-        region = image[r0:r0 + cell_px, c0:c0 + cell_px]
-        fg = _foreground(region)
-        footprint = glyphs[obj.shape]
-
-        # presence: the expected footprint is mostly painted
-        coverage = float(fg[footprint].mean()) if footprint.any() else 0.0
-        present = coverage >= _PRESENCE_FLOOR
-
-        # shape: detected foreground overlaps the right glyph best
-        best, best_iou = None, -1.0
-        for name, mask in glyphs.items():
-            union = float(np.logical_or(fg, mask).sum())
-            iou = float(np.logical_and(fg, mask).sum()) / union if union else 0.0
-            if iou > best_iou:
-                best, best_iou = name, iou
-        shape_ok = fg.any() and best == obj.shape
-
-        # color: mean paint over the expected footprint, nearest palette entry,
-        # and close enough to the expected entry that off-palette fills fail
-        mean_rgb = region[footprint].mean(axis=0)
-        dists = {name: float(np.linalg.norm(mean_rgb - rgb))
-                 for name, rgb in palette.items()}
-        nearest = min(sorted(dists), key=lambda nm: dists[nm])
-        color_ok = nearest == obj.color and dists[obj.color] <= _COLOR_TOL
-
-        passed += int(present) + int(shape_ok) + int(color_ok)
-        total += 3
-    return passed / total
+    images = _image_stack(image, one=True)
+    return float(_scores(_cell_passes(images, spec.objects), spec)[0])
 
 
 def _placements(spec: scenes.SceneSpec):
@@ -191,8 +221,15 @@ def _placements(spec: scenes.SceneSpec):
             relation=spec.relation)
 
 
-def caption_fidelity(image: np.ndarray, caption: str) -> float:
-    """Best oracle score over every placement the caption permits; captions
-    never pin cells, so a faithful image in any legal layout scores 1.0."""
+def caption_fidelities(images: np.ndarray, caption: str) -> np.ndarray:
+    """(n,) float64: for each image of an (n, size, size, 3) stack, the best
+    oracle score over every placement the caption permits; captions never pin
+    cells, so a faithful image in any legal layout scores 1.0."""
     parsed = scenes.parse_caption(caption)
-    return max(alignment_oracle(image, s) for s in _placements(parsed))
+    passes = _cell_passes(_image_stack(images), parsed.objects)
+    return np.max([_scores(passes, s) for s in _placements(parsed)], axis=0)
+
+
+def caption_fidelity(image: np.ndarray, caption: str) -> float:
+    """caption_fidelities of one (size, size, 3) image."""
+    return float(caption_fidelities(_image_stack(image, one=True), caption)[0])

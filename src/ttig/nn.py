@@ -22,7 +22,12 @@ from . import tensor as T
 from .errors import DataError
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator | None, shape, std: float = 0.02) -> np.ndarray:
+    """Normal draws resampled beyond 2 sigma, times std. With rng None (a
+    builder's skeleton=True) it draws nothing and gives zeros: a placeholder
+    a checkpoint's load_state overwrites."""
+    if rng is None:
+        return np.zeros(shape, dtype=np.float32)
     x = rng.standard_normal(shape)
     bad = np.abs(x) > 2.0
     while bad.any():

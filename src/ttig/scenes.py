@@ -9,7 +9,9 @@ free cell placement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DataError
@@ -77,21 +79,26 @@ class SceneSpec:
             raise DataError("relation set on a one-object scene")
 
 
+@functools.lru_cache(maxsize=64)
 def glyph_mask(shape: str, cell_px: int) -> np.ndarray:
     """Boolean (cell_px, cell_px) footprint of a glyph, resolution independent
-    via normalized pixel-center coordinates."""
+    via normalized pixel-center coordinates. Computed once per (shape,
+    cell_px); every caller shares the one read-only array."""
     u = (np.arange(cell_px) + 0.5) / cell_px
     vv, uu = np.meshgrid(u, u, indexing="ij")  # vv rows, uu cols
     if shape == "square":
-        return (vv >= 3 / 16) & (vv < 13 / 16) & (uu >= 3 / 16) & (uu < 13 / 16)
-    if shape == "circle":
-        return (vv - 0.5) ** 2 + (uu - 0.5) ** 2 <= 0.375 ** 2
-    if shape == "triangle":
+        mask = (vv >= 3 / 16) & (vv < 13 / 16) & (uu >= 3 / 16) & (uu < 13 / 16)
+    elif shape == "circle":
+        mask = (vv - 0.5) ** 2 + (uu - 0.5) ** 2 <= 0.375 ** 2
+    elif shape == "triangle":
         inside = (vv >= 3 / 16) & (vv < 13 / 16)
         t = np.clip((vv - 3 / 16) / (10 / 16), 0.0, 1.0)
         halfw = (0.5 + 4.5 * t) / 16
-        return inside & (np.abs(uu - 0.5) <= halfw)
-    raise DataError(f"unknown shape {shape!r}")
+        mask = inside & (np.abs(uu - 0.5) <= halfw)
+    else:
+        raise DataError(f"unknown shape {shape!r}")
+    mask.setflags(write=False)
+    return mask
 
 
 def render(spec: SceneSpec, size: int = IMAGE_SIZE) -> np.ndarray:

@@ -82,9 +82,10 @@ def conv_sparse_mask(grid_h: int, grid_w: int, k: int) -> np.ndarray:
     return mask
 
 
-def build_model(cfg: ModelConfig, seed: int) -> TransformerWeights:
+def build_model(cfg: ModelConfig, seed: int, *,
+                skeleton: bool = False) -> TransformerWeights:
     cfg.validate()
-    rng = np.random.default_rng(seed)
+    rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     ps.add("text_emb", nn.trunc_normal(rng, (cfg.text_vocab, cfg.d_model)))
     ps.add("text_pos", nn.trunc_normal(rng, (cfg.text_len, cfg.d_model)))

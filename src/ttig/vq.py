@@ -64,22 +64,25 @@ class TokenizerWeights:
         return self.params["codebook"].data
 
 
-def build_tokenizer(cfg: TokenizerConfig, seed: int) -> TokenizerWeights:
+def build_tokenizer(cfg: TokenizerConfig, seed: int, *,
+                    skeleton: bool = False) -> TokenizerWeights:
     if cfg.image_size % cfg.patch:
         raise DataError(f"image_size {cfg.image_size} not divisible by patch {cfg.patch}")
     if cfg.d_model % cfg.heads:
         raise DataError(f"heads {cfg.heads} must divide d_model {cfg.d_model}")
     if cfg.dec_d % cfg.heads:
         raise DataError(f"heads {cfg.heads} must divide dec_d_model {cfg.dec_d}")
-    rng = np.random.default_rng(seed)
+    rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     nn.add_linear(ps, "enc.in", cfg.patch_dim, cfg.d_model, rng)
     ps.add("enc.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
     nn.add_stack(ps, "enc", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
     nn.add_linear(ps, "enc.proj", cfg.d_model, cfg.d_code, rng)
-    cb = rng.standard_normal((cfg.codebook_size, cfg.d_code))
-    cb /= np.linalg.norm(cb, axis=1, keepdims=True)
-    ps.add("codebook", cb)
+    if rng is None:
+        ps.add("codebook", np.zeros((cfg.codebook_size, cfg.d_code), dtype=np.float32))
+    else:
+        cb = rng.standard_normal((cfg.codebook_size, cfg.d_code))
+        ps.add("codebook", cb / np.linalg.norm(cb, axis=1, keepdims=True))
     nn.add_linear(ps, "dec.in", cfg.d_code, cfg.dec_d, rng)
     ps.add("dec.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.dec_d)))
     nn.add_stack(ps, "dec", cfg.dec_n, cfg.dec_d, cfg.d_mlp, rng)
@@ -287,8 +290,8 @@ class SRWeights:
     params: nn.ParamSet
 
 
-def build_sr(cfg: SRConfig, seed: int) -> SRWeights:
-    rng = np.random.default_rng(seed)
+def build_sr(cfg: SRConfig, seed: int, *, skeleton: bool = False) -> SRWeights:
+    rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     k, c = cfg.kernel, cfg.channels
     ps.add("in.w", nn.trunc_normal(rng, (k, k, 3, c)))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ttig import checkpoint, contrastive, seq2seq, vq
+from ttig import checkpoint, contrastive, nn, seq2seq, vq
 from ttig.errors import DataError
 
 
@@ -216,3 +216,39 @@ def test_typed_load_rejects_bad_config_section(tmp_path, kind, damage):
     assert str(path) in str(err.value)
     if damage == "wrong_type":
         assert f"{section}.{field}" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_TYPED))
+def test_typed_load_is_byte_exact_and_draws_no_init(tmp_path, kind, monkeypatch):
+    """A load builds its skeleton from no generator: no truncated-normal draw
+    (nor the tokenizer's codebook draw), only the saved bytes."""
+    save, load, build = _TYPED[kind]
+    w = build()
+    save(w, tmp_path / "ck")
+    trunc_normal = nn.trunc_normal
+
+    def no_draw(rng, shape, std=0.02):
+        if rng is not None:
+            raise AssertionError(f"a load drew a {shape} init")
+        return trunc_normal(rng, shape, std)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a load made a random generator")
+
+    with monkeypatch.context() as m:
+        m.setattr(nn, "trunc_normal", no_draw)
+        m.setattr(np.random, "default_rng", no_generator)
+        back = load(tmp_path / "ck")
+    assert back.cfg == w.cfg
+    saved, loaded = w.params.state_dict(), back.params.state_dict()
+    assert list(loaded) == list(saved)
+    for name, arr in saved.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes(), name
+    # seed=None keeps numpy's meaning, a fresh random init: every parameter
+    # a seeded build draws is drawn, not left as a zero placeholder
+    builder = {"seq2seq": seq2seq.build_model, "tokenizer": vq.build_tokenizer,
+               "dual_encoder": contrastive.build_encoder, "sr": vq.build_sr}[kind]
+    fresh = builder(w.cfg, None).params.state_dict()
+    drawn = [name for name, arr in saved.items() if np.any(arr)]
+    assert drawn and all(np.any(fresh[name]) for name in drawn)

@@ -3,13 +3,17 @@ the README and format docs that show them."""
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ttig import checkpoint, cli, contrastive, pngio, seq2seq, textproc, vq
+from ttig import (checkpoint, cli, contrastive, metrics, pngio, scenes, seq2seq,
+                  textproc, vq)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -360,3 +364,72 @@ def test_formats_doc_example_config_loads(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(example)
     assert set(cli.load_config(path)) == set(cli._SCHEMA)
+
+
+# eval-alignment records of _oracle_sample_dir, as the per-placement oracle
+# computed them: (caption_fidelity_mean, caption_fidelity_best)
+_EVAL_ALIGNMENT_RECORDS = {
+    "a red circle": (0.9722222222222222, 1.0),
+    "a blue square above a green triangle": (0.8472222222222223, 1.0),
+    "a yellow triangle next to a purple circle": (0.888888888888889, 1.0),
+    "a orange square to the left of a cyan circle": (0.9305555555555557, 1.0),
+}
+
+
+def _oracle_sample_dir(path, caption, seed):
+    """A sample directory of 12 PNGs for caption: renders of its legal layouts,
+    most with noise, and one of uniform noise."""
+    rng = np.random.default_rng(seed)
+    layouts = list(metrics._placements(scenes.parse_caption(caption)))
+    images = [scenes.render(layouts[rng.integers(len(layouts))]) for _ in range(12)]
+    images = [np.clip(img + rng.normal(0, 0.12 * (i % 4), img.shape), 0, 1)
+              for i, img in enumerate(images)]
+    images[-1] = rng.random(images[-1].shape)
+    path.mkdir()
+    files = [f"sample_{i:02d}.png" for i in range(len(images))]
+    for name, img in zip(files, images):
+        pngio.write_png(path / name, img)
+    (path / "meta.json").write_text(json.dumps(
+        {"prompt": caption, "seed": seed, "files": files}))
+
+
+def test_eval_alignment_records_are_fixed(tmp_path, capsys):
+    for seed, (caption, want) in enumerate(_EVAL_ALIGNMENT_RECORDS.items()):
+        d = tmp_path / f"s{seed}"
+        _oracle_sample_dir(d, caption, seed)
+        assert cli.run(["eval-alignment", "--dir", str(d)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["metric"], r["n_a"], r["feature_fn"], r["seed"]) for r in records] == [
+            ("caption_fidelity_mean", 12, "oracle", seed),
+            ("caption_fidelity_best", 12, "oracle", seed)]
+        assert tuple(r["value"] for r in records) == want, caption
+
+
+def test_run_shares_one_parser_and_each_result_matches_a_fresh_process(tmp_path, capsys):
+    """run() builds its parser once per process. A second subcommand, a usage
+    error, and a later run that leaves out a flag an earlier run set each give
+    what a fresh process gives, files included."""
+    cfg = _cfg(tmp_path, TINY_DATA)
+    _oracle_sample_dir(tmp_path / "samples", "a red circle", 0)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    runs = ((0, ["make-data", "--config", cfg, "--n", "3", "--seed", "5", "--out", "{}/a"]),
+            (0, ["eval-alignment", "--dir", str(tmp_path / "samples")]),
+            (1, ["make-data", "--config", cfg]),
+            (0, ["make-data", "--config", cfg, "--n", "3", "--out", "{}/b"]))
+    for want_code, argv in runs:
+        code = cli.run([a.format(tmp_path / "in") for a in argv])
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ttig",
+                                *(a.format(tmp_path / "fresh") for a in argv)],
+                               capture_output=True, text=True, env=env)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == want_code
+        assert len(got.err.splitlines()) == code  # one usage-error line, or none
+    assert cli._parser() is cli._parser()
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert all(callable(getattr(cli, "cmd_" + name.replace("-", "_"))) for name in sub.choices)
+    files = sorted(p.relative_to(tmp_path / "in") for p in (tmp_path / "in").rglob("*.*"))
+    assert len(files) == 2 * (3 + 2)  # per dataset: 3 PNGs, captions, manifest
+    assert all((tmp_path / "in" / f).read_bytes() == (tmp_path / "fresh" / f).read_bytes()
+               for f in files)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttig import contrastive, metrics, scenes
+from ttig import contrastive, metrics, pngio, scenes
 from ttig.errors import DataError, NumericError
 
 
@@ -228,3 +228,120 @@ def test_caption_fidelity_rejects_garbage_caption():
     img = np.ones((32, 32, 3), np.float32)
     with pytest.raises(DataError):
         metrics.caption_fidelity(img, "nonsense words here")
+
+
+# ------------------------------------------- oracle against its per-placement form
+
+def _reference_oracle(image, spec):
+    """The oracle as one call per placement: everything recomputed per object."""
+    spec.validate()
+    image = np.asarray(image, dtype=np.float32)
+    cell_px = image.shape[0] // scenes.GRID
+    glyphs = {s: scenes.glyph_mask(s, cell_px) for s in scenes.SHAPES}
+    palette = {name: np.asarray(rgb, dtype=np.float32) / 255.0
+               for name, rgb in scenes.PALETTE.items()}
+    passed = 0
+    for obj in spec.objects:
+        r0, c0 = obj.cell[0] * cell_px, obj.cell[1] * cell_px
+        region = image[r0:r0 + cell_px, c0:c0 + cell_px]
+        fg = np.linalg.norm(region - 1.0, axis=-1) > metrics._FG_TOL
+        footprint = glyphs[obj.shape]
+        coverage = float(fg[footprint].mean()) if footprint.any() else 0.0
+        present = coverage >= metrics._PRESENCE_FLOOR
+        best, best_iou = None, -1.0
+        for name, mask in glyphs.items():
+            union = float(np.logical_or(fg, mask).sum())
+            iou = float(np.logical_and(fg, mask).sum()) / union if union else 0.0
+            if iou > best_iou:
+                best, best_iou = name, iou
+        shape_ok = fg.any() and best == obj.shape
+        mean_rgb = region[footprint].mean(axis=0)
+        dists = {name: float(np.linalg.norm(mean_rgb - rgb))
+                 for name, rgb in palette.items()}
+        nearest = min(sorted(dists), key=lambda nm: dists[nm])
+        color_ok = nearest == obj.color and dists[obj.color] <= metrics._COLOR_TOL
+        passed += int(present) + int(shape_ok) + int(color_ok)
+    return passed / (3 * len(spec.objects))
+
+
+def _reference_fidelity(image, caption):
+    return max(_reference_oracle(image, s)
+               for s in metrics._placements(scenes.parse_caption(caption)))
+
+
+def _oracle_groups():
+    """(caption, spec of each image, (8, size, size, 3) images) groups, 2,048
+    images in all, half at 16 px and half at 32: clean renders, noisy renders
+    (float and 8-bit), uniform noise, fills whose mean lies within 1e-3 of
+    _COLOR_TOL from a palette entry, fills at or near the midpoint of two
+    entries, and footprints painted over half their pixels, give or take one."""
+    rng = np.random.default_rng(0)
+    palette = {nm: np.asarray(rgb, np.float32) / 255.0
+               for nm, rgb in scenes.PALETTE.items()}
+    groups = []
+    for kind in range(256):
+        spec = scenes.sample_spec(rng)
+        caption = scenes.caption(spec)
+        # seven random legal layouts of the caption, then the drawn one
+        layouts = list(metrics._placements(scenes.parse_caption(caption)))
+        specs = [layouts[i] for i in rng.integers(len(layouts), size=7)] + [spec]
+        size, mode = (16 if kind // 8 % 2 else 32), kind % 8
+        images = np.stack([scenes.render(s, size) for s in specs])
+        if mode in (1, 2):
+            images = images + rng.normal(0, 0.1 * mode, images.shape)
+        if mode == 2:
+            images = pngio.to_uint8(np.clip(images, 0, 1)) / np.float32(255)
+        if mode == 3:
+            images = rng.random(images.shape)
+        cell_px = size // scenes.GRID
+        if mode >= 4:
+            for img, s in zip(images, specs):
+                for obj in s.objects:
+                    r0, c0 = obj.cell[0] * cell_px, obj.cell[1] * cell_px
+                    region = img[r0:r0 + cell_px, c0:c0 + cell_px]
+                    footprint = scenes.glyph_mask(obj.shape, cell_px)
+                    if mode == 7:
+                        rows, cols = np.nonzero(footprint)
+                        keep = len(rows) // 2 + rng.integers(-1, 2)
+                        region[rows[keep:], cols[keep:]] = 1.0
+                        continue
+                    if mode == 6:
+                        other = palette[scenes.COLOR_NAMES[rng.integers(8)]]
+                        fill = (palette[obj.color] + other) / 2
+                        fill = fill + rng.choice([0, 1e-4]) * rng.normal(size=3)
+                    else:
+                        u = rng.normal(size=3)
+                        step = metrics._COLOR_TOL + rng.choice(
+                            [-1e-3, -1e-7, 0.0, 1e-7, 1e-3]) * rng.random()
+                        fill = palette[obj.color] + step * u / np.linalg.norm(u)
+                    region[footprint] = fill
+        groups.append((caption, specs, np.asarray(images, dtype=np.float32)))
+    return groups
+
+
+def test_oracle_equals_its_per_placement_form_on_2048_images():
+    groups = _oracle_groups()
+    assert sum(len(images) for _, _, images in groups) == 2048
+    for caption, specs, images in groups:
+        want = [_reference_fidelity(img, caption) for img in images]
+        got = metrics.caption_fidelities(images, caption)
+        assert got.dtype == np.float64 and got.shape == (len(images),)
+        assert got.tolist() == want, caption
+        # the one-image forms, on two images of each group
+        for img, spec, score in list(zip(images, specs, want))[-2:]:
+            assert metrics.caption_fidelity(img, caption) == score
+            assert metrics.alignment_oracle(img, spec) == _reference_oracle(img, spec)
+
+
+def test_caption_fidelities_input_validation():
+    with pytest.raises(DataError):
+        metrics.caption_fidelities(np.ones((2, 33, 33, 3), np.float32), "a red circle")
+    with pytest.raises(DataError):
+        metrics.caption_fidelities(np.ones((2, 32, 32, 3), np.float32), "a red blob")
+    # a one-image call is told about the shape it passed
+    with pytest.raises(DataError, match=r"a square \(size, size, 3\) image, got \(32, 31, 3\)"):
+        metrics.caption_fidelity(np.ones((32, 31, 3), np.float32), "a red circle")
+    with pytest.raises(DataError, match=r"a square \(size, size, 3\) image, got \(2, 32, 32, 3\)"):
+        metrics.alignment_oracle(np.ones((2, 32, 32, 3), np.float32), _spec())
+    with pytest.raises(DataError, match=r"\(n, size, size, 3\) images, got \(32, 32, 3\)"):
+        metrics.caption_fidelities(np.ones((32, 32, 3), np.float32), "a red circle")

@@ -87,6 +87,19 @@ def test_glyph_masks_disjoint_shapes():
     assert (sq != ci).any() and (sq != tr).any() and (ci != tr).any()
 
 
+def test_glyph_mask_is_one_shared_read_only_array():
+    mask = scenes.glyph_mask("triangle", 8)
+    assert scenes.glyph_mask("triangle", 8) is mask
+    assert mask.dtype == bool and mask.shape == (8, 8)
+    with pytest.raises(ValueError):
+        mask[4, 4] = False
+    img = scenes.render(_spec1(shape="triangle"), size=16)  # render only reads it
+    assert mask[4, 4] and (img[:8, :8][mask] == [1, 0, 0]).all()
+    for _ in range(2):
+        with pytest.raises(DataError, match="hexagon"):
+            scenes.glyph_mask("hexagon", 8)
+
+
 def test_sample_spec_draws_valid_scenes():
     rng = np.random.default_rng(0)
     for _ in range(200):
