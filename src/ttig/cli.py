@@ -304,16 +304,19 @@ def cmd_sample(args) -> int:
 
 
 def _load_sample_dir(path):
+    """-> (meta, each listed PNG file's bytes, their pixels)."""
     meta_path = Path(path) / "meta.json"
     if not meta_path.exists():
         raise DataError(f"{path} has no meta.json (not a sample directory)")
     meta = json.loads(meta_path.read_text())
-    images = np.stack([pngio.read_png(Path(path) / f) for f in meta["files"]])
-    return meta, images
+    files = [Path(path) / f for f in meta["files"]]
+    blobs = [f.read_bytes() for f in files]
+    images = np.stack([pngio.read_png(f, b) for f, b in zip(files, blobs)])
+    return meta, blobs, images
 
 
 def cmd_rerank(args) -> int:
-    meta, images = _load_sample_dir(args.dir)
+    meta, blobs, images = _load_sample_dir(args.dir)
     enc = checkpoint.load_encoder(args.reranker)
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     grids = np.asarray(meta["grids"])
@@ -321,7 +324,11 @@ def cmd_rerank(args) -> int:
                                  images=images, seed=meta["seed"])
     ranked = sampling.rerank(batch, contrastive.make_scorer(enc, vocab))
     out = Path(args.out or (Path(args.dir) / "reranked"))
-    names = _write_pngs(out, ranked.images, "rank")
+    # each ranked image is a sample file's pixels, so its file is that file
+    out.mkdir(parents=True, exist_ok=True)
+    names = [f"rank_{i:02d}.png" for i in range(len(blobs))]
+    for name, i in zip(names, ranked.order):
+        (out / name).write_bytes(blobs[i])
     meta_out = {**meta, "files": names, "scores": ranked.scores.tolist(),
                 "grids": np.asarray(ranked.grids).tolist(),
                 "source": str(args.dir)}
@@ -344,7 +351,7 @@ def cmd_eval_fid(args) -> int:
 
 
 def cmd_eval_alignment(args) -> int:
-    meta, images = _load_sample_dir(args.dir)
+    meta, _, images = _load_sample_dir(args.dir)
     scores = metrics.caption_fidelities(images, meta["prompt"])
     for name, value in (("caption_fidelity_mean", np.mean(scores)),
                         ("caption_fidelity_best", np.max(scores))):

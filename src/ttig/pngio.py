@@ -47,6 +47,15 @@ def write_png(path, img: np.ndarray):
 
 
 def _unfilter(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
+    """(h, w * channels) pixel bytes; lines that all use filter 0, as the
+    writer's do, are the inflated bytes without the filter column."""
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + w * channels)
+    if not lines[:, 0].any():
+        return lines[:, 1:]
+    return _unfilter_lines(raw, h, w, channels)
+
+
+def _unfilter_lines(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
     stride = w * channels
     out = np.zeros((h, stride), dtype=np.uint8)
     pos = 0
@@ -80,9 +89,12 @@ def _unfilter(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
     return out
 
 
-def read_png(path) -> np.ndarray:
-    """-> (H, W, 3) float32 in [0,1]."""
-    blob = open(path, "rb").read()
+def read_png(path, blob: bytes | None = None) -> np.ndarray:
+    """-> (H, W, 3) float32 in [0,1]. blob: the file's bytes, when the
+    caller has read them already."""
+    if blob is None:
+        with open(path, "rb") as f:
+            blob = f.read()
     if blob[:8] != _SIG:
         raise DataError(f"{path}: not a PNG file")
     pos = 8

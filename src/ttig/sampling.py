@@ -41,7 +41,9 @@ which the tests check on weights whose gains and biases are perturbed.
 
 Every sample consumes exactly one uniform per step from its own rng stream
 (inverse-CDF draw), so a sample's grid does not depend on how many other
-samples were drawn alongside it; a test checks this too.
+samples were drawn alongside it; a test checks this too. The uniform at step
+t is the stream's t-th double; each stream's image_len doubles are drawn in
+one call per chain, which gives the same values as one call per step.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ class SampleBatch:
     images: np.ndarray             # (n, H, W, 3) floats in [0, 1]
     scores: np.ndarray | None = None  # set by rerank, descending
     seed: int = 0
+    order: np.ndarray | None = None  # set by rerank: each row's index in its input
 
 
 def guided_logits(u, c, lam: float) -> np.ndarray:
@@ -273,9 +276,13 @@ def sample_token_batch(w: seq2seq.TransformerWeights, text_ids,
     spawned as SeedSequence(seed, spawn_key=(i,))."""
     rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
             for i in range(cfg.n_samples)]
+    draws = None  # (image_len, n): column i is stream i's draws for the chain
 
     def uniforms(t):
-        return np.array([r.random() for r in rngs])
+        nonlocal draws
+        if draws is None:
+            draws = np.stack([r.random(w.cfg.image_len) for r in rngs], axis=1)
+        return draws[t]
 
     return _run_chains(w, text_ids, cfg.n_samples, cfg, uniforms)
 
@@ -304,4 +311,4 @@ def rerank(batch: SampleBatch, scorer) -> SampleBatch:
     order = np.argsort(-scores, kind="stable")
     return SampleBatch(prompt=batch.prompt, grids=batch.grids[order],
                        images=batch.images[order], scores=scores[order],
-                       seed=batch.seed)
+                       seed=batch.seed, order=order)

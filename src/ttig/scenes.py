@@ -103,18 +103,24 @@ def glyph_mask(shape: str, cell_px: int) -> np.ndarray:
 
 def render(spec: SceneSpec, size: int = IMAGE_SIZE) -> np.ndarray:
     """Float32 (size, size, 3) in [0, 1]; white background, exact palette fills."""
+    img = np.ones((size, size, 3), dtype=np.float32)
+    _paint(img, spec)
+    return img
+
+
+def _paint(img: np.ndarray, spec: SceneSpec):
+    """Draw spec's glyphs into a white (size, size, 3) float32 canvas."""
     spec.validate()
+    size = img.shape[0]
     if size % GRID:
         raise DataError(f"size {size} not divisible by grid {GRID}")
     cell_px = size // GRID
-    img = np.ones((size, size, 3), dtype=np.float32)
     for obj in spec.objects:
         mask = glyph_mask(obj.shape, cell_px)
         r0, c0 = obj.cell[0] * cell_px, obj.cell[1] * cell_px
         rgb = np.asarray(PALETTE[obj.color], dtype=np.float32) / 255.0
         region = img[r0:r0 + cell_px, c0:c0 + cell_px]
         region[mask] = rgb
-    return img
 
 
 def caption(spec: SceneSpec) -> str:
@@ -226,7 +232,9 @@ def gen_dataset(n: int, seed: int, exclude_captions=(), size: int = IMAGE_SIZE) 
             continue
         specs.append(spec)
         caps.append(cap)
-    images = np.stack([render(s, size) for s in specs])
+    images = np.ones((n, size, size, 3), dtype=np.float32)
+    for img, spec in zip(images, specs):
+        _paint(img, spec)
     return Dataset(specs=specs, captions=caps, images=images)
 
 

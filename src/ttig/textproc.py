@@ -5,12 +5,21 @@ everything above comes from merges learned greedily on a corpus: repeatedly
 fuse the most frequent adjacent token pair, ties broken by the
 lexicographically smallest (left_bytes, right_bytes) pair. UNK is reserved
 but unreachable through encode() since every byte has an id.
+
+Both directions work on strings with one character per token (byte b is
+chr(b)), so a merge is str.replace(left + right, fused): the left-to-right,
+non-overlapping rewrite. Training keeps weighted pair counts over the
+distinct captions and, per merge, updates only the pairs around each merge
+site, taking the next merge from a lazily invalidated heap. Encoding applies
+the merges in rank order, each as one replace.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import add
 
 from .errors import DataError
 
@@ -27,17 +36,16 @@ MIN_VOCAB = N_SPECIALS + 256
 class Vocab:
     merges: list  # [(left_bytes, right_bytes), ...] in training order
     tokens: list  # token bytes by id; specials hold b""
-    _ranks: dict = field(default_factory=dict, repr=False)
     _ids: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
+    _rules: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        if not self._ranks:
-            self._ranks = {pair: i for i, pair in enumerate(self.merges)}
         if not self._ids:
             for i, tok in enumerate(self.tokens):
                 if i >= N_SPECIALS and tok not in self._ids:
                     self._ids[tok] = i
+        self._rules = _rewrite_rules(self.merges, self._ids)
 
     @property
     def vocab_size(self) -> int:
@@ -50,87 +58,117 @@ def _base_tokens():
     return toks
 
 
+def _one_char(text: str) -> str:
+    """UTF-8 bytes of text, one character per byte (byte b is chr(b))."""
+    return text.encode("utf-8").decode("latin-1")
+
+
 def train_bpe(corpus, vocab_size: int = 512) -> Vocab:
     """Learn merges on an iterable of strings. vocab_size >= 260."""
     if vocab_size < MIN_VOCAB:
         raise DataError(f"vocab_size must be >= {MIN_VOCAB}, got {vocab_size}")
     seq_mult = Counter(corpus)
-    seqs = [[bytes([b]) for b in s.encode("utf-8")] for s in seq_mult]
+    seqs = [_one_char(s) for s in seq_mult]
     weights = list(seq_mult.values())
+    tok_of = [bytes([b]) for b in range(256)]  # token bytes by character code
+    char_of = {tok: chr(b) for b, tok in enumerate(tok_of)}
 
-    pair_counts = Counter()
-    pair_where = defaultdict(set)
+    counts = defaultdict(int)  # pair string -> weighted count
+    where = defaultdict(set)  # pair string -> sequences that held it
+    for i, s in enumerate(seqs):
+        w = weights[i]
+        for p in map(add, s, s[1:]):
+            counts[p] += w
+            where[p].add(i)
 
-    def scan(i, sign):
-        w = weights[i] * sign
-        s = seqs[i]
-        for p in zip(s, s[1:]):
-            pair_counts[p] += w
-            if sign > 0:
-                pair_where[p].add(i)
+    def entry(p):
+        return (-counts[p], (tok_of[ord(p[0])], tok_of[ord(p[1])]), p)
 
-    for i in range(len(seqs)):
-        scan(i, +1)
-
+    heap = [entry(p) for p, c in counts.items() if c >= 2]
+    heapify(heap)
     merges = []
     taken = set()
     while len(merges) < vocab_size - MIN_VOCAB:
-        best = None
-        for p, c in pair_counts.items():
-            if c < 2 or p in taken:
-                continue
-            if best is None or c > best[0] or (c == best[0] and p < best[1]):
-                best = (c, p)
-        if best is None:
+        while heap:
+            neg, pair, p = heappop(heap)
+            if -neg == counts[p] and p not in taken:
+                break
+        else:
             break  # no pair repeats anywhere
-        pair = best[1]
         merges.append(pair)
-        taken.add(pair)
+        taken.add(p)
         fused = pair[0] + pair[1]
-        for i in list(pair_where[pair]):
-            scan(i, -1)
+        t = char_of.get(fused)
+        if t is None:
+            t = char_of[fused] = chr(len(tok_of))
+            tok_of.append(fused)
+        delta = defaultdict(int)  # count changes; p's own count is never read again
+        for i in where.pop(p):
             s = seqs[i]
-            t = []
-            j = 0
-            while j < len(s):
-                if j + 1 < len(s) and s[j] == pair[0] and s[j + 1] == pair[1]:
-                    t.append(fused)
-                    j += 2
-                else:
-                    t.append(s[j])
-                    j += 1
-            seqs[i] = t
-            scan(i, +1)
+            j = s.find(p)
+            if j < 0:
+                continue
+            w = weights[i]
+            seqs[i] = new = s.replace(p, t)
+            k, prev = 0, -2  # occurrences so far; old index of the last one
+            while j >= 0:
+                # the occurrence at old index j is t at new index q; a left
+                # pair shared with the previous occurrence was counted there
+                q = j - k
+                if j and j != prev + 2:
+                    delta[s[j - 1:j + 1]] -= w
+                    a = new[q - 1:q + 1]
+                    delta[a] += w
+                    where[a].add(i)
+                if j + 2 < len(s):
+                    delta[s[j + 1:j + 3]] -= w
+                if q + 1 < len(new):
+                    a = new[q:q + 2]
+                    delta[a] += w
+                    where[a].add(i)
+                k, prev = k + 1, j
+                j = s.find(p, j + 2)
+        for c, d in delta.items():
+            if d:
+                counts[c] += d
+                if counts[c] >= 2 and c not in taken:
+                    heappush(heap, entry(c))
 
     tokens = _base_tokens()
     tokens.extend(l + r for l, r in merges)
     return Vocab(merges=merges, tokens=tokens)
 
 
-def _bpe_word(vocab: Vocab, text: str):
-    word = [bytes([b]) for b in text.encode("utf-8")]
-    ranks = vocab._ranks
-    while len(word) >= 2:
-        best = None
-        for p in zip(word, word[1:]):
-            r = ranks.get(p)
-            if r is not None and (best is None or r < best[0]):
-                best = (r, p)
-        if best is None:
-            break
-        l, r = best[1]
-        fused = l + r
-        t = []
-        j = 0
-        while j < len(word):
-            if j + 1 < len(word) and word[j] == l and word[j + 1] == r:
-                t.append(fused)
-                j += 2
-            else:
-                t.append(word[j])
-                j += 1
-        word = t
-    return word
+def _rewrite_rules(merges, ids) -> list:
+    """(pair string, fused character, resume rank) per merge, in rank order,
+    over the characters chr(id - N_SPECIALS). The resume rank is the first
+    rule that reads the fused character; it lies below the rule's own rank
+    only when an earlier merge already made the same bytes."""
+    ch = {tok: chr(i - N_SPECIALS) for tok, i in ids.items()}
+    last = {pair: k for k, pair in enumerate(merges)}  # a repeated pair ranks last
+    rules = [(ch[l] + ch[r], ch[l + r]) for k, (l, r) in enumerate(merges)
+             if last[l, r] == k and l in ch and r in ch]
+    first = {}
+    for k, (pair, _) in enumerate(rules):
+        for c in pair:
+            first.setdefault(c, k)
+    return [(pair, t, first.get(t, k)) for k, (pair, t) in enumerate(rules)]
+
+
+def _rewrite(rules, s: str) -> str:
+    """Apply the lowest-rank present merge until none is present. A merge
+    only makes pairs holding its fused character, so the scan goes on from
+    the next rank, or resumes lower when an older merge reads that character."""
+    k, n = 0, len(rules)
+    while k < n:
+        pair, t, back = rules[k]
+        if pair in s:
+            s = s.replace(pair, t)
+            if back < k:
+                k = back
+                continue
+        k += 1
+    return s
 
 
 def encode(vocab: Vocab, text: str) -> list:
@@ -138,7 +176,7 @@ def encode(vocab: Vocab, text: str) -> list:
     hit = vocab._cache.get(text)
     if hit is not None:
         return list(hit)
-    ids = [vocab._ids[tok] for tok in _bpe_word(vocab, text)]
+    ids = [ord(c) + N_SPECIALS for c in _rewrite(vocab._rules, _one_char(text))]
     if len(vocab._cache) < 65536:
         vocab._cache[text] = tuple(ids)
     return ids

@@ -433,3 +433,31 @@ def test_run_shares_one_parser_and_each_result_matches_a_fresh_process(tmp_path,
     assert len(files) == 2 * (3 + 2)  # per dataset: 3 PNGs, captions, manifest
     assert all((tmp_path / "in" / f).read_bytes() == (tmp_path / "fresh" / f).read_bytes()
                for f in files)
+
+
+def test_rerank_writes_the_sample_files_in_score_order(tmp_path, monkeypatch, capsys):
+    enc = _tiny_reranker(tmp_path)
+    vocab = textproc.load_vocab(tmp_path / "rr" / "vocab.json")
+    rng = np.random.default_rng(0)
+    d = tmp_path / "s"
+    d.mkdir()
+    files = [f"sample_{i:02d}.png" for i in range(6)]
+    for f in files:
+        pngio.write_png(d / f, rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
+    grids = rng.integers(0, 8, (6, 2, 2)).tolist()
+    (d / "meta.json").write_text(json.dumps(
+        {"prompt": "a red circle", "seed": 3, "files": files, "grids": grids}))
+    images = np.stack([pngio.read_png(d / f) for f in files])
+    scores = contrastive.make_scorer(enc, vocab)(images, "a red circle")
+    order = np.argsort(-np.asarray(scores, np.float64), kind="stable")
+
+    def no_encode(*args):
+        raise AssertionError("rerank re-encoded a PNG")
+
+    monkeypatch.setattr(pngio, "write_png", no_encode)
+    assert cli.run(["rerank", "--dir", str(d), "--reranker", str(tmp_path / "rr")]) == 0
+    meta = json.loads((d / "reranked" / "meta.json").read_text())
+    assert meta["files"] == [f"rank_{i:02d}.png" for i in range(6)]
+    assert meta["grids"] == [grids[i] for i in order]
+    for name, i in zip(meta["files"], order):
+        assert (d / "reranked" / name).read_bytes() == (d / files[i]).read_bytes()

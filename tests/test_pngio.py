@@ -215,3 +215,40 @@ def test_unknown_filter_rejected(tmp_path):
     path.write_bytes(_png_bytes(px, idat=zlib.compress(rows)))
     with pytest.raises(DataError, match="filter"):
         pngio.read_png(path)
+
+
+def _inflated(blob):
+    """IHDR (w, h, color) and the inflated pixel lines of a PNG's bytes."""
+    pos, idat = 8, b""
+    while pos < len(blob):
+        length, tag = struct.unpack(">I4s", blob[pos:pos + 8])
+        payload = blob[pos + 8:pos + 8 + length]
+        if tag == b"IHDR":
+            w, h, _, color = struct.unpack(">IIBB", payload[:10])
+        elif tag == b"IDAT":
+            idat += payload
+        pos += 12 + length
+    return w, h, color, zlib.decompress(idat)
+
+
+@pytest.mark.parametrize("filters", [None, [0, 1, 2, 3, 4], [0, 0, 2, 0, 0], [0, 0, 0, 0, 1]])
+def test_unfilter_equals_the_per_line_path(tmp_path, filters):
+    rng = np.random.default_rng(6)
+    if filters is None:  # the writer's output
+        pngio.write_png(tmp_path / "w.png", _rand_px(rng, h=9, w=6))
+        blob = (tmp_path / "w.png").read_bytes()
+    else:
+        blob = _png_bytes(_rand_px(rng, h=5, w=6), filters=filters)
+    w, h, color, raw = _inflated(blob)
+    channels = 3 if color == 2 else 4
+    got = pngio._unfilter(raw, h, w, channels)
+    assert np.array_equal(got, pngio._unfilter_lines(raw, h, w, channels))
+    assert got.shape == (h, w * channels)
+
+
+def test_read_png_decodes_given_bytes_like_the_file(tmp_path):
+    px = _rand_px(np.random.default_rng(8))
+    pngio.write_png(tmp_path / "a.png", px)
+    blob = (tmp_path / "a.png").read_bytes()
+    np.testing.assert_array_equal(pngio.read_png(tmp_path / "nowhere.png", blob),
+                                  pngio.read_png(tmp_path / "a.png"))

@@ -154,6 +154,23 @@ def test_exactly_one_uniform_per_step_per_sample():
     assert counts == list(range(TINY.image_len))
 
 
+def test_vector_draw_equals_scalar_draws_for_one_stream():
+    seq = np.random.SeedSequence(11, spawn_key=(3,))
+    scalar = np.random.default_rng(seq)
+    vector = np.random.default_rng(seq).random(TINY.image_len)
+    np.testing.assert_array_equal(vector, [scalar.random() for _ in range(TINY.image_len)])
+
+
+def test_sample_token_batch_equals_one_scalar_draw_per_step():
+    w = _model()
+    text = _text()
+    cfg = sampling.SamplerConfig(guidance=1.2, n_samples=3, seed=5)
+    rngs = [np.random.default_rng(np.random.SeedSequence(5, spawn_key=(i,))) for i in range(3)]
+    want = sampling._run_chains(w, text, 3, cfg,
+                                lambda t: np.array([r.random() for r in rngs]))
+    np.testing.assert_array_equal(sampling.sample_token_batch(w, text, cfg), want)
+
+
 def test_nonfinite_probability_row_raises():
     with pytest.raises(NumericError):
         sampling._probs_from(np.full((1, 5), -np.inf, np.float32),
@@ -230,6 +247,7 @@ def test_rerank_orders_by_scorer_descending():
     np.testing.assert_array_equal(ranked.images[0], batch.images[1])
     np.testing.assert_array_equal(ranked.images[1], batch.images[3])
     np.testing.assert_array_equal(ranked.images[3], batch.images[0])
+    assert ranked.order.tolist() == [1, 3, 2, 0]
     # input batch untouched
     assert batch.scores is None
 

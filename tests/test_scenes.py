@@ -124,6 +124,19 @@ def test_gen_dataset_images_match_specs():
         np.testing.assert_array_equal(scenes.render(spec), img)
 
 
+@pytest.mark.parametrize("size", [32, 64])
+def test_gen_dataset_images_are_the_stacked_renders(size):
+    ds = scenes.gen_dataset(40, 3, size=size)
+    want = np.stack([scenes.render(spec, size) for spec in ds.specs])
+    assert ds.images.dtype == want.dtype and ds.images.shape == want.shape
+    assert ds.images.tobytes() == want.tobytes()
+
+
+def test_gen_dataset_rejects_a_size_off_the_grid():
+    with pytest.raises(DataError):
+        scenes.gen_dataset(2, 0, size=33)
+
+
 def test_split_captions_partitions_the_space():
     train, held = scenes.split_captions(0, 0.15)
     all_caps = scenes.all_captions()

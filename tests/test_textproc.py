@@ -1,8 +1,14 @@
-"""Subword tokenizer: determinism, roundtrips, clipping, persistence."""
+"""Subword tokenizer: determinism, roundtrips, clipping, persistence, and
+equality with the straightforward list-of-bytes BPE kept below as reference."""
+
+import hashlib
+import random
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
+from ttig import scenes
 from ttig import textproc as tp
 from ttig.errors import DataError
 
@@ -82,3 +88,185 @@ def test_load_vocab_rejects_bad_header(tmp_path):
     (tmp_path / "bad.json").write_text("not a vocab\n")
     with pytest.raises(DataError):
         tp.load_vocab(tmp_path / "bad.json")
+
+
+# ---------------------------------------------------------------------------
+# reference: BPE over lists of byte strings, rescanning every pair per merge
+# and the whole word per applied merge
+
+def _reference_train_bpe(corpus, vocab_size: int = 512) -> tp.Vocab:
+    """Learn merges on an iterable of strings. vocab_size >= 260."""
+    if vocab_size < tp.MIN_VOCAB:
+        raise DataError(f"vocab_size must be >= {tp.MIN_VOCAB}, got {vocab_size}")
+    seq_mult = Counter(corpus)
+    seqs = [[bytes([b]) for b in s.encode("utf-8")] for s in seq_mult]
+    weights = list(seq_mult.values())
+
+    pair_counts = Counter()
+    pair_where = defaultdict(set)
+
+    def scan(i, sign):
+        w = weights[i] * sign
+        s = seqs[i]
+        for p in zip(s, s[1:]):
+            pair_counts[p] += w
+            if sign > 0:
+                pair_where[p].add(i)
+
+    for i in range(len(seqs)):
+        scan(i, +1)
+
+    merges = []
+    taken = set()
+    while len(merges) < vocab_size - tp.MIN_VOCAB:
+        best = None
+        for p, c in pair_counts.items():
+            if c < 2 or p in taken:
+                continue
+            if best is None or c > best[0] or (c == best[0] and p < best[1]):
+                best = (c, p)
+        if best is None:
+            break  # no pair repeats anywhere
+        pair = best[1]
+        merges.append(pair)
+        taken.add(pair)
+        fused = pair[0] + pair[1]
+        for i in list(pair_where[pair]):
+            scan(i, -1)
+            s = seqs[i]
+            t = []
+            j = 0
+            while j < len(s):
+                if j + 1 < len(s) and s[j] == pair[0] and s[j + 1] == pair[1]:
+                    t.append(fused)
+                    j += 2
+                else:
+                    t.append(s[j])
+                    j += 1
+            seqs[i] = t
+            scan(i, +1)
+
+    tokens = tp._base_tokens()
+    tokens.extend(l + r for l, r in merges)
+    return tp.Vocab(merges=merges, tokens=tokens)
+
+
+def _reference_bpe_word(vocab: tp.Vocab, text: str):
+    word = [bytes([b]) for b in text.encode("utf-8")]
+    ranks = {pair: i for i, pair in enumerate(vocab.merges)}
+    while len(word) >= 2:
+        best = None
+        for p in zip(word, word[1:]):
+            r = ranks.get(p)
+            if r is not None and (best is None or r < best[0]):
+                best = (r, p)
+        if best is None:
+            break
+        l, r = best[1]
+        fused = l + r
+        t = []
+        j = 0
+        while j < len(word):
+            if j + 1 < len(word) and word[j] == l and word[j + 1] == r:
+                t.append(fused)
+                j += 2
+            else:
+                t.append(word[j])
+                j += 1
+        word = t
+    return word
+
+
+def _reference_encode(vocab, text):
+    return [vocab._ids[tok] for tok in _reference_bpe_word(vocab, text)]
+
+
+def _vocab_bytes(vocab, path):
+    tp.save_vocab(vocab, path)
+    return path.read_bytes()
+
+
+def _assert_same_as_reference(corpus, vocab_size, tmp_path, texts=()):
+    got = tp.train_bpe(corpus, vocab_size)
+    want = _reference_train_bpe(corpus, vocab_size)
+    assert got.merges == want.merges
+    assert got.tokens == want.tokens
+    assert _vocab_bytes(got, tmp_path / "got.json") == _vocab_bytes(want, tmp_path / "want.json")
+    for text in [*dict.fromkeys(corpus), *texts]:
+        assert tp.encode(got, text) == _reference_encode(want, text), text
+    return got
+
+
+def _train_corpus(seed):
+    _, held = scenes.split_captions(0, 0.15)
+    return scenes.gen_dataset(512, seed, exclude_captions=held).captions
+
+
+def _random_text(rng, alphabet, longest):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_bpe_matches_reference_on_train_corpora(seed, tmp_path):
+    unseen = ["a beige octagon \u00e9\u20ac\u65e5", "\x00\x7f~|", ""]
+    _assert_same_as_reference(_train_corpus(seed), 512, tmp_path, unseen)
+
+
+def test_bpe_matches_reference_on_all_captions(tmp_path):
+    _assert_same_as_reference(scenes.all_captions(), 512, tmp_path)
+
+
+def test_bpe_matches_reference_on_random_small_alphabet_corpora(tmp_path):
+    rng = random.Random(7)
+    alphabet = "ab c\u00e9"  # a space and one two-byte character
+    for _ in range(320):
+        letters = alphabet[:rng.randint(2, len(alphabet))]
+        corpus = [_random_text(rng, letters, 30) for _ in range(rng.randint(1, 12))]
+        texts = [_random_text(rng, alphabet + "xy", 40) for _ in range(10)]
+        _assert_same_as_reference(corpus, rng.choice([260, 261, 265, 280, 320, 600]),
+                                  tmp_path, texts)
+
+
+@pytest.mark.parametrize("corpus", [["aaaa"], ["abab"], ["aaa", "aaaaa"],
+                                    ["ababab", "abab", "bababa"], ["aaaa"] * 3])
+@pytest.mark.parametrize("vocab_size", [261, 262, 300])
+def test_bpe_matches_reference_on_overlapping_runs(corpus, vocab_size, tmp_path):
+    texts = ["a" * n for n in range(9)] + ["ab" * n + "a" for n in range(5)]
+    _assert_same_as_reference(corpus, vocab_size, tmp_path, texts)
+
+
+def test_training_stops_early_when_no_pair_repeats(tmp_path):
+    v = _assert_same_as_reference(["abc", "def"], 300, tmp_path, ["abcdef"])
+    assert v.merges == [] and v.vocab_size == tp.MIN_VOCAB
+
+
+def test_encode_matches_reference_on_random_strings():
+    corpus = _train_corpus(1)
+    got, want = tp.train_bpe(corpus, 512), _reference_train_bpe(corpus, 512)
+    rng = random.Random(3)
+    alphabet = "".join(sorted(set("".join(corpus)))) + "\u00e9\u20ac\t"
+    for _ in range(2000):
+        text = _random_text(rng, alphabet, 60)
+        assert tp.encode(got, text) == _reference_encode(want, text), text
+
+
+def test_encode_matches_reference_on_a_hand_built_vocab():
+    # "abc" is made twice; in "abcd" the second making, (ab, c), gives a pair
+    # that an earlier rank, (abc, d), reads. (e, e) is listed twice, and its
+    # last rank counts: "eef" is e + ef.
+    merges = [(b"a", b"b"), (b"b", b"c"), (b"a", b"bc"), (b"abc", b"d"), (b"ab", b"c"),
+              (b"d", b"abc"), (b"e", b"e"), (b"e", b"f"), (b"e", b"e")]
+    v = tp.Vocab(merges=merges, tokens=tp._base_tokens() + [l + r for l, r in merges])
+    ids = v._ids
+    assert tp.encode(v, "abcd") == [ids[b"abcd"]]
+    assert tp.encode(v, "eef") == [ids[b"e"], ids[b"ef"]]
+    rng = random.Random(5)
+    for _ in range(3000):
+        text = _random_text(rng, "abcdef", 30)
+        assert tp.encode(v, text) == _reference_encode(v, text), text
+
+
+def test_seed_1_vocab_fingerprint(tmp_path):
+    v = tp.train_bpe(_train_corpus(1), 512)
+    digest = hashlib.sha256(_vocab_bytes(v, tmp_path / "v.json")).hexdigest()
+    assert digest == "2cd07adf61c6a02e9edf00ebbdaea34de3bca1d09687edfab6042f871835725f"
