@@ -4,7 +4,7 @@ Subpackage map:
     tensor       reverse-mode tape over numpy with a fixed op catalog
     textproc     byte-level BPE tokenizer
     scenes       synthetic captioned-shapes dataset, renderer, prompt file loader
-    vq           discrete image tokenizer (patch transformer + codebook) and SR head
+    vq           discrete image tokenizer (patch transformer + codebook)
     optim        adafactor-style optimizer with factored second moments
     seq2seq      text-to-image-token encoder/decoder transformer
     sampling     classifier-free-guided ancestral sampling and reranking

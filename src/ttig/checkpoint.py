@@ -102,7 +102,7 @@ def load_checkpoint(path):
 
 # checkpoint kind -> the config section that holds its dataclass
 _SECTION = {"seq2seq": "model", "tokenizer": "tokenizer",
-            "dual_encoder": "encoder", "sr": "sr"}
+            "dual_encoder": "encoder"}
 # config field annotation -> the exact JSON value types it takes: a bool is
 # never a number and a number is never a bool
 _VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -178,14 +178,6 @@ def save_encoder(enc, path):
 def load_encoder(path):
     return _load_typed(path, "dual_encoder", contrastive.EncoderConfig,
                        contrastive.build_encoder)
-
-
-def save_sr(w, path):
-    _save_typed(w, "sr", path)
-
-
-def load_sr(path):
-    return _load_typed(path, "sr", vq.SRConfig, vq.build_sr)
 
 
 def save_index(index, path):

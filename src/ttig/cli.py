@@ -96,7 +96,7 @@ def _split_seed(d: DataConfig, split: str) -> int:
     return d.seed + (1 if split == "eval" else 0)
 
 
-def _dataset(d: DataConfig, split="train", n=None, size=None, also_exclude=()):
+def _dataset(d: DataConfig, split="train", n=None, also_exclude=()):
     """One split of the seeded scene data. train and eval draw from disjoint
     parts of the caption space; all draws from the whole space."""
     train_caps, held_caps = scenes.split_captions(d.holdout_seed,
@@ -106,7 +106,7 @@ def _dataset(d: DataConfig, split="train", n=None, size=None, also_exclude=()):
         n = d.n_eval if split == "eval" else d.n_train
     return scenes.gen_dataset(n, _split_seed(d, split),
                               exclude_captions=set(exclude) | set(also_exclude),
-                              size=size or d.image_size)
+                              size=d.image_size)
 
 
 def _emit(record: dict, out=None):
@@ -235,20 +235,6 @@ def cmd_train_reranker(args) -> int:
     return 0
 
 
-def cmd_train_sr(args) -> int:
-    d = _pick(load_config(args.config).get("data", {}), DataConfig)
-    lo = _dataset(d)
-    hi = _dataset(d, size=2 * d.image_size)
-    srcfg = vq.SRConfig()
-    steps = args.steps if args.steps is not None else 400
-    seed = args.seed if args.seed is not None else 0
-    w, history = vq.train_sr(lo.images, hi.images, srcfg, steps=steps, seed=seed)
-    checkpoint.save_sr(w, args.out)
-    _finish_run(args.out, history, {"sr_final_loss": np.mean(history[-20:])},
-                len(lo), seed)
-    return 0
-
-
 def _write_sample_dir(out: Path, batch, scfg, extra=None):
     names = _write_pngs(out, batch.images, "sample")
     meta = {"prompt": batch.prompt, "seed": scfg.seed,
@@ -275,10 +261,9 @@ def cmd_sample(args) -> int:
     w = checkpoint.load_model(args.model)
     vocab = textproc.load_vocab(Path(args.model) / "vocab.json")
     tok = checkpoint.load_tokenizer(args.tokenizer)
-    sr = checkpoint.load_sr(args.sr) if args.sr else None
     out = Path(args.out)
     if rows is None:
-        batch = sampling.generate(w, vocab, tok, args.prompt, scfg, sr=sr)
+        batch = sampling.generate(w, vocab, tok, args.prompt, scfg)
         names = _write_sample_dir(out, batch, scfg)
         _emit(metrics.metric_record("samples_written", len(names), len(names),
                                     0, "none", scfg.seed))
@@ -288,7 +273,7 @@ def cmd_sample(args) -> int:
     for i, row in enumerate(rows):
         # one seed per row so the whole list is reproducible yet varied
         row_cfg = dataclasses.replace(scfg, seed=scfg.seed + i)
-        batch = sampling.generate(w, vocab, tok, row.prompt, row_cfg, sr=sr)
+        batch = sampling.generate(w, vocab, tok, row.prompt, row_cfg)
         sub = f"prompt_{i:03d}"
         names = _write_sample_dir(out / sub, batch, row_cfg,
                                   extra={"category": row.category,
@@ -430,8 +415,7 @@ def build_parser() -> _Parser:
     for name, what in (
             ("train-tokenizer", "train tokenizer and checkpoint it"),
             ("train-reranker", "train reranker and checkpoint it"),
-            ("train-model", "train the text-to-image model"),
-            ("train-sr", "train the 2x upsampler")):
+            ("train-model", "train the text-to-image model")):
         sp = add(name, what)
         if name == "train-model":
             sp.add_argument("--tokenizer", required=True)
@@ -441,7 +425,6 @@ def build_parser() -> _Parser:
     sp = add("sample", "generate images for a prompt")
     sp.add_argument("--model", required=True)
     sp.add_argument("--tokenizer", required=True)
-    sp.add_argument("--sr", default=None)
     sp.add_argument("--prompt", default=None)
     sp.add_argument("--prompts", default=None,
                     help="prompt TSV; one sample dir per row")

@@ -190,12 +190,3 @@ def grads_of(loss, params: ParamSet) -> dict:
 def mse(a, b):
     d = T.sub(a, b)
     return T.reduce_mean(T.mul(d, d))
-
-
-def upsample2x(x):
-    """Nearest-neighbor 2x upsample of (B,H,W,C), built from catalog ops."""
-    B, H, W, C = x.shape
-    r = T.reshape(x, (B, H, 1, W, 1, C))
-    r = T.concat([r, r], axis=2)
-    r = T.concat([r, r], axis=4)
-    return T.reshape(r, (B, 2 * H, 2 * W, C))

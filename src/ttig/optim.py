@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 
 @dataclass
@@ -129,7 +129,8 @@ def adafactor_step(params, grads: dict, state: OptimizerState,
 def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
                after_step=None) -> list:
     """Train params (a ParamSet) for `steps` steps, the length of cfg's
-    schedule; returns the per-step losses.
+    schedule; returns the per-step losses. Fewer than one step raises
+    DataError naming `what`.
 
     loss_at(step) builds the scalar loss on the active tape, or returns None
     to skip the step: the history records 0.0 and no optimizer step runs.
@@ -141,6 +142,8 @@ def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
     one record by record as its forward runs, and the last one is released
     on return, so the trained params pin no records.
     """
+    if steps < 1:
+        raise DataError(f"{what}: steps must be at least 1, got {steps}")
     state = OptimizerState()
     history = []
     tape = None

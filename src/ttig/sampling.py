@@ -288,14 +288,11 @@ def sample_token_batch(w: seq2seq.TransformerWeights, text_ids,
 
 
 def generate(w: seq2seq.TransformerWeights, vocab, tokenizer: vq.TokenizerWeights,
-             text: str, cfg: SamplerConfig,
-             sr: "vq.SRWeights | None" = None) -> SampleBatch:
-    """Prompt to images: sample grids, decode to pixels, optionally upsample."""
+             text: str, cfg: SamplerConfig) -> SampleBatch:
+    """Prompt to images: sample grids, then decode them to pixels."""
     ids = textproc.encode_clipped(vocab, text, w.cfg.text_len)
     grids = sample_token_batch(w, np.asarray(ids), cfg)
     images = vq.detokenize(tokenizer, grids)
-    if sr is not None:
-        images = vq.upsample(sr, images)
     return SampleBatch(prompt=text, grids=grids, images=images, seed=cfg.seed)
 
 

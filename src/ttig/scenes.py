@@ -1,7 +1,7 @@
 """Synthetic captioned-shapes data: renderer, caption grammar, prompt files.
 
-Scenes live on a 2x2 grid of cells inside a white 32x32 RGB canvas (64x64 for
-the super-resolution targets). One or two objects, each a colored glyph from
+Scenes live on a 2x2 grid of cells inside a white RGB canvas, 32x32 unless the
+caller picks another even size. One or two objects, each a colored glyph from
 {circle, square, triangle} in one of eight exact palette colors. Captions come
 from a closed grammar, so parsing is the exact inverse of captioning up to the
 free cell placement.

@@ -650,58 +650,6 @@ def _bwd_gelu(g, d, out, attrs, needs):
     return [t.astype(x.dtype, copy=False)]
 
 
-def _fwd_relu(d, attrs):
-    return np.maximum(d[0], 0)
-
-
-def _bwd_relu(g, d, out, attrs, needs):
-    return [g * (out > 0)]  # out > 0 exactly where the input is
-
-
-def _conv_geometry(x, w, pad):
-    _require(x.ndim == 4, "conv2d", f"input must be (B,H,W,Cin), got {x.shape}")
-    _require(w.ndim == 4, "conv2d", f"kernel must be (kh,kw,Cin,Cout), got {w.shape}")
-    _require(x.shape[3] == w.shape[2], "conv2d",
-             f"channel mismatch: input {x.shape} kernel {w.shape}")
-    kh, kw = w.shape[0], w.shape[1]
-    ho = x.shape[1] + 2 * pad - kh + 1
-    wo = x.shape[2] + 2 * pad - kw + 1
-    _require(ho > 0 and wo > 0, "conv2d", f"empty output for {x.shape} with k=({kh},{kw})")
-    return kh, kw, ho, wo
-
-
-def _fwd_conv2d(d, attrs):
-    x, w = d
-    pad = int(attrs.get("pad", 0))
-    kh, kw, ho, wo = _conv_geometry(x, w, pad)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-    out = np.zeros((x.shape[0], ho, wo, w.shape[3]), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += xp[:, i:i + ho, j:j + wo, :] @ w[i, j]
-    return out
-
-
-def _bwd_conv2d(g, d, out, attrs, needs):
-    x, w = d
-    pad = int(attrs.get("pad", 0))
-    kh, kw, ho, wo = _conv_geometry(x, w, pad)
-    b, h, wd, c = x.shape
-    gxp = np.zeros((b, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype) if needs[0] else None
-    gw = np.zeros(w.shape, dtype=w.dtype) if needs[1] else None
-    if needs[1]:
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-    for i in range(kh):
-        for j in range(kw):
-            sl = np.s_[:, i:i + ho, j:j + wo, :]
-            if needs[1]:
-                gw[i, j] = np.tensordot(xp[sl], g, axes=([0, 1, 2], [0, 1, 2]))
-            if needs[0]:
-                gxp[sl] += g @ w[i, j].T
-    gx = gxp[:, pad:pad + h, pad:pad + wd, :] if pad and needs[0] else gxp
-    return [gx, gw]
-
-
 def _fwd_reduce_sum(d, attrs):
     axis = attrs.get("axis")
     if axis is None:
@@ -814,8 +762,6 @@ _CATALOG = {
     "attention": _Op(3, _fwd_attention, _bwd_attention, "inputs"),
     "layer_norm": _Op(1, _fwd_layer_norm, _bwd_layer_norm, "output"),
     "gelu": _Op(1, _fwd_gelu, _bwd_gelu, "inputs"),
-    "relu": _Op(1, _fwd_relu, _bwd_relu, "output"),
-    "conv2d": _Op(2, _fwd_conv2d, _bwd_conv2d, "cross"),
     "reduce_sum": _Op(1, _fwd_reduce_sum, _bwd_reduce_sum, "nothing"),
     "reduce_mean": _Op(1, _fwd_reduce_mean, _bwd_reduce_mean, "nothing"),
     "scale": _Op(1, _fwd_scale, _bwd_scale, "nothing"),
@@ -963,14 +909,6 @@ def layer_norm(x, axis=-1, eps=1e-5):
 
 def gelu(x):
     return apply("gelu", [x])
-
-
-def relu(x):
-    return apply("relu", [x])
-
-
-def conv2d(x, w, pad=0):
-    return apply("conv2d", [x, w], {"pad": pad})
 
 
 def reduce_sum(x, axis=None):

@@ -1,7 +1,6 @@
 """Discrete image tokenizer: patch transformer encoder, factorized
 l2-normalized vector quantization, mirror decoder with no output squashing
-(outputs clamped to [0,1] only when an image is materialized), plus a small
-residual-conv super-resolution head.
+(outputs clamped to [0,1] only when an image is materialized).
 
 Quantization happens in a d_code-dim projected space. Codes and codebook rows
 are unit norm, so nearest-by-Euclidean equals max cosine; ties go to the
@@ -272,74 +271,3 @@ def codebook_stats(index_stream, K: int) -> dict:
     entropy = float(-(probs * np.log(probs)).sum())
     return {"usage_fraction": float((counts > 0).sum() / K),
             "perplexity": float(np.exp(entropy))}
-
-
-# ---------------------------------------------------------------------------
-# super-resolution head
-
-@dataclass(frozen=True)
-class SRConfig:
-    n_blocks: int = 4
-    channels: int = 32
-    kernel: int = 3
-
-
-@dataclass
-class SRWeights:
-    cfg: SRConfig
-    params: nn.ParamSet
-
-
-def build_sr(cfg: SRConfig, seed: int, *, skeleton: bool = False) -> SRWeights:
-    rng = None if skeleton else np.random.default_rng(seed)
-    ps = nn.ParamSet()
-    k, c = cfg.kernel, cfg.channels
-    ps.add("in.w", nn.trunc_normal(rng, (k, k, 3, c)))
-    ps.add("in.b", np.zeros(c, dtype=np.float32))
-    for i in range(cfg.n_blocks):
-        ps.add(f"b{i}.w1", nn.trunc_normal(rng, (k, k, c, c)))
-        ps.add(f"b{i}.b1", np.zeros(c, dtype=np.float32))
-        ps.add(f"b{i}.w2", nn.trunc_normal(rng, (k, k, c, c)))
-        ps.add(f"b{i}.b2", np.zeros(c, dtype=np.float32))
-    ps.add("out.w", nn.trunc_normal(rng, (k, k, c, 3)))
-    ps.add("out.b", np.zeros(3, dtype=np.float32))
-    return SRWeights(cfg=cfg, params=ps)
-
-
-def _sr_tensor(w: SRWeights, x):
-    p = w.params
-    pad = w.cfg.kernel // 2
-    h = T.add(T.conv2d(x, p["in.w"], pad=pad), p["in.b"])
-    for i in range(w.cfg.n_blocks):
-        r = T.relu(T.add(T.conv2d(h, p[f"b{i}.w1"], pad=pad), p[f"b{i}.b1"]))
-        r = T.add(T.conv2d(r, p[f"b{i}.w2"], pad=pad), p[f"b{i}.b2"])
-        h = T.add(h, r)
-    up = nn.upsample2x(h)
-    out = T.add(T.conv2d(up, p["out.w"], pad=pad), p["out.b"])
-    return T.add(out, nn.upsample2x(x))  # global nearest-neighbor skip
-
-
-def upsample(w: SRWeights, images: np.ndarray) -> np.ndarray:
-    """2x super-resolution of (n, H, W, 3); clamps to [0,1] at materialization."""
-    out = _sr_tensor(w, T.constant(images.astype(np.float32))).data
-    return np.clip(out, 0.0, 1.0)
-
-
-def train_sr(lo: np.ndarray, hi: np.ndarray, cfg: SRConfig, steps: int = 400,
-             lr: float = 3e-3, batch: int = 8, seed: int = 0):
-    """Fit the SR head on (low-res, high-res) render pairs. Returns
-    (weights, history)."""
-    if len(lo) != len(hi) or len(lo) == 0:
-        raise DataError("train_sr: need matching nonempty lo/hi arrays")
-    w = build_sr(cfg, seed)
-    rng = np.random.default_rng(seed + 3)
-    opt_cfg = optim.OptimizerConfig(base_lr=lr, warmup=max(1, steps // 20),
-                                    decay_frac=0.6, final_ratio=0.1,
-                                    weight_decay=0.0)
-
-    def loss_at(step):
-        idx = rng.integers(0, len(lo), batch)
-        pred = _sr_tensor(w, T.constant(lo[idx].astype(np.float32)))
-        return nn.mse(pred, T.constant(hi[idx].astype(np.float32)))
-
-    return w, optim.train_loop(w.params, loss_at, steps, opt_cfg, "vq.train_sr")

@@ -188,8 +188,6 @@ _TYPED = {
                      lambda: contrastive.build_encoder(contrastive.EncoderConfig(
                          image_size=16, d_model=16, heads=2, n_blocks=1,
                          d_mlp=32, text_vocab=300, text_len=8), seed=0)),
-    "sr": (checkpoint.save_sr, checkpoint.load_sr,
-           lambda: vq.build_sr(vq.SRConfig(n_blocks=1, channels=8), seed=0)),
 }
 
 
@@ -205,7 +203,7 @@ def test_typed_load_rejects_bad_config_section(tmp_path, kind, damage):
     if damage == "unknown_field":
         manifest["config"][section]["bogus"] = 1
     elif damage == "wrong_type":
-        # an int field written as a JSON string, like sr.channels = "8"
+        # an int field written as a JSON string, like "16" for 16
         field = next(iter(manifest["config"][section]))
         manifest["config"][section][field] = str(manifest["config"][section][field])
     else:
@@ -248,7 +246,7 @@ def test_typed_load_is_byte_exact_and_draws_no_init(tmp_path, kind, monkeypatch)
     # seed=None keeps numpy's meaning, a fresh random init: every parameter
     # a seeded build draws is drawn, not left as a zero placeholder
     builder = {"seq2seq": seq2seq.build_model, "tokenizer": vq.build_tokenizer,
-               "dual_encoder": contrastive.build_encoder, "sr": vq.build_sr}[kind]
+               "dual_encoder": contrastive.build_encoder}[kind]
     fresh = builder(w.cfg, None).params.state_dict()
     drawn = [name for name, arr in saved.items() if np.any(arr)]
     assert drawn and all(np.any(fresh[name]) for name in drawn)

@@ -102,6 +102,28 @@ def test_make_data_with_no_scenes_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+# command -> (the trainer its error names, its config section)
+_TRAINING = {"train-tokenizer": ("vq.train_tokenizer", "tokenizer"),
+             "train-model": ("seq2seq.train_model", "model"),
+             "train-reranker": ("contrastive.train_contrastive", "reranker")}
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+@pytest.mark.parametrize("cmd", sorted(_TRAINING))
+def test_training_with_fewer_than_one_step_is_a_data_error(tmp_path, capsys, cmd, steps):
+    what, section = _TRAINING[cmd]
+    extra = ["--tokenizer", str(_tiny_checkpoints(tmp_path)[1])] if cmd == "train-model" else []
+    data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
+    by_flag = [cmd, "--config", _cfg(tmp_path, data), "--steps", str(steps), *extra]
+    by_config = [cmd, "--config", _cfg(tmp_path, {**data, section: {"steps": steps}}),
+                 *extra]
+    for argv in (by_flag, by_config):
+        assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{what}: steps must be at least 1, got {steps}" in err[0]
+        assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_section_rejected(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"dta": {}})
     assert cli.run(["make-data", "--config", cfg,
@@ -309,6 +331,24 @@ def test_sample_with_damaged_model_config_is_a_data_error(tmp_path, capsys):
     assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
                     "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["train-sr", "sample-sr", "sr-checkpoint"])
+def test_the_removed_super_resolution_stage_is_rejected(tmp_path, capsys, case):
+    model, tok = _tiny_checkpoints(tmp_path)
+    sample = ["sample", "--model", str(model), "--tokenizer", str(tok),
+              "--prompt", "a red circle", "--out", str(tmp_path / "s")]
+    if case == "train-sr":
+        argv, code, said = ["train-sr", "--out", str(tmp_path / "sr")], 1, "invalid choice"
+    elif case == "sample-sr":
+        argv, code, said = [*sample, "--sr", "x"], 1, "unrecognized arguments"
+    else:
+        checkpoint.save_checkpoint({"in.w": np.zeros((3, 3, 3, 8), np.float32)},
+                                   {"kind": "sr", "sr": {"channels": 8}}, model)
+        argv, code, said = sample, 2, "expected a 'seq2seq' checkpoint, found 'sr'"
+    assert cli.run(argv) == code
+    assert said in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def _tiny_reranker(tmp_path):

@@ -40,7 +40,6 @@ CHAIN = [
     ["train-tokenizer", *CFG, "--steps", "3", "--out", "tok"],
     ["train-model", *CFG, "--steps", "3", "--tokenizer", "tok", "--out", "model"],
     ["train-reranker", *CFG, "--steps", "3", "--out", "rr"],
-    ["train-sr", *CFG, "--steps", "2", "--seed", "1", "--out", "sr"],
     ["sample", *CFG, "--model", "model", "--tokenizer", "tok",
      "--prompt", CAPTION, "--out", "one"],
     ["sample", *CFG, "--model", "model", "--tokenizer", "tok",
@@ -93,7 +92,7 @@ def test_every_subcommand_twice_gives_identical_bytes(tmp_path, monkeypatch):
     for rel in files_a:
         assert files_a[rel] == files_b[rel], rel
     produced = {rel.split("/")[0] for rel in files_a}
-    assert {"data", "tok", "model", "rr", "sr", "one", "many", "idx",
+    assert {"data", "tok", "model", "rr", "one", "many", "idx",
             "align.jsonl", "fid.jsonl"} <= produced
     assert len(lines_a) >= len(CHAIN)
 

@@ -184,14 +184,6 @@ def test_mse_oracle():
     assert abs(float(nn.mse(a, b).data) - 2.5) < 1e-6
 
 
-def test_upsample2x_repeats_pixels():
-    x = np.arange(12, dtype=np.float32).reshape(1, 2, 2, 3)
-    y = nn.upsample2x(T.constant(x)).data
-    assert y.shape == (1, 4, 4, 3)
-    np.testing.assert_array_equal(y[0, :2, :2, 0], x[0, 0, 0, 0] * np.ones((2, 2)))
-    np.testing.assert_array_equal(y[0, 2:, 2:, 1], x[0, 1, 1, 1] * np.ones((2, 2)))
-
-
 def test_dropout_train_and_eval_modes():
     x = T.constant(np.ones((200, 10), np.float32))
     assert nn.dropout(x, None) is x

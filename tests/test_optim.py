@@ -191,7 +191,6 @@ def test_train_loop_runs_the_schedule_over_its_own_steps(monkeypatch):
 
 _TOK = vq.TokenizerConfig(image_size=8, d_model=8, n_blocks=1, heads=2, d_mlp=16,
                           codebook_size=4)
-_SR = vq.SRConfig(n_blocks=1, channels=4)
 _MODEL = seq2seq.ModelConfig(enc_layers=1, dec_layers=1, d_model=16, d_mlp=32, heads=2,
                              text_vocab=64, image_vocab=8, text_len=8, grid_h=2, grid_w=2)
 _ENC = contrastive.EncoderConfig(d_model=8, n_blocks=1, heads=2, d_mlp=16, d_e=4,
@@ -210,11 +209,6 @@ _TRAINERS = {
         lambda: vq.train_tokenizer(scenes.gen_dataset(4, 0, size=8).images, _TOK,
                                    vq.TokTrainConfig(steps=2, batch=2, data_init=False)),
         lambda: vq.build_tokenizer(_TOK, 0)),
-    "vq.train_sr": (
-        vq, "_sr_tensor",
-        lambda: vq.train_sr(scenes.gen_dataset(2, 0, size=8).images,
-                            scenes.gen_dataset(2, 0, size=16).images, _SR, steps=2, batch=2),
-        lambda: vq.build_sr(_SR, 0)),
     "seq2seq.train_model": (
         seq2seq, "forward_loss",
         lambda: seq2seq.train_model(seq2seq.build_model(_MODEL, 0), _ids(4, 64, (4, 8)),

@@ -1,4 +1,4 @@
-"""Quantizer math, tokenizer pipeline, codebook stats, 2x upsampler."""
+"""Quantizer math, tokenizer pipeline, codebook stats."""
 
 import numpy as np
 import pytest
@@ -170,23 +170,3 @@ def test_codebook_stats_uniform_hits_K():
     st = vq.codebook_stats(np.arange(16), 16)
     assert st["usage_fraction"] == 1.0
     assert abs(st["perplexity"] - 16.0) < 1e-9
-
-
-def test_sr_upsample_shape_and_training_improves_over_start():
-    lo = scenes.gen_dataset(24, 0, size=16).images
-    hi = scenes.gen_dataset(24, 0, size=32).images
-    cfg = vq.SRConfig(n_blocks=2, channels=8)
-    w0 = vq.build_sr(cfg, seed=0)
-    base = float(np.mean((vq.upsample(w0, lo) - hi) ** 2))
-    w, hist = vq.train_sr(lo, hi, cfg, steps=80, batch=8, seed=0)
-    trained = float(np.mean((vq.upsample(w, lo) - hi) ** 2))
-    assert vq.upsample(w, lo).shape == (24, 32, 32, 3)
-    assert trained < base
-    assert np.mean(hist[-10:]) < np.mean(hist[:10])
-
-
-def test_train_sr_rejects_mismatched_pairs():
-    lo = np.zeros((3, 16, 16, 3), np.float32)
-    hi = np.zeros((2, 32, 32, 3), np.float32)
-    with pytest.raises(DataError):
-        vq.train_sr(lo, hi, vq.SRConfig(), steps=1)
