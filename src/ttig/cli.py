@@ -244,7 +244,7 @@ def _write_sample_dir(out: Path, batch, scfg, extra=None):
             "grids": np.asarray(batch.grids).tolist()}
     if extra:
         meta.update(extra)
-    (out / "meta.json").write_text(json.dumps(meta, indent=2))
+    (out / "meta.json").write_text(json.dumps(meta))
     return names
 
 
@@ -317,7 +317,7 @@ def cmd_rerank(args) -> int:
     meta_out = {**meta, "files": names, "scores": ranked.scores.tolist(),
                 "grids": np.asarray(ranked.grids).tolist(),
                 "source": str(args.dir)}
-    (out / "meta.json").write_text(json.dumps(meta_out, indent=2))
+    (out / "meta.json").write_text(json.dumps(meta_out))
     _emit(metrics.metric_record("rerank_top_score", ranked.scores[0],
                                 len(names), 0, "contrastive-cosine",
                                 meta["seed"]))

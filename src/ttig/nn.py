@@ -61,14 +61,6 @@ class ParamSet:
     def items(self):
         return self.params.items()
 
-    def subset(self, prefixes) -> "ParamSet":
-        """View (shared Tensors) restricted to names starting with any prefix."""
-        out = ParamSet()
-        for name, t in self.params.items():
-            if any(name.startswith(p) for p in prefixes):
-                out.params[name] = t
-        return out
-
     def state_dict(self):
         return {name: t.data.copy() for name, t in self.params.items()}
 

@@ -132,8 +132,7 @@ def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
     schedule; returns the per-step losses. Fewer than one step raises
     DataError naming `what`.
 
-    loss_at(step) builds the scalar loss on the active tape, or returns None
-    to skip the step: the history records 0.0 and no optimizer step runs.
+    loss_at(step) builds the scalar loss on the active tape.
     after_step(step, loss), if given, runs after every optimizer step. A
     non-finite loss raises NumericError naming `what` and the step, before
     any parameter of that step changes.
@@ -151,9 +150,6 @@ def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
         for step in range(steps):
             with T.Tape(replaces=tape) as tape:
                 loss = loss_at(step)
-            if loss is None:
-                history.append(0.0)
-                continue
             lval = float(loss.data)
             if not np.isfinite(lval):
                 raise NumericError(f"{what} diverged at step {step}: loss {lval}")

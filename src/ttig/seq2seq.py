@@ -195,14 +195,11 @@ class TrainConfig:
     batch: int = 16
     seed: int = 0
     log_every: int = 200
-    pretrain_steps: int = 0      # masked-text encoder steps run first
-    pretrain_mask_rate: float = 0.15
 
 
 def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarray,
                 tcfg: TrainConfig, opt_overrides: dict | None = None, hooks=None):
-    """Train on aligned (N, text_len) / (N, image_len) id arrays, after
-    tcfg.pretrain_steps of pretrain_text_encoder on text_ids.
+    """Train on aligned (N, text_len) / (N, image_len) id arrays.
 
     opt_overrides, if given, maps OptimizerConfig fields to values that
     replace those of this trainer's own schedule. Returns (weights, history
@@ -211,9 +208,6 @@ def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarr
     """
     if len(text_ids) != len(image_ids) or len(text_ids) == 0:
         raise DataError("train_model: need matching nonempty id arrays")
-    if tcfg.pretrain_steps > 0:
-        w, _ = pretrain_text_encoder(w, text_ids, mask_rate=tcfg.pretrain_mask_rate,
-                                     steps=tcfg.pretrain_steps, seed=tcfg.seed)
     opt_cfg = replace(optim.OptimizerConfig(
         base_lr=6e-3, warmup=max(1, tcfg.steps // 40), decay_frac=0.5,
         final_ratio=0.05, weight_decay=1e-4), **(opt_overrides or {}))
@@ -238,51 +232,3 @@ def smoothed(history, window: int = 100) -> float:
         raise DataError("smoothed: empty history")
     k = min(window, len(history))
     return float(np.mean(history[-k:]))
-
-
-def pretrain_text_encoder(w: TransformerWeights, corpus_ids: np.ndarray,
-                          mask_rate: float = 0.15, steps: int = 1000,
-                          batch: int = 32, seed: int = 0):
-    """Masked-token pretraining of the encoder alone.
-
-    Content tokens (ids >= first byte id) are masked to UNK at mask_rate and
-    predicted by a temporary head; the head is dropped afterwards and decoder
-    parameters are never touched. Returns (weights, history).
-    """
-    cfg = w.cfg
-    corpus_ids = _check_ids(corpus_ids, cfg.text_vocab, "corpus_ids")
-    if corpus_ids.shape[1] != cfg.text_len:
-        raise DataError(f"corpus rows must have length text_len={cfg.text_len}")
-    rng = np.random.default_rng(seed)
-    head = nn.ParamSet()
-    nn.add_linear(head, "mlm", cfg.d_model, cfg.text_vocab, rng)
-    enc_params = w.params.subset(["text_emb", "text_pos", "enc."])
-    trainable = nn.ParamSet()
-    trainable.params.update(enc_params.params)
-    trainable.params.update(head.params)
-    opt_cfg = optim.OptimizerConfig(base_lr=3e-3, warmup=max(1, steps // 20),
-                                    decay_frac=0.6, final_ratio=0.1,
-                                    weight_decay=0.0)
-
-    def loss_at(step):
-        rows = rng.integers(0, len(corpus_ids), batch)
-        ids = trim_pad(corpus_ids[rows]).copy()
-        maskable = ids >= textproc.N_SPECIALS
-        chosen = maskable & (rng.random(ids.shape) < mask_rate)
-        if not chosen.any():
-            return None
-        flat_mask = chosen.reshape(-1)
-        targets = np.where(flat_mask, ids.reshape(-1), 0)
-        ids[chosen] = textproc.UNK_ID
-        n_masked = int(flat_mask.sum())
-        h = encode_text(w, ids)
-        logits = nn.linear(head, "mlm", h)
-        flat = T.reshape(logits, (ids.size, cfg.text_vocab))
-        # cross-entropy over every position, zero-weighted where unmasked
-        per_tok = T.cross_entropy_with_logits(flat, targets)
-        picked = T.mul(per_tok, T.constant(flat_mask.astype(np.float32)))
-        return T.scale(T.reduce_sum(picked), 1.0 / n_masked)
-
-    history = optim.train_loop(trainable, loss_at, steps, opt_cfg,
-                               "seq2seq.pretrain_text_encoder")
-    return w, history

@@ -133,10 +133,17 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
                     "--out", str(tmp_path / "d")]) == 2
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = _cfg(tmp_path, {"data": {"n_trian": 8}})
+# the pretraining keys were removed with the masked-text pretraining
+@pytest.mark.parametrize("section,key", [("data", "n_trian"),
+                                         ("model", "pretrain_steps"),
+                                         ("model", "pretrain_mask_rate")])
+def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
+    cfg = _cfg(tmp_path, {section: {key: 8}})
     assert cli.run(["make-data", "--config", cfg,
                     "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{section}.{key}" in err[0]
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -144,7 +151,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ("model", "steps", 1.5),
     ("optimizer", "base_lr", True),
     ("tokenizer", "data_init", 1),
-    ("model", "pretrain_mask_rate", "x"),
+    ("model", "cond_dropout_rate", "x"),
 ])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, section, key,
                                              value):
@@ -303,7 +310,9 @@ def test_sample_prompt_list_writes_one_dir_per_row(tmp_path, capsys):
     index = json.loads((out / "index.json").read_text())
     assert [r["prompt"] for r in index] == ["a red circle", "a blue square"]
     assert index[0]["seed"] != index[1]["seed"]
-    meta = json.loads((out / "prompt_001" / "meta.json").read_text())
+    text = (out / "prompt_001" / "meta.json").read_text()
+    assert text == json.dumps(json.loads(text))  # compact JSON
+    meta = json.loads(text)
     assert meta["category"] == "Arts"
     assert (out / "prompt_001" / "sample_00.png").exists()
 
@@ -496,7 +505,9 @@ def test_rerank_writes_the_sample_files_in_score_order(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(pngio, "write_png", no_encode)
     assert cli.run(["rerank", "--dir", str(d), "--reranker", str(tmp_path / "rr")]) == 0
-    meta = json.loads((d / "reranked" / "meta.json").read_text())
+    text = (d / "reranked" / "meta.json").read_text()
+    assert text == json.dumps(json.loads(text))  # compact JSON
+    meta = json.loads(text)
     assert meta["files"] == [f"rank_{i:02d}.png" for i in range(6)]
     assert meta["grids"] == [grids[i] for i in order]
     for name, i in zip(meta["files"], order):

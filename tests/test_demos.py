@@ -4,7 +4,8 @@ Nothing runs the demos in the test suite (they train or load checkpoints),
 so an API rename would break them silently. This parses each demos/*.py
 without running it and checks every ttig module attribute it names, parses
 every documented `ttig ...` command line with the real argument parser, and
-loads the demo run config with the real schema.
+loads the demo run config with the real schema. It also checks that no
+Python file in the tree imports a name it never uses.
 """
 
 import ast
@@ -58,6 +59,22 @@ def test_demo_references_existing_ttig_names(path):
     missing = [f"{path.name}:{line}: {mod}.{attr}" for line, mod, attr in refs
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, "demo references names ttig no longer has:\n" + "\n".join(missing)
+
+
+def test_no_python_file_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(p for d in ("src/ttig", "tests", "demos")
+                       for p in (ROOT / d).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
 def _ttig_command_lines(path):

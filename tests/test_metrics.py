@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttig import contrastive, metrics, pngio, scenes
-from ttig.errors import DataError, NumericError
+from ttig.errors import DataError
 
 
 def _stats(rng, n=200, d=4, shift=0.0):

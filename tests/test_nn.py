@@ -68,14 +68,6 @@ def test_paramset_load_state_rejects_shape_mismatch():
         ps.load_state({"n.g": np.ones(5, np.float32), "n.b": np.zeros(4, np.float32)})
 
 
-def test_paramset_subset_filters_by_prefix():
-    ps = nn.ParamSet()
-    nn.add_ln(ps, "enc.n", 4)
-    nn.add_ln(ps, "dec.n", 4)
-    sub = ps.subset(["enc."])
-    assert set(sub.names()) == {"enc.n.g", "enc.n.b"}
-
-
 def test_attention_mask_blocks_future_positions():
     d, heads, L = 8, 2, 4
     ps = nn.ParamSet()

@@ -215,27 +215,3 @@ def test_smoothed_window_mean():
     hist = list(range(10))
     assert seq2seq.smoothed(hist, window=4) == np.mean([6, 7, 8, 9])
     assert seq2seq.smoothed([5.0], window=100) == 5.0
-
-
-def test_pretrain_text_encoder_runs_and_changes_encoder():
-    w = _model()
-    before = w.params["enc.b0.attn.wq"].data.copy()
-    decoder = {n: t.data.copy() for n, t in w.params.items()
-               if n.startswith("dec.") or n.startswith("out.")}
-    corpus = np.random.default_rng(0).integers(4, TINY.text_vocab, (32, TINY.text_len))
-    w, hist = seq2seq.pretrain_text_encoder(w, corpus, steps=80, batch=16)
-    assert len(hist) == 80
-    assert np.mean(hist[-10:]) < np.mean(hist[:10])
-    assert np.abs(w.params["enc.b0.attn.wq"].data - before).max() > 0
-    for n, arr in decoder.items():
-        np.testing.assert_array_equal(w.params[n].data, arr)
-
-
-def test_pretrain_without_masking_is_a_no_op():
-    w = _model()
-    corpus = np.random.default_rng(0).integers(4, TINY.text_vocab, (32, TINY.text_len))
-    w, hist = seq2seq.pretrain_text_encoder(w, corpus, mask_rate=0.0, steps=3, batch=8)
-    assert hist == [0.0] * 3
-    fresh = _model()
-    for n, t in w.params.items():
-        np.testing.assert_array_equal(t.data, fresh.params[n].data)

@@ -5,7 +5,6 @@ import hashlib
 import random
 from collections import Counter, defaultdict
 
-import numpy as np
 import pytest
 
 from ttig import scenes

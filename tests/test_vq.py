@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttig import checkpoint, nn, scenes, vq
+from ttig import checkpoint, scenes, vq
 from ttig import tensor as T
 from ttig.errors import DataError, NumericError
 
