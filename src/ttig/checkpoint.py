@@ -104,8 +104,8 @@ def load_checkpoint(path):
 _SECTION = {"seq2seq": "model", "tokenizer": "tokenizer",
             "dual_encoder": "encoder"}
 # config field annotation -> the exact JSON value types it takes: a bool is
-# never a number and a number is never a bool
-_VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+# never a number
+_VALUE_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def field_types(cls) -> dict:
@@ -131,19 +131,13 @@ def _save_typed(w, kind, path):
                     {"kind": kind, _SECTION[kind]: asdict(w.cfg)}, path)
 
 
-def _load_kind(path, kind):
-    """load_checkpoint, then reject any other kind -> (state, config)."""
+def _load_typed(path, kind, cfg_cls, build):
+    """Validate kind and config section (field names and value types), then
+    build(cfg, 0, skeleton=True), zeros with no random draws, and load."""
     state, config = load_checkpoint(path)
     if config.get("kind") != kind:
         raise DataError(f"expected a {kind!r} checkpoint, found "
                         f"{config.get('kind')!r} at {path}")
-    return state, config
-
-
-def _load_typed(path, kind, cfg_cls, build):
-    """Validate kind and config section (field names and value types), then
-    build(cfg, 0, skeleton=True), zeros with no random draws, and load."""
-    state, config = _load_kind(path, kind)
     key = _SECTION[kind]
     section = config.get(key)
     if not isinstance(section, dict):
@@ -179,31 +173,3 @@ def load_encoder(path):
     return _load_typed(path, "dual_encoder", contrastive.EncoderConfig,
                        contrastive.build_encoder)
 
-
-def save_index(index, path):
-    """A contrastive.RetrievalIndex as a 'retrieval_index' checkpoint: one
-    embeddings parameter, with the ids and the excluded caption (or null) in
-    the config."""
-    save_checkpoint({"embeddings": index.embeddings},
-                    {"kind": "retrieval_index",
-                     "ids": [int(i) for i in index.ids],
-                     "excluded_caption": index.excluded_caption}, path)
-
-
-def load_index(path) -> contrastive.RetrievalIndex:
-    state, config = _load_kind(path, "retrieval_index")
-    emb, ids = state.get("embeddings"), config.get("ids")
-    excluded = config.get("excluded_caption")
-    if "excluded_caption" not in config or not (excluded is None or isinstance(excluded, str)):
-        raise DataError(f"retrieval index at {path} must record 'excluded_caption': "
-                        f"the caption it was built without, or null")
-    if list(state) != ["embeddings"] or emb.ndim != 2:
-        raise DataError(f"retrieval index at {path} must hold exactly one 2-D "
-                        f"'embeddings' parameter")
-    if (not isinstance(ids, list) or len(ids) != len(emb)
-            or any(type(i) is not int for i in ids)):
-        raise DataError(f"retrieval index at {path} must have one integer id "
-                        f"per embeddings row ({len(emb)})")
-    return contrastive.RetrievalIndex(embeddings=emb,
-                                      ids=np.asarray(ids, dtype=np.int64),
-                                      excluded_caption=excluded)

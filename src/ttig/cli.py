@@ -1,6 +1,6 @@
 """Command-line orchestration: data, training, sampling, evaluation.
 
-The commands that render, train, sample or build a retrieval index read an
+The commands that render, train, sample or retrieve read an
 optional JSON run config (strict schema: unknown keys and values of the
 wrong JSON type are rejected) plus flag overrides; no command accepts a flag
 or key it does not read. Exit codes: 0 success, 1 usage error, 2 data/format
@@ -96,7 +96,7 @@ def _split_seed(d: DataConfig, split: str) -> int:
     return d.seed + (1 if split == "eval" else 0)
 
 
-def _dataset(d: DataConfig, split="train", n=None, also_exclude=()):
+def _dataset(d: DataConfig, split="train", n=None):
     """One split of the seeded scene data. train and eval draw from disjoint
     parts of the caption space; all draws from the whole space."""
     train_caps, held_caps = scenes.split_captions(d.holdout_seed,
@@ -105,7 +105,7 @@ def _dataset(d: DataConfig, split="train", n=None, also_exclude=()):
     if n is None:
         n = d.n_eval if split == "eval" else d.n_train
     return scenes.gen_dataset(n, _split_seed(d, split),
-                              exclude_captions=set(exclude) | set(also_exclude),
+                              exclude_captions=exclude,
                               size=d.image_size)
 
 
@@ -288,12 +288,22 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_sample_dir(path):
-    """-> (meta, each listed PNG file's bytes, their pixels)."""
+def _load_sample_dir(path, *keys):
+    """-> (meta, each listed PNG file's bytes, their pixels). meta.json must
+    hold files, prompt, seed and every one of keys."""
     meta_path = Path(path) / "meta.json"
     if not meta_path.exists():
         raise DataError(f"{path} has no meta.json (not a sample directory)")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise DataError(f"{meta_path} is not valid JSON: {e}") from None
+    keys = ("files", "prompt", "seed", *keys)
+    if not isinstance(meta, dict) or not all(k in meta for k in keys):
+        raise DataError(f"{meta_path} is not a sample meta.json: it needs "
+                        f"the keys {', '.join(keys)}")
+    if not meta["files"]:
+        raise DataError(f"{meta_path} lists no files")
     files = [Path(path) / f for f in meta["files"]]
     blobs = [f.read_bytes() for f in files]
     images = np.stack([pngio.read_png(f, b) for f, b in zip(files, blobs)])
@@ -301,7 +311,7 @@ def _load_sample_dir(path):
 
 
 def cmd_rerank(args) -> int:
-    meta, blobs, images = _load_sample_dir(args.dir)
+    meta, blobs, images = _load_sample_dir(args.dir, "grids")
     enc = checkpoint.load_encoder(args.reranker)
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     grids = np.asarray(meta["grids"])
@@ -346,33 +356,16 @@ def cmd_eval_alignment(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    if args.index and (args.index_out or args.exclude_query or args.config):
-        raise UsageError("--index-out, --exclude-query and --config build an "
-                         "index, so they do not go with --index")
     enc = checkpoint.load_encoder(args.reranker)
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     cap_ids = textproc.encode_clipped(vocab, args.caption, enc.cfg.text_len)
-    captions = None
-    if args.index:
-        index = checkpoint.load_index(args.index)
-    else:
-        d = _pick(load_config(args.config).get("data", {}), DataConfig)
-        ds = _dataset(d, also_exclude=[args.caption] if args.exclude_query else ())
-        captions = ds.captions
-        index = contrastive.build_index(enc, ds.images)
-        if args.exclude_query:
-            index.excluded_caption = args.caption
-        if args.index_out:
-            checkpoint.save_index(index, args.index_out)
-    ids, sims = contrastive.retrieve_nearest(enc, index, cap_ids, args.k)
-    results = []
-    for i, s in zip(ids.tolist(), sims.tolist()):
-        row = {"id": i, "score": s}
-        if captions is not None:
-            row["caption"] = captions[i]
-        results.append(row)
+    ds = _dataset(_pick(load_config(args.config).get("data", {}), DataConfig))
+    rows, sims = contrastive.retrieve_nearest(
+        enc, contrastive.embed_image(enc, ds.images), cap_ids, args.k)
+    results = [{"id": i, "score": s, "caption": ds.captions[i]}
+               for i, s in zip(rows.tolist(), sims.tolist())]
     print(json.dumps({"caption": args.caption, "k": args.k,
-                      "in_dataset": args.caption != index.excluded_caption,
+                      "in_dataset": args.caption in ds.captions,
                       "results": results}))
     return 0
 
@@ -457,10 +450,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--reranker", required=True)
     sp.add_argument("--caption", required=True)
     sp.add_argument("--k", type=int, default=5)
-    sp.add_argument("--index", default=None, help="load a saved index")
-    sp.add_argument("--index-out", default=None, help="save the built index")
-    sp.add_argument("--exclude-query", action="store_true",
-                    help="out-of-dataset mode: index built without the query caption")
 
     sp = add("inspect-checkpoint", "print checkpoint summary",
              config=False, seed=False)

@@ -6,8 +6,8 @@ with a symmetric cross-entropy over the temperature-scaled in-batch
 similarity matrix. The resulting cosine is the reranking score, and the
 image side doubles as the feature extractor for distribution metrics.
 
-Retrieval is an exact scan: cosine against every indexed embedding,
-descending, ties broken toward the lower identifier.
+Retrieval is an exact scan: cosine against every image embedding row,
+descending, ties broken toward the lower row.
 """
 
 from __future__ import annotations
@@ -213,36 +213,12 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
 # ---------------------------------------------------------------------------
 # retrieval
 
-@dataclass
-class RetrievalIndex:
-    embeddings: np.ndarray        # (n, d_e), unit rows
-    ids: np.ndarray               # (n,) integer identifiers
-    excluded_caption: str | None = None  # the caption its images were drawn without
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def build_index(enc: DualEncoder, images: np.ndarray, ids=None) -> RetrievalIndex:
-    if len(images) == 0:
-        raise DataError("build_index: empty image set")
-    emb = embed_image(enc, images).astype(np.float32)
-    if ids is None:
-        ids = np.arange(len(images))
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) != len(emb):
-        raise DataError("build_index: ids length mismatch")
-    return RetrievalIndex(embeddings=emb, ids=ids)
-
-
-def retrieve_nearest(enc: DualEncoder, index: RetrievalIndex, text_ids, k: int):
-    """Exact top-k by cosine, descending; ties broken by lower identifier."""
-    n = len(index)
+def retrieve_nearest(enc: DualEncoder, embeddings: np.ndarray, text_ids, k: int):
+    """Exact top-k over embed_image's (n, d_e) rows -> (row indices, cosines),
+    descending; ties broken by lower row."""
+    n = len(embeddings)
     if not 1 <= k <= n:
         raise DataError(f"k must be in [1, {n}], got {k}")
-    zt = embed_text(enc, text_ids)[0]
-    sims = index.embeddings @ zt
-    order = np.lexsort((index.ids, -sims))
-    top = order[:k]
-    return index.ids[top], sims[top]
-
+    sims = embeddings @ embed_text(enc, text_ids)[0]
+    top = np.argsort(-sims, kind="stable")[:k]
+    return top, sims[top]

@@ -192,7 +192,6 @@ class TokTrainConfig:
     batch: int = 32
     seed: int = 0
     warmup: int = 200
-    data_init: bool = True  # seed codebook from encoder outputs of a probe batch
 
 
 def _row_mean_sq(diff):
@@ -220,14 +219,14 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
     """Train encoder/decoder/codebook on images (n, H, W, 3) in [0,1].
 
     Loss = mean||x_hat - x||^2 + codebook_loss + beta_commit * commitment.
-    Codebook rows renormalized after every step. Returns (weights, history).
+    The codebook starts from the encoder's outputs on a probe batch, and its
+    rows are renormalized after every step. Returns (weights, history).
     """
     if images.ndim != 4 or images.shape[0] == 0:
         raise DataError(f"need a nonempty (n,H,W,3) image array, got {images.shape}")
     w = build_tokenizer(cfg, tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 1)
-    if tcfg.data_init:
-        _init_codebook_from_data(w, images, rng)
+    _init_codebook_from_data(w, images, rng)
     opt_cfg = optim.OptimizerConfig(base_lr=tcfg.lr, warmup=tcfg.warmup,
                                     decay_frac=0.6, final_ratio=0.05,
                                     weight_decay=0.0)

@@ -133,16 +133,19 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
                     "--out", str(tmp_path / "d")]) == 2
 
 
-# the pretraining keys were removed with the masked-text pretraining
+# the pretraining keys were removed with the masked-text pretraining, and
+# data_init with its off switch: the codebook always starts from data
 @pytest.mark.parametrize("section,key", [("data", "n_trian"),
                                          ("model", "pretrain_steps"),
-                                         ("model", "pretrain_mask_rate")])
+                                         ("model", "pretrain_mask_rate"),
+                                         ("tokenizer", "data_init")])
 def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
     cfg = _cfg(tmp_path, {section: {key: 8}})
     assert cli.run(["make-data", "--config", cfg,
                     "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{section}.{key}" in err[0]
+    assert "unknown config field" in err[0]  # tmp_path holds "unknown" too
     assert not (tmp_path / "d").exists()
 
 
@@ -150,7 +153,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
     ("data", "n_train", "8"),
     ("model", "steps", 1.5),
     ("optimizer", "base_lr", True),
-    ("tokenizer", "data_init", 1),
+    ("tokenizer", "codebook_size", False),
     ("model", "cond_dropout_rate", "x"),
 ])
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, section, key,
@@ -191,13 +194,13 @@ def test_config_key_set_from_elsewhere_rejected(tmp_path, capsys, section, key,
      "--config", "c.json"],
     ["retrieve", "--reranker", "rr", "--caption", "a red circle",
      "--seed", "1"],
-    # a loaded index is used as built
+    # the saved index and its flags were removed: retrieve always builds
     ["retrieve", "--reranker", "rr", "--caption", "a red circle",
-     "--index", "idx", "--index-out", "idx2"],
+     "--index", "idx"],
     ["retrieve", "--reranker", "rr", "--caption", "a red circle",
-     "--index", "idx", "--exclude-query"],
+     "--index-out", "idx"],
     ["retrieve", "--reranker", "rr", "--caption", "a red circle",
-     "--index", "idx", "--config", "c.json"],
+     "--exclude-query"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv
                              if a.startswith("--") or a == argv[0]))
 def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
@@ -370,29 +373,41 @@ def _tiny_reranker(tmp_path):
     return enc
 
 
-def test_retrieve_with_truncated_index_is_a_data_error(tmp_path, capsys):
-    enc = _tiny_reranker(tmp_path)
-    checkpoint.save_index(contrastive.RetrievalIndex(
-        embeddings=np.ones((3, enc.cfg.d_e), np.float32),
-        ids=np.arange(3)), tmp_path / "idx")
-    raw = (tmp_path / "idx" / "weights.bin").read_bytes()
-    (tmp_path / "idx" / "weights.bin").write_bytes(raw[:-4])
-    assert cli.run(["retrieve", "--reranker", str(tmp_path / "rr"),
-                    "--caption", "a red circle", "--k", "2",
-                    "--index", str(tmp_path / "idx")]) == 2
-
-
-def test_loaded_index_is_out_of_dataset_only_for_the_caption_it_excluded(tmp_path, capsys):
+def test_in_dataset_is_whether_the_train_split_drew_the_caption(tmp_path, capsys):
     _tiny_reranker(tmp_path)
-    retrieve = ["retrieve", "--reranker", str(tmp_path / "rr"), "--k", "2"]
-    assert cli.run([*retrieve, "--caption", "a red circle", "--exclude-query",
-                    "--config", _cfg(tmp_path, TINY_DATA),
-                    "--index-out", str(tmp_path / "idx")]) == 0
-    assert _last_json(capsys)["in_dataset"] is False
-    for caption, in_dataset in (("a red circle", False), ("a blue square", True)):
-        assert cli.run([*retrieve, "--caption", caption,
-                        "--index", str(tmp_path / "idx")]) == 0
-        assert _last_json(capsys)["in_dataset"] is in_dataset
+    retrieve = ["retrieve", "--reranker", str(tmp_path / "rr"), "--k", "2",
+                "--config", _cfg(tmp_path, TINY_DATA)]
+    held_out = sorted(scenes.split_captions(0, 0.15)[1])[0]
+    assert cli.run([*retrieve, "--caption", held_out]) == 0
+    doc = _last_json(capsys)
+    assert doc["in_dataset"] is False
+    drawn = doc["results"][0]["caption"]
+    assert cli.run([*retrieve, "--caption", drawn]) == 0
+    assert _last_json(capsys)["in_dataset"] is True
+
+
+_META = {"files": ["sample_00.png"], "prompt": "a red circle", "seed": 0,
+         "grids": [[0]]}
+
+
+# eval-alignment does not read grids
+@pytest.mark.parametrize("cmd,damage", [
+    (cmd, damage) for cmd in ("rerank", "eval-alignment")
+    for damage in ("not_json", "not_an_object", "no_files", *_META)
+    if (cmd, damage) != ("eval-alignment", "grids")])
+def test_bad_sample_meta_is_a_data_error(tmp_path, capsys, cmd, damage):
+    meta = {k: v for k, v in _META.items() if k != damage}
+    if damage == "no_files":
+        meta["files"] = []
+    text = {"not_json": "{oops", "not_an_object": "[]"}.get(damage, json.dumps(meta))
+    (tmp_path / "s").mkdir()
+    (tmp_path / "s" / "meta.json").write_text(text)
+    argv = [cmd, "--dir", str(tmp_path / "s")]
+    if cmd == "rerank":
+        argv += ["--reranker", str(tmp_path / "rr")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(tmp_path / "s" / "meta.json") in err[0]
 
 
 def _code_blocks(markdown):

@@ -1,11 +1,9 @@
-"""Dual encoder: symmetric loss, temperature, retrieval, persistence."""
-
-import json
+"""Dual encoder: symmetric loss, temperature, retrieval."""
 
 import numpy as np
 import pytest
 
-from ttig import checkpoint, contrastive, scenes, textproc
+from ttig import contrastive, scenes, textproc
 from ttig import tensor as T
 from ttig.errors import DataError
 
@@ -139,19 +137,17 @@ def test_tau_stays_above_floor_during_training():
 
 # ---------------------------------------------------------------- retrieval
 
-def test_build_index_and_nearest_matches_brute_force():
+def test_nearest_matches_brute_force():
     enc = _enc()
     ds, vocab, ids = _data(16, seed=3)
-    index = contrastive.build_index(enc, ds.images)
-    assert len(index) == 16
-    np.testing.assert_array_equal(contrastive.build_index(enc, ds.images).embeddings,
-                                  index.embeddings)
+    emb = contrastive.embed_image(enc, ds.images)
+    np.testing.assert_array_equal(contrastive.embed_image(enc, ds.images), emb)
     q = ids[5]
-    got_ids, got_sims = contrastive.retrieve_nearest(enc, index, q, 4)
+    got_rows, got_sims = contrastive.retrieve_nearest(enc, emb, q, 4)
     zq = contrastive.embed_text(enc, contrastive._pad_rows(CFG, [q]))[0]
-    sims = index.embeddings @ zq
-    order = np.lexsort((index.ids, -sims))[:4]
-    np.testing.assert_array_equal(got_ids, index.ids[order])
+    sims = emb @ zq
+    order = np.lexsort((np.arange(16), -sims))[:4]
+    np.testing.assert_array_equal(got_rows, order)
     np.testing.assert_allclose(got_sims, sims[order], atol=1e-7)
     assert (np.diff(got_sims) <= 1e-9).all()
 
@@ -159,77 +155,18 @@ def test_build_index_and_nearest_matches_brute_force():
 def test_retrieval_ties_break_by_ascending_id():
     enc = _enc()
     ds, _, ids = _data(4)
-    # identical embeddings forced: duplicate one image three times
-    imgs = np.stack([ds.images[0]] * 3 + [ds.images[1]])
-    index = contrastive.build_index(enc, imgs)
-    got_ids, got_sims = contrastive.retrieve_nearest(enc, index, ids[0], 4)
+    # rows 1-3 are one embedding, so they tie exactly
+    z = contrastive.embed_image(enc, ds.images[:2])
+    emb = z[[1, 0, 0, 0]]
+    got_rows, got_sims = contrastive.retrieve_nearest(enc, emb, ids[0], 4)
     assert (np.diff(got_sims) <= 1e-9).all()
-    # within every run of equal sims, ids ascend
-    for i in range(3):
-        if got_sims[i] == got_sims[i + 1]:
-            assert got_ids[i] < got_ids[i + 1]
+    assert [r for r in got_rows.tolist() if r != 0] == [1, 2, 3]
 
 
 def test_retrieve_k_bounds():
     enc = _enc()
     ds, _, ids = _data(4)
-    index = contrastive.build_index(enc, ds.images)
-    with pytest.raises(DataError):
-        contrastive.retrieve_nearest(enc, index, ids[0], 0)
-    with pytest.raises(DataError):
-        contrastive.retrieve_nearest(enc, index, ids[0], 5)
-
-
-def test_build_index_custom_ids_and_empty_rejection():
-    enc = _enc()
-    ds, _, _ = _data(4)
-    idx = contrastive.build_index(enc, ds.images, ids=[10, 20, 30, 40])
-    np.testing.assert_array_equal(idx.ids, [10, 20, 30, 40])
-    with pytest.raises(DataError):
-        contrastive.build_index(enc, np.zeros((0, 32, 32, 3), np.float32))
-
-
-def test_index_save_load_roundtrip(tmp_path):
-    enc = _enc()
-    ds, _, ids = _data(6)
-    index = contrastive.build_index(enc, ds.images)
-    checkpoint.save_index(index, tmp_path / "idx")
-    back = checkpoint.load_index(tmp_path / "idx")
-    np.testing.assert_array_equal(back.embeddings, index.embeddings)
-    np.testing.assert_array_equal(back.ids, index.ids)
-    a_ids, a_sims = contrastive.retrieve_nearest(enc, index, ids[2], 3)
-    b_ids, b_sims = contrastive.retrieve_nearest(enc, back, ids[2], 3)
-    np.testing.assert_array_equal(a_ids, b_ids)
-    np.testing.assert_array_equal(a_sims, b_sims)
-
-
-def test_load_index_rejects_bad_dir(tmp_path):
-    with pytest.raises(DataError):
-        checkpoint.load_index(tmp_path / "missing")
-
-
-@pytest.mark.parametrize("damage", ["truncated", "dtype", "no_ids",
-                                    "wrong_count", "wrong_kind",
-                                    "no_excluded_caption"])
-def test_load_index_rejects_damaged_index(tmp_path, damage):
-    path = tmp_path / "idx"
-    checkpoint.save_index(contrastive.RetrievalIndex(
-        embeddings=np.arange(12, dtype=np.float32).reshape(3, 4),
-        ids=np.array([5, 6, 7])), path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    if damage == "truncated":
-        raw = (path / "weights.bin").read_bytes()
-        (path / "weights.bin").write_bytes(raw[:-4])
-    elif damage == "dtype":
-        manifest["params"][0]["dtype"] = "<f8"
-    elif damage == "no_ids":
-        del manifest["config"]["ids"]
-    elif damage == "wrong_count":
-        manifest["config"]["ids"] = [5, 6]
-    elif damage == "no_excluded_caption":
-        del manifest["config"]["excluded_caption"]
-    else:
-        manifest["config"]["kind"] = "dual_encoder"
-    (path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DataError):
-        checkpoint.load_index(path)
+    emb = contrastive.embed_image(enc, ds.images)
+    for n, k in ((4, 0), (4, 5), (0, 1)):  # (0, 1): no rows to rank
+        with pytest.raises(DataError, match=rf"k must be in \[1, {n}\], got {k}"):
+            contrastive.retrieve_nearest(enc, emb[:n], ids[0], k)

@@ -199,14 +199,23 @@ def _ids(low, high, shape):
     return np.random.default_rng(0).integers(low, high, shape)
 
 
+_TOK_IMAGES = scenes.gen_dataset(4, 0, size=8).images
+
+
+def _tokenizer_before_step_0():
+    """The tokenizer train_tokenizer(_TOK_IMAGES, _TOK, seed 0) starts from."""
+    w = vq.build_tokenizer(_TOK, 0)
+    vq._init_codebook_from_data(w, _TOK_IMAGES, np.random.default_rng(1))
+    return w
+
+
 # trainer -> (module, the function in it that takes the weights first and
-# builds the loss, a short run of the trainer, a fresh build of its weights)
+# builds the loss, a short run of the trainer, its weights before step 0)
 _TRAINERS = {
     "vq.train_tokenizer": (
         vq, "_decode_tensor",
-        lambda: vq.train_tokenizer(scenes.gen_dataset(4, 0, size=8).images, _TOK,
-                                   vq.TokTrainConfig(steps=2, batch=2, data_init=False)),
-        lambda: vq.build_tokenizer(_TOK, 0)),
+        lambda: vq.train_tokenizer(_TOK_IMAGES, _TOK, vq.TokTrainConfig(steps=2, batch=2)),
+        _tokenizer_before_step_0),
     "seq2seq.train_model": (
         seq2seq, "forward_loss",
         lambda: seq2seq.train_model(seq2seq.build_model(_MODEL, 0), _ids(4, 64, (4, 8)),
@@ -290,7 +299,7 @@ def test_train_loop_holds_one_step_tape(monkeypatch):
         tracemalloc.start()
         try:
             vq.train_tokenizer(images, vq.TokenizerConfig(),
-                               vq.TokTrainConfig(steps=steps, batch=8, data_init=False))
+                               vq.TokTrainConfig(steps=steps, batch=8))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -624,7 +624,7 @@ def test_every_catalog_op_is_recorded_by_a_trainer(monkeypatch):
     vq.train_tokenizer(scenes.gen_dataset(2, 0, size=8).images,
                        vq.TokenizerConfig(image_size=8, d_model=8, n_blocks=1, heads=2,
                                           d_mlp=16, codebook_size=4),
-                       vq.TokTrainConfig(steps=1, batch=2, data_init=False))
+                       vq.TokTrainConfig(steps=1, batch=2))
     model = seq2seq.ModelConfig(enc_layers=1, dec_layers=1, d_model=16, d_mlp=32, heads=2,
                                 text_vocab=64, image_vocab=8, text_len=8, grid_h=2, grid_w=2)
     text = np.full((2, 8), textproc.PAD_ID, np.int64)
