@@ -290,7 +290,9 @@ def cmd_sample(args) -> int:
 
 def _load_sample_dir(path, *keys):
     """-> (meta, each listed PNG file's bytes, their pixels). meta.json must
-    hold files, prompt, seed and every one of keys."""
+    hold files (a non-empty list of names), prompt (a string), seed (an int)
+    and every one of keys; grids, if a key, is a list with one grid per
+    file."""
     meta_path = Path(path) / "meta.json"
     if not meta_path.exists():
         raise DataError(f"{path} has no meta.json (not a sample directory)")
@@ -302,9 +304,20 @@ def _load_sample_dir(path, *keys):
     if not isinstance(meta, dict) or not all(k in meta for k in keys):
         raise DataError(f"{meta_path} is not a sample meta.json: it needs "
                         f"the keys {', '.join(keys)}")
-    if not meta["files"]:
+    names = meta["files"]
+    if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
+        raise DataError(f"{meta_path}: files must be a list of file names")
+    if not names:
         raise DataError(f"{meta_path} lists no files")
-    files = [Path(path) / f for f in meta["files"]]
+    if not isinstance(meta["prompt"], str):
+        raise DataError(f"{meta_path}: prompt must be a string")
+    if type(meta["seed"]) is not int:  # bool is an int subclass
+        raise DataError(f"{meta_path}: seed must be an integer")
+    if "grids" in keys and not (isinstance(meta["grids"], list)
+                                and len(meta["grids"]) == len(names)):
+        raise DataError(f"{meta_path}: grids must be a list of {len(names)} grids, "
+                        f"one per file")
+    files = [Path(path) / f for f in names]
     blobs = [f.read_bytes() for f in files]
     images = np.stack([pngio.read_png(f, b) for f, b in zip(files, blobs)])
     return meta, blobs, images

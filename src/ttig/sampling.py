@@ -39,6 +39,21 @@ axis. Folding and summation order differ from the taped forward, so cached
 logits are not bitwise equal to seq2seq.logits_fn; they agree within 1e-6,
 which the tests check on weights whose gains and biases are perturbed.
 
+A step is dispatch-bound (about 350 numpy calls on arrays of about
+(rows, d_model)), so it allocates almost nothing: each chain owns buffers for
+the residual stream and its normalised copy, QKV, the attention scores and
+mixes, the attention and projection outputs, and the MLP hidden and its cdf.
+Every matmul and elementwise op writes into them with out=, and the
+LayerNorms, GELUs and softmaxes are tensor's _fwd_layer_norm, _fwd_gelu and
+_fwd_softmax called with out=, the same kernels the taped forward runs. Each
+layer's weights sit in one tuple, resolved once per chain, with every bias
+tiled to the chain's rows. Each step returns a new logits array, so a caller
+may keep it past the next step.
+BLAS rounds a one-row matrix product (its matrix-vector path) differently
+from the same row inside a larger one, so a branch whose groups have one row
+each runs every row twice and returns every other row: a row's logits are
+the same bits for any row count.
+
 Every sample consumes exactly one uniform per step from its own rng stream
 (inverse-CDF draw), so a sample's grid does not depend on how many other
 samples were drawn alongside it; a test checks this too. The uniform at step
@@ -96,7 +111,9 @@ def guided_logits(u, c, lam: float) -> np.ndarray:
         return u.copy()
     if lam == 1.0:
         return c.copy()
-    return u + lam * (c - u)
+    z = lam * (c - u)
+    z += u
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +125,10 @@ def _affine(x, w, b):
     return y
 
 
-def _normalize(x):
-    return T._fwd_layer_norm([x], {"axis": -1})
-
-
 class _Branch:
     """Cached decoder state for n rows: weights packed once per chain, fixed
-    cross-attention matrices and self-attention caches that grow one position
-    per step.
+    cross-attention matrices, self-attention caches that grow one position
+    per step, and the step's buffers.
 
     enc_out holds G encoder outputs and G divides n: the rows split into G
     equal consecutive groups and group g cross-attends to enc_out[g]."""
@@ -127,7 +140,12 @@ class _Branch:
         d, heads = cfg.d_model, cfg.heads
         dh = d // heads
         scale = np.float32(1.0 / np.sqrt(dh))
-        self.cfg, self.p, self.n, self.groups, self.heads = cfg, p, n, G, heads
+        # a group of one row would take BLAS's matrix-vector path, which
+        # rounds differently from the matrix-matrix path of larger groups;
+        # so then every row runs twice and the step returns every other row
+        self.twice = n == G
+        rows = 2 * n if self.twice else n
+        m = rows // G
         # lane j of the model width belongs to head j // dh: head_sum adds
         # up each head's lanes (and applies the attention scale), head_spread
         # copies each head's weight back onto its lanes
@@ -139,13 +157,23 @@ class _Branch:
             # (xhat * g + beta) @ wt + b == xhat @ (g wt) + (beta @ wt + b)
             return wt * (p[ln + ".g"] * s)[:, None], (p[ln + ".b"] @ wt + b) * s
 
-        self.qkv, self.cross, self.fc1 = [], [], []
+        def tiled(b):
+            # the bias repeated for every row: a same-shape add takes about
+            # half the time of a broadcast one at these sizes
+            return np.tile(b, (rows, 1))
+
+        L = cfg.image_len
+        cache = (L, rows, d)
+        # one tuple per layer: QKV, self-attention key and value caches and
+        # output projection; cross-attention scores, bias, values and output
+        # bias; the MLP's two projections. Each cache is its own array: one
+        # block for all eight (8 MB at 64 rows) kept 7 MB more resident
+        self.layers = []
         for i in range(cfg.dec_layers):
             pre, a, c = f"dec.b{i}", f"dec.b{i}.attn", f"dec.b{i}.xattn"
-            self.qkv.append(folded(
+            wqkv, bqkv = folded(
                 pre + ".ln1", np.concatenate([p[a + ".wq"], p[a + ".wk"], p[a + ".wv"]], axis=1),
-                np.concatenate([p[a + ".bq"], np.zeros(d, np.float32), p[a + ".bv"]])))
-            self.fc1.append(folded(pre + ".ln2", p[pre + ".mlp.fc1.w"], p[pre + ".mlp.fc1.b"]))
+                np.concatenate([p[a + ".bq"], np.zeros(d, np.float32), p[a + ".bv"]]))
             wq, bq = folded(pre + ".lnx", p[c + ".wq"], p[c + ".bq"], scale)
             k = (enc_out @ p[c + ".wk"]).reshape(G, S, heads, dh).transpose(0, 2, 1, 3)
             v = _affine(enc_out, p[c + ".wv"], p[c + ".bv"]).reshape(G, S, heads, dh)
@@ -153,61 +181,102 @@ class _Branch:
             # in one score matrix, value and output projections in another
             qk = k @ wq.reshape(d, heads, dh).transpose(1, 2, 0)         # (G, heads, S, d)
             vo = v.transpose(0, 2, 1, 3) @ p[c + ".wo"].reshape(heads, dh, d)
-            self.cross.append((
+            cross = (
                 qk.transpose(0, 2, 1, 3).reshape(G, S * heads, d),
-                (k @ bq.reshape(heads, dh, 1)).transpose(0, 2, 1, 3).reshape(G, S * heads, 1),
-                vo.transpose(0, 2, 1, 3).reshape(G, S * heads, d)))
-        self.out = folded("dec.ln_out", p["out.w"], p["out.b"])
-        L = cfg.image_len
+                np.repeat((k @ bq.reshape(heads, dh, 1)).transpose(0, 2, 1, 3)
+                          .reshape(G, S * heads, 1), m, axis=2),
+                vo.transpose(0, 2, 1, 3).reshape(G, S * heads, d))
+            w1, b1 = folded(pre + ".ln2", p[pre + ".mlp.fc1.w"], p[pre + ".mlp.fc1.b"])
+            self.layers.append((
+                wqkv, tiled(bqkv), np.empty(cache, np.float32), np.empty(cache, np.float32),
+                p[a + ".wo"], tiled(p[a + ".bo"]), *cross, tiled(p[c + ".bo"]),
+                w1, tiled(b1), p[pre + ".mlp.fc2.w"], tiled(p[pre + ".mlp.fc2.b"])))
+        w_out, b_out = folded("dec.ln_out", p["out.w"], p["out.b"])
+        self.out = w_out, tiled(b_out)
+        self.start = p["dec.start"] + p["image_pos"][0]
+        self.emb, self.pos = p["image_emb"], p["image_pos"]
         # step t's keys t - offsets[w] where valid[w, t], ascending
         keys = (np.arange(L) - w.window.offsets[:, None]).T[w.window.valid.T]
-        self.windows = np.split(keys, np.cumsum(w.window.valid.sum(axis=0))[:-1])
-        self.keys = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
-        self.vals = [np.empty((L, n, d), dtype=np.float32) for _ in range(cfg.dec_layers)]
+        ends = np.cumsum(w.window.valid.sum(axis=0)).tolist()
+        self.windows = [keys[a:b] for a, b in zip([0, *ends], ends)]
 
-    def _attn_self(self, x, layer, t):
-        d = self.cfg.d_model
-        qkv = _affine(x, *self.qkv[layer])
-        keys, vals = self.keys[layer], self.vals[layer]
-        keys[t] = qkv[:, d:2 * d]
-        vals[t] = qkv[:, 2 * d:]
-        window = self.windows[t]
-        qk = keys[window]                                      # (w, n, d)
-        qk *= qkv[:, :d]
-        scores = (qk.reshape(-1, d) @ self.head_sum).reshape(len(window), self.n, self.heads)
-        att = T._fwd_softmax([scores], {"axis": 0})            # over the window
-        mix = np.matmul(att.reshape(-1, self.heads), self.head_spread,
-                        out=qk.reshape(-1, d)).reshape(qk.shape)
-        mix *= vals[window]
-        return np.add.reduce(mix, axis=0)
+        # the step's buffers: the residual stream x and its normalised copy,
+        # QKV, the attention output and the projections' outputs, the MLP
+        # hidden and its cdf, and the attention scores and mixes
+        self.x, self.xn, self.a, self.proj = np.empty((4, rows, d), np.float32)
+        self.qkv = np.empty((rows, 3 * d), np.float32)
+        self.q, self.k, self.v = self.qkv[:, :d], self.qkv[:, d:2 * d], self.qkv[:, 2 * d:]
+        self.hidden = np.empty((rows, cfg.d_mlp), np.float32)
+        self.cdf = np.empty_like(self.hidden)
+        # self-attention: window keys (then the mix) and values, and scores,
+        # viewed per step at the step's window length
+        lengths = {len(k) for k in self.windows}
+        win, vals = np.empty((2, max(lengths), rows, d), np.float32)
+        scores = np.empty((max(lengths), rows, heads), np.float32)
+        views = {n: (win[:n], win[:n].reshape(-1, d), vals[:n],
+                     scores[:n], scores[:n].reshape(-1, heads)) for n in lengths}
+        self.steps = [(k, *views[len(k)]) for k in self.windows]
+        # cross-attention: per group, scores (S * heads, m) against the
+        # group's normalised rows; the softmax runs over the text axis
+        self.xscores = np.empty((G, S * heads, m), np.float32)
+        self.xn_groups = self.xn.reshape(G, m, d).swapaxes(1, 2)
+        self.xscores_text = self.xscores.reshape(G, S, heads * m)
+        self.a_groups = self.a.reshape(G, m, d)
+        self.last_axis, self.first_axis, self.text_axis = {"axis": -1}, {"axis": 0}, {"axis": 1}
+        self.gelu_attrs = {}
 
-    def _attn_cross(self, x, layer):
-        qk, bias, vo = self.cross[layer]
-        G = self.groups
-        scores = qk @ x.reshape(G, -1, x.shape[1]).swapaxes(1, 2)  # (G, S * heads, m)
+    def _attn_self(self, t, wqkv, bqkv, keys, vals):
+        """Self-attention of xn at position t, into a."""
+        qkv = np.matmul(self.xn, wqkv, out=self.qkv)
+        qkv += bqkv
+        keys[t] = self.k
+        vals[t] = self.v
+        window, qk, qk_rows, v, scores, score_rows = self.steps[t]
+        keys.take(window, 0, qk, "clip")                    # (w, rows, d)
+        qk *= self.q
+        np.matmul(qk_rows, self.head_sum, out=score_rows)
+        T._fwd_softmax([scores], self.first_axis, out=scores)  # over the window
+        mix = np.matmul(score_rows, self.head_spread, out=qk_rows).reshape(qk.shape)
+        mix *= vals.take(window, 0, v, "clip")
+        np.add.reduce(mix, 0, None, self.a)
+
+    def _attn_cross(self, qk, bias, vo):
+        """Cross-attention of xn to each group's text, into a."""
+        scores = np.matmul(qk, self.xn_groups, out=self.xscores)  # (G, S * heads, m)
         scores += bias
-        att = T._fwd_softmax([scores.reshape(G, -1, self.heads * scores.shape[2])], {"axis": 1})
-        return (att.reshape(scores.shape).swapaxes(1, 2) @ vo).reshape(self.n, -1)
+        T._fwd_softmax([self.xscores_text], self.text_axis, out=self.xscores_text)
+        np.matmul(scores.swapaxes(1, 2), vo, out=self.a_groups)
 
     def step_logits(self, prev_tokens, t: int) -> np.ndarray:
         """Advance to position t given the token drawn at t-1 (None at t=0);
-        returns next-token logits (n, image_vocab)."""
-        p = self.p
+        returns next-token logits (n, image_vocab), a new array."""
+        x, xn, a, proj, h, ln = self.x, self.xn, self.a, self.proj, self.hidden, self.last_axis
         if t == 0:
-            x = np.tile(p["dec.start"] + p["image_pos"][0], (self.n, 1))
+            x[...] = self.start
         else:
-            x = p["image_emb"][prev_tokens]
-            x += p["image_pos"][t]
-        for i in range(self.cfg.dec_layers):
-            pre = f"dec.b{i}"
-            a = self._attn_self(_normalize(x), i, t)
-            x += _affine(a, p[pre + ".attn.wo"], p[pre + ".attn.bo"])
-            a = self._attn_cross(_normalize(x), i)
-            a += p[pre + ".xattn.bo"]
+            if self.twice:
+                prev_tokens = np.repeat(prev_tokens, 2)
+            self.emb.take(prev_tokens, 0, x, "clip")
+            x += self.pos[t]
+        for wqkv, bqkv, keys, vals, wo, bo, xqk, xbias, xvo, xbo, w1, b1, w2, b2 in self.layers:
+            T._fwd_layer_norm([x], ln, out=xn)
+            self._attn_self(t, wqkv, bqkv, keys, vals)
+            np.matmul(a, wo, out=proj)
+            proj += bo
+            x += proj
+            T._fwd_layer_norm([x], ln, out=xn)
+            self._attn_cross(xqk, xbias, xvo)
+            a += xbo
             x += a
-            h = T._fwd_gelu([_affine(_normalize(x), *self.fc1[i])], {})
-            x += _affine(h, p[pre + ".mlp.fc2.w"], p[pre + ".mlp.fc2.b"])
-        return _affine(_normalize(x), *self.out)
+            T._fwd_layer_norm([x], ln, out=xn)
+            np.matmul(xn, w1, out=h)
+            h += b1
+            T._fwd_gelu([h], self.gelu_attrs, out=h, cdf=self.cdf)
+            np.matmul(h, w2, out=proj)
+            proj += b2
+            x += proj
+        logits = _affine(T._fwd_layer_norm([x], ln, out=xn), *self.out)
+        return logits[::2] if self.twice else logits
 
 
 def _filter_top_k(z: np.ndarray, k: int) -> np.ndarray:
@@ -220,18 +289,14 @@ def _filter_top_k(z: np.ndarray, k: int) -> np.ndarray:
 def _probs_from(logits: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     z = logits if cfg.temperature == 1.0 else logits / np.float32(cfg.temperature)
     z = _filter_top_k(z, cfg.top_k)
-    m = np.maximum.reduce(z, axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
+    if not np.isfinite(np.maximum.reduce(z, -1)).all():
         raise NumericError("sampling: a logit row has no finite entries")
-    e = np.subtract(z, m)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    return T._fwd_softmax([z], {"axis": -1})
 
 
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF categorical draw; smallest index whose cdf exceeds u."""
-    cdf = np.cumsum(probs.astype(np.float64), axis=-1)
+    cdf = np.add.accumulate(probs, -1, np.float64)  # the cumsum, in float64
     cdf[:, -1] = 1.0  # absorb accumulated rounding
     idx = (cdf <= uniforms[:, None]).sum(axis=-1)
     return np.minimum(idx, probs.shape[-1] - 1)

@@ -338,18 +338,24 @@ def _bwd_embedding_gather(g, d, out, attrs, needs):
 # softmax and layer_norm run the ufunc reductions directly: ndarray.max/sum
 # /mean are Python wrappers around the same reductions, so this is
 # bit-identical and skips their dispatch (a third of a small layer_norm).
+# The reductions take (axis, dtype, out, keepdims) by position: parsing them
+# as keywords costs another 1.2 us, about what a (16, 64) sum costs itself.
+# The softmax, layer_norm and gelu forwards take an optional out buffer of
+# the result's shape and dtype (softmax's may be its input): the sampler's
+# decode step writes into per-chain buffers, with the same bits as a fresh
+# result.
 
-def _fwd_softmax(d, attrs):
+def _fwd_softmax(d, attrs, out=None):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "softmax")
-    z = d[0] - np.maximum.reduce(d[0], axis=axis, keepdims=True)
+    z = np.subtract(d[0], np.maximum.reduce(d[0], axis, None, None, True), out=out)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=axis, keepdims=True)
+    z /= np.add.reduce(z, axis, None, None, True)
     return z
 
 
 def _bwd_softmax(g, d, out, attrs, needs):
     axis = _norm_axis(attrs["axis"], out.ndim, "softmax")
-    inner = np.add.reduce(g * out, axis=axis, keepdims=True)
+    inner = np.add.reduce(g * out, axis, None, None, True)
     r = g - inner
     r *= out
     return [r]
@@ -554,15 +560,21 @@ def _bwd_window_attention(g, q, k, v, heads, window, probs, needs):
 
 def _mean(x, axis):
     # what ndarray.mean computes: the add reduction divided by the count
-    return np.add.reduce(x, axis=axis, keepdims=True) / x.shape[axis]
+    m = np.add.reduce(x, axis, None, None, True)
+    m /= x.shape[axis]
+    return m
 
 
-def _fwd_layer_norm(d, attrs):
+def _fwd_layer_norm(d, attrs, out=None):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
-    xc = d[0] - _mean(d[0], axis)
-    inv = 1.0 / np.sqrt(_mean(xc * xc, axis) + float(attrs.get("eps", 1e-5)))
+    xc = np.subtract(d[0], _mean(d[0], axis), out=out)
+    inv = _mean(xc * xc, axis)
+    inv += float(attrs.get("eps", 1e-5))
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     attrs["_inv"] = inv  # reused by backward together with out (= xhat)
-    return xc * inv
+    xc *= inv
+    return xc
 
 
 def _bwd_layer_norm(g, d, out, attrs, needs):
@@ -597,43 +609,62 @@ def _cdf_table():
 
 
 _CDF_VALUES, _CDF_SLOPES = _cdf_table()
+# the float32 kernel's constants: the range ends, knot spacing and its
+# inverse, and the index of the knot at 0
+_CDF_LO32, _CDF_HI32 = np.float32(_CDF_LO), np.float32(-_CDF_LO)
+_CDF_STEP32, _CDF_INV_STEP32 = np.float32(_CDF_STEP), np.float32(1.0 / _CDF_STEP)
+_CDF_MID32 = np.float32(_CDF_SEGMENTS // 2)
 
 
-def _normal_cdf(x):
+def _cdf_block(x, out):
+    """The float32 table lookup for one block: out = cdf(x)."""
+    # fmin/fmax map NaN to a bound, so the index cast never sees NaN;
+    # gelu's x * cdf turns NaN back into NaN
+    xc = np.fmin(x, _CDF_HI32)
+    np.fmax(xc, _CDF_LO32, out=xc)
+    knot = xc * _CDF_INV_STEP32
+    knot += _CDF_MID32
+    np.floor(knot, out=knot)
+    i = knot.astype(np.intp)
+    knot *= _CDF_STEP32
+    knot += _CDF_LO32
+    np.subtract(xc, knot, out=xc)
+    _CDF_SLOPES.take(i, out=out, mode="clip")
+    out *= xc
+    out += _CDF_VALUES.take(i, out=knot, mode="clip")
+
+
+def _normal_cdf(x, out=None):
+    """cdf(x), written to out (contiguous, x's shape) if given."""
     if x.dtype != np.float32:
         cdf = _erf(x / _SQRT_2)
         cdf += 1.0
         cdf *= 0.5
+        if out is None:
+            return cdf
+        out[...] = cdf
+        return out
+    cdf = np.empty(x.shape, dtype=np.float32) if out is None else out
+    # one block needs no flat views; a 0-d x takes the flat path, since
+    # ufuncs return scalars for 0-d operands
+    if x.size <= _CDF_BLOCK and x.ndim:
+        _cdf_block(x, cdf)
         return cdf
-    lo, hi = np.float32(_CDF_LO), np.float32(-_CDF_LO)
-    inv_step, step = np.float32(1.0 / _CDF_STEP), np.float32(_CDF_STEP)
-    mid = np.float32(_CDF_SEGMENTS // 2)
-    cdf = np.empty(x.shape, dtype=np.float32)
     flat_x, flat_cdf = x.reshape(-1), cdf.reshape(-1)
     for s in range(0, flat_x.size, _CDF_BLOCK):
-        # fmin/fmax map NaN to a bound, so the index cast never sees NaN;
-        # gelu's x * cdf turns NaN back into NaN
-        xc = np.fmin(flat_x[s:s + _CDF_BLOCK], hi)
-        np.fmax(xc, lo, out=xc)
-        knot = xc * inv_step
-        knot += mid
-        np.floor(knot, out=knot)
-        i = knot.astype(np.intp)
-        knot *= step
-        knot += lo
-        np.subtract(xc, knot, out=xc)
-        out = flat_cdf[s:s + _CDF_BLOCK]
-        _CDF_SLOPES.take(i, out=out, mode="clip")
-        out *= xc
-        out += _CDF_VALUES.take(i, mode="clip")
+        _cdf_block(flat_x[s:s + _CDF_BLOCK], flat_cdf[s:s + _CDF_BLOCK])
     return cdf
 
 
-def _fwd_gelu(d, attrs):
+def _fwd_gelu(d, attrs, out=None, cdf=None):
+    """x * cdf(x); cdf, if given, is the buffer the cdf is written to (and
+    kept for backward); out may be x itself."""
     x = d[0]
-    cdf = _normal_cdf(x)
+    cdf = _normal_cdf(x, cdf)
     attrs["_cdf"] = cdf  # reused by backward
     with np.errstate(invalid="ignore"):  # -inf * 0 is NaN, as erf gives
+        if out is not None:
+            return np.multiply(x, cdf, out=out)
         return (x * cdf).astype(x.dtype, copy=False)
 
 

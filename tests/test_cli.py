@@ -410,6 +410,44 @@ def test_bad_sample_meta_is_a_data_error(tmp_path, capsys, cmd, damage):
     assert len(err) == 1 and str(tmp_path / "s" / "meta.json") in err[0]
 
 
+@pytest.mark.parametrize("cmd,damage", [
+    ("eval-alignment", {"files": [3]}),
+    ("eval-alignment", {"files": "sample_00.png"}),
+    ("eval-alignment", {"prompt": ["a red circle"]}),
+    ("eval-alignment", {"seed": "0"}),
+    ("eval-alignment", {"seed": True}),
+    ("rerank", {"grids": {"0": [0]}}),
+], ids=["files_of_ints", "files_a_string", "prompt_a_list", "seed_a_string", "seed_a_bool",
+        "grids_an_object"])
+def test_mistyped_sample_meta_is_a_data_error(tmp_path, capsys, cmd, damage):
+    (tmp_path / "s").mkdir()
+    (tmp_path / "s" / "meta.json").write_text(json.dumps({**_META, **damage}))
+    argv = [cmd, "--dir", str(tmp_path / "s")]
+    if cmd == "rerank":
+        argv += ["--reranker", str(tmp_path / "rr")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(tmp_path / "s" / "meta.json") in err[0]
+
+
+def test_rerank_of_grids_one_short_names_the_meta_json(tmp_path, capsys):
+    _tiny_reranker(tmp_path)
+    d = tmp_path / "s"
+    d.mkdir()
+    files = [f"sample_{i:02d}.png" for i in range(3)]
+    rng = np.random.default_rng(0)
+    for f in files:
+        pngio.write_png(d / f, rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
+    (d / "meta.json").write_text(json.dumps(
+        {"prompt": "a red circle", "seed": 3, "files": files, "grids": [[[0]], [[1]]]}))
+    assert cli.run(["rerank", "--dir", str(d), "--reranker", str(tmp_path / "rr")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(d / "meta.json") in err[0] and "3 grids" in err[0]
+    assert not (d / "reranked").exists()
+
+
 def _code_blocks(markdown):
     return re.findall(r"^```[^\n]*\n(.*?)^```", markdown, re.M | re.S)
 

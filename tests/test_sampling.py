@@ -1,11 +1,14 @@
-"""Guided decoding: algebra, filtering, rng discipline, cache parity."""
+"""Guided decoding: algebra, filtering, rng discipline, cache parity, and the
+buffered step's bits against the unbuffered reference."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ttig import sampling, scenes, seq2seq, textproc, vq
+from ttig import tensor as T
 from ttig.errors import DataError, NumericError
 
 TINY = seq2seq.ModelConfig(enc_layers=1, dec_layers=2, d_model=32, d_mlp=64,
@@ -260,6 +263,14 @@ def test_rerank_rejects_bad_scorer_shape():
         sampling.rerank(batch, lambda imgs, p: np.zeros((2, 2), np.float32))
 
 
+def _perturb_gains_and_biases(w):
+    rng = np.random.default_rng(0)
+    for name, t in w.params.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "g" or leaf.startswith("b"):
+            t.data = t.data + rng.normal(0.0, 0.1, t.shape).astype(np.float32)
+
+
 def _cache_vs_forward_gap(w, forced, texts):
     """Teacher-force forced (n, image_len) through one _Branch of
     len(texts) * n rows, group j conditioned on texts[j] (each (1, L)), and
@@ -269,11 +280,7 @@ def _cache_vs_forward_gap(w, forced, texts):
     untrained they are exactly 1 and 0, where a wrong fold into the packed
     projections would still agree."""
     cfg = w.cfg
-    rng = np.random.default_rng(0)
-    for name, t in w.params.items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf == "g" or leaf.startswith("b"):
-            t.data = t.data + rng.normal(0.0, 0.1, t.shape).astype(np.float32)
+    _perturb_gains_and_biases(w)
     enc = seq2seq.encode_text(w, np.concatenate(texts)).data
     rows = len(texts) * len(forced)
     branch = sampling._Branch(w, enc, rows)
@@ -378,3 +385,165 @@ def test_grid_does_not_depend_on_n_samples(lam, k):
     small = sampling.sample_token_batch(
         w, text, sampling.SamplerConfig(guidance=lam, n_samples=k, seed=7))
     np.testing.assert_array_equal(small, big[:k])
+
+
+# ------------------------------------------------- buffered step vs reference
+
+# The decode step as it ran before it wrote into per-chain buffers, a fresh
+# array for every operation, kept verbatim: the buffered step must return
+# the same bits at every step.
+
+def _affine(x, w, b):
+    y = x @ w
+    y += b
+    return y
+
+
+def _normalize(x):
+    return T._fwd_layer_norm([x], {"axis": -1})
+
+
+class _ReferenceBranch(sampling._Branch):
+    def __init__(self, w, enc_out, n):
+        super().__init__(w, enc_out, n)
+        assert not self.twice  # the reference has no row doubling
+        self.cfg, self.n, self.groups, self.heads = w.cfg, n, len(enc_out), w.cfg.heads
+        # the packed weights, with each bias as one row (the buffered step
+        # adds it tiled to the branch's rows)
+        self.p = {name: t.data for name, t in w.params.items()}
+        self.qkv = [(layer[0], layer[1][0]) for layer in self.layers]
+        self.keys = [layer[2] for layer in self.layers]
+        self.vals = [layer[3] for layer in self.layers]
+        self.cross = [(layer[6], layer[7][..., :1], layer[8]) for layer in self.layers]
+        self.fc1 = [(layer[10], layer[11][0]) for layer in self.layers]
+        self.out = (self.out[0], self.out[1][0])
+
+    def _attn_self(self, x, layer, t):
+        d = self.cfg.d_model
+        qkv = _affine(x, *self.qkv[layer])
+        keys, vals = self.keys[layer], self.vals[layer]
+        keys[t] = qkv[:, d:2 * d]
+        vals[t] = qkv[:, 2 * d:]
+        window = self.windows[t]
+        qk = keys[window]                                      # (w, n, d)
+        qk *= qkv[:, :d]
+        scores = (qk.reshape(-1, d) @ self.head_sum).reshape(len(window), self.n, self.heads)
+        att = T._fwd_softmax([scores], {"axis": 0})            # over the window
+        mix = np.matmul(att.reshape(-1, self.heads), self.head_spread,
+                        out=qk.reshape(-1, d)).reshape(qk.shape)
+        mix *= vals[window]
+        return np.add.reduce(mix, axis=0)
+
+    def _attn_cross(self, x, layer):
+        qk, bias, vo = self.cross[layer]
+        G = self.groups
+        scores = qk @ x.reshape(G, -1, x.shape[1]).swapaxes(1, 2)  # (G, S * heads, m)
+        scores += bias
+        att = T._fwd_softmax([scores.reshape(G, -1, self.heads * scores.shape[2])], {"axis": 1})
+        return (att.reshape(scores.shape).swapaxes(1, 2) @ vo).reshape(self.n, -1)
+
+    def step_logits(self, prev_tokens, t: int) -> np.ndarray:
+        """Advance to position t given the token drawn at t-1 (None at t=0);
+        returns next-token logits (n, image_vocab)."""
+        p = self.p
+        if t == 0:
+            x = np.tile(p["dec.start"] + p["image_pos"][0], (self.n, 1))
+        else:
+            x = p["image_emb"][prev_tokens]
+            x += p["image_pos"][t]
+        for i in range(self.cfg.dec_layers):
+            pre = f"dec.b{i}"
+            a = self._attn_self(_normalize(x), i, t)
+            x += _affine(a, p[pre + ".attn.wo"], p[pre + ".attn.bo"])
+            a = self._attn_cross(_normalize(x), i)
+            a += p[pre + ".xattn.bo"]
+            x += a
+            h = T._fwd_gelu([_affine(_normalize(x), *self.fc1[i])], {})
+            x += _affine(h, p[pre + ".mlp.fc2.w"], p[pre + ".mlp.fc2.b"])
+        return _affine(_normalize(x), *self.out)
+
+
+def _branch_inputs(w, lam, n):
+    """The encoder output and row count _run_chains builds a branch from for
+    n samples under guidance lam."""
+    text = np.random.default_rng(0).integers(4, w.cfg.text_vocab, (1, 8))
+    pad = np.full_like(text, textproc.PAD_ID)
+    if lam in (0.0, 1.0):
+        return seq2seq.encode_text(w, pad if lam == 0.0 else text).data, n
+    return seq2seq.encode_text(w, np.concatenate([pad, text])).data, 2 * n
+
+
+def _teacher_forced(branch, forced):
+    """Every step's logits, feeding forced[:, t] to step t + 1."""
+    prev, out = None, []
+    for t in range(forced.shape[1]):
+        out.append(branch.step_logits(prev, t))
+        prev = forced[:, t]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.2])
+@pytest.mark.parametrize("cfg", [TINY, seq2seq.DESK], ids=["tiny", "desk"])
+def test_buffered_step_equals_reference_bitwise(cfg, lam, n):
+    w = seq2seq.build_model(cfg, seed=1)
+    _perturb_gains_and_biases(w)
+    enc, rows = _branch_inputs(w, lam, n)
+    forced = np.random.default_rng(2).integers(0, cfg.image_vocab, (rows, cfg.image_len))
+    got = _teacher_forced(sampling._Branch(w, enc, rows), forced)
+    want = _teacher_forced(_ReferenceBranch(w, enc, rows), forced)
+    for t, (a, b) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(a, b, err_msg=f"step {t}")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_step_logits_survive_the_next_step(n):
+    # each step returns a new array: no buffer of the branch is aliased
+    w = _model()
+    enc, rows = _branch_inputs(w, 1.2, n)
+    branch = sampling._Branch(w, enc, rows)
+    forced = np.random.default_rng(2).integers(0, TINY.image_vocab, (rows, TINY.image_len))
+    z = branch.step_logits(None, 0)
+    for t in range(1, TINY.image_len):
+        kept = z.copy()
+        z_next = branch.step_logits(forced[:, t - 1], t)
+        np.testing.assert_array_equal(z, kept, err_msg=f"step {t - 1}")
+        z = z_next
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.2], ids=["unguided", "guided"])
+def test_step_logits_of_a_row_do_not_depend_on_the_row_count(lam):
+    # a one-row group would take BLAS's matrix-vector path; the branch runs
+    # it on two rows, so every row count gives each row the same bits
+    w = seq2seq.build_model(seq2seq.DESK, seed=0)
+    L, V = w.cfg.image_len, w.cfg.image_vocab
+    forced = np.random.default_rng(3).integers(0, V, (8, L))
+
+    def logits(n):  # (steps, halves, n, image_vocab)
+        enc, rows = _branch_inputs(w, lam, n)
+        halves = rows // n
+        z = _teacher_forced(sampling._Branch(w, enc, rows), np.tile(forced[:n], (halves, 1)))
+        return np.stack(z).reshape(L, halves, n, V)
+
+    full = logits(8)
+    for n in (1, 2, 3, 5):
+        np.testing.assert_array_equal(logits(n), full[:, :, :n], err_msg=f"n={n}")
+
+
+def test_warm_desk_step_allocates_under_80_kb():
+    # a warmed guided 16-row desk step writes into its chain's buffers: what
+    # it still allocates is the GELU table lookup's index and offset
+    # temporaries and the logits it returns. Measured 66 KB (numpy 2.4); the
+    # same step with a fresh array for every operation peaked at 141 KB
+    w = seq2seq.build_model(seq2seq.DESK, seed=0)
+    enc, rows = _branch_inputs(w, 1.2, 8)
+    branch = sampling._Branch(w, enc, rows)
+    forced = np.random.default_rng(2).integers(0, w.cfg.image_vocab, (rows, w.cfg.image_len))
+    _teacher_forced(branch, forced[:, :20])
+    tracemalloc.start()
+    try:
+        branch.step_logits(forced[:, 19], 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80_000, peak
