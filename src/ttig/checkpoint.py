@@ -10,6 +10,7 @@ a save/load round trip reproduces every parameter bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -46,33 +47,62 @@ def save_checkpoint(state: dict, config: dict, path):
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _validate_manifest(manifest: dict, blob_len: int):
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported checkpoint format_version "
-                        f"{manifest.get('format_version')!r}")
+def _is_count(x) -> bool:
+    """A non-negative JSON integer; a bool is not one."""
+    return type(x) is int and x >= 0
+
+
+def _validate_manifest(manifest, blob_len: int, where):
+    """Raise DataError, naming where (the manifest.json), unless manifest is
+    an object with the format version, a config object and a params list of
+    entries with a new name, a list of non-negative ints for shape, and
+    in-bounds, non-overlapping float32 spans."""
+    def bad(msg):
+        return DataError(f"{where}: {msg}")
+
+    if not isinstance(manifest, dict):
+        raise bad("not a JSON object")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise bad(f"unsupported checkpoint format_version {version!r}")
+    if not isinstance(manifest.get("config"), dict):
+        raise bad("config is missing or not an object")
     entries = manifest.get("params")
     if not isinstance(entries, list):
-        raise DataError("manifest missing params list")
-    spans = []
-    for e in entries:
+        raise bad("no params list")
+    spans, seen = [], set()
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise bad(f"params[{i}] is not an object")
         for key in ("name", "shape", "dtype", "byte_offset", "byte_len"):
             if key not in e:
-                raise DataError(f"manifest entry missing {key!r}")
+                raise bad(f"params[{i}] missing {key!r}")
+        name = e["name"]
+        if not isinstance(name, str):
+            raise bad(f"params[{i}] has name {name!r}, not a string")
+        if name in seen:
+            raise bad(f"parameter name {name!r} appears twice")
+        seen.add(name)
         if e["dtype"] != _DTYPE:
-            raise DataError(f"unsupported dtype {e['dtype']!r} for {e['name']!r}")
-        n_elems = int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1
-        if e["byte_len"] != 4 * n_elems:
-            raise DataError(f"byte_len {e['byte_len']} does not match shape "
-                            f"{e['shape']} for {e['name']!r}")
+            raise bad(f"unsupported dtype {e['dtype']!r} for {name!r}")
+        shape = e["shape"]
+        if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+            raise bad(f"{name!r} has shape {shape!r}, not a list of non-negative ints")
+        for key in ("byte_offset", "byte_len"):
+            if not _is_count(e[key]):
+                raise bad(f"{name!r} has {key} {e[key]!r}, not a non-negative int")
+        if e["byte_len"] != 4 * math.prod(shape):
+            raise bad(f"byte_len {e['byte_len']} does not match shape "
+                      f"{shape} for {name!r}")
         start, end = e["byte_offset"], e["byte_offset"] + e["byte_len"]
-        if start < 0 or end > blob_len:
-            raise DataError(f"{e['name']!r} spans [{start}, {end}) outside "
-                            f"weights.bin of {blob_len} bytes")
-        spans.append((start, end, e["name"]))
+        if end > blob_len:
+            raise bad(f"{name!r} spans [{start}, {end}) outside "
+                      f"weights.bin of {blob_len} bytes")
+        spans.append((start, end, name))
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
-            raise DataError(f"overlapping manifest spans: {n0!r} and {n1!r}")
+            raise bad(f"overlapping manifest spans: {n0!r} and {n1!r}")
 
 
 def load_checkpoint(path):
@@ -84,10 +114,10 @@ def load_checkpoint(path):
         raise DataError(f"{path} is not a checkpoint directory")
     try:
         manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt manifest.json: {e}") from None
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise DataError(f"corrupt manifest.json at {mpath}: {e}") from None
     blob = wpath.read_bytes()
-    _validate_manifest(manifest, len(blob))
+    _validate_manifest(manifest, len(blob), mpath)
     state = {}
     for e in manifest["params"]:
         start = e["byte_offset"]

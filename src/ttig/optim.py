@@ -137,9 +137,10 @@ def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
     non-finite loss raises NumericError naming `what` and the step, before
     any parameter of that step changes.
 
-    At most one step's tape is alive: each step's tape replaces the previous
-    one record by record as its forward runs, and the last one is released
-    on return, so the trained params pin no records.
+    At most one step's tape is alive: each step's backward runs once and
+    frees the records that keep their inputs, the next step's tape replaces
+    the rest record by record as its forward runs, and the last one is
+    released on return, so the trained params pin no records.
     """
     if steps < 1:
         raise DataError(f"{what}: steps must be at least 1, got {steps}")

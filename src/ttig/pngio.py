@@ -109,6 +109,8 @@ def read_png(path, blob: bytes | None = None) -> np.ndarray:
             raise DataError(f"{path}: truncated {tag.decode('latin1')} chunk")
         pos += 12 + length
         if tag == b"IHDR":
+            if length != 13:
+                raise DataError(f"{path}: IHDR chunk is {length} bytes, not 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat += payload
@@ -117,6 +119,9 @@ def read_png(path, blob: bytes | None = None) -> np.ndarray:
     if ihdr is None:
         raise DataError(f"{path}: missing IHDR")
     w, h, depth, color, comp, filt, interlace = ihdr
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: image is {w}x{h}; PNG needs width and height "
+                        f"of at least 1")
     if depth != 8 or color not in (2, 6) or comp or filt or interlace:
         raise DataError(f"{path}: only 8-bit non-interlaced RGB/RGBA supported")
     channels = 3 if color == 2 else 4

@@ -25,11 +25,17 @@ Design rules:
     nothing; of the rest it keeps the shape and dtype. Backward computes a
     gradient only for inputs that require one and drops each intermediate
     gradient once its record has used it
-  * a tape's records live until the next step's forward replaces them: a Tape
-    built with replaces=<the previous step's tape> drops that tape's record i
-    just before it records its own op i, so the freed arrays, which have the
-    same shapes, are what the new arrays reuse; the rest goes when the new
-    tape's block exits. A replaced or released tape rejects backward
+  * a record whose op keeps its inputs (attention, gelu, l2_normalize,
+    cross_entropy_with_logits) goes as soon as backward has run its rule, so
+    its inputs and attrs scratch are free while backward allocates gradients.
+    The other records live until the next step's forward replaces them: a
+    Tape built with replaces=<the previous step's tape> drops that tape's
+    record i just before it records its own op i, so the freed arrays, which
+    have the same shapes, are what the new arrays reuse; the rest goes when
+    the new tape's block exits. Freeing those in backward too would empty the
+    top of the heap each step, and the next forward would fault it back in
+  * each tape supports one backward: a second one, or one on a replaced or
+    released tape, raises TapeReleasedError
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ class ShapeError(ValueError):
 
 
 class TapeReleasedError(RuntimeError):
-    """backward() on a tape whose records were released."""
+    """backward() on a tape whose records are gone: its backward already ran
+    (and released the records that keep their inputs), a later tape replaced
+    it, or it was released."""
 
 
 class Tensor:
@@ -113,6 +121,7 @@ class Tape:
         self.records = []
         self._next_id = 0
         self.released = False
+        self.backward_ran = False
         self._replaces = replaces
         if replaces is not None:
             replaces.released = True
@@ -858,7 +867,8 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
 def backward(root: Tensor) -> dict:
     """Walk root's tape in reverse; returns {node_id: Tensor} for every
     requires_grad leaf reachable from root. A scalar constant root yields an
-    empty map."""
+    empty map. Each tape supports one backward: it releases the records that
+    keep their inputs as it runs them."""
     if root.shape != ():
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
     tape = root._tape
@@ -868,25 +878,45 @@ def backward(root: Tensor) -> dict:
         raise TapeReleasedError(
             "backward: the root's tape was released (a later step's tape replaced "
             "it, or its training loop returned), so its records are gone")
+    if tape.backward_ran:
+        raise TapeReleasedError(
+            "backward: the root's tape's backward already ran, and it released "
+            "the records that keep their inputs")
+    tape.backward_ran = True
     grads = {root.node_id: np.ones((), dtype=root.data.dtype)}
-    for op_kind, out_id, in_ids, in_datas, out_data, attrs, needs in reversed(tape.records):
-        # every consumer of out_id comes later on the tape, so its gradient
-        # is complete here and nothing reads it again
-        g = grads.pop(out_id, None)
-        if g is None:
-            continue
-        in_grads = _CATALOG[op_kind].backward(g, in_datas, out_data, attrs, needs)
-        for nid, ig, idata, need in zip(in_ids, in_grads, in_datas, needs):
-            if ig is None or not need:
-                continue
-            ig = np.asarray(ig, dtype=idata.dtype)
-            if nid in grads:
-                grads[nid] = grads[nid] + ig
-            else:
-                grads[nid] = ig
+    records = tape.records
+    for i in range(len(records) - 1, -1, -1):
+        _run_record(records, i, grads)
     # each record popped its output's gradient, so what is left belongs to
     # the grad-requiring inputs no record produced: the leaves
     return {nid: Tensor(g) for nid, g in grads.items()}
+
+
+def _run_record(records, i, grads):
+    """Run record i's backward rule, adding its input gradients to grads.
+
+    A record whose op keeps its inputs is dropped from the tape first, so
+    this call's locals hold the last references to its arrays and attrs
+    scratch, and they are freed on return, before the next rule allocates.
+    """
+    op_kind, out_id, in_ids, in_datas, out_data, attrs, needs = records[i]
+    op = _CATALOG[op_kind]
+    if op.reads == "inputs":
+        records[i] = None
+    # every consumer of out_id comes later on the tape, so its gradient
+    # is complete here and nothing reads it again
+    g = grads.pop(out_id, None)
+    if g is None:
+        return
+    in_grads = op.backward(g, in_datas, out_data, attrs, needs)
+    for nid, ig, idata, need in zip(in_ids, in_grads, in_datas, needs):
+        if ig is None or not need:
+            continue
+        ig = np.asarray(ig, dtype=idata.dtype)
+        if nid in grads:
+            grads[nid] = grads[nid] + ig
+        else:
+            grads[nid] = ig
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,44 @@ def test_inspect_checkpoint_rejects_corrupt_manifest(tmp_path, capsys):
     assert cli.run(["inspect-checkpoint", "--dir", str(ck)]) == 2
 
 
+def _entry0(**change):
+    """A manifest damage that changes the first params entry."""
+    return lambda m: {**m, "params": [{**m["params"][0], **change}, *m["params"][1:]]}
+
+
+# manifest.json damage -> what its one data error line says
+_BAD_MANIFESTS = {
+    "a_list": (lambda m: [m], "not a JSON object"),
+    "config_an_int": (lambda m: {**m, "config": 3}, "config is missing or not an object"),
+    "config_missing": (lambda m: {k: v for k, v in m.items() if k != "config"},
+                       "config is missing or not an object"),
+    "entry_a_list": (lambda m: {**m, "params": [["w"], *m["params"][1:]]},
+                     "params[0] is not an object"),
+    "name_an_int": (_entry0(name=7), "params[0] has name 7, not a string"),
+    "duplicate_name": (_entry0(name="b"), "'b' appears twice"),
+    "negative_shape": (_entry0(shape=[-1, -4]), "not a list of non-negative ints"),
+    "shape_of_strings": (_entry0(shape=["2", "2"]), "not a list of non-negative ints"),
+    "shape_a_string": (_entry0(shape="22"), "not a list of non-negative ints"),
+    "fractional_offset": (_entry0(byte_offset=0.5), "byte_offset 0.5, not a non-negative int"),
+    "negative_offset": (_entry0(byte_offset=-4), "byte_offset -4, not a non-negative int"),
+    "bool_len": (_entry0(byte_len=True), "byte_len True, not a non-negative int"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_BAD_MANIFESTS))
+def test_inspect_checkpoint_of_a_mistyped_manifest_is_a_data_error(tmp_path, capsys, damage):
+    ck = tmp_path / "ck"
+    checkpoint.save_checkpoint({"w": np.zeros((2, 2), np.float32),
+                                "b": np.zeros(2, np.float32)}, {"kind": "demo"}, ck)
+    mpath = ck / "manifest.json"
+    mutate, words = _BAD_MANIFESTS[damage]
+    mpath.write_text(json.dumps(mutate(json.loads(mpath.read_text()))))
+    assert cli.run(["inspect-checkpoint", "--dir", str(ck)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(mpath) in err[0] and words in err[0], err[0]
+
+
 def _tiny_checkpoints(tmp_path):
     tok_cfg = vq.TokenizerConfig(image_size=16, patch=4, d_model=32, heads=4,
                                  n_blocks=1, d_mlp=64, codebook_size=16)
@@ -446,6 +485,24 @@ def test_rerank_of_grids_one_short_names_the_meta_json(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(d / "meta.json") in err[0] and "3 grids" in err[0]
     assert not (d / "reranked").exists()
+
+
+def test_eval_alignment_of_a_png_with_a_short_ihdr_is_a_data_error(tmp_path, capsys):
+    d = tmp_path / "s"
+    d.mkdir()
+    png = d / "sample_00.png"
+    pngio.write_png(png, np.zeros((16, 16, 3), np.uint8))
+    blob = png.read_bytes()
+    # cut the IHDR payload to 4 bytes and fix up its length and CRC
+    ihdr = blob[16:20]
+    chunk = (len(ihdr).to_bytes(4, "big") + b"IHDR" + ihdr
+             + (zlib.crc32(b"IHDR" + ihdr) & 0xFFFFFFFF).to_bytes(4, "big"))
+    png.write_bytes(blob[:8] + chunk + blob[8 + 25:])
+    (d / "meta.json").write_text(json.dumps(_META))
+    assert cli.run(["eval-alignment", "--dir", str(d)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(png) in err[0] and "IHDR" in err[0]
 
 
 def _code_blocks(markdown):

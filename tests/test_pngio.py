@@ -206,6 +206,30 @@ def test_missing_ihdr_rejected(tmp_path):
         pngio.read_png(path)
 
 
+@pytest.mark.parametrize("ihdr", [
+    struct.pack(">I", 5),                                 # 4 bytes
+    struct.pack(">IIBBBBB", 5, 5, 8, 2, 0, 0, 0) + b"\x00",  # 14 bytes
+], ids=["short", "long"])
+def test_ihdr_of_the_wrong_length_rejected(tmp_path, ihdr):
+    path = tmp_path / "ihdr.png"
+    path.write_bytes(_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IEND", b""))
+    with pytest.raises(DataError, match=f"IHDR chunk is {len(ihdr)} bytes") as err:
+        pngio.read_png(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("w,h", [(0, 0), (0, 5), (5, 0)])
+def test_empty_image_rejected(tmp_path, w, h):
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    rows = b"\x00" * h  # each line's filter byte and no pixels
+    path = tmp_path / "empty.png"
+    path.write_bytes(_SIG + _chunk(b"IHDR", ihdr)
+                     + _chunk(b"IDAT", zlib.compress(rows)) + _chunk(b"IEND", b""))
+    with pytest.raises(DataError, match=f"{w}x{h}.*at least 1") as err:
+        pngio.read_png(path)
+    assert str(path) in str(err.value)
+
+
 def test_unknown_filter_rejected(tmp_path):
     px = _rand_px(np.random.default_rng(13))
     h, w, _ = px.shape

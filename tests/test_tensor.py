@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -582,6 +583,73 @@ def test_backward_on_a_released_tape_raises_a_typed_error():
         T.add(x, x)
         with pytest.raises(TapeReleasedError):
             T.backward(y3)
+
+
+_KEEPS_INPUTS = {"attention", "gelu", "l2_normalize", "cross_entropy_with_logits"}
+
+
+def _every_reads_kind(x, w):
+    """A scalar loss over ops of every reads kind, the four that keep their
+    inputs among them."""
+    h = T.matmul(x, w)                                     # (2, 3, 4)
+    z = T.layer_norm(T.gelu(T.attention(h, h, h, heads=2)))
+    e = T.l2_normalize(T.reduce_mean(z, axis=1))           # (2, 4)
+    logits = T.matmul(e, T.transpose(e, (1, 0)))
+    return T.reduce_mean(T.cross_entropy_with_logits(logits, [0, 1]))
+
+
+def _every_reads_kind_inputs():
+    rng = _rng(3)
+    return (T.Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32)),
+            T.Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True))
+
+
+def test_backward_releases_exactly_the_records_that_keep_their_inputs():
+    x, w = _every_reads_kind_inputs()
+    with T.Tape() as first:
+        loss = _every_reads_kind(x, w)
+    before = list(first.records)
+    assert {r[0] for r in before} >= _KEEPS_INPUTS | {"matmul", "layer_norm"}
+    T.backward(loss)
+    for old, now in zip(before, first.records, strict=True):
+        if old[0] in _KEEPS_INPUTS:
+            assert now is None, old[0]
+        else:
+            assert now is old, old[0]
+    # the rest stay until the next step's forward replaces them
+    with T.Tape(replaces=first) as second:
+        loss = _every_reads_kind(x, w)
+    assert first.records == [] and len(second.records) == len(before)
+
+
+def test_released_arrays_are_free_before_the_next_rule_runs(monkeypatch):
+    x, w = _every_reads_kind_inputs()
+    with T.Tape() as tape:
+        loss = _every_reads_kind(x, w)
+    kinds = [r[0] for r in tape.records]
+    att = tape.records[kinds.index("attention")]
+    kept = [weakref.ref(a) for a in (*att[3], att[5]["_probs"])]
+    del att
+    seen = []
+    op = T._CATALOG["matmul"]
+
+    def watching(g, d, out, attrs, needs):
+        seen.append([ref() is None for ref in kept])
+        return op.backward(g, d, out, attrs, needs)
+
+    # the first matmul, which makes h, is the rule backward runs after attention
+    monkeypatch.setitem(T._CATALOG, "matmul", op._replace(backward=watching))
+    T.backward(loss)
+    assert seen[-1] == [True] * 4, seen
+
+
+def test_a_second_backward_on_the_same_tape_raises_a_typed_error():
+    x, w = _every_reads_kind_inputs()
+    with T.Tape():
+        loss = _every_reads_kind(x, w)
+    T.backward(loss)
+    with pytest.raises(TapeReleasedError, match="backward already ran"):
+        T.backward(loss)
 
 
 def test_float32_results_from_float32_inputs():
