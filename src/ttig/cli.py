@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (checkpoint, contrastive, metrics, optim, pngio, sampling,
-               scenes, seq2seq, textproc, vq)
+from . import (checkpoint, contrastive, metrics, pngio, sampling, scenes,
+               seq2seq, textproc, vq)
 from .checkpoint import check_section, field_types
 from .errors import DataError, NumericError, UsageError
 from .tensor import CatalogError, ShapeError
@@ -55,7 +55,6 @@ _SCHEMA = {"data": field_types(DataConfig)} | {
     for section, classes in (
         ("tokenizer", (vq.TokenizerConfig, vq.TokTrainConfig)),
         ("model", (seq2seq.ModelConfig, seq2seq.TrainConfig)),
-        ("optimizer", (optim.OptimizerConfig,)),
         ("sampler", (sampling.SamplerConfig,)),
         ("reranker", (contrastive.EncoderConfig, contrastive.CLTrainConfig)))}
 
@@ -69,7 +68,7 @@ def load_config(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise DataError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise DataError(f"config {path} must be a JSON object")
@@ -205,8 +204,7 @@ def cmd_train_model(args) -> int:
     text_ids = _encode_captions(vocab, ds.captions, mcfg.text_len)
     image_ids = vq.tokenize(tok, ds.images).reshape(len(ds), -1)
     w = seq2seq.build_model(mcfg, seed=tcfg.seed)
-    w, history = seq2seq.train_model(w, text_ids, image_ids, tcfg,
-                                     cfg.get("optimizer"))
+    w, history = seq2seq.train_model(w, text_ids, image_ids, tcfg)
     checkpoint.save_model(w, args.out)
     textproc.save_vocab(vocab, Path(args.out) / "vocab.json")
     _finish_run(args.out, history,
@@ -292,7 +290,7 @@ def _load_sample_dir(path, *keys):
     """-> (meta, each listed PNG file's bytes, their pixels). meta.json must
     hold files (a non-empty list of names), prompt (a string), seed (an int)
     and every one of keys; grids, if a key, is a list with one grid per
-    file."""
+    file, all of one shape, and is returned as an array."""
     meta_path = Path(path) / "meta.json"
     if not meta_path.exists():
         raise DataError(f"{path} has no meta.json (not a sample directory)")
@@ -313,10 +311,14 @@ def _load_sample_dir(path, *keys):
         raise DataError(f"{meta_path}: prompt must be a string")
     if type(meta["seed"]) is not int:  # bool is an int subclass
         raise DataError(f"{meta_path}: seed must be an integer")
-    if "grids" in keys and not (isinstance(meta["grids"], list)
-                                and len(meta["grids"]) == len(names)):
-        raise DataError(f"{meta_path}: grids must be a list of {len(names)} grids, "
-                        f"one per file")
+    if "grids" in keys:
+        if not (isinstance(meta["grids"], list) and len(meta["grids"]) == len(names)):
+            raise DataError(f"{meta_path}: grids must be a list of {len(names)} grids, "
+                            f"one per file")
+        try:
+            meta["grids"] = np.asarray(meta["grids"])
+        except ValueError:  # ragged nesting
+            raise DataError(f"{meta_path}: grids must all have one shape") from None
     files = [Path(path) / f for f in names]
     blobs = [f.read_bytes() for f in files]
     images = np.stack([pngio.read_png(f, b) for f, b in zip(files, blobs)])
@@ -327,8 +329,7 @@ def cmd_rerank(args) -> int:
     meta, blobs, images = _load_sample_dir(args.dir, "grids")
     enc = checkpoint.load_encoder(args.reranker)
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
-    grids = np.asarray(meta["grids"])
-    batch = sampling.SampleBatch(prompt=meta["prompt"], grids=grids,
+    batch = sampling.SampleBatch(prompt=meta["prompt"], grids=meta["grids"],
                                  images=images, seed=meta["seed"])
     ranked = sampling.rerank(batch, contrastive.make_scorer(enc, vocab))
     out = Path(args.out or (Path(args.dir) / "reranked"))
@@ -488,7 +489,7 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (DataError, ShapeError, CatalogError) as e:

@@ -6,6 +6,10 @@ Memory shape: an m x n matrix keeps two mean accumulators of sizes m and n
 (never m*n); only vectors and scalars keep a full second moment. The first
 moment is materialized in float for the update, then requantized to int8 with
 a per-tensor absmax scale, so its storage error is bounded by scale/127.
+
+Each trainer sets its schedule and weight decay in an OptimizerConfig. The
+rest is shared by all of them: the moment decays BETA1 and BETA2, the global
+gradient norm CLIP_NORM and EPS, added to squared gradients and to vhat.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ from . import nn
 from . import tensor as T
 from .errors import DataError, NumericError
 
+BETA1 = 0.9
+BETA2 = 0.96
+CLIP_NORM = 4.0
+EPS = 1e-30
+
 
 @dataclass
 class OptimizerConfig:
@@ -25,11 +34,7 @@ class OptimizerConfig:
     warmup: int = 500
     decay_frac: float = 0.2
     final_ratio: float = 0.025
-    beta1: float = 0.9
-    beta2: float = 0.96
     weight_decay: float = 0.0
-    clip_norm: float = 4.0
-    eps: float = 1e-30
 
 
 def lr_at(step: int, steps: int, cfg: OptimizerConfig) -> float:
@@ -54,17 +59,17 @@ class OptimizerState:
     first_scale: dict = field(default_factory=dict)  # name -> float
 
 
-def _factored_vhat(name, g2, state, beta2):
+def _factored_vhat(name, g2, state):
     mat = g2.reshape(-1, g2.shape[-1]) if g2.ndim > 2 else g2
     row = mat.mean(axis=1)
     col = mat.mean(axis=0)
     if name in state.second:
         r, c = state.second[name]
-        r = beta2 * r + (1 - beta2) * row
-        c = beta2 * c + (1 - beta2) * col
+        r = BETA2 * r + (1 - BETA2) * row
+        c = BETA2 * c + (1 - BETA2) * col
     else:
-        r = (1 - beta2) * row
-        c = (1 - beta2) * col
+        r = (1 - BETA2) * row
+        c = (1 - BETA2) * col
     state.second[name] = (r, c)
     denom = r.mean()
     if denom <= 0:
@@ -73,9 +78,9 @@ def _factored_vhat(name, g2, state, beta2):
     return vhat.reshape(g2.shape)
 
 
-def _full_vhat(name, g2, state, beta2):
+def _full_vhat(name, g2, state):
     v = state.second.get(name)
-    v = (1 - beta2) * g2 if v is None else beta2 * v + (1 - beta2) * g2
+    v = (1 - BETA2) * g2 if v is None else BETA2 * v + (1 - BETA2) * g2
     state.second[name] = v
     return v
 
@@ -93,25 +98,25 @@ def adafactor_step(params, grads: dict, state: OptimizerState,
         bad = [n for n, g in grads.items() if not np.all(np.isfinite(g))]
         raise NumericError(f"non-finite gradient for {bad or 'unknown parameters'}")
     gnorm = np.sqrt(sq_sum)
-    clip = 1.0 if gnorm <= cfg.clip_norm or gnorm == 0.0 else cfg.clip_norm / gnorm
+    clip = 1.0 if gnorm <= CLIP_NORM or gnorm == 0.0 else CLIP_NORM / gnorm
 
     for name, t in params.items():
         g = grads.get(name)
         if g is None:
             continue
         g = np.asarray(g, dtype=np.float32) * np.float32(clip)
-        g2 = g * g + np.float32(cfg.eps)
+        g2 = g * g + np.float32(EPS)
         if g.ndim >= 2:
-            vhat = _factored_vhat(name, g2, state, cfg.beta2)
+            vhat = _factored_vhat(name, g2, state)
         else:
-            vhat = _full_vhat(name, g2, state, cfg.beta2)
-        u = g / np.sqrt(vhat + np.float32(cfg.eps))
+            vhat = _full_vhat(name, g2, state)
+        u = g / np.sqrt(vhat + np.float32(EPS))
         q = state.first_q.get(name)
         if q is None:
-            m = (1 - cfg.beta1) * u
+            m = (1 - BETA1) * u
         else:
-            m = q.astype(np.float32) * np.float32(cfg.beta1 * state.first_scale[name] / 127.0)
-            m += np.float32(1 - cfg.beta1) * u
+            m = q.astype(np.float32) * np.float32(BETA1 * state.first_scale[name] / 127.0)
+            m += np.float32(1 - BETA1) * u
         step_arr = np.float32(lr) * m
         if cfg.weight_decay:
             step_arr += np.float32(lr * cfg.weight_decay) * t.data

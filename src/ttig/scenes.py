@@ -287,23 +287,26 @@ class PromptRow:
 def load_prompts(path) -> list:
     """Parse prompt TSV (prompt<TAB>category<TAB>challenge, optional header).
     Label vocab is closed; violations raise DataError with the line number."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [raw.rstrip("\n") for raw in f]
+    except UnicodeDecodeError as e:
+        raise DataError(f"prompt file {path} is not UTF-8 text: {e}") from None
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if lineno == 1 and tuple(cols) == _HEADER:
-                continue
-            if len(cols) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(cols)}")
-            prompt, cat, chal = cols
-            if not prompt:
-                raise DataError(f"{path}:{lineno}: empty prompt")
-            if cat not in CATEGORIES:
-                raise DataError(f"{path}:{lineno}: unknown category {cat!r}")
-            if chal not in CHALLENGES:
-                raise DataError(f"{path}:{lineno}: unknown challenge {chal!r}")
-            rows.append(PromptRow(prompt, cat, chal))
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if lineno == 1 and tuple(cols) == _HEADER:
+            continue
+        if len(cols) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(cols)}")
+        prompt, cat, chal = cols
+        if not prompt:
+            raise DataError(f"{path}:{lineno}: empty prompt")
+        if cat not in CATEGORIES:
+            raise DataError(f"{path}:{lineno}: unknown category {cat!r}")
+        if chal not in CHALLENGES:
+            raise DataError(f"{path}:{lineno}: unknown challenge {chal!r}")
+        rows.append(PromptRow(prompt, cat, chal))
     return rows

@@ -14,7 +14,7 @@ and unconditional branches of guided sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,19 +198,18 @@ class TrainConfig:
 
 
 def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarray,
-                tcfg: TrainConfig, opt_overrides: dict | None = None, hooks=None):
+                tcfg: TrainConfig, hooks=None):
     """Train on aligned (N, text_len) / (N, image_len) id arrays.
 
-    opt_overrides, if given, maps OptimizerConfig fields to values that
-    replace those of this trainer's own schedule. Returns (weights, history
-    of per-step losses). hooks, if given, is a list of callables
-    (step, loss, weights) -> None run every log_every steps.
+    Returns (weights, history of per-step losses). hooks, if given, is a
+    list of callables (step, loss, weights) -> None run every log_every
+    steps.
     """
     if len(text_ids) != len(image_ids) or len(text_ids) == 0:
         raise DataError("train_model: need matching nonempty id arrays")
-    opt_cfg = replace(optim.OptimizerConfig(
-        base_lr=6e-3, warmup=max(1, tcfg.steps // 40), decay_frac=0.5,
-        final_ratio=0.05, weight_decay=1e-4), **(opt_overrides or {}))
+    opt_cfg = optim.OptimizerConfig(base_lr=6e-3, warmup=max(1, tcfg.steps // 40),
+                                    decay_frac=0.5, final_ratio=0.05,
+                                    weight_decay=1e-4)
     rng = np.random.default_rng(tcfg.seed)
 
     def loss_at(step):

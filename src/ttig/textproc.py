@@ -222,8 +222,11 @@ def save_vocab(vocab: Vocab, path):
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [ln.rstrip("\n") for ln in f]
+    except UnicodeDecodeError as e:
+        raise DataError(f"vocab file {path} is not UTF-8 text: {e}") from None
     try:
         if lines[0] != "bpe v1":
             raise DataError(f"bad vocab header: {lines[0]!r}")

@@ -29,8 +29,6 @@ class TokenizerConfig:
     d_mlp: int = 256
     d_code: int = 8
     codebook_size: int = 64
-    dec_d_model: int = 0   # 0 = same as d_model (the wider-decoder flag)
-    dec_blocks: int = 0    # 0 = same as n_blocks
 
     @property
     def grid(self) -> int:
@@ -43,14 +41,6 @@ class TokenizerConfig:
     @property
     def patch_dim(self) -> int:
         return self.patch * self.patch * 3
-
-    @property
-    def dec_d(self) -> int:
-        return self.dec_d_model or self.d_model
-
-    @property
-    def dec_n(self) -> int:
-        return self.dec_blocks or self.n_blocks
 
 
 @dataclass
@@ -69,8 +59,6 @@ def build_tokenizer(cfg: TokenizerConfig, seed: int, *,
         raise DataError(f"image_size {cfg.image_size} not divisible by patch {cfg.patch}")
     if cfg.d_model % cfg.heads:
         raise DataError(f"heads {cfg.heads} must divide d_model {cfg.d_model}")
-    if cfg.dec_d % cfg.heads:
-        raise DataError(f"heads {cfg.heads} must divide dec_d_model {cfg.dec_d}")
     rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     nn.add_linear(ps, "enc.in", cfg.patch_dim, cfg.d_model, rng)
@@ -82,10 +70,10 @@ def build_tokenizer(cfg: TokenizerConfig, seed: int, *,
     else:
         cb = rng.standard_normal((cfg.codebook_size, cfg.d_code))
         ps.add("codebook", cb / np.linalg.norm(cb, axis=1, keepdims=True))
-    nn.add_linear(ps, "dec.in", cfg.d_code, cfg.dec_d, rng)
-    ps.add("dec.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.dec_d)))
-    nn.add_stack(ps, "dec", cfg.dec_n, cfg.dec_d, cfg.d_mlp, rng)
-    nn.add_linear(ps, "dec.out", cfg.dec_d, cfg.patch_dim, rng)
+    nn.add_linear(ps, "dec.in", cfg.d_code, cfg.d_model, rng)
+    ps.add("dec.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
+    nn.add_stack(ps, "dec", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
+    nn.add_linear(ps, "dec.out", cfg.d_model, cfg.patch_dim, rng)
     return TokenizerWeights(cfg=cfg, params=ps)
 
 
@@ -118,7 +106,7 @@ def _decode_tensor(w: TokenizerWeights, z_q):
     cfg = w.cfg
     p = w.params
     h = T.add(nn.linear(p, "dec.in", z_q), p["dec.pos"])
-    h = nn.stack(p, "dec", h, cfg.dec_n, cfg.heads)
+    h = nn.stack(p, "dec", h, cfg.n_blocks, cfg.heads)
     return nn.linear(p, "dec.out", h)  # (B, n_patches, patch_dim), unclamped
 
 

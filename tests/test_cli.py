@@ -126,20 +126,24 @@ def test_training_with_fewer_than_one_step_is_a_data_error(tmp_path, capsys, cmd
 
 
 def test_unknown_config_section_rejected(tmp_path, capsys):
-    cfg = _cfg(tmp_path, {"dta": {}})
-    assert cli.run(["make-data", "--config", cfg,
-                    "--out", str(tmp_path / "d")]) == 2
-    cfg = _cfg(tmp_path, {"sim": {}})
-    assert cli.run(["make-data", "--config", cfg,
-                    "--out", str(tmp_path / "d")]) == 2
+    # each trainer states its own schedule, so there is no optimizer section
+    for section in ("dta", "sim", "optimizer"):
+        cfg = _cfg(tmp_path, {section: {}})
+        assert cli.run(["make-data", "--config", cfg,
+                        "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"unknown config section {section!r}" in err[0]
 
 
-# the pretraining keys were removed with the masked-text pretraining, and
-# data_init with its off switch: the codebook always starts from data
+# the pretraining keys were removed with the masked-text pretraining,
+# data_init with its off switch (the codebook always starts from data), and
+# the decoder's own width and depth with the wider decoder
 @pytest.mark.parametrize("section,key", [("data", "n_trian"),
                                          ("model", "pretrain_steps"),
                                          ("model", "pretrain_mask_rate"),
-                                         ("tokenizer", "data_init")])
+                                         ("tokenizer", "data_init"),
+                                         ("tokenizer", "dec_d_model"),
+                                         ("tokenizer", "dec_blocks")])
 def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
     cfg = _cfg(tmp_path, {section: {key: 8}})
     assert cli.run(["make-data", "--config", cfg,
@@ -153,7 +157,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
 @pytest.mark.parametrize("section,key,value", [
     ("data", "n_train", "8"),
     ("model", "steps", 1.5),
-    ("optimizer", "base_lr", True),
+    ("reranker", "lr", True),
     ("tokenizer", "codebook_size", False),
     ("model", "cond_dropout_rate", "x"),
 ])
@@ -211,9 +215,12 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv)
 
 def test_malformed_config_json_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text("{oops")
-    assert cli.run(["make-data", "--config", str(path),
-                    "--out", str(tmp_path / "d")]) == 2
+    for body in (b"{oops", b'{"data": {"seed": "\xff"}}'):  # bad JSON, bad UTF-8
+        path.write_bytes(body)
+        assert cli.run(["make-data", "--config", str(path),
+                        "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0], err
 
 
 def test_missing_config_file_rejected(tmp_path, capsys):
@@ -299,23 +306,6 @@ def _tiny_checkpoints(tmp_path):
     return tmp_path / "model", tmp_path / "tok"
 
 
-def test_optimizer_section_overrides_only_the_fields_it_names(tmp_path, capsys):
-    # clip_norm 4.0 is the default, so train-model must run the model
-    # trainer's own schedule unchanged
-    _, tok = _tiny_checkpoints(tmp_path)
-    model = {"enc_layers": 1, "dec_layers": 1, "d_model": 32, "d_mlp": 64,
-             "heads": 4, "text_vocab": 300, "text_len": 12, "batch": 4}
-    runs = []
-    for name, extra in (("plain", {}), ("clip", {"optimizer": {"clip_norm": 4.0}})):
-        out = tmp_path / name
-        assert cli.run(["train-model", "--steps", "3", "--tokenizer", str(tok),
-                        "--config", _cfg(tmp_path, {**TINY_DATA, "model": model, **extra}),
-                        "--out", str(out)]) == 0
-        runs.append({f: (out / f).read_bytes()
-                     for f in ("weights.bin", "history.json", "metrics.jsonl")})
-    assert runs[0] == runs[1]
-
-
 def test_train_model_takes_image_vocab_and_grid_from_the_tokenizer(tmp_path, capsys):
     # a 4x4 tokenizer with 16 codes; ModelConfig's defaults are 8x8 and 64
     _, tok = _tiny_checkpoints(tmp_path)
@@ -382,6 +372,50 @@ def test_sample_with_damaged_model_config_is_a_data_error(tmp_path, capsys):
     assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
                     "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["not_utf8", "a_directory"])
+def test_unreadable_prompt_list_is_a_data_error(tmp_path, capsys, case):
+    model, tok = _tiny_checkpoints(tmp_path)
+    tsv = tmp_path / "p.tsv"
+    if case == "not_utf8":
+        tsv.write_bytes("a red circl\xe9\tAbstract\tBasic\n".encode("latin-1"))
+    else:
+        tsv.mkdir()
+    assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
+                    "--prompts", str(tsv), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(tsv) in err[0], err[0]
+    assert not (tmp_path / "s").exists()
+
+
+def test_sample_with_a_vocab_not_utf8_is_a_data_error(tmp_path, capsys):
+    model, tok = _tiny_checkpoints(tmp_path)
+    vocab = model / "vocab.json"
+    vocab.write_bytes(b"bpe v1\n\xff\xfe\n")
+    assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
+                    "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(vocab) in err[0] and "UTF-8" in err[0], err[0]
+
+
+def test_tokenizer_checkpoint_of_the_wider_decoder_is_a_data_error(tmp_path, capsys):
+    # a tokenizer saved while the config had the decoder's own width and depth
+    model, tok = _tiny_checkpoints(tmp_path)
+    manifest = json.loads((tok / "manifest.json").read_text())
+    manifest["config"]["tokenizer"].update(dec_d_model=0, dec_blocks=0)
+    (tok / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
+                    "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert "tokenizer.dec_d_model" in err[0], err[0]
+    assert not (tmp_path / "s").exists()
+    # the raw container still opens
+    assert cli.run(["inspect-checkpoint", "--dir", str(tok)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tokenizer"]["dec_blocks"] == 0
 
 
 @pytest.mark.parametrize("case", ["train-sr", "sample-sr", "sr-checkpoint"])
@@ -487,6 +521,22 @@ def test_rerank_of_grids_one_short_names_the_meta_json(tmp_path, capsys):
     assert not (d / "reranked").exists()
 
 
+def test_rerank_of_ragged_grids_names_the_meta_json(tmp_path, capsys):
+    _tiny_reranker(tmp_path)
+    d = tmp_path / "s"
+    d.mkdir()
+    files = [f"sample_{i:02d}.png" for i in range(2)]
+    for f in files:
+        pngio.write_png(d / f, np.zeros((16, 16, 3), np.uint8))
+    (d / "meta.json").write_text(json.dumps(
+        {"prompt": "a red circle", "seed": 3, "files": files, "grids": [[[0]], []]}))
+    assert cli.run(["rerank", "--dir", str(d), "--reranker", str(tmp_path / "rr")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(d / "meta.json") in err[0] and "one shape" in err[0], err[0]
+    assert not (d / "reranked").exists()
+
+
 def test_eval_alignment_of_a_png_with_a_short_ihdr_is_a_data_error(tmp_path, capsys):
     d = tmp_path / "s"
     d.mkdir()
@@ -562,6 +612,17 @@ def test_eval_alignment_records_are_fixed(tmp_path, capsys):
             ("caption_fidelity_mean", 12, "oracle", seed),
             ("caption_fidelity_best", 12, "oracle", seed)]
         assert tuple(r["value"] for r in records) == want, caption
+
+
+def test_eval_alignment_out_that_is_a_directory_is_a_data_error(tmp_path, capsys):
+    d = tmp_path / "s"
+    _oracle_sample_dir(d, "a red circle", 0)
+    assert cli.run(["eval-alignment", "--dir", str(d), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(tmp_path) in err[0], err[0]
+    assert captured.out == ""
 
 
 def test_run_shares_one_parser_and_each_result_matches_a_fresh_process(tmp_path, capsys):

@@ -16,7 +16,6 @@ TOY = {
                   "warmup": 1},
     "model": {"enc_layers": 1, "dec_layers": 1, "d_model": 16, "d_mlp": 32,
               "heads": 2, "text_vocab": 300, "text_len": 12, "batch": 4},
-    "optimizer": {"base_lr": 0.01, "warmup": 1, "decay_frac": 0.5},
     "sampler": {"guidance": 1.2, "n_samples": 3, "top_k": 8},
     "reranker": {"patch": 4, "d_model": 16, "n_blocks": 1, "heads": 2,
                  "d_mlp": 32, "d_e": 8, "text_vocab": 300, "text_len": 12,

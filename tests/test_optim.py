@@ -87,11 +87,12 @@ def test_absent_grad_names_leave_params_untouched():
 def test_clip_rescales_large_gradients_like_scaled_ones():
     # clipping g to norm c must behave exactly like feeding g*c/|g|:
     # both the applied update and the stored accumulators must agree
-    cfg = optim.OptimizerConfig(clip_norm=1.0)
+    cfg = optim.OptimizerConfig()
     g = np.random.default_rng(2).normal(size=(4, 4)).astype(np.float32)
     g_big = g * np.float32(100.0)
     gnorm = float(np.linalg.norm(g_big))
-    g_ref = g_big * np.float32(1.0 / gnorm)
+    assert gnorm > 10 * optim.CLIP_NORM
+    g_ref = g_big * np.float32(optim.CLIP_NORM / gnorm)
 
     ps1 = _one_param((4, 4), seed=5)
     st1 = optim.OptimizerState()
@@ -107,8 +108,9 @@ def test_clip_rescales_large_gradients_like_scaled_ones():
 
 
 def test_small_gradients_are_not_clipped():
-    cfg = optim.OptimizerConfig(clip_norm=4.0)
+    cfg = optim.OptimizerConfig()
     g = np.full((3, 3), 0.01, np.float32)
+    assert np.linalg.norm(g) < optim.CLIP_NORM
     ps1 = _one_param((3, 3), seed=8)
     ps2 = _one_param((3, 3), seed=8)
     st = optim.OptimizerState()
@@ -146,7 +148,7 @@ def test_nonfinite_gradients_raise_with_param_name():
 
 
 def test_weight_decay_shrinks_toward_zero():
-    cfg = optim.OptimizerConfig(beta1=0.0, weight_decay=1.0)
+    cfg = optim.OptimizerConfig(weight_decay=1.0)
     ps = _one_param((3,), seed=0)
     before = ps["p"].data.copy()
     # decay acts alone on zero grads

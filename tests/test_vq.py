@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttig import checkpoint, scenes, vq
+from ttig import scenes, vq
 from ttig import tensor as T
 from ttig.errors import DataError, NumericError
 
@@ -92,28 +92,6 @@ def test_build_tokenizer_shapes_and_validation():
     assert w.codebook.shape == (cfg.codebook_size, cfg.d_code)
     with pytest.raises(DataError):
         vq.build_tokenizer(vq.TokenizerConfig(image_size=30), seed=0)
-
-
-def test_build_tokenizer_rejects_decoder_width_heads_do_not_divide():
-    with pytest.raises(DataError, match="dec_d_model"):
-        vq.build_tokenizer(vq.TokenizerConfig(dec_d_model=50, heads=4), seed=0)
-
-
-def test_wider_deeper_decoder_trains_round_trips_and_detokenizes(tmp_path):
-    # the paper scales the tokenizer's decoder apart from its encoder
-    cfg = vq.TokenizerConfig(d_model=32, dec_d_model=96, dec_blocks=3)
-    images = scenes.gen_dataset(4, 0).images
-    w, history = vq.train_tokenizer(images, cfg, vq.TokTrainConfig(steps=2, batch=4))
-    assert len(history) == 2 and np.isfinite(history).all()
-    assert w.params["dec.pos"].shape == (cfg.n_patches, 96)
-    assert "dec.b2.attn.wq" in w.params and "dec.b3.attn.wq" not in w.params
-    checkpoint.save_tokenizer(w, tmp_path / "t")
-    back = checkpoint.load_tokenizer(tmp_path / "t")
-    assert back.cfg == cfg
-    for name, arr in w.params.state_dict().items():
-        np.testing.assert_array_equal(back.params.state_dict()[name], arr, err_msg=name)
-    imgs = vq.detokenize(back, vq.tokenize(back, images))
-    assert imgs.shape == (4, 32, 32, 3)
 
 
 def test_tokenize_detokenize_shapes_and_determinism():
