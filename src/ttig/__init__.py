@@ -8,8 +8,8 @@ Subpackage map:
     optim        adafactor-style optimizer with factored second moments
     seq2seq      text-to-image-token encoder/decoder transformer
     sampling     classifier-free-guided ancestral sampling and reranking
-    contrastive  dual-encoder scorer, retrieval index
-    metrics      frechet distance, scene alignment oracle
+    contrastive  dual-encoder scorer, exact top-k image retrieval
+    metrics      frechet distance, caption alignment oracle
     cli          subcommand front end
 """
 

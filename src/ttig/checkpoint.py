@@ -162,8 +162,9 @@ def _save_typed(w, kind, path):
 
 
 def _load_typed(path, kind, cfg_cls, build):
-    """Validate kind and config section (field names and value types), then
-    build(cfg, 0, skeleton=True), zeros with no random draws, and load."""
+    """Validate kind, config section (field names and value types) and that
+    every weight is finite, then build(cfg, 0, skeleton=True), zeros with no
+    random draws, and load."""
     state, config = load_checkpoint(path)
     if config.get("kind") != kind:
         raise DataError(f"expected a {kind!r} checkpoint, found "
@@ -174,6 +175,10 @@ def _load_typed(path, kind, cfg_cls, build):
         raise DataError(f"{kind!r} checkpoint at {path} has no {key!r} config")
     check_section(section, field_types(cfg_cls), key,
                   f"{kind!r} checkpoint at {path}")
+    for name, arr in state.items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"{Path(path) / 'weights.bin'}: parameter {name!r} "
+                            f"holds a NaN or infinite value")
     w = build(cfg_cls(**section), 0, skeleton=True)
     w.params.load_state(state)
     return w

@@ -108,7 +108,7 @@ def _text_pooled(enc: DualEncoder, text_ids: np.ndarray):
 
 
 def _project(p: nn.ParamSet, pre: str, pooled):
-    return T.l2_normalize(nn.linear(p, pre, pooled), axis=-1, eps=1e-12)
+    return T.l2_normalize(nn.linear(p, pre, pooled), eps=1e-12)
 
 
 def embed_image(enc: DualEncoder, images: np.ndarray) -> np.ndarray:

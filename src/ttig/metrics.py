@@ -5,13 +5,14 @@ extractor is injected (the contrastive image tower in this repo, never a
 pretrained network), and metric records carry the extractor name so scores
 are not mistaken for published figures.
 
-The alignment oracle inverts the renderer: it knows where each specified
-object must sit, re-detects shape by footprint overlap and color by nearest
-palette entry, and scores the fraction of satisfied assertions. A freshly
-rendered spec scores exactly 1.0. caption_fidelities lifts the oracle to
-captions by taking the best score over all placements the caption allows.
+The alignment oracle inverts the renderer: for one placement of a caption's
+objects it knows where each must sit, re-detects shape by footprint overlap
+and color by nearest palette entry, and scores the fraction of satisfied
+assertions. caption_fidelities takes the best score over all placements the
+caption allows, so a fresh render of any spec scores exactly 1.0 against its
+caption.
 
-Both work from one per-cell table, vectorised over a stack of images: for
+It works from one per-cell table, vectorised over a stack of images: for
 every cell, the foreground, the best-overlap glyph and whether any paint is
 there; for every cell and caption object, whether presence, shape and color
 pass. A placement's score is then a lookup and a sum, so a caption's 4 or 12
@@ -189,14 +190,6 @@ def _scores(passes: dict, spec: scenes.SceneSpec) -> np.ndarray:
     passed = sum(passes[o.shape, o.color][:, o.cell[0] * scenes.GRID + o.cell[1]]
                  for o in spec.objects)
     return passed / (3 * len(spec.objects))
-
-
-def alignment_oracle(image: np.ndarray, spec: scenes.SceneSpec) -> float:
-    """Fraction of per-object (shape, color, presence-in-cell) assertions that
-    hold when each object is sampled at the cell the spec pins it to."""
-    spec.validate()
-    images = _image_stack(image, one=True)
-    return float(_scores(_cell_passes(images, spec.objects), spec)[0])
 
 
 def _placements(spec: scenes.SceneSpec):

@@ -119,8 +119,8 @@ def linear(p: ParamSet, pre: str, x):
     return T.add(T.matmul(x, p[pre + ".w"]), p[pre + ".b"])
 
 
-def ln_affine(p: ParamSet, pre: str, x, eps: float = 1e-5):
-    return T.add(T.mul(T.layer_norm(x, axis=-1, eps=eps), p[pre + ".g"]), p[pre + ".b"])
+def ln_affine(p: ParamSet, pre: str, x):
+    return T.add(T.mul(T.layer_norm(x), p[pre + ".g"]), p[pre + ".b"])
 
 
 def dropout(x, drop):

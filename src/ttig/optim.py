@@ -3,7 +3,7 @@ global grad clipping, decoupled weight decay, warmup + exponential decay,
 and the one training loop every trainer runs on top of it.
 
 Memory shape: an m x n matrix keeps two mean accumulators of sizes m and n
-(never m*n); only vectors and scalars keep a full second moment. The first
+(never m*n); any other parameter keeps a full second moment. The first
 moment is materialized in float for the update, then requantized to int8 with
 a per-tensor absmax scale, so its storage error is bounded by scale/127.
 
@@ -60,9 +60,8 @@ class OptimizerState:
 
 
 def _factored_vhat(name, g2, state):
-    mat = g2.reshape(-1, g2.shape[-1]) if g2.ndim > 2 else g2
-    row = mat.mean(axis=1)
-    col = mat.mean(axis=0)
+    row = g2.mean(axis=1)
+    col = g2.mean(axis=0)
     if name in state.second:
         r, c = state.second[name]
         r = BETA2 * r + (1 - BETA2) * row
@@ -74,8 +73,7 @@ def _factored_vhat(name, g2, state):
     denom = r.mean()
     if denom <= 0:
         return np.zeros_like(g2)
-    vhat = np.outer(r, c) / denom
-    return vhat.reshape(g2.shape)
+    return np.outer(r, c) / denom
 
 
 def _full_vhat(name, g2, state):
@@ -106,7 +104,7 @@ def adafactor_step(params, grads: dict, state: OptimizerState,
             continue
         g = np.asarray(g, dtype=np.float32) * np.float32(clip)
         g2 = g * g + np.float32(EPS)
-        if g.ndim >= 2:
+        if g.ndim == 2:
             vhat = _factored_vhat(name, g2, state)
         else:
             vhat = _full_vhat(name, g2, state)

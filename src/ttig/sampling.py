@@ -222,8 +222,9 @@ class _Branch:
         self.xn_groups = self.xn.reshape(G, m, d).swapaxes(1, 2)
         self.xscores_text = self.xscores.reshape(G, S, heads * m)
         self.a_groups = self.a.reshape(G, m, d)
-        self.last_axis, self.first_axis, self.text_axis = {"axis": -1}, {"axis": 0}, {"axis": 1}
-        self.gelu_attrs = {}
+        self.first_axis, self.text_axis = {"axis": 0}, {"axis": 1}
+        # where the LayerNorm and GELU kernels store what a backward would read
+        self.ln_attrs, self.gelu_attrs = {}, {}
 
     def _attn_self(self, t, wqkv, bqkv, keys, vals):
         """Self-attention of xn at position t, into a."""
@@ -250,7 +251,7 @@ class _Branch:
     def step_logits(self, prev_tokens, t: int) -> np.ndarray:
         """Advance to position t given the token drawn at t-1 (None at t=0);
         returns next-token logits (n, image_vocab), a new array."""
-        x, xn, a, proj, h, ln = self.x, self.xn, self.a, self.proj, self.hidden, self.last_axis
+        x, xn, a, proj, h, ln = self.x, self.xn, self.a, self.proj, self.hidden, self.ln_attrs
         if t == 0:
             x[...] = self.start
         else:

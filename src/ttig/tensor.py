@@ -13,6 +13,10 @@ Design rules:
   * broadcasting is restricted to trailing-axis alignment (one operand's shape
     must be a suffix of the other's, rank-0 scalars included); anything fancier
     must be spelled out with reshape/transpose
+  * matmul multiplies (..., n) by a 2-D (n, m) matrix. layer_norm and
+    l2_normalize work on the last axis: layer_norm with eps LN_EPS,
+    l2_normalize with the eps its caller passes. scale(x, f) is a mul by a
+    0-d constant of x's dtype, not a kind of its own
   * integer ids and attention windows ride along as op attrs,
     never as Tensors
   * multi-head attention over projected q, k, v is one op that splits the
@@ -261,28 +265,17 @@ def _fwd_matmul(d, attrs):
     a, b = d
     if a.dtype != b.dtype:
         raise ShapeError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: need ndim>=2, got {a.shape} @ {b.shape}")
-    if b.ndim > 2 and (a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]):
-        raise ShapeError(f"matmul: leading dims differ: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: need (..., n) @ (n, m), got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
     return a @ b
 
 
 def _bwd_matmul(g, d, out, attrs, needs):
     a, b = d
-    ga = gb = None
-    if b.ndim == 2:
-        if needs[0]:
-            ga = g @ b.T
-        if needs[1]:
-            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    else:
-        if needs[0]:
-            ga = g @ np.swapaxes(b, -1, -2)
-        if needs[1]:
-            gb = np.swapaxes(a, -1, -2) @ g
+    ga = g @ b.T if needs[0] else None
+    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if needs[1] else None
     return [ga, gb]
 
 
@@ -567,18 +560,20 @@ def _bwd_window_attention(g, q, k, v, heads, window, probs, needs):
     return [gq, gk, gv]
 
 
-def _mean(x, axis):
-    # what ndarray.mean computes: the add reduction divided by the count
-    m = np.add.reduce(x, axis, None, None, True)
-    m /= x.shape[axis]
+def _mean(x):
+    # what ndarray.mean(axis=-1) computes: the add reduction divided by the count
+    m = np.add.reduce(x, -1, None, None, True)
+    m /= x.shape[-1]
     return m
 
 
+LN_EPS = 1e-5  # added to the variance before the square root
+
+
 def _fwd_layer_norm(d, attrs, out=None):
-    axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
-    xc = np.subtract(d[0], _mean(d[0], axis), out=out)
-    inv = _mean(xc * xc, axis)
-    inv += float(attrs.get("eps", 1e-5))
+    xc = np.subtract(d[0], _mean(d[0]), out=out)
+    inv = _mean(xc * xc)
+    inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     attrs["_inv"] = inv  # reused by backward together with out (= xhat)
@@ -587,10 +582,9 @@ def _fwd_layer_norm(d, attrs, out=None):
 
 
 def _bwd_layer_norm(g, d, out, attrs, needs):
-    axis = _norm_axis(attrs["axis"], d[0].ndim, "layer_norm")
     inv, xhat = attrs["_inv"], out
-    gm = _mean(g, axis)
-    gxm = _mean(g * xhat, axis)
+    gm = _mean(g)
+    gxm = _mean(g * xhat)
     r = g - gm
     r -= xhat * gxm
     r *= inv
@@ -644,15 +638,13 @@ def _cdf_block(x, out):
 
 
 def _normal_cdf(x, out=None):
-    """cdf(x), written to out (contiguous, x's shape) if given."""
+    """cdf(x). For a float32 x it is written to out (contiguous, x's shape)
+    if given."""
     if x.dtype != np.float32:
         cdf = _erf(x / _SQRT_2)
         cdf += 1.0
         cdf *= 0.5
-        if out is None:
-            return cdf
-        out[...] = cdf
-        return out
+        return cdf
     cdf = np.empty(x.shape, dtype=np.float32) if out is None else out
     # one block needs no flat views; a 0-d x takes the flat path, since
     # ufuncs return scalars for 0-d operands
@@ -722,33 +714,21 @@ def _bwd_reduce_mean(g, d, out, attrs, needs):
     return [np.broadcast_to(np.expand_dims(g / n, axis), d[0].shape).copy()]
 
 
-def _fwd_scale(d, attrs):
-    factor = float(attrs["factor"])
-    return d[0] * np.asarray(factor, dtype=d[0].dtype)
-
-
-def _bwd_scale(g, d, out, attrs, needs):
-    factor = float(attrs["factor"])
-    return [g * np.asarray(factor, dtype=g.dtype)]
-
-
 def _fwd_l2_normalize(d, attrs):
-    axis = _norm_axis(attrs["axis"], d[0].ndim, "l2_normalize")
     eps = float(attrs.get("eps", 0.0))
     x = d[0]
-    sq = (x * x).sum(axis=axis, keepdims=True) + eps
+    sq = (x * x).sum(axis=-1, keepdims=True) + eps
     if eps == 0.0 and np.any(sq == 0.0):
         raise NumericError("l2_normalize: zero-norm slice with eps=0")
     return x / np.sqrt(sq)
 
 
 def _bwd_l2_normalize(g, d, out, attrs, needs):
-    axis = _norm_axis(attrs["axis"], d[0].ndim, "l2_normalize")
     eps = float(attrs.get("eps", 0.0))
     x = d[0]
-    sq = (x * x).sum(axis=axis, keepdims=True) + eps
+    sq = (x * x).sum(axis=-1, keepdims=True) + eps
     n = np.sqrt(sq)
-    dot = (g * x).sum(axis=axis, keepdims=True)
+    dot = (g * x).sum(axis=-1, keepdims=True)
     return [g / n - x * dot / (n * sq)]
 
 
@@ -804,7 +784,6 @@ _CATALOG = {
     "gelu": _Op(1, _fwd_gelu, _bwd_gelu, "inputs"),
     "reduce_sum": _Op(1, _fwd_reduce_sum, _bwd_reduce_sum, "nothing"),
     "reduce_mean": _Op(1, _fwd_reduce_mean, _bwd_reduce_mean, "nothing"),
-    "scale": _Op(1, _fwd_scale, _bwd_scale, "nothing"),
     "l2_normalize": _Op(1, _fwd_l2_normalize, _bwd_l2_normalize, "inputs"),
     "cross_entropy_with_logits": _Op(1, _fwd_cross_entropy, _bwd_cross_entropy, "inputs"),
 }
@@ -964,8 +943,8 @@ def attention(q, k, v, heads, window=None):
     return apply("attention", [q, k, v], attrs)
 
 
-def layer_norm(x, axis=-1, eps=1e-5):
-    return apply("layer_norm", [x], {"axis": axis, "eps": eps})
+def layer_norm(x):
+    return apply("layer_norm", [x])
 
 
 def gelu(x):
@@ -981,11 +960,12 @@ def reduce_mean(x, axis=None):
 
 
 def scale(x, factor):
-    return apply("scale", [x], {"factor": factor})
+    """x times the number factor: a mul by a 0-d constant of x's dtype."""
+    return mul(x, constant(np.asarray(factor, dtype=x.dtype)))
 
 
-def l2_normalize(x, axis=-1, eps=0.0):
-    return apply("l2_normalize", [x], {"axis": axis, "eps": eps})
+def l2_normalize(x, eps=0.0):
+    return apply("l2_normalize", [x], {"eps": eps})
 
 
 def cross_entropy_with_logits(logits, targets):

@@ -222,14 +222,18 @@ def save_vocab(vocab: Vocab, path):
 
 
 def load_vocab(path) -> Vocab:
+    """Raises DataError, naming path, for a file that is not a saved vocab."""
+    def bad(msg):
+        return DataError(f"vocab file {path}: {msg}")
+
     try:
         with open(path, encoding="utf-8") as f:
             lines = [ln.rstrip("\n") for ln in f]
     except UnicodeDecodeError as e:
-        raise DataError(f"vocab file {path} is not UTF-8 text: {e}") from None
+        raise bad(f"not UTF-8 text: {e}") from None
     try:
         if lines[0] != "bpe v1":
-            raise DataError(f"bad vocab header: {lines[0]!r}")
+            raise bad(f"bad header {lines[0]!r}")
         vocab_size = int(lines[1].split()[1])
         n_merges = int(lines[2].split()[1])
         merges = []
@@ -238,22 +242,22 @@ def load_vocab(path) -> Vocab:
             merges.append((bytes.fromhex(l), bytes.fromhex(r)))
         tok_line = 3 + n_merges
         if lines[tok_line] != f"tokens {vocab_size}":
-            raise DataError(f"bad token table header at line {tok_line + 1}")
+            raise bad(f"bad token table header at line {tok_line + 1}")
         tokens = []
         for k in range(vocab_size):
             idx, val = lines[tok_line + 1 + k].split()
             if int(idx) != k:
-                raise DataError(f"token table out of order at line {tok_line + 2 + k}")
+                raise bad(f"token table out of order at line {tok_line + 2 + k}")
             if k < N_SPECIALS:
                 if val != SPECIAL_NAMES[k]:
-                    raise DataError(f"expected special {SPECIAL_NAMES[k]} at id {k}")
+                    raise bad(f"expected special {SPECIAL_NAMES[k]} at id {k}")
                 tokens.append(b"")
             else:
                 tokens.append(bytes.fromhex(val))
     except (IndexError, ValueError) as e:
-        raise DataError(f"malformed vocab file {path}: {e}") from e
+        raise bad(f"malformed: {e}") from e
     rebuilt = _base_tokens()
     rebuilt.extend(l + r for l, r in merges)
     if rebuilt != tokens:
-        raise DataError(f"vocab file {path}: token table inconsistent with merges")
+        raise bad("token table inconsistent with merges")
     return Vocab(merges=merges, tokens=tokens)

@@ -224,7 +224,7 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
         idx = rng.integers(0, len(images), tcfg.batch)
         x = images[idx].astype(np.float32)
         z = _encode_tensor(w, x)
-        zhat = T.l2_normalize(z, axis=-1, eps=0.0)
+        zhat = T.l2_normalize(z, eps=0.0)
         ids = quantize(cb.data, zhat.data)
         e = T.embedding_gather(cb, ids.reshape(-1))
         e = T.reshape(e, z.shape)

@@ -401,6 +401,22 @@ def test_sample_with_a_vocab_not_utf8_is_a_data_error(tmp_path, capsys):
     assert str(vocab) in err[0] and "UTF-8" in err[0], err[0]
 
 
+@pytest.mark.parametrize("damage", ["header", "token_table_header"])
+def test_sample_with_a_malformed_vocab_names_the_file(tmp_path, capsys, damage):
+    model, tok = _tiny_checkpoints(tmp_path)
+    vocab = model / "vocab.json"
+    if damage == "header":
+        vocab.write_text("nope\n")
+    else:
+        vocab.write_text(re.sub(r"^tokens (\d+)$", "tokens 5", vocab.read_text(), flags=re.M))
+    assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
+                    "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(vocab) in err[0], err[0]
+    assert not (tmp_path / "s").exists()
+
+
 def test_tokenizer_checkpoint_of_the_wider_decoder_is_a_data_error(tmp_path, capsys):
     # a tokenizer saved while the config had the decoder's own width and depth
     model, tok = _tiny_checkpoints(tmp_path)
@@ -535,6 +551,35 @@ def test_rerank_of_ragged_grids_names_the_meta_json(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(d / "meta.json") in err[0] and "one shape" in err[0], err[0]
     assert not (d / "reranked").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("cmd", ["rerank", "eval-fid"])
+def test_reranker_weights_that_are_not_finite_are_a_data_error(tmp_path, capsys, cmd, value):
+    _tiny_reranker(tmp_path)
+    rr = tmp_path / "rr"
+    manifest = json.loads((rr / "manifest.json").read_text())
+    entry = manifest["params"][0]  # img.in.w, which both commands read
+    weights = bytearray((rr / "weights.bin").read_bytes())
+    weights[entry["byte_offset"]:entry["byte_offset"] + 4] = np.float32(value).tobytes()
+    (rr / "weights.bin").write_bytes(bytes(weights))
+    d = tmp_path / "s"
+    d.mkdir()
+    files = [f"sample_{i:02d}.png" for i in range(2)]
+    rng = np.random.default_rng(0)
+    for f in files:
+        pngio.write_png(d / f, rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
+    (d / "meta.json").write_text(json.dumps(
+        {"prompt": "a red circle", "seed": 3, "files": files, "grids": [[[0]], [[1]]]}))
+    argv = {"rerank": ["rerank", "--dir", str(d), "--reranker", str(rr)],
+            "eval-fid": ["eval-fid", "--real", str(d), "--gen", str(d), "--features", str(rr)]}
+    assert cli.run(argv[cmd]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(rr / "weights.bin") in err[0] and repr(entry["name"]) in err[0], err[0]
+    assert not (d / "reranked").exists()
+    # the raw container still opens
+    assert cli.run(["inspect-checkpoint", "--dir", str(rr)]) == 0
 
 
 def test_eval_alignment_of_a_png_with_a_short_ihdr_is_a_data_error(tmp_path, capsys):

@@ -5,7 +5,8 @@ so an API rename would break them silently. This parses each demos/*.py
 without running it and checks every ttig module attribute it names, parses
 every documented `ttig ...` command line with the real argument parser, and
 loads the demo run config with the real schema. It also checks that no
-Python file in the tree imports a name it never uses.
+Python file in the tree imports a name it never uses, and that every public
+function in src/ttig has a caller in src, demos or perfbench.
 """
 
 import ast
@@ -75,6 +76,34 @@ def test_no_python_file_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+# public functions of src/ttig that nothing in src, demos or perfbench calls
+_UNREFERENCED_OK = {
+    "tensor.grad_check": "the float64 gradient reference the tests check the tape against",
+    "scenes.render": "the renderer's one-spec entry point",
+}
+
+
+def test_every_public_function_is_referenced_outside_its_definition():
+    # a reference is a Name or Attribute node in src, demos or perfbench
+    # outside the function's own def; a mention inside a string is not one
+    where, defs = {}, []
+    for path in sorted(p for d in ("src/ttig", "demos", "perfbench")
+                       for p in (ROOT / d).glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = (path, top.name) if isinstance(top, ast.FunctionDef) else None
+            if owner and path.parent.name == "ttig" and not top.name.startswith("_"):
+                defs.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    where.setdefault(name, set()).add(owner)
+    unused = [f"{path.stem}.{name}" for path, name in defs
+              if not where.get(name, set()) - {(path, name)}]
+    # cli.run looks each cmd_<subcommand> up by name
+    unused = [f for f in unused if not f.startswith("cli.cmd_")]
+    assert sorted(unused) == sorted(_UNREFERENCED_OK), unused
 
 
 def _ttig_command_lines(path):

@@ -400,7 +400,7 @@ def _affine(x, w, b):
 
 
 def _normalize(x):
-    return T._fwd_layer_norm([x], {"axis": -1})
+    return T._fwd_layer_norm([x], {})
 
 
 class _ReferenceBranch(sampling._Branch):

@@ -81,6 +81,30 @@ def test_matmul_forward_and_shape_check():
         T.matmul(T.constant(a), T.constant(a))
 
 
+def test_matmul_right_operand_must_be_a_matrix():
+    a = T.constant(np.zeros((2, 5, 3), np.float32))
+    for shape in [(2, 3, 7), (3,)]:
+        with pytest.raises(ShapeError, match=r"^matmul: need \(\.\.\., n\) @ \(n, m\)"):
+            T.matmul(a, T.constant(np.zeros(shape, np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scale_is_one_mul_by_a_0d_constant(dtype):
+    rng = _rng(2)
+    x = T.Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(3, 4)).astype(dtype)
+    f = -1.7
+    with T.Tape() as tape:
+        y = T.scale(x, f)
+        loss = T.reduce_sum(T.mul(y, T.constant(g)))
+    assert [r[0] for r in tape.records] == ["mul", "mul", "reduce_sum"]
+    kept = tape.records[0][3][1]
+    assert kept.shape == () and kept.dtype == dtype
+    np.testing.assert_array_equal(y.data, x.data * np.asarray(f, dtype))
+    assert y.data.dtype == dtype
+    np.testing.assert_array_equal(T.backward(loss)[x.node_id].data, g * np.asarray(f, dtype))
+
+
 def test_softmax_rows_sum_to_one():
     x = _rng().normal(size=(4, 9)).astype(np.float32)
     s = T._fwd_softmax([x], {"axis": -1})
@@ -238,7 +262,7 @@ def test_layer_norm_and_softmax_reductions_bit_identical_to_method_forms(dtype):
     for shape in [(7, 64), (3, 5, 33), (2000, 256)]:
         x = (rng.normal(size=shape) * rng.uniform(0.1, 30.0)).astype(dtype)
         g = rng.normal(size=shape).astype(dtype)
-        attrs = {"axis": -1}
+        attrs = {}
         out = T._fwd_layer_norm([x], attrs)
         np.testing.assert_array_equal(out, _mean_ln_fwd(x))
         want = _mean_ln_bwd(g, x, out)
@@ -669,12 +693,11 @@ _KIND_CASES = {
     "concat": ([(3, 4), (3, 2)], {"axis": 1}),
     "embedding_gather": ([(5, 3)], {"ids": np.array([0, 4, 4])}),
     "attention": ([(2, 5, 8), (2, 3, 8), (2, 3, 8)], {"heads": 2}),
-    "layer_norm": ([(3, 4)], {"axis": -1}),
+    "layer_norm": ([(3, 4)], {}),
     "gelu": ([(3, 4)], {}),
     "reduce_sum": ([(3, 4)], {"axis": 1}),
     "reduce_mean": ([(3, 4)], {"axis": None}),
-    "scale": ([(3, 4)], {"factor": -1.5}),
-    "l2_normalize": ([(3, 4)], {"axis": -1}),
+    "l2_normalize": ([(3, 4)], {}),
     "cross_entropy_with_logits": ([(3, 4)], {"targets": np.array([0, 3, 1])}),
 }
 

@@ -77,7 +77,7 @@ def test_straight_through_identity_gradient():
                  requires_grad=True)
     cb = _unit_codebook()
     with T.Tape():
-        zn = T.l2_normalize(z, axis=-1, eps=0.0)
+        zn = T.l2_normalize(z, eps=0.0)
         zq = cb[vq.quantize(cb, zn.data)]
         st = T.add(z, T.constant(zq - z.data))
         loss = T.reduce_sum(T.mul(st, st))
