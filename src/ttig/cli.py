@@ -140,7 +140,12 @@ def _read_image_dir(path) -> np.ndarray:
     files = sorted(root.glob("*.png"))
     if not files:
         raise DataError(f"no .png files under {path}")
-    return np.stack([pngio.read_png(f) for f in files])
+    images = [pngio.read_png(f) for f in files]
+    for f, img in zip(files, images):
+        if img.shape != images[0].shape:
+            raise DataError(f"{f}: image is {img.shape[1]}x{img.shape[0]}, but "
+                            f"{files[0]} is {images[0].shape[1]}x{images[0].shape[0]}")
+    return np.stack(images)
 
 
 # ---------------------------------------------------------------------------

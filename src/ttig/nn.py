@@ -179,6 +179,8 @@ def grads_of(loss, params: ParamSet) -> dict:
             if t._tape is loss._tape and t.node_id in gm}
 
 
-def mse(a, b):
-    d = T.sub(a, b)
+def mse(pred, target):
+    """Mean squared error of the Tensor pred against the array target, as
+    pred plus the negated target: the same bits as pred - target."""
+    d = T.add(pred, T.constant(-np.asarray(target)))
     return T.reduce_mean(T.mul(d, d))

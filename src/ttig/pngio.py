@@ -2,9 +2,10 @@
 
 Writes non-interlaced RGB with filter type 0 on every scanline and a fixed
 zlib level, so the same pixels always produce the same bytes. The reader
-accepts only what the writer emits plus per-line filters 0-4 (the full
-baseline set), 8-bit RGB or RGBA, non-interlaced; anything else is a data
-error rather than a half-supported path.
+accepts only what the writer emits: 8-bit non-interlaced RGB with filter 0
+on every line (the image data may span several IDAT chunks). Anything else
+(another filter, RGBA, grey, a palette, 16 bits, interlacing) is a data
+error naming the file, not a half-supported path.
 """
 
 from __future__ import annotations
@@ -46,47 +47,15 @@ def write_png(path, img: np.ndarray):
                 + _chunk(b"IEND", b""))
 
 
-def _unfilter(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
-    """(h, w * channels) pixel bytes; lines that all use filter 0, as the
-    writer's do, are the inflated bytes without the filter column."""
-    lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + w * channels)
-    if not lines[:, 0].any():
-        return lines[:, 1:]
-    return _unfilter_lines(raw, h, w, channels)
-
-
-def _unfilter_lines(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
-    stride = w * channels
-    out = np.zeros((h, stride), dtype=np.uint8)
-    pos = 0
-    for r in range(h):
-        ftype = raw[pos]
-        pos += 1
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=pos).copy()
-        pos += stride
-        prev = out[r - 1] if r else np.zeros(stride, dtype=np.uint8)
-        if ftype == 0:
-            out[r] = line
-        elif ftype == 2:  # up
-            out[r] = line + prev
-        elif ftype in (1, 3, 4):
-            cur = out[r]
-            for i in range(stride):
-                a = int(cur[i - channels]) if i >= channels else 0
-                b = int(prev[i])
-                if ftype == 1:
-                    pred = a
-                elif ftype == 3:
-                    pred = (a + b) // 2
-                else:
-                    c = int(prev[i - channels]) if i >= channels else 0
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
-                cur[i] = (int(line[i]) + pred) & 0xFF
-        else:
-            raise DataError(f"unsupported PNG filter {ftype}")
-    return out
+def _unfilter(path, raw: bytes, h: int, w: int) -> np.ndarray:
+    """(h, w * 3) pixel bytes: the inflated lines without their filter byte,
+    which must be 0 on every line, as the writer's are."""
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + w * 3)
+    if lines[:, 0].any():
+        r = int(np.flatnonzero(lines[:, 0])[0])
+        raise DataError(f"{path}: line {r} uses PNG filter {lines[r, 0]}; "
+                        f"only filter 0 is supported")
+    return lines[:, 1:]
 
 
 def read_png(path, blob: bytes | None = None) -> np.ndarray:
@@ -106,7 +75,7 @@ def read_png(path, blob: bytes | None = None) -> np.ndarray:
         length, tag = struct.unpack(">I4s", blob[pos:pos + 8])
         payload = blob[pos + 8:pos + 8 + length]
         if len(payload) != length:
-            raise DataError(f"{path}: truncated {tag.decode('latin1')} chunk")
+            raise DataError(f"{path}: truncated {tag.decode('latin1')!r} chunk")
         pos += 12 + length
         if tag == b"IHDR":
             if length != 13:
@@ -122,14 +91,13 @@ def read_png(path, blob: bytes | None = None) -> np.ndarray:
     if w < 1 or h < 1:
         raise DataError(f"{path}: image is {w}x{h}; PNG needs width and height "
                         f"of at least 1")
-    if depth != 8 or color not in (2, 6) or comp or filt or interlace:
-        raise DataError(f"{path}: only 8-bit non-interlaced RGB/RGBA supported")
-    channels = 3 if color == 2 else 4
+    if depth != 8 or color != 2 or comp or filt or interlace:
+        raise DataError(f"{path}: only 8-bit non-interlaced RGB supported")
     try:
         raw = zlib.decompress(idat)
     except zlib.error as e:
         raise DataError(f"{path}: corrupt image data: {e}") from None
-    if len(raw) != h * (1 + w * channels):
+    if len(raw) != h * (1 + w * 3):
         raise DataError(f"{path}: pixel data has wrong length")
-    px = _unfilter(raw, h, w, channels).reshape(h, w, channels)[:, :, :3]
+    px = _unfilter(path, raw, h, w).reshape(h, w, 3)
     return px.astype(np.float32) / 255.0

@@ -45,7 +45,7 @@ the residual stream and its normalised copy, QKV, the attention scores and
 mixes, the attention and projection outputs, and the MLP hidden and its cdf.
 Every matmul and elementwise op writes into them with out=, and the
 LayerNorms, GELUs and softmaxes are tensor's _fwd_layer_norm, _fwd_gelu and
-_fwd_softmax called with out=, the same kernels the taped forward runs. Each
+_softmax called with out=, the same kernels the taped forward runs. Each
 layer's weights sit in one tuple, resolved once per chain, with every bias
 tiled to the chain's rows. Each step returns a new logits array, so a caller
 may keep it past the next step.
@@ -222,7 +222,6 @@ class _Branch:
         self.xn_groups = self.xn.reshape(G, m, d).swapaxes(1, 2)
         self.xscores_text = self.xscores.reshape(G, S, heads * m)
         self.a_groups = self.a.reshape(G, m, d)
-        self.first_axis, self.text_axis = {"axis": 0}, {"axis": 1}
         # where the LayerNorm and GELU kernels store what a backward would read
         self.ln_attrs, self.gelu_attrs = {}, {}
 
@@ -236,7 +235,7 @@ class _Branch:
         keys.take(window, 0, qk, "clip")                    # (w, rows, d)
         qk *= self.q
         np.matmul(qk_rows, self.head_sum, out=score_rows)
-        T._fwd_softmax([scores], self.first_axis, out=scores)  # over the window
+        T._softmax(scores, 0, out=scores)                   # over the window
         mix = np.matmul(score_rows, self.head_spread, out=qk_rows).reshape(qk.shape)
         mix *= vals.take(window, 0, v, "clip")
         np.add.reduce(mix, 0, None, self.a)
@@ -245,7 +244,7 @@ class _Branch:
         """Cross-attention of xn to each group's text, into a."""
         scores = np.matmul(qk, self.xn_groups, out=self.xscores)  # (G, S * heads, m)
         scores += bias
-        T._fwd_softmax([self.xscores_text], self.text_axis, out=self.xscores_text)
+        T._softmax(self.xscores_text, 1, out=self.xscores_text)
         np.matmul(scores.swapaxes(1, 2), vo, out=self.a_groups)
 
     def step_logits(self, prev_tokens, t: int) -> np.ndarray:
@@ -292,7 +291,7 @@ def _probs_from(logits: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     z = _filter_top_k(z, cfg.top_k)
     if not np.isfinite(np.maximum.reduce(z, -1)).all():
         raise NumericError("sampling: a logit row has no finite entries")
-    return T._fwd_softmax([z], {"axis": -1})
+    return T._softmax(z, -1)
 
 
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

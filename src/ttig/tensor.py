@@ -6,8 +6,9 @@ Design rules:
     gradient accumulation order is deterministic run to run
   * the op catalog is closed: apply() rejects unknown kinds, every op carries
     its own shape check and backward rule, and every kind in it is one that
-    a training loop records. Softmax is a kernel pair, not a catalog op: the
-    attention op and the sampler call it directly
+    a training loop records. Softmax is a plain kernel pair, _softmax and
+    _softmax_grad, not a catalog op: the attention op, cross-entropy's
+    backward and the sampler share it
   * backward rules may read what their forward stored in the recorded attrs
     (layer_norm's inverse deviation, gelu's normal CDF)
   * broadcasting is restricted to trailing-axis alignment (one operand's shape
@@ -16,7 +17,8 @@ Design rules:
   * matmul multiplies (..., n) by a 2-D (n, m) matrix. layer_norm and
     l2_normalize work on the last axis: layer_norm with eps LN_EPS,
     l2_normalize with the eps its caller passes. scale(x, f) is a mul by a
-    0-d constant of x's dtype, not a kind of its own
+    0-d constant of x's dtype, not a kind of its own; there is no sub either:
+    x - c is add(x, constant(-c)), which IEEE arithmetic rounds the same
   * integer ids and attention windows ride along as op attrs,
     never as Tensors
   * multi-head attention over projected q, k, v is one op that splits the
@@ -222,7 +224,7 @@ class _Spec:
         return math.prod(self.shape)
 
 
-# The checks on the hot ops (add/sub/mul/matmul) test first and format the
+# The checks on the hot ops (add/mul/matmul) test first and format the
 # message only on failure: formatting dtype names costs about half an add.
 
 def _ew_check(op, a, b):
@@ -239,16 +241,6 @@ def _fwd_add(d, attrs):
 
 def _bwd_add(g, d, out, attrs, needs):
     return [_unbroadcast(g, x.shape) if need else None for x, need in zip(d, needs)]
-
-
-def _fwd_sub(d, attrs):
-    _ew_check("sub", d[0], d[1])
-    return d[0] - d[1]
-
-
-def _bwd_sub(g, d, out, attrs, needs):
-    return [_unbroadcast(g, d[0].shape) if needs[0] else None,
-            _unbroadcast(-g, d[1].shape) if needs[1] else None]
 
 
 def _fwd_mul(d, attrs):
@@ -347,20 +339,20 @@ def _bwd_embedding_gather(g, d, out, attrs, needs):
 # decode step writes into per-chain buffers, with the same bits as a fresh
 # result.
 
-def _fwd_softmax(d, attrs, out=None):
-    axis = _norm_axis(attrs["axis"], d[0].ndim, "softmax")
-    z = np.subtract(d[0], np.maximum.reduce(d[0], axis, None, None, True), out=out)
+def _softmax(x, axis, out=None):
+    """exp(x - max) / sum along axis, into out if given."""
+    z = np.subtract(x, np.maximum.reduce(x, axis, None, None, True), out=out)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis, None, None, True)
     return z
 
 
-def _bwd_softmax(g, d, out, attrs, needs):
-    axis = _norm_axis(attrs["axis"], out.ndim, "softmax")
-    inner = np.add.reduce(g * out, axis, None, None, True)
+def _softmax_grad(g, p, axis):
+    """The gradient at softmax's input, given g at its output p."""
+    inner = np.add.reduce(g * p, axis, None, None, True)
     r = g - inner
-    r *= out
-    return [r]
+    r *= p
+    return r
 
 
 # Attention splits heads itself and normalises over a leading key axis: a
@@ -466,7 +458,7 @@ def _fwd_attention(d, attrs):
         return _fwd_window_attention(q, k, v, heads, window, attrs)
     qs = q * _scale(q.shape[2], heads, q.dtype)
     scores = _split_heads(k, heads, (0, 2, 1, 3)) @ _split_heads(qs, heads, (0, 2, 3, 1))
-    probs = _fwd_softmax([scores], {"axis": 2})                # (B, H, S, L)
+    probs = _softmax(scores, 2)                                # (B, H, S, L)
     attrs["_probs"] = probs  # reused by backward
     return _merge_heads(_split_heads(v, heads, (0, 2, 3, 1)) @ probs)
 
@@ -483,8 +475,7 @@ def _bwd_attention(g, d, out, attrs, needs):
     if needs[2]:
         gv = _merge_heads(gh @ np.swapaxes(probs, -1, -2))
     if needs[0] or needs[1]:
-        gs = _bwd_softmax(_split_heads(v, heads, (0, 2, 1, 3)) @ gh, None, probs,
-                          {"axis": 2}, (True,))[0]
+        gs = _softmax_grad(_split_heads(v, heads, (0, 2, 1, 3)) @ gh, probs, 2)
         if needs[0]:
             gq = _merge_heads(_split_heads(k, heads, (0, 2, 3, 1)) @ gs)
             gq *= scale
@@ -538,7 +529,7 @@ def _fwd_window_attention(q, k, v, heads, window, attrs):
     scores = _head_sums(prod, heads, _scale(q.shape[2], heads, q.dtype))
     np.copyto(scores, np.asarray(NEG_FILL, dtype=q.dtype),
               where=~window.valid[:, None, :, None])
-    probs = _fwd_softmax([scores], {"axis": 0})                # (W, B, L, H)
+    probs = _softmax(scores, 0)                                # (W, B, L, H)
     attrs["_probs"] = probs  # reused by backward
     return _window_mix(_head_spread(probs, prod), v, window.offsets, to_keys=False)
 
@@ -551,7 +542,7 @@ def _bwd_window_attention(g, q, k, v, heads, window, probs, needs):
     if needs[2]:
         gv = _window_mix(_head_spread(probs, buf), g, window.offsets, to_keys=True)
     if needs[0] or needs[1]:
-        gs = _bwd_softmax(gp, None, probs, {"axis": 0}, (True,))[0]
+        gs = _softmax_grad(gp, probs, 0)
         gs *= _scale(q.shape[2], heads, q.dtype)
         if needs[0]:
             gq = _window_mix(_head_spread(gs, buf), k, window.offsets, to_keys=False)
@@ -750,11 +741,8 @@ def _fwd_cross_entropy(d, attrs):
 
 def _bwd_cross_entropy(g, d, out, attrs, needs):
     logits = d[0]
-    targets = np.asarray(attrs["targets"])
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    p[np.arange(logits.shape[0]), targets] -= 1.0
+    p = _softmax(logits, 1)
+    p[np.arange(logits.shape[0]), np.asarray(attrs["targets"])] -= 1.0
     return [p * g[:, None]]
 
 
@@ -772,7 +760,6 @@ _READS = ("nothing", "inputs", "output", "cross")
 
 _CATALOG = {
     "add": _Op(2, _fwd_add, _bwd_add, "nothing"),
-    "sub": _Op(2, _fwd_sub, _bwd_sub, "nothing"),
     "mul": _Op(2, _fwd_mul, _bwd_mul, "cross"),
     "matmul": _Op(2, _fwd_matmul, _bwd_matmul, "cross"),
     "reshape": _Op(1, _fwd_reshape, _bwd_reshape, "nothing"),
@@ -903,10 +890,6 @@ def _run_record(records, i, grads):
 
 def add(a, b):
     return apply("add", [a, b])
-
-
-def sub(a, b):
-    return apply("sub", [a, b])
 
 
 def mul(a, b):

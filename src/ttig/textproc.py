@@ -6,12 +6,12 @@ fuse the most frequent adjacent token pair, ties broken by the
 lexicographically smallest (left_bytes, right_bytes) pair. UNK is reserved
 but unreachable through encode() since every byte has an id.
 
-Both directions work on strings with one character per token (byte b is
-chr(b)), so a merge is str.replace(left + right, fused): the left-to-right,
-non-overlapping rewrite. Training keeps weighted pair counts over the
-distinct captions and, per merge, updates only the pairs around each merge
-site, taking the next merge from a lazily invalidated heap. Encoding applies
-the merges in rank order, each as one replace.
+Training and encoding both work on strings with one character per token
+(byte b is chr(b)), so a merge is str.replace(left + right, fused): the
+left-to-right, non-overlapping rewrite. Training keeps weighted pair counts
+over the distinct captions and, per merge, updates only the pairs around
+each merge site, taking the next merge from a lazily invalidated heap.
+Encoding applies the merges in rank order, each as one replace.
 """
 
 from __future__ import annotations
@@ -180,18 +180,6 @@ def encode(vocab: Vocab, text: str) -> list:
     if len(vocab._cache) < 65536:
         vocab._cache[text] = tuple(ids)
     return ids
-
-
-def decode(vocab: Vocab, ids) -> str:
-    """Ids back to text. Specials vanish; invalid ids raise."""
-    out = []
-    for i in ids:
-        i = int(i)
-        if not 0 <= i < vocab.vocab_size:
-            raise DataError(f"token id {i} outside vocab of size {vocab.vocab_size}")
-        if i >= N_SPECIALS:
-            out.append(vocab.tokens[i])
-    return b"".join(out).decode("utf-8", errors="replace")
 
 
 def encode_clipped(vocab: Vocab, text: str, max_len: int) -> list:

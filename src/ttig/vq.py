@@ -230,10 +230,11 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
         e = T.reshape(e, z.shape)
         z_q_st = T.add(z, T.constant(e.data - z.data))  # straight-through
         recon = _decode_tensor(w, z_q_st)
-        target = T.constant(patchify(x, cfg.patch))
-        rec_loss = nn.mse(recon, target)
-        cb_loss = _row_mean_sq(T.sub(T.constant(zhat.data), e))
-        commit = _row_mean_sq(T.sub(zhat, T.constant(e.data)))
+        rec_loss = nn.mse(recon, patchify(x, cfg.patch))
+        # each difference is an add of the negated constant; (e - zhat)**2
+        # is (zhat - e)**2 exactly, and so are its gradients
+        cb_loss = _row_mean_sq(T.add(e, T.constant(-zhat.data)))
+        commit = _row_mean_sq(T.add(zhat, T.constant(-e.data)))
         return T.add(T.add(rec_loss, cb_loss), T.scale(commit, tcfg.beta_commit))
 
     def renormalize_codebook(step, loss):

@@ -582,6 +582,52 @@ def test_reranker_weights_that_are_not_finite_are_a_data_error(tmp_path, capsys,
     assert cli.run(["inspect-checkpoint", "--dir", str(rr)]) == 0
 
 
+def _png(w, h, color, lines):
+    """The bytes of an 8-bit PNG of colour type color around the raw lines."""
+    def chunk(tag, payload):
+        return (len(payload).to_bytes(4, "big") + tag + payload
+                + (zlib.crc32(tag + payload) & 0xFFFFFFFF).to_bytes(4, "big"))
+    ihdr = w.to_bytes(4, "big") + h.to_bytes(4, "big") + bytes([8, color, 0, 0, 0])
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(lines)) + chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("color,ftype", [(6, 0), (2, 1), (2, 2), (2, 3), (2, 4)],
+                         ids=["rgba", "sub", "up", "average", "paeth"])
+def test_eval_fid_of_a_png_ttig_does_not_write_names_the_file(tmp_path, capsys, color,
+                                                              ftype):
+    # an RGBA file, or an RGB file whose lines use a filter other than 0
+    _tiny_reranker(tmp_path)
+    real, gen = tmp_path / "real", tmp_path / "gen"
+    rng = np.random.default_rng(ftype)
+    for d in (real, gen):
+        d.mkdir()
+        for i in range(2):
+            pngio.write_png(d / f"{i}.png", rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
+    channels = 4 if color == 6 else 3
+    lines = np.full((16, 1 + 16 * channels), ftype, np.uint8)
+    lines[:, 1:] = rng.integers(0, 256, (16, 16 * channels), dtype=np.uint8)
+    foreign = real / "foreign.png"
+    foreign.write_bytes(_png(16, 16, color, lines.tobytes()))
+    argv = ["eval-fid", "--real", str(real), "--gen", str(gen),
+            "--features", str(tmp_path / "rr")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {foreign}: "), err
+
+
+def test_eval_fid_of_a_directory_of_two_image_sizes_names_the_file(tmp_path, capsys):
+    _tiny_reranker(tmp_path)
+    d = tmp_path / "s"
+    d.mkdir()
+    for name, size in (("a.png", 16), ("b.png", 16), ("c.png", 8)):
+        pngio.write_png(d / name, np.zeros((size, size, 3), np.uint8))
+    assert cli.run(["eval-fid", "--real", str(d), "--gen", str(d),
+                    "--features", str(tmp_path / "rr")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {d / 'c.png'}: image is 8x8, but {d / 'a.png'} is 16x16"]
+
+
 def test_eval_alignment_of_a_png_with_a_short_ihdr_is_a_data_error(tmp_path, capsys):
     d = tmp_path / "s"
     d.mkdir()

@@ -24,28 +24,47 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _ttig_module(node):
+    """The ttig module an ImportFrom reads from, or None; a relative import
+    is one inside src/ttig, so it reads from ttig too."""
+    if node.level == 1:
+        return "ttig" + (f".{node.module}" if node.module else "")
+    if node.level == 0 and node.module and node.module.split(".")[0] == "ttig":
+        return node.module
+    return None
+
+
+def _owned_nodes(tree):
+    """(owner, node) for every node of a module; owner is the top-level
+    function the node sits in, or None."""
+    return [(top.name if isinstance(top, ast.FunctionDef) else None, node)
+            for top in tree.body for node in ast.walk(top)]
+
+
 def _ttig_references(tree):
-    """(line, module, attribute) for each ttig name the script reads: names
-    imported from a ttig module, and attributes read off an imported one."""
+    """(line, module, attribute, owner) for each ttig name the script reads:
+    names imported from a ttig module, and attributes read off an imported
+    one. owner is as in _owned_nodes."""
+    nodes = _owned_nodes(tree)
     modules, refs = {}, []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and \
-                node.module.split(".")[0] == "ttig":
+    for owner, node in nodes:
+        mod = _ttig_module(node) if isinstance(node, ast.ImportFrom) else None
+        if mod:
             for alias in node.names:
-                full = f"{node.module}.{alias.name}"
+                full = f"{mod}.{alias.name}"
                 try:
                     importlib.import_module(full)
                     modules[alias.asname or alias.name] = full
                 except ImportError:
-                    refs.append((node.lineno, node.module, alias.name))
+                    refs.append((node.lineno, mod, alias.name, owner))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "ttig" and alias.asname:
                     modules[alias.asname] = alias.name
-    for node in ast.walk(tree):
+    for owner, node in nodes:
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in modules:
-            refs.append((node.lineno, modules[node.value.id], node.attr))
+            refs.append((node.lineno, modules[node.value.id], node.attr, owner))
     return refs
 
 
@@ -57,7 +76,7 @@ def test_demos_exist():
 def test_demo_references_existing_ttig_names(path):
     refs = _ttig_references(ast.parse(path.read_text(), filename=str(path)))
     assert refs, f"{path.name} references no ttig name"
-    missing = [f"{path.name}:{line}: {mod}.{attr}" for line, mod, attr in refs
+    missing = [f"{path.name}:{line}: {mod}.{attr}" for line, mod, attr, _ in refs
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, "demo references names ttig no longer has:\n" + "\n".join(missing)
 
@@ -86,21 +105,27 @@ _UNREFERENCED_OK = {
 
 
 def test_every_public_function_is_referenced_outside_its_definition():
-    # a reference is a Name or Attribute node in src, demos or perfbench
-    # outside the function's own def; a mention inside a string is not one
-    where, defs = {}, []
+    # a reference to ttig.<module>.<name>, in src, demos or perfbench outside
+    # the function's own def, is <alias of the module>.<name>, a `from
+    # ttig.<module> import <name>`, or the bare name inside the module itself.
+    # An attribute of the same name on some other object (a bytes .decode)
+    # or a mention inside a string is not one
+    defs, refs = [], set()
     for path in sorted(p for d in ("src/ttig", "demos", "perfbench")
                        for p in (ROOT / d).glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            owner = (path, top.name) if isinstance(top, ast.FunctionDef) else None
-            if owner and path.parent.name == "ttig" and not top.name.startswith("_"):
-                defs.append(owner)
-            for node in ast.walk(top):
-                if isinstance(node, (ast.Name, ast.Attribute)):
-                    name = node.id if isinstance(node, ast.Name) else node.attr
-                    where.setdefault(name, set()).add(owner)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        refs.update((mod, attr, (path, owner)) for _, mod, attr, owner in _ttig_references(tree))
+        if path.parent.name != "ttig":
+            continue
+        defs += [(path, top.name) for top in tree.body
+                 if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")]
+        refs.update((f"ttig.{path.stem}", node.id, (path, owner))
+                    for owner, node in _owned_nodes(tree) if isinstance(node, ast.Name))
+    callers = {}
+    for mod, name, owner in refs:
+        callers.setdefault((mod, name), set()).add(owner)
     unused = [f"{path.stem}.{name}" for path, name in defs
-              if not where.get(name, set()) - {(path, name)}]
+              if not callers.get((f"ttig.{path.stem}", name), set()) - {(path, name)}]
     # cli.run looks each cmd_<subcommand> up by name
     unused = [f for f in unused if not f.startswith("cli.cmd_")]
     assert sorted(unused) == sorted(_UNREFERENCED_OK), unused

@@ -132,7 +132,7 @@ def test_adafactor_fits_a_linear_regression():
     losses = []
     for _ in range(200):
         with T.Tape():
-            loss = nn.mse(nn.linear(ps, "lin", T.constant(x)), T.constant(y))
+            loss = nn.mse(nn.linear(ps, "lin", T.constant(x)), y)
         gm = T.backward(loss)
         optim.adafactor_step(ps, {n: gm[t.node_id].data for n, t in ps.items()}, state, cfg,
                              optim.lr_at(state.step, 200, cfg))

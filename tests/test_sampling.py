@@ -428,7 +428,7 @@ class _ReferenceBranch(sampling._Branch):
         qk = keys[window]                                      # (w, n, d)
         qk *= qkv[:, :d]
         scores = (qk.reshape(-1, d) @ self.head_sum).reshape(len(window), self.n, self.heads)
-        att = T._fwd_softmax([scores], {"axis": 0})            # over the window
+        att = T._softmax(scores, 0)                            # over the window
         mix = np.matmul(att.reshape(-1, self.heads), self.head_spread,
                         out=qk.reshape(-1, d)).reshape(qk.shape)
         mix *= vals[window]
@@ -439,7 +439,7 @@ class _ReferenceBranch(sampling._Branch):
         G = self.groups
         scores = qk @ x.reshape(G, -1, x.shape[1]).swapaxes(1, 2)  # (G, S * heads, m)
         scores += bias
-        att = T._fwd_softmax([scores.reshape(G, -1, self.heads * scores.shape[2])], {"axis": 1})
+        att = T._softmax(scores.reshape(G, -1, self.heads * scores.shape[2]), 1)
         return (att.reshape(scores.shape).swapaxes(1, 2) @ vo).reshape(self.n, -1)
 
     def step_logits(self, prev_tokens, t: int) -> np.ndarray:
