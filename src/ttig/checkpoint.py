@@ -1,10 +1,12 @@
 """Bit-exact checkpoint container: manifest.json plus packed float32 bytes.
 
-The manifest records, per parameter, the name, shape, dtype, byte offset and
-byte length into weights.bin (contiguous little-endian float32), alongside
-the embedded config and a format_version. Loading validates the version and
-the offset table (in-bounds, non-overlapping) before touching any bytes, and
-a save/load round trip reproduces every parameter bit for bit.
+The manifest holds the format_version, the embedded config and, per
+parameter in order, its name and shape. weights.bin is the parameters'
+little-endian float32 bytes joined in manifest order, so each parameter
+starts where the one before it ends. Loading validates the manifest and
+requires weights.bin to be exactly as long as the shapes add up to before
+touching any bytes, and a save/load round trip reproduces every parameter
+bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import contrastive, seq2seq, vq
 from .errors import DataError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DTYPE = "<f4"
 
 
@@ -27,36 +29,18 @@ def save_checkpoint(state: dict, config: dict, path):
     """state maps parameter names to float32 arrays; config is JSON-serializable."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    blobs = []
-    offset = 0
-    for name in state:
-        arr = np.ascontiguousarray(state[name], dtype=_DTYPE)
-        raw = arr.tobytes()
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": _DTYPE,
-            "byte_offset": offset,
-            "byte_len": len(raw),
-        })
-        blobs.append(raw)
-        offset += len(raw)
+    arrays = {name: np.ascontiguousarray(a, dtype=_DTYPE) for name, a in state.items()}
+    entries = [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()]
     manifest = {"format_version": FORMAT_VERSION, "config": config, "params": entries}
-    (path / "weights.bin").write_bytes(b"".join(blobs))
+    (path / "weights.bin").write_bytes(b"".join(a.tobytes() for a in arrays.values()))
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _is_count(x) -> bool:
-    """A non-negative JSON integer; a bool is not one."""
-    return type(x) is int and x >= 0
-
-
-def _validate_manifest(manifest, blob_len: int, where):
+def _validate_manifest(manifest, where):
     """Raise DataError, naming where (the manifest.json), unless manifest is
     an object with the format version, a config object and a params list of
-    entries with a new name, a list of non-negative ints for shape, and
-    in-bounds, non-overlapping float32 spans."""
+    entries holding exactly a new name and a shape, a list of non-negative
+    ints."""
     def bad(msg):
         return DataError(f"{where}: {msg}")
 
@@ -70,39 +54,22 @@ def _validate_manifest(manifest, blob_len: int, where):
     entries = manifest.get("params")
     if not isinstance(entries, list):
         raise bad("no params list")
-    spans, seen = [], set()
+    seen = set()
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
             raise bad(f"params[{i}] is not an object")
-        for key in ("name", "shape", "dtype", "byte_offset", "byte_len"):
-            if key not in e:
-                raise bad(f"params[{i}] missing {key!r}")
+        if set(e) != {"name", "shape"}:
+            raise bad(f"params[{i}] has the keys {sorted(e)}, not ['name', 'shape']")
         name = e["name"]
         if not isinstance(name, str):
             raise bad(f"params[{i}] has name {name!r}, not a string")
         if name in seen:
             raise bad(f"parameter name {name!r} appears twice")
         seen.add(name)
-        if e["dtype"] != _DTYPE:
-            raise bad(f"unsupported dtype {e['dtype']!r} for {name!r}")
         shape = e["shape"]
-        if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+        # a bool is not a count
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise bad(f"{name!r} has shape {shape!r}, not a list of non-negative ints")
-        for key in ("byte_offset", "byte_len"):
-            if not _is_count(e[key]):
-                raise bad(f"{name!r} has {key} {e[key]!r}, not a non-negative int")
-        if e["byte_len"] != 4 * math.prod(shape):
-            raise bad(f"byte_len {e['byte_len']} does not match shape "
-                      f"{shape} for {name!r}")
-        start, end = e["byte_offset"], e["byte_offset"] + e["byte_len"]
-        if end > blob_len:
-            raise bad(f"{name!r} spans [{start}, {end}) outside "
-                      f"weights.bin of {blob_len} bytes")
-        spans.append((start, end, name))
-    spans.sort()
-    for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
-        if s1 < e0:
-            raise bad(f"overlapping manifest spans: {n0!r} and {n1!r}")
 
 
 def load_checkpoint(path):
@@ -116,14 +83,22 @@ def load_checkpoint(path):
         manifest = json.loads(mpath.read_text())
     except ValueError as e:  # bad JSON or bad UTF-8
         raise DataError(f"corrupt manifest.json at {mpath}: {e}") from None
+    _validate_manifest(manifest, mpath)
     blob = wpath.read_bytes()
-    _validate_manifest(manifest, len(blob), mpath)
-    state = {}
-    for e in manifest["params"]:
-        start = e["byte_offset"]
-        arr = np.frombuffer(blob, dtype=_DTYPE, count=e["byte_len"] // 4,
-                            offset=start)
-        state[e["name"]] = arr.reshape(e["shape"]).astype(np.float32)
+    sizes = [math.prod(e["shape"]) for e in manifest["params"]]
+    if 4 * sum(sizes) != len(blob):
+        raise DataError(f"{wpath} is {len(blob)} bytes, but the shapes in its "
+                        f"manifest.json need {4 * sum(sizes)}")
+    flat = np.frombuffer(blob, dtype=_DTYPE)
+    state, offset = {}, 0
+    for e, n in zip(manifest["params"], sizes):
+        try:
+            arr = flat[offset:offset + n].reshape(e["shape"])
+        except ValueError:  # no floats, but a dimension numpy cannot hold
+            raise DataError(f"{mpath}: {e['name']!r} has shape {e['shape']}, "
+                            f"too large for an array") from None
+        state[e["name"]] = arr.astype(np.float32)
+        offset += n
     return state, manifest["config"]
 
 

@@ -335,7 +335,7 @@ def cmd_rerank(args) -> int:
     enc = checkpoint.load_encoder(args.reranker)
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     batch = sampling.SampleBatch(prompt=meta["prompt"], grids=meta["grids"],
-                                 images=images, seed=meta["seed"])
+                                 images=images)
     ranked = sampling.rerank(batch, contrastive.make_scorer(enc, vocab))
     out = Path(args.out or (Path(args.dir) / "reranked"))
     # each ranked image is a sample file's pixels, so its file is that file

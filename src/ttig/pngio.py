@@ -3,9 +3,10 @@
 Writes non-interlaced RGB with filter type 0 on every scanline and a fixed
 zlib level, so the same pixels always produce the same bytes. The reader
 accepts only what the writer emits: 8-bit non-interlaced RGB with filter 0
-on every line (the image data may span several IDAT chunks). Anything else
-(another filter, RGBA, grey, a palette, 16 bits, interlacing) is a data
-error naming the file, not a half-supported path.
+on every line (the image data may span several IDAT chunks), every chunk's
+CRC intact, and an IEND chunk that ends the file. Anything else (another
+filter, RGBA, grey, a palette, 16 bits, interlacing, a bad CRC, no IEND,
+bytes after it) is a data error naming the file, not a half-supported path.
 """
 
 from __future__ import annotations
@@ -73,10 +74,13 @@ def read_png(path, blob: bytes | None = None) -> np.ndarray:
         if pos + 8 > len(blob):
             raise DataError(f"{path}: truncated chunk header")
         length, tag = struct.unpack(">I4s", blob[pos:pos + 8])
-        payload = blob[pos + 8:pos + 8 + length]
-        if len(payload) != length:
+        end = pos + 8 + length
+        payload, crc = blob[pos + 8:end], blob[end:end + 4]
+        if len(payload) != length or len(crc) != 4:
             raise DataError(f"{path}: truncated {tag.decode('latin1')!r} chunk")
-        pos += 12 + length
+        if int.from_bytes(crc, "big") != zlib.crc32(blob[pos + 4:end]):
+            raise DataError(f"{path}: {tag.decode('latin1')!r} chunk fails its CRC check")
+        pos = end + 4
         if tag == b"IHDR":
             if length != 13:
                 raise DataError(f"{path}: IHDR chunk is {length} bytes, not 13")
@@ -85,6 +89,10 @@ def read_png(path, blob: bytes | None = None) -> np.ndarray:
             idat += payload
         elif tag == b"IEND":
             break
+    else:
+        raise DataError(f"{path}: no IEND chunk")
+    if pos != len(blob):
+        raise DataError(f"{path}: {len(blob) - pos} bytes after the IEND chunk")
     if ihdr is None:
         raise DataError(f"{path}: missing IHDR")
     w, h, depth, color, comp, filt, interlace = ihdr

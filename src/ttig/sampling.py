@@ -98,7 +98,6 @@ class SampleBatch:
     grids: np.ndarray              # (n, grid_h, grid_w) int token ids
     images: np.ndarray             # (n, H, W, 3) floats in [0, 1]
     scores: np.ndarray | None = None  # set by rerank, descending
-    seed: int = 0
     order: np.ndarray | None = None  # set by rerank: each row's index in its input
 
 
@@ -358,7 +357,7 @@ def generate(w: seq2seq.TransformerWeights, vocab, tokenizer: vq.TokenizerWeight
     ids = textproc.encode_clipped(vocab, text, w.cfg.text_len)
     grids = sample_token_batch(w, np.asarray(ids), cfg)
     images = vq.detokenize(tokenizer, grids)
-    return SampleBatch(prompt=text, grids=grids, images=images, seed=cfg.seed)
+    return SampleBatch(prompt=text, grids=grids, images=images)
 
 
 def rerank(batch: SampleBatch, scorer) -> SampleBatch:
@@ -373,4 +372,4 @@ def rerank(batch: SampleBatch, scorer) -> SampleBatch:
     order = np.argsort(-scores, kind="stable")
     return SampleBatch(prompt=batch.prompt, grids=batch.grids[order],
                        images=batch.images[order], scores=scores[order],
-                       seed=batch.seed, order=order)
+                       order=order)

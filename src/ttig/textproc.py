@@ -12,6 +12,10 @@ left-to-right, non-overlapping rewrite. Training keeps weighted pair counts
 over the distinct captions and, per merge, updates only the pairs around
 each merge site, taking the next merge from a lazily invalidated heap.
 Encoding applies the merges in rank order, each as one replace.
+
+A vocab is its merges: the token table (merge k makes id MIN_VOCAB + k) and
+the id lookup follow from them, so a saved vocab holds only a header, the
+merge count and the merges.
 """
 
 from __future__ import annotations
@@ -28,34 +32,28 @@ BOS_ID = 1
 EOS_ID = 2
 UNK_ID = 3
 N_SPECIALS = 4
-SPECIAL_NAMES = ("PAD", "BOS", "EOS", "UNK")
 MIN_VOCAB = N_SPECIALS + 256
 
 
 @dataclass
 class Vocab:
     merges: list  # [(left_bytes, right_bytes), ...] in training order
-    tokens: list  # token bytes by id; specials hold b""
-    _ids: dict = field(default_factory=dict, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
-    _rules: list = field(default_factory=list, init=False, repr=False)
+    tokens: list = field(init=False)  # token bytes by id; specials hold b""
+    _ids: dict = field(init=False, repr=False)  # token bytes -> its first id
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _rules: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._ids:
-            for i, tok in enumerate(self.tokens):
-                if i >= N_SPECIALS and tok not in self._ids:
-                    self._ids[tok] = i
+        self.tokens = [b""] * N_SPECIALS + [bytes([b]) for b in range(256)]
+        self.tokens.extend(l + r for l, r in self.merges)
+        self._ids = {}
+        for i in range(N_SPECIALS, len(self.tokens)):
+            self._ids.setdefault(self.tokens[i], i)
         self._rules = _rewrite_rules(self.merges, self._ids)
 
     @property
     def vocab_size(self) -> int:
         return len(self.tokens)
-
-
-def _base_tokens():
-    toks = [b""] * N_SPECIALS
-    toks.extend(bytes([b]) for b in range(256))
-    return toks
 
 
 def _one_char(text: str) -> str:
@@ -134,9 +132,7 @@ def train_bpe(corpus, vocab_size: int = 512) -> Vocab:
                 if counts[c] >= 2 and c not in taken:
                     heappush(heap, entry(c))
 
-    tokens = _base_tokens()
-    tokens.extend(l + r for l, r in merges)
-    return Vocab(merges=merges, tokens=tokens)
+    return Vocab(merges)
 
 
 def _rewrite_rules(merges, ids) -> list:
@@ -195,16 +191,11 @@ def pad_to(ids, max_len: int) -> list:
 
 
 def save_vocab(vocab: Vocab, path):
-    """Text format: header, merges (hex hex per line), then the token table."""
-    lines = ["bpe v1", f"vocab_size {vocab.vocab_size}", f"merges {len(vocab.merges)}"]
-    for l, r in vocab.merges:
-        lines.append(f"{l.hex()} {r.hex()}")
-    lines.append(f"tokens {vocab.vocab_size}")
-    for i, tok in enumerate(vocab.tokens):
-        if i < N_SPECIALS:
-            lines.append(f"{i} {SPECIAL_NAMES[i]}")
-        else:
-            lines.append(f"{i} {tok.hex()}")
+    """Text format: the header, the merge count, then one merge per line
+    (its left and right bytes in hex). The count tells a cut file from a
+    smaller vocab."""
+    lines = ["bpe v2", f"merges {len(vocab.merges)}"]
+    lines.extend(f"{l.hex()} {r.hex()}" for l, r in vocab.merges)
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -215,37 +206,21 @@ def load_vocab(path) -> Vocab:
         return DataError(f"vocab file {path}: {msg}")
 
     try:
-        with open(path, encoding="utf-8") as f:
+        # newline="\n": only "\n" ends a line, as the writer writes it
+        with open(path, encoding="utf-8", newline="\n") as f:
             lines = [ln.rstrip("\n") for ln in f]
     except UnicodeDecodeError as e:
         raise bad(f"not UTF-8 text: {e}") from None
     try:
-        if lines[0] != "bpe v1":
+        if lines[0] != "bpe v2":
             raise bad(f"bad header {lines[0]!r}")
-        vocab_size = int(lines[1].split()[1])
-        n_merges = int(lines[2].split()[1])
+        if lines[1] != f"merges {len(lines) - 2}":
+            raise bad(f"line 2 reads {lines[1]!r}, but {len(lines) - 2} "
+                      f"merge lines follow it")
         merges = []
-        for k in range(n_merges):
-            l, r = lines[3 + k].split()
+        for ln in lines[2:]:
+            l, r = ln.split(" ")
             merges.append((bytes.fromhex(l), bytes.fromhex(r)))
-        tok_line = 3 + n_merges
-        if lines[tok_line] != f"tokens {vocab_size}":
-            raise bad(f"bad token table header at line {tok_line + 1}")
-        tokens = []
-        for k in range(vocab_size):
-            idx, val = lines[tok_line + 1 + k].split()
-            if int(idx) != k:
-                raise bad(f"token table out of order at line {tok_line + 2 + k}")
-            if k < N_SPECIALS:
-                if val != SPECIAL_NAMES[k]:
-                    raise bad(f"expected special {SPECIAL_NAMES[k]} at id {k}")
-                tokens.append(b"")
-            else:
-                tokens.append(bytes.fromhex(val))
     except (IndexError, ValueError) as e:
         raise bad(f"malformed: {e}") from e
-    rebuilt = _base_tokens()
-    rebuilt.extend(l + r for l, r in merges)
-    if rebuilt != tokens:
-        raise bad("token table inconsistent with merges")
-    return Vocab(merges=merges, tokens=tokens)
+    return Vocab(merges)

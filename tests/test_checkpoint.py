@@ -92,27 +92,55 @@ def test_wrong_dtype_rejected(tmp_path):
 
 
 def test_byte_len_shape_mismatch_rejected(tmp_path):
+    # an entry holds only name and shape: a stored length, right or wrong, is
+    # no part of it
     def shrink(m):
-        m["params"][0]["byte_len"] -= 4
+        m["params"][0]["byte_len"] = 20
     path = _tamper(tmp_path, shrink)
     with pytest.raises(DataError, match="byte_len"):
         checkpoint.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("change", [-4, -1, 1, 4, 8])
+def test_weights_of_another_size_rejected(tmp_path, change):
+    # the last parameter's span runs past the end of weights.bin, or bytes
+    # follow it: the shapes need exactly 4 * (6 + 3) = 36 bytes
+    path = _tamper(tmp_path, lambda m: None)
+    wpath = path / "weights.bin"
+    blob = wpath.read_bytes()
+    wpath.write_bytes(blob[:change] if change < 0 else blob + b"\0" * change)
+    with pytest.raises(DataError) as err:
+        checkpoint.load_checkpoint(path)
+    assert str(err.value) == (f"{wpath} is {36 + change} bytes, but the shapes "
+                              f"in its manifest.json need 36")
+
+
 def test_out_of_bounds_span_rejected(tmp_path):
-    def shift(m):
-        m["params"][-1]["byte_offset"] += 8
-    path = _tamper(tmp_path, shift)
-    with pytest.raises(DataError, match="outside"):
+    # a shape that needs more floats than weights.bin holds
+    def grow(m):
+        m["params"][-1]["shape"] = [4]
+    path = _tamper(tmp_path, grow)
+    with pytest.raises(DataError, match="36 bytes, but .* need 40"):
         checkpoint.load_checkpoint(path)
 
 
-def test_overlapping_spans_rejected(tmp_path):
-    def overlap(m):
-        m["params"][1]["byte_offset"] = m["params"][0]["byte_offset"] + 4
-    path = _tamper(tmp_path, overlap)
-    with pytest.raises(DataError, match="overlap"):
+@pytest.mark.parametrize("shape", [[0, 2**70], [0, 2**40, 2**40]])
+def test_empty_shape_too_large_for_an_array_rejected(tmp_path, shape):
+    # the product is 0, so weights.bin has the size the shapes need
+    def zero(m):
+        m["params"].append({"name": "z", "shape": shape})
+    path = _tamper(tmp_path, zero)
+    with pytest.raises(DataError) as err:
         checkpoint.load_checkpoint(path)
+    assert str(err.value) == (f"{path / 'manifest.json'}: 'z' has shape {shape}, "
+                              f"too large for an array")
+
+
+def test_manifest_entry_holds_name_and_shape_alone(tmp_path):
+    checkpoint.save_checkpoint(_state(np.random.default_rng(2)), {}, tmp_path / "ck")
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    assert manifest["format_version"] == 2
+    assert all(set(e) == {"name", "shape"} for e in manifest["params"])
 
 
 def test_missing_entry_key_rejected(tmp_path):

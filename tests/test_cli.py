@@ -271,9 +271,13 @@ _BAD_MANIFESTS = {
     "negative_shape": (_entry0(shape=[-1, -4]), "not a list of non-negative ints"),
     "shape_of_strings": (_entry0(shape=["2", "2"]), "not a list of non-negative ints"),
     "shape_a_string": (_entry0(shape="22"), "not a list of non-negative ints"),
-    "fractional_offset": (_entry0(byte_offset=0.5), "byte_offset 0.5, not a non-negative int"),
-    "negative_offset": (_entry0(byte_offset=-4), "byte_offset -4, not a non-negative int"),
-    "bool_len": (_entry0(byte_len=True), "byte_len True, not a non-negative int"),
+    # an entry holds name and shape alone, so a stored offset or length is
+    # rejected whatever its value
+    "fractional_offset": (_entry0(byte_offset=0.5),
+                          "params[0] has the keys ['byte_offset', 'name', 'shape']"),
+    "negative_offset": (_entry0(byte_offset=-4),
+                        "params[0] has the keys ['byte_offset', 'name', 'shape']"),
+    "bool_len": (_entry0(byte_len=True), "params[0] has the keys ['byte_len', 'name', 'shape']"),
 }
 
 
@@ -289,6 +293,43 @@ def test_inspect_checkpoint_of_a_mistyped_manifest_is_a_data_error(tmp_path, cap
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(mpath) in err[0] and words in err[0], err[0]
+
+
+def _format_1(ck):
+    """Rewrite the checkpoint at ck as the format-1 writer wrote it: each
+    entry also held its dtype, byte offset and byte length."""
+    mpath = ck / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    offset = 0
+    for e in manifest["params"]:
+        n = 4 * int(np.prod(e["shape"]))
+        e.update(dtype="<f4", byte_offset=offset, byte_len=n)
+        offset += n
+    manifest["format_version"] = 1
+    mpath.write_text(json.dumps(manifest, indent=2))
+
+
+# a checkpoint another writer made -> (the file it damages, what the error says)
+_FOREIGN_CHECKPOINTS = {
+    "format_1": (_format_1, "manifest.json", "unsupported checkpoint format_version 1"),
+    "trailing_8_bytes": (lambda ck: (ck / "weights.bin").write_bytes(
+        (ck / "weights.bin").read_bytes() + bytes(8)), "weights.bin", "is 48 bytes"),
+    "short_4_bytes": (lambda ck: (ck / "weights.bin").write_bytes(
+        (ck / "weights.bin").read_bytes()[:-4]), "weights.bin", "is 36 bytes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_CHECKPOINTS))
+def test_inspect_checkpoint_reads_only_what_save_checkpoint_writes(tmp_path, capsys, case):
+    ck = tmp_path / "ck"
+    checkpoint.save_checkpoint({"w": np.zeros((2, 4), np.float32),
+                                "b": np.zeros(2, np.float32)}, {"kind": "demo"}, ck)
+    damage, name, words = _FOREIGN_CHECKPOINTS[case]
+    damage(ck)
+    assert cli.run(["inspect-checkpoint", "--dir", str(ck)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(ck / name) in err[0] and words in err[0], err[0]
 
 
 def _tiny_checkpoints(tmp_path):
@@ -393,7 +434,7 @@ def test_unreadable_prompt_list_is_a_data_error(tmp_path, capsys, case):
 def test_sample_with_a_vocab_not_utf8_is_a_data_error(tmp_path, capsys):
     model, tok = _tiny_checkpoints(tmp_path)
     vocab = model / "vocab.json"
-    vocab.write_bytes(b"bpe v1\n\xff\xfe\n")
+    vocab.write_bytes(b"bpe v2\n\xff\xfe\n")
     assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
                     "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -407,8 +448,8 @@ def test_sample_with_a_malformed_vocab_names_the_file(tmp_path, capsys, damage):
     vocab = model / "vocab.json"
     if damage == "header":
         vocab.write_text("nope\n")
-    else:
-        vocab.write_text(re.sub(r"^tokens (\d+)$", "tokens 5", vocab.read_text(), flags=re.M))
+    else:  # nothing follows the merges: no token table
+        vocab.write_text(vocab.read_text() + "tokens 5\n")
     assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
                     "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -559,9 +600,9 @@ def test_reranker_weights_that_are_not_finite_are_a_data_error(tmp_path, capsys,
     _tiny_reranker(tmp_path)
     rr = tmp_path / "rr"
     manifest = json.loads((rr / "manifest.json").read_text())
-    entry = manifest["params"][0]  # img.in.w, which both commands read
+    entry = manifest["params"][0]  # img.in.w, which both commands read, comes first
     weights = bytearray((rr / "weights.bin").read_bytes())
-    weights[entry["byte_offset"]:entry["byte_offset"] + 4] = np.float32(value).tobytes()
+    weights[:4] = np.float32(value).tobytes()
     (rr / "weights.bin").write_bytes(bytes(weights))
     d = tmp_path / "s"
     d.mkdir()

@@ -3,36 +3,72 @@ through a command that reads it.
 
 A command given a damaged file must return 0-3, write at most one stderr
 line, name the file in that line when it fails, and raise no warning. The
-mutations are a fixed list, so a run is reproducible; this covers the PNG
-images that eval-fid reads.
+mutations are a fixed list, so a run is reproducible. They cover the PNG
+images that eval-fid reads, and the checkpoint files (manifest.json,
+weights.bin, vocab.json) that inspect-checkpoint, sample and rerank read.
 """
 
+import json
+import shutil
 import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from ttig import checkpoint, cli, contrastive, pngio
+from ttig import checkpoint, cli, contrastive, pngio, seq2seq, textproc, vq
 
-SIZE = 16  # pixels a side; the reranker's image_size
+SIZE = 16  # pixels a side; the reranker's and the tokenizer's image_size
 REAL, GEN = ["r0.png", "r1.png"], ["g0.png", "g1.png"]
+CAPTIONS = ["a red circle above a blue square", "a green circle",
+            "a blue square next to a red triangle"]
 
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """A tiny reranker and two directories of write_png images."""
+    """Tiny checkpoints (a tokenizer, a model and a reranker, the last two
+    with a vocab), two directories of write_png images, and a sample
+    directory that rerank reads."""
     root = tmp_path_factory.mktemp("mutations")
     enc = contrastive.build_encoder(contrastive.EncoderConfig(
         image_size=SIZE, d_model=16, heads=2, n_blocks=1, d_mlp=32,
         text_vocab=300, text_len=8), seed=0)
     checkpoint.save_encoder(enc, root / "rr")
+    checkpoint.save_tokenizer(vq.build_tokenizer(vq.TokenizerConfig(
+        image_size=SIZE, patch=4, d_model=16, heads=2, n_blocks=1, d_mlp=32,
+        codebook_size=16), seed=0), root / "tok")
+    checkpoint.save_model(seq2seq.build_model(seq2seq.ModelConfig(
+        enc_layers=1, dec_layers=1, d_model=16, d_mlp=32, heads=2,
+        text_vocab=300, image_vocab=16, text_len=12, grid_h=4, grid_w=4),
+        seed=0), root / "model")
+    vocab = textproc.train_bpe(CAPTIONS, 300)
+    for ck in ("model", "rr"):
+        textproc.save_vocab(vocab, root / ck / "vocab.json")
     rng = np.random.default_rng(0)
     for name, files in (("real", REAL), ("gen", GEN)):
         (root / name).mkdir()
         for f in files:
             pngio.write_png(root / name / f, rng.integers(0, 256, (SIZE, SIZE, 3), np.uint8))
+    (root / "s").mkdir()
+    for f in GEN:
+        shutil.copy(root / "gen" / f, root / "s" / f)
+    (root / "s" / "meta.json").write_text(json.dumps(
+        {"prompt": CAPTIONS[0], "seed": 0, "files": GEN, "grids": [[[0]], [[1]]]}))
     return root
+
+
+def _fails_typed(argv, damaged, capsys) -> int:
+    """Run argv; assert the contract for a command given the damaged file.
+    -> its exit code."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2, 3)
+    assert len(err) <= 1, err
+    if code:
+        assert len(err) == 1 and str(damaged) in err[0], err
+    return code
 
 
 # byte offsets in a write_png file: the 8-byte signature, the IHDR chunk
@@ -87,13 +123,13 @@ MUTATIONS = {
     "colour_grey": _set(25, 0), "colour_palette": _set(25, 3),
     "colour_grey_alpha": _set(25, 4), "colour_rgba": _set(25, 6),
     "compression_1": _set(26, 1), "filter_method_1": _set(27, 1),
-    "interlace_1": _set(28, 1),
+    "interlace_1": _set(28, 1), "ihdr_crc": _flip(29),
     "idat_length_0": _set(36, 0), "idat_length_huge": _set(33, 0xFF),
     "idat_tag": _flip(37), "idat_tag_newline_length_huge": _set(37, 0x0A, 33, 0xFF),
     "idat_zlib_cmf": _flip(41), "idat_zlib_flg": _flip(42),
     "idat_data_43": _flip(43), "idat_data_50": _flip(50), "idat_data_60": _flip(60),
     "idat_data_tail": _flip(-30), "idat_adler_first": _flip(-20),
-    "idat_adler_last": _flip(-17),
+    "idat_adler_last": _flip(-17), "idat_crc": _flip(-13), "iend_crc": _flip(-1),
     "line_0_filter_1": _filter(0, 1), "line_5_filter_2": _filter(5, 2),
     "line_9_filter_3": _filter(9, 3), "line_15_filter_4": _filter(15, 4),
     "line_0_filter_5": _filter(0, 5), "line_7_filter_255": _filter(7, 255),
@@ -112,12 +148,140 @@ def test_eval_fid_of_a_damaged_png_fails_typed(artifacts, tmp_path, capsys, muta
     damaged = real / REAL[0]
     damaged.write_bytes(MUTATIONS[mutation](blob))
     (real / REAL[1]).write_bytes((artifacts / "real" / REAL[1]).read_bytes())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.run(["eval-fid", "--real", str(real), "--gen", str(artifacts / "gen"),
-                        "--features", str(artifacts / "rr")])
-    err = capsys.readouterr().err.splitlines()
-    assert code in (0, 1, 2, 3)
-    assert len(err) <= 1, err
-    if code:
-        assert len(err) == 1 and str(damaged) in err[0], err
+    code = _fails_typed(["eval-fid", "--real", str(real), "--gen", str(artifacts / "gen"),
+                         "--features", str(artifacts / "rr")], damaged, capsys)
+    # each chunk is CRC-checked and IEND is required, so no damage reads
+    assert code == 2
+
+
+# ------------------------------------------------------- checkpoint files
+# Each rule maps a file's bytes to damaged bytes. The JSON rules name a leaf
+# by its path of keys and indices; the vocab rules work on its lines: line 0
+# is the header, one line reads "merges M", and the M merge lines follow it.
+
+JSON_VALUES = {"null": None, "bool": True, "int": 7, "float": 0.5,
+               "string": "x", "list": [], "object": {}}
+# top-level keys, and the first and last params entries: path -> JSON type
+LEAVES = {("format_version",): "int", ("config",): "object", ("params",): "list"}
+for _i in (0, -1):
+    LEAVES.update({("params", _i): "object", ("params", _i, "name"): "string",
+                   ("params", _i, "shape"): "list", ("params", _i, "shape", 0): "int"})
+
+
+def _edit_json(path, value=None, delete=False):
+    def mutate(blob):
+        doc = json.loads(blob)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if delete:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return json.dumps(doc, indent=2).encode()
+    return mutate
+
+
+def _insert(offset, byte):
+    return lambda blob: blob[:offset] + byte + blob[offset:]
+
+
+def _half(rule):
+    """rule applied at the middle of the file."""
+    return lambda blob: rule(len(blob) // 2)(blob)
+
+
+def _name(path):
+    return ".".join(str(k) for k in path)
+
+
+MANIFEST_RULES = {
+    **{f"{_name(p)}_to_{t}": _edit_json(p, v)
+       for p, own in LEAVES.items() for t, v in JSON_VALUES.items() if t != own},
+    **{f"del_{_name(p)}": _edit_json(p, delete=True)
+       for p in LEAVES if isinstance(p[-1], str)},
+    "cut_0": _cut(0), "cut_1": _cut(1), "cut_30": _cut(30),
+    "cut_half": _half(_cut), "cut_last_byte": _cut(-1),
+    "non_utf8_first": _insert(0, b"\xff"), "non_utf8_half": _half(lambda o: _insert(o, b"\xc3")),
+}
+
+WEIGHTS_RULES = {
+    "cut_0": _cut(0), "cut_4": _cut(4), "cut_half": _half(_cut),
+    "cut_4_short": _cut(-4), "cut_1_short": _cut(-1),
+    "extend_1": lambda blob: blob + b"\x00", "extend_4": lambda blob: blob + b"\x00" * 4,
+}
+
+
+def _lines(edit):
+    """A vocab rule from edit(lines, k), where k is the count line's index."""
+    def mutate(blob):
+        lines = blob.decode("utf-8").split("\n")[:-1]
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("merges "))
+        return ("\n".join(edit(lines, k)) + "\n").encode("utf-8")
+    return mutate
+
+
+def _set_line(which, text):
+    """Replace line which(k), where k is the count line's index."""
+    def edit(lines, k):
+        lines[which(k)] = text(lines[which(k)])
+        return lines
+    return _lines(edit)
+
+
+def _count(delta):
+    return _set_line(lambda k: k, lambda ln: f"merges {int(ln.split()[1]) + delta}")
+
+
+VOCAB_RULES = {
+    "header_v0": _set_line(lambda k: 0, lambda ln: "bpe v0"),
+    "header_v9": _set_line(lambda k: 0, lambda ln: "bpe v9"),
+    "header_empty": _set_line(lambda k: 0, lambda ln: ""),
+    "header_deleted": _lines(lambda lines, k: lines[1:]),
+    "count_plus_1": _count(1), "count_minus_1": _count(-1),
+    "count_negative": _set_line(lambda k: k, lambda ln: "merges -1"),
+    "count_not_a_number": _set_line(lambda k: k, lambda ln: "merges x"),
+    "count_word": _set_line(lambda k: k, lambda ln: "mergez" + ln[6:]),
+    "count_deleted": _lines(lambda lines, k: lines[:k] + lines[k + 1:]),
+    "first_merge_deleted": _lines(lambda lines, k: lines[:k + 1] + lines[k + 2:]),
+    "last_merge_deleted": _lines(
+        lambda lines, k: lines[:k + 1 + int(lines[k].split()[1]) - 1]
+        + lines[k + 1 + int(lines[k].split()[1]):]),
+    "first_merge_duplicated": _lines(lambda lines, k: lines[:k + 2] + lines[k + 1:]),
+    "merge_odd_hex": _set_line(lambda k: k + 1, lambda ln: ln[1:]),
+    "merge_not_hex": _set_line(lambda k: k + 1, lambda ln: "zz " + ln.split()[1]),
+    "merge_one_field": _set_line(lambda k: k + 1, lambda ln: ln.split()[0]),
+    "merge_three_fields": _set_line(lambda k: k + 1, lambda ln: ln + " 61"),
+    "cut_0": _cut(0), "cut_3": _cut(3), "cut_half": _half(_cut),
+    "cut_last_byte": _cut(-1), "cut_2_short": _cut(-2),
+    "non_utf8_first": _insert(0, b"\xff"), "non_utf8_half": _half(lambda o: _insert(o, b"\xc3")),
+}
+
+# the checkpoint directory a rule damages, and the command that reads it
+READERS = {"manifest.json": [("model", "inspect"), ("model", "sample"), ("rr", "rerank")],
+           "weights.bin": [("model", "inspect"), ("model", "sample"), ("rr", "rerank")],
+           "vocab.json": [("model", "sample"), ("rr", "rerank")]}
+RULES = {"manifest.json": MANIFEST_RULES, "weights.bin": WEIGHTS_RULES,
+         "vocab.json": VOCAB_RULES}
+CASES = [(f, ck, cmd, rule) for f, readers in READERS.items()
+         for ck, cmd in readers for rule in sorted(RULES[f])]
+
+
+def _argv(cmd, ck, root, tmp_path):
+    return {"inspect": ["inspect-checkpoint", "--dir", str(ck)],
+            "sample": ["sample", "--model", str(ck), "--tokenizer", str(root / "tok"),
+                       "--prompt", CAPTIONS[0], "--n-samples", "1",
+                       "--out", str(tmp_path / "out")],
+            "rerank": ["rerank", "--dir", str(root / "s"), "--reranker", str(ck),
+                       "--out", str(tmp_path / "out")]}[cmd]
+
+
+@pytest.mark.parametrize("file,ck,cmd,rule", CASES,
+                         ids=[f"{cmd}-{f}-{rule}" for f, ck, cmd, rule in CASES])
+def test_a_command_given_a_damaged_checkpoint_file_fails_typed(
+        artifacts, tmp_path, capsys, file, ck, cmd, rule):
+    work = tmp_path / ck
+    shutil.copytree(artifacts / ck, work)
+    damaged = work / file
+    damaged.write_bytes(RULES[file][rule](damaged.read_bytes()))
+    _fails_typed(_argv(cmd, work, artifacts, tmp_path), damaged, capsys)

@@ -254,6 +254,26 @@ def test_unknown_filter_rejected(tmp_path):
         pngio.read_png(path)
 
 
+@pytest.mark.parametrize("case", ["IHDR", "IDAT", "IEND", "no IEND", "after IEND"])
+def test_chunk_crcs_and_iend_are_required(tmp_path, case):
+    # in a write_png file the IHDR CRC is bytes 29-32, and the 12-byte IEND
+    # chunk, whose CRC is the last 4 bytes, follows the IDAT CRC
+    pngio.write_png(tmp_path / "a.png", _rand_px(np.random.default_rng(14)))
+    blob = bytearray((tmp_path / "a.png").read_bytes())
+    if case == "no IEND":
+        blob, words = blob[:-12], "no IEND chunk"
+    elif case == "after IEND":
+        blob, words = blob + b"\0", "1 bytes after the IEND chunk"
+    else:
+        blob[{"IHDR": 29, "IDAT": -13, "IEND": -1}[case]] ^= 0xFF
+        words = f"{case!r} chunk fails its CRC check"
+    path = tmp_path / "b.png"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError) as err:
+        pngio.read_png(path)
+    assert str(err.value) == f"{path}: {words}"
+
+
 def test_read_png_decodes_given_bytes_like_the_file(tmp_path):
     px = _rand_px(np.random.default_rng(8))
     pngio.write_png(tmp_path / "a.png", px)

@@ -86,6 +86,52 @@ def test_load_vocab_rejects_bad_header(tmp_path):
         tp.load_vocab(tmp_path / "bad.json")
 
 
+def test_saved_vocab_holds_its_merges_alone(tmp_path):
+    v = tp.train_bpe(CORPUS, vocab_size=300)
+    tp.save_vocab(v, tmp_path / "v.json")
+    lines = (tmp_path / "v.json").read_text().splitlines()
+    assert lines[:2] == ["bpe v2", f"merges {len(v.merges)}"]
+    assert lines[2:] == [f"{l.hex()} {r.hex()}" for l, r in v.merges]
+
+
+def test_load_vocab_rejects_a_bpe_v1_file(tmp_path):
+    # the layout before v2: a vocab_size line, and the token table after
+    # the merges
+    v = tp.train_bpe(CORPUS, vocab_size=300)
+    lines = ["bpe v1", f"vocab_size {v.vocab_size}", f"merges {len(v.merges)}",
+             *(f"{l.hex()} {r.hex()}" for l, r in v.merges), f"tokens {v.vocab_size}",
+             *(f"{i} {name}" for i, name in enumerate(("PAD", "BOS", "EOS", "UNK"))),
+             *(f"{i} {tok.hex()}" for i, tok in enumerate(v.tokens) if i >= tp.N_SPECIALS)]
+    path = tmp_path / "v1.json"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        tp.load_vocab(path)
+    assert str(err.value) == f"vocab file {path}: bad header 'bpe v1'"
+
+
+def test_load_vocab_rejects_crlf_line_ends(tmp_path):
+    tp.save_vocab(tp.train_bpe(CORPUS, vocab_size=300), tmp_path / "v.json")
+    path = tmp_path / "crlf.json"
+    path.write_bytes((tmp_path / "v.json").read_bytes().replace(b"\n", b"\r\n"))
+    with pytest.raises(DataError) as err:
+        tp.load_vocab(path)
+    assert str(err.value) == f"vocab file {path}: bad header 'bpe v2\\r'"
+
+
+@pytest.mark.parametrize("kept", [0, 1, -1])
+def test_load_vocab_rejects_a_file_cut_between_merge_lines(tmp_path, kept):
+    v = tp.train_bpe(CORPUS, vocab_size=300)
+    tp.save_vocab(v, tmp_path / "v.json")
+    lines = (tmp_path / "v.json").read_text().splitlines(keepends=True)
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("merges "))
+    kept %= len(v.merges)  # -1: all but the last
+    (tmp_path / "v.json").write_text("".join(lines[:k + 1 + kept]))
+    with pytest.raises(DataError) as err:
+        tp.load_vocab(tmp_path / "v.json")
+    assert str(err.value) == (f"vocab file {tmp_path / 'v.json'}: line 2 reads "
+                              f"'merges {len(v.merges)}', but {kept} merge lines follow it")
+
+
 # ---------------------------------------------------------------------------
 # reference: BPE over lists of byte strings, rescanning every pair per merge
 # and the whole word per applied merge
@@ -142,9 +188,7 @@ def _reference_train_bpe(corpus, vocab_size: int = 512) -> tp.Vocab:
             seqs[i] = t
             scan(i, +1)
 
-    tokens = tp._base_tokens()
-    tokens.extend(l + r for l, r in merges)
-    return tp.Vocab(merges=merges, tokens=tokens)
+    return tp.Vocab(merges)
 
 
 def _reference_bpe_word(vocab: tp.Vocab, text: str):
@@ -252,7 +296,7 @@ def test_encode_matches_reference_on_a_hand_built_vocab():
     # last rank counts: "eef" is e + ef.
     merges = [(b"a", b"b"), (b"b", b"c"), (b"a", b"bc"), (b"abc", b"d"), (b"ab", b"c"),
               (b"d", b"abc"), (b"e", b"e"), (b"e", b"f"), (b"e", b"e")]
-    v = tp.Vocab(merges=merges, tokens=tp._base_tokens() + [l + r for l, r in merges])
+    v = tp.Vocab(merges)
     ids = v._ids
     assert tp.encode(v, "abcd") == [ids[b"abcd"]]
     assert tp.encode(v, "eef") == [ids[b"e"], ids[b"ef"]]
@@ -263,6 +307,8 @@ def test_encode_matches_reference_on_a_hand_built_vocab():
 
 
 def test_seed_1_vocab_fingerprint(tmp_path):
+    # the bpe v1 file's digest was 2cd07adf61c6...; this is that file with
+    # its header made "bpe v2" and its vocab_size line and token table dropped
     v = tp.train_bpe(_train_corpus(1), 512)
     digest = hashlib.sha256(_vocab_bytes(v, tmp_path / "v.json")).hexdigest()
-    assert digest == "2cd07adf61c6a02e9edf00ebbdaea34de3bca1d09687edfab6042f871835725f"
+    assert digest == "6c7a187238cfa9d43f1a472c7e8f7d0edac9ae85f589c073f69297c9ffdfe234"
