@@ -27,7 +27,7 @@ def main():
     tok = checkpoint.load_tokenizer(OUT / "tok")
     vocab = textproc.load_vocab(OUT / "model" / "vocab.json")
 
-    train, held = scenes.split_captions(seed=0, holdout_frac=0.15)
+    _, held = scenes.split_captions()
     rng = np.random.default_rng(0)
     prompts = list(rng.choice(held, size=N_PROMPTS, replace=False))
 

@@ -40,8 +40,6 @@ class DataConfig:
     n_train: int = 2048
     n_eval: int = 256
     seed: int = 0
-    holdout_frac: float = 0.15
-    holdout_seed: int = 0
     image_size: int = 32
 
 
@@ -98,8 +96,10 @@ def _split_seed(d: DataConfig, split: str) -> int:
 def _dataset(d: DataConfig, split="train", n=None):
     """One split of the seeded scene data. train and eval draw from disjoint
     parts of the caption space; all draws from the whole space."""
-    train_caps, held_caps = scenes.split_captions(d.holdout_seed,
-                                                  d.holdout_frac)
+    if d.image_size < 1 or d.image_size % scenes.GRID:
+        raise DataError(f"data.image_size must be a positive multiple of "
+                        f"{scenes.GRID}, got {d.image_size}")
+    train_caps, held_caps = scenes.split_captions()
     exclude = {"train": held_caps, "eval": train_caps, "all": ()}[split]
     if n is None:
         n = d.n_eval if split == "eval" else d.n_train
@@ -162,9 +162,7 @@ def cmd_make_data(args) -> int:
         pngio.write_png(out / "images" / f"img_{i:05d}.png", img)
     (out / "captions.txt").write_text("\n".join(ds.captions) + "\n")
     manifest = {"kind": "dataset", "format_version": 1, "n": n, "seed": seed,
-                "split": args.split, "image_size": d.image_size,
-                "holdout_frac": d.holdout_frac,
-                "holdout_seed": d.holdout_seed}
+                "split": args.split, "image_size": d.image_size}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     _emit(metrics.metric_record("dataset_size", n, n, 0, "none", seed))
     return 0
@@ -233,7 +231,7 @@ def cmd_train_reranker(args) -> int:
     checkpoint.save_encoder(enc, args.out)
     textproc.save_vocab(vocab, Path(args.out) / "vocab.json")
     _finish_run(args.out, history,
-                {"contrastive_final_loss": np.mean(history[-20:])},
+                {"contrastive_final_loss": seq2seq.smoothed(history, 20)},
                 len(ds), tcfg.seed)
     return 0
 
@@ -358,9 +356,9 @@ def cmd_eval_fid(args) -> int:
     gen = _read_image_dir(args.gen)
     enc = checkpoint.load_encoder(args.features)
     value = metrics.fid(real, gen, lambda imgs: contrastive.image_features(enc, imgs))
-    seed = args.seed if args.seed is not None else 0
+    # FID draws nothing at random
     _emit(metrics.metric_record("fid", value, len(real), len(gen),
-                                "contrastive-pool", seed), args.out)
+                                "contrastive-pool", 0), args.out)
     return 0
 
 
@@ -453,7 +451,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default=None)
 
     sp = add("eval-fid", "FID between two image directories",
-             config=False)
+             config=False, seed=False)
     sp.add_argument("--real", required=True)
     sp.add_argument("--gen", required=True)
     sp.add_argument("--features", required=True, help="dual-encoder checkpoint")

@@ -2,9 +2,10 @@
 
 Two small transformer towers project images and captions into a shared
 unit-sphere space of dimension d_e. Training pulls matched pairs together
-with a symmetric cross-entropy over the temperature-scaled in-batch
-similarity matrix. The resulting cosine is the reranking score, and the
-image side doubles as the feature extractor for distribution metrics.
+with a symmetric cross-entropy over the in-batch similarity matrix times a
+learned logit scale tau (TAU_INIT at the start, floored at TAU_MIN). The
+resulting cosine is the reranking score, and the image side doubles as the
+feature extractor for distribution metrics.
 
 Retrieval is an exact scan: cosine against every image embedding row,
 descending, ties broken toward the lower row.
@@ -21,6 +22,12 @@ from . import tensor as T
 from .errors import DataError
 
 
+# the learned logit scale that multiplies the cosines: its initial value, and
+# the floor it is clamped to after every training step
+TAU_INIT = 1.0 / 0.07
+TAU_MIN = 1e-3
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     image_size: int = 32
@@ -32,8 +39,6 @@ class EncoderConfig:
     d_e: int = 32
     text_vocab: int = 512
     text_len: int = 32
-    tau_init: float = 1.0 / 0.07
-    tau_min: float = 1e-3
 
     @property
     def n_patches(self) -> int:
@@ -44,12 +49,11 @@ class EncoderConfig:
         return 3 * self.patch * self.patch
 
     def validate(self):
-        if self.image_size % self.patch:
-            raise DataError("patch must divide image_size")
+        if self.patch < 1 or self.image_size % self.patch:
+            raise DataError(f"reranker.patch must be a positive divisor of "
+                            f"image_size {self.image_size}, got {self.patch}")
         if self.d_model % self.heads:
             raise DataError("heads must divide d_model")
-        if self.tau_init <= 0:
-            raise DataError("tau_init must be positive")
         return self
 
 
@@ -76,7 +80,7 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0, *,
     ps.add("txt.pos", nn.trunc_normal(rng, (cfg.text_len, cfg.d_model)))
     nn.add_stack(ps, "txt", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
     nn.add_linear(ps, "txt.proj", cfg.d_model, cfg.d_e, rng)
-    ps.add("tau", np.array([[cfg.tau_init]], dtype=np.float32))
+    ps.add("tau", np.array([[TAU_INIT]], dtype=np.float32))
     return DualEncoder(cfg=cfg, params=ps)
 
 
@@ -156,7 +160,6 @@ def make_scorer(enc: DualEncoder, vocab: textproc.Vocab):
 class CLTrainConfig:
     steps: int = 600
     batch: int = 32
-    lr: float = 2e-3
     seed: int = 0
     warmup: int = 50
 
@@ -192,7 +195,7 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
         raise DataError(f"need at least {tcfg.batch} pairs, got {n}")
     enc = build_encoder(cfg, seed=tcfg.seed)
     text = _pad_rows(cfg, captions_ids)
-    ocfg = optim.OptimizerConfig(base_lr=tcfg.lr, warmup=tcfg.warmup,
+    ocfg = optim.OptimizerConfig(base_lr=2e-3, warmup=tcfg.warmup,
                                  decay_frac=0.5, final_ratio=0.1,
                                  weight_decay=0.0)
     rng = np.random.default_rng(tcfg.seed + 1)
@@ -203,7 +206,7 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
         return contrastive_loss(enc, images[idx], text[idx])
 
     def floor_tau(step, loss):
-        np.maximum(tau.data, cfg.tau_min, out=tau.data)
+        np.maximum(tau.data, TAU_MIN, out=tau.data)
 
     history = optim.train_loop(enc.params, loss_at, tcfg.steps, ocfg,
                                "contrastive.train_contrastive", floor_tau)

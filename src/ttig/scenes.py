@@ -249,8 +249,9 @@ def all_captions() -> list:
     return sorted(caps)
 
 
-def split_captions(seed: int, holdout_frac: float = 0.15):
-    """(train_captions, holdout_captions) partition of the caption space."""
+def split_captions(seed: int = 0, holdout_frac: float = 0.15):
+    """(train_captions, holdout_captions) partition of the caption space.
+    The defaults are the holdout every command trains and evaluates on."""
     caps = all_captions()
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(caps))

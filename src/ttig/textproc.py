@@ -208,9 +208,12 @@ def load_vocab(path) -> Vocab:
     try:
         # newline="\n": only "\n" ends a line, as the writer writes it
         with open(path, encoding="utf-8", newline="\n") as f:
-            lines = [ln.rstrip("\n") for ln in f]
+            text = f.read()
     except UnicodeDecodeError as e:
         raise bad(f"not UTF-8 text: {e}") from None
+    if not text.endswith("\n"):
+        raise bad("does not end with a newline")
+    lines = text[:-1].split("\n")
     try:
         if lines[0] != "bpe v2":
             raise bad(f"bad header {lines[0]!r}")

@@ -5,7 +5,8 @@ l2-normalized vector quantization, mirror decoder with no output squashing
 Quantization happens in a d_code-dim projected space. Codes and codebook rows
 are unit norm, so nearest-by-Euclidean equals max cosine; ties go to the
 lowest index. The codebook learns by gradient through the stop-gradient VQ
-objective and is renormalized to unit rows after every optimizer step.
+objective (commitment weighted by BETA_COMMIT) and is renormalized to unit
+rows after every optimizer step.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class TokenizerWeights:
 
 def build_tokenizer(cfg: TokenizerConfig, seed: int, *,
                     skeleton: bool = False) -> TokenizerWeights:
-    if cfg.image_size % cfg.patch:
-        raise DataError(f"image_size {cfg.image_size} not divisible by patch {cfg.patch}")
+    if cfg.patch < 1 or cfg.image_size % cfg.patch:
+        raise DataError(f"tokenizer.patch must be a positive divisor of "
+                        f"image_size {cfg.image_size}, got {cfg.patch}")
     if cfg.d_model % cfg.heads:
         raise DataError(f"heads {cfg.heads} must divide d_model {cfg.d_model}")
     rng = None if skeleton else np.random.default_rng(seed)
@@ -175,11 +177,14 @@ def reconstruction_mse(w: TokenizerWeights, images: np.ndarray) -> float:
 @dataclass
 class TokTrainConfig:
     steps: int = 6000
-    lr: float = 3e-3
-    beta_commit: float = 0.25
     batch: int = 32
     seed: int = 0
     warmup: int = 200
+
+
+# weight of the commitment term, which pulls the encoder's codes toward
+# their codebook rows
+BETA_COMMIT = 0.25
 
 
 def _row_mean_sq(diff):
@@ -206,7 +211,7 @@ def _init_codebook_from_data(w: TokenizerWeights, images, rng):
 def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConfig):
     """Train encoder/decoder/codebook on images (n, H, W, 3) in [0,1].
 
-    Loss = mean||x_hat - x||^2 + codebook_loss + beta_commit * commitment.
+    Loss = mean||x_hat - x||^2 + codebook_loss + BETA_COMMIT * commitment.
     The codebook starts from the encoder's outputs on a probe batch, and its
     rows are renormalized after every step. Returns (weights, history).
     """
@@ -215,7 +220,7 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
     w = build_tokenizer(cfg, tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 1)
     _init_codebook_from_data(w, images, rng)
-    opt_cfg = optim.OptimizerConfig(base_lr=tcfg.lr, warmup=tcfg.warmup,
+    opt_cfg = optim.OptimizerConfig(base_lr=3e-3, warmup=tcfg.warmup,
                                     decay_frac=0.6, final_ratio=0.05,
                                     weight_decay=0.0)
     cb = w.params["codebook"]
@@ -235,7 +240,7 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
         # is (zhat - e)**2 exactly, and so are its gradients
         cb_loss = _row_mean_sq(T.add(e, T.constant(-zhat.data)))
         commit = _row_mean_sq(T.add(zhat, T.constant(-e.data)))
-        return T.add(T.add(rec_loss, cb_loss), T.scale(commit, tcfg.beta_commit))
+        return T.add(T.add(rec_loss, cb_loss), T.scale(commit, BETA_COMMIT))
 
     def renormalize_codebook(step, loss):
         n = np.linalg.norm(cb.data, axis=1, keepdims=True)

@@ -103,6 +103,18 @@ def test_make_data_with_no_scenes_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+# scenes sit on a 2x2 grid of cells, so no other size holds one
+@pytest.mark.parametrize("size", [-2, 0, 3])
+def test_make_data_of_an_image_size_no_scene_fits_is_a_data_error(tmp_path, capsys, size):
+    cfg = _cfg(tmp_path, {"data": {**TINY_DATA["data"], "image_size": size}})
+    assert cli.run(["make-data", "--config", cfg, "--n", "1",
+                    "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: data.image_size must be a positive multiple of 2, "
+                   f"got {size}"]
+    assert not (tmp_path / "d").exists()
+
+
 # command -> (the trainer its error names, its config section)
 _TRAINING = {"train-tokenizer": ("vq.train_tokenizer", "tokenizer"),
              "train-model": ("seq2seq.train_model", "model"),
@@ -125,6 +137,20 @@ def test_training_with_fewer_than_one_step_is_a_data_error(tmp_path, capsys, cmd
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("patch", [0, -4])
+@pytest.mark.parametrize("cmd", ["train-tokenizer", "train-reranker"])
+def test_training_with_a_patch_below_1_is_a_data_error(tmp_path, capsys, cmd, patch):
+    section = _TRAINING[cmd][1]
+    data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
+    cfg = _cfg(tmp_path, {**data, section: {"patch": patch}})
+    assert cli.run([cmd, "--config", cfg, "--steps", "1",
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {section}.patch must be a positive divisor of "
+                   f"image_size 16, got {patch}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_section_rejected(tmp_path, capsys):
     # each trainer states its own schedule, so there is no optimizer section
     for section in ("dta", "sim", "optimizer"):
@@ -136,14 +162,23 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
 
 
 # the pretraining keys were removed with the masked-text pretraining,
-# data_init with its off switch (the codebook always starts from data), and
-# the decoder's own width and depth with the wider decoder
+# data_init with its off switch (the codebook always starts from data), the
+# decoder's own width and depth with the wider decoder, and the caption
+# holdout, the learning rates, the commitment weight and tau's start and
+# floor became the one value every caller used
 @pytest.mark.parametrize("section,key", [("data", "n_trian"),
                                          ("model", "pretrain_steps"),
                                          ("model", "pretrain_mask_rate"),
                                          ("tokenizer", "data_init"),
                                          ("tokenizer", "dec_d_model"),
-                                         ("tokenizer", "dec_blocks")])
+                                         ("tokenizer", "dec_blocks"),
+                                         ("data", "holdout_frac"),
+                                         ("data", "holdout_seed"),
+                                         ("tokenizer", "lr"),
+                                         ("tokenizer", "beta_commit"),
+                                         ("reranker", "lr"),
+                                         ("reranker", "tau_init"),
+                                         ("reranker", "tau_min")])
 def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
     cfg = _cfg(tmp_path, {section: {key: 8}})
     assert cli.run(["make-data", "--config", cfg,
@@ -157,7 +192,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
 @pytest.mark.parametrize("section,key,value", [
     ("data", "n_train", "8"),
     ("model", "steps", 1.5),
-    ("reranker", "lr", True),
+    ("reranker", "warmup", True),
     ("tokenizer", "codebook_size", False),
     ("model", "cond_dropout_rate", "x"),
 ])
@@ -197,6 +232,9 @@ def test_config_key_set_from_elsewhere_rejected(tmp_path, capsys, section, key,
     ["inspect-checkpoint", "--dir", "ck", "--seed", "1"],
     ["eval-fid", "--real", "a", "--gen", "b", "--features", "rr",
      "--config", "c.json"],
+    # FID draws nothing at random
+    ["eval-fid", "--real", "a", "--gen", "b", "--features", "rr",
+     "--seed", "1"],
     ["retrieve", "--reranker", "rr", "--caption", "a red circle",
      "--seed", "1"],
     # the saved index and its flags were removed: retrieve always builds
@@ -442,14 +480,16 @@ def test_sample_with_a_vocab_not_utf8_is_a_data_error(tmp_path, capsys):
     assert str(vocab) in err[0] and "UTF-8" in err[0], err[0]
 
 
-@pytest.mark.parametrize("damage", ["header", "token_table_header"])
+@pytest.mark.parametrize("damage", ["header", "token_table_header", "no_final_newline"])
 def test_sample_with_a_malformed_vocab_names_the_file(tmp_path, capsys, damage):
     model, tok = _tiny_checkpoints(tmp_path)
     vocab = model / "vocab.json"
     if damage == "header":
         vocab.write_text("nope\n")
-    else:  # nothing follows the merges: no token table
+    elif damage == "token_table_header":  # nothing follows the merges: no token table
         vocab.write_text(vocab.read_text() + "tokens 5\n")
+    else:  # save_vocab ends every line with a newline, the last one too
+        vocab.write_text(vocab.read_text()[:-1])
     assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
                     "--prompt", "a red circle", "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -507,7 +547,7 @@ def test_in_dataset_is_whether_the_train_split_drew_the_caption(tmp_path, capsys
     _tiny_reranker(tmp_path)
     retrieve = ["retrieve", "--reranker", str(tmp_path / "rr"), "--k", "2",
                 "--config", _cfg(tmp_path, TINY_DATA)]
-    held_out = sorted(scenes.split_captions(0, 0.15)[1])[0]
+    held_out = sorted(scenes.split_captions()[1])[0]
     assert cli.run([*retrieve, "--caption", held_out]) == 0
     doc = _last_json(capsys)
     assert doc["in_dataset"] is False
@@ -559,6 +599,27 @@ def test_mistyped_sample_meta_is_a_data_error(tmp_path, capsys, cmd, damage):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(tmp_path / "s" / "meta.json") in err[0]
+
+
+def test_reranker_checkpoint_saved_with_tau_keys_is_a_data_error(tmp_path, capsys):
+    # a reranker saved while tau's start and floor were config keys
+    _tiny_reranker(tmp_path)
+    rr = tmp_path / "rr"
+    manifest = json.loads((rr / "manifest.json").read_text())
+    manifest["config"]["encoder"].update(tau_init=1 / 0.07, tau_min=1e-3)
+    (rr / "manifest.json").write_text(json.dumps(manifest))
+    d = tmp_path / "s"
+    d.mkdir()
+    pngio.write_png(d / "sample_00.png", np.zeros((16, 16, 3), np.uint8))
+    (d / "meta.json").write_text(json.dumps(_META))
+    assert cli.run(["rerank", "--dir", str(d), "--reranker", str(rr)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert "encoder.tau_init" in err[0], err[0]
+    assert not (d / "reranked").exists()
+    # the raw container still opens
+    assert cli.run(["inspect-checkpoint", "--dir", str(rr)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["encoder"]["tau_min"] == 1e-3
 
 
 def test_rerank_of_grids_one_short_names_the_meta_json(tmp_path, capsys):

@@ -50,7 +50,7 @@ CHAIN = [
      "--out", "many_reranked"],
     ["eval-alignment", "--dir", "one/reranked", "--out", "align.jsonl"],
     ["eval-fid", "--real", "data/eval", "--gen", "one", "--features", "rr",
-     "--seed", "4", "--out", "fid.jsonl"],
+     "--out", "fid.jsonl"],
     ["retrieve", *CFG, "--reranker", "rr", "--caption", CAPTION, "--k", "3"],
     ["inspect-checkpoint", "--dir", "model"],
     ["inspect-checkpoint", "--dir", "tok", "--full"],

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttig import contrastive, scenes, seq2seq, textproc
+from ttig import contrastive, optim, scenes, seq2seq, textproc
 from ttig import tensor as T
 from ttig.errors import DataError
 
@@ -26,10 +26,10 @@ def _data(n=8, seed=0):
 
 def test_tau_initialized_and_floored():
     enc = _enc()
-    assert abs(enc.tau - 1.0 / 0.07) < 1e-4
+    assert abs(enc.tau - contrastive.TAU_INIT) < 1e-4
     enc.params["tau"].data[:] = -5.0
-    np.maximum(enc.params["tau"].data, CFG.tau_min, out=enc.params["tau"].data)
-    assert enc.tau == np.float32(CFG.tau_min)
+    np.maximum(enc.params["tau"].data, contrastive.TAU_MIN, out=enc.params["tau"].data)
+    assert enc.tau == np.float32(contrastive.TAU_MIN)
 
 
 def test_embeddings_are_unit_norm():
@@ -86,9 +86,10 @@ def test_loss_does_not_depend_on_pair_order():
     assert abs(a - b) < 1e-5
 
 
-def test_zero_learning_rate_leaves_encoder_at_init():
+def test_zero_learning_rate_leaves_encoder_at_init(monkeypatch):
+    monkeypatch.setattr(optim, "lr_at", lambda step, steps, cfg: 0.0)
     ds, _, ids = _data()
-    tcfg = contrastive.CLTrainConfig(steps=3, batch=8, lr=0.0, warmup=0)
+    tcfg = contrastive.CLTrainConfig(steps=3, batch=8)
     enc, _ = contrastive.train_contrastive(ds.images, ids, tcfg, CFG)
     fresh = _enc(seed=tcfg.seed)
     for name, t in fresh.params.items():
@@ -129,12 +130,9 @@ def test_short_training_separates_pairs():
 
 def test_tau_stays_above_floor_during_training():
     ds, vocab, ids = _data(16, seed=2)
-    cfg = contrastive.EncoderConfig(d_model=32, n_blocks=1, heads=2, d_mlp=64,
-                                    d_e=16, text_vocab=300, text_len=16,
-                                    tau_min=1e-3)
     tcfg = contrastive.CLTrainConfig(steps=30, batch=8)
-    enc, _ = contrastive.train_contrastive(ds.images, ids, tcfg, cfg)
-    assert enc.tau >= cfg.tau_min
+    enc, _ = contrastive.train_contrastive(ds.images, ids, tcfg, CFG)
+    assert enc.tau >= contrastive.TAU_MIN
 
 
 # ---------------------------------------------------------------- retrieval
@@ -179,7 +177,7 @@ def test_reranker_training_peak_at_the_benchmark_batch():
     # sets the train benchmark's peak. Backward frees each record that keeps
     # its inputs as it runs it: 59.4 MiB above start for 3 steps, against
     # 67.3 MiB when every record waits for the next step's forward
-    _, held = scenes.split_captions(0, 0.15)
+    _, held = scenes.split_captions()
     ds = scenes.gen_dataset(512, 1, exclude_captions=held)
     vocab = textproc.train_bpe(ds.captions, vocab_size=seq2seq.DESK.text_vocab)
     cfg = contrastive.EncoderConfig()

@@ -284,4 +284,8 @@ def test_a_command_given_a_damaged_checkpoint_file_fails_typed(
     shutil.copytree(artifacts / ck, work)
     damaged = work / file
     damaged.write_bytes(RULES[file][rule](damaged.read_bytes()))
-    _fails_typed(_argv(cmd, work, artifacts, tmp_path), damaged, capsys)
+    code = _fails_typed(_argv(cmd, work, artifacts, tmp_path), damaged, capsys)
+    # save_vocab ends its last line with a newline too, so a file without
+    # one is not a saved vocab
+    if (file, rule) == ("vocab.json", "cut_last_byte"):
+        assert code == 2

@@ -238,7 +238,7 @@ def _assert_same_as_reference(corpus, vocab_size, tmp_path, texts=()):
 
 
 def _train_corpus(seed):
-    _, held = scenes.split_captions(0, 0.15)
+    _, held = scenes.split_captions()
     return scenes.gen_dataset(512, seed, exclude_captions=held).captions
 
 
