@@ -52,8 +52,10 @@ class EncoderConfig:
         if self.patch < 1 or self.image_size % self.patch:
             raise DataError(f"reranker.patch must be a positive divisor of "
                             f"image_size {self.image_size}, got {self.patch}")
+        nn.check_sizes("reranker", self, ("d_model", "heads", "d_mlp", "d_e", "text_vocab",
+                                          "text_len"))
         if self.d_model % self.heads:
-            raise DataError("heads must divide d_model")
+            raise DataError(f"reranker.heads {self.heads} must divide d_model {self.d_model}")
         return self
 
 
@@ -189,7 +191,8 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
     """
     cfg = cfg or EncoderConfig()
     if tcfg.batch < 2:
-        raise DataError("contrastive batch must be >= 2 (in-batch negatives)")
+        raise DataError(f"reranker.batch must be at least 2 (in-batch negatives), "
+                        f"got {tcfg.batch}")
     n = len(images)
     if n < tcfg.batch:
         raise DataError(f"need at least {tcfg.batch} pairs, got {n}")

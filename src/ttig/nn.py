@@ -2,7 +2,12 @@
 
 Pre-LN blocks, learned absolute positions, truncated-normal init (std 0.02,
 resampled beyond 2 sigma), layer norms carrying their own gain/bias params.
-Attention is one tensor.attention op after the Q/K/V projections. A
+A biased projection is one tensor.linear op, and a LayerNorm with its gain
+and bias one tensor.layer_norm op. Attention is one tensor.attention op
+after the Q/K/V projections (the key projection has no bias: a matmul). The
+MLP is two linear ops: fc1 takes the block's ln2 as its pre-step and fc2 the
+GELU, so a training step keeps neither the normalised input nor the GELU
+output. A
 self-attention mask is the tensor.Window that tensor.attention_window builds
 once per model from a boolean "allowed" matrix: the op scores only its keys
 and gives ruled-out slots tensor.NEG_FILL (-1e9), which is exactly zero
@@ -76,6 +81,15 @@ class ParamSet:
             t.data = np.ascontiguousarray(arr, dtype=np.float32)
 
 
+def check_sizes(section: str, cfg, names):
+    """Raise a DataError naming section.name for the first of cfg's fields
+    names that is below 1."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            raise DataError(f"{section}.{name} must be at least 1, got {value}")
+
+
 def add_linear(ps: ParamSet, pre: str, d_in: int, d_out: int, rng):
     ps.add(pre + ".w", trunc_normal(rng, (d_in, d_out)))
     ps.add(pre + ".b", np.zeros(d_out, dtype=np.float32))
@@ -116,11 +130,11 @@ def add_stack(ps: ParamSet, pre: str, n: int, d: int, d_mlp: int, rng, cross: bo
 
 
 def linear(p: ParamSet, pre: str, x):
-    return T.add(T.matmul(x, p[pre + ".w"]), p[pre + ".b"])
+    return T.linear(x, p[pre + ".w"], p[pre + ".b"])
 
 
 def ln_affine(p: ParamSet, pre: str, x):
-    return T.add(T.mul(T.layer_norm(x), p[pre + ".g"]), p[pre + ".b"])
+    return T.layer_norm(x, p[pre + ".g"], p[pre + ".b"])
 
 
 def dropout(x, drop):
@@ -141,15 +155,18 @@ def attention(p: ParamSet, pre: str, x, heads: int, kv=None, window=None):
         raise T.ShapeError("attention: a window applies to self-attention only, "
                            "but kv was given")
     src = x if kv is None else kv
-    q = T.add(T.matmul(x, p[pre + ".wq"]), p[pre + ".bq"])
+    q = T.linear(x, p[pre + ".wq"], p[pre + ".bq"])
     k = T.matmul(src, p[pre + ".wk"])
-    v = T.add(T.matmul(src, p[pre + ".wv"]), p[pre + ".bv"])
+    v = T.linear(src, p[pre + ".wv"], p[pre + ".bv"])
     out = T.attention(q, k, v, heads, window)
-    return T.add(T.matmul(out, p[pre + ".wo"]), p[pre + ".bo"])
+    return T.linear(out, p[pre + ".wo"], p[pre + ".bo"])
 
 
-def mlp(p: ParamSet, pre: str, x):
-    return linear(p, pre + ".fc2", T.gelu(linear(p, pre + ".fc1", x)))
+def mlp(p: ParamSet, pre: str, x, ln: str):
+    """fc2(GELU(fc1(the LayerNorm ln of x))), as two linear ops whose
+    pre-steps are the LayerNorm and the GELU."""
+    h = T.norm_linear(x, p[ln + ".g"], p[ln + ".b"], p[pre + ".fc1.w"], p[pre + ".fc1.b"])
+    return T.gelu_linear(h, p[pre + ".fc2.w"], p[pre + ".fc2.b"])
 
 
 def block(p: ParamSet, pre: str, x, heads: int, window=None, cross_kv=None, drop=None):
@@ -159,7 +176,7 @@ def block(p: ParamSet, pre: str, x, heads: int, window=None, cross_kv=None, drop
     if cross_kv is not None:
         a = attention(p, pre + ".xattn", ln_affine(p, pre + ".lnx", x), heads, kv=cross_kv)
         x = T.add(x, dropout(a, drop))
-    m = mlp(p, pre + ".mlp", ln_affine(p, pre + ".ln2", x))
+    m = mlp(p, pre + ".mlp", x, pre + ".ln2")
     return T.add(x, dropout(m, drop))
 
 

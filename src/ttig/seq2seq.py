@@ -44,15 +44,15 @@ class ModelConfig:
         return self.grid_h * self.grid_w
 
     def validate(self):
+        nn.check_sizes("model", self, ("enc_layers", "dec_layers", "d_model", "d_mlp",
+                                       "heads", "text_vocab", "image_vocab", "grid_h",
+                                       "grid_w"))
         if self.d_model % self.heads:
-            raise DataError(f"heads {self.heads} must divide d_model {self.d_model}")
+            raise DataError(f"model.heads {self.heads} must divide d_model {self.d_model}")
         if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
             raise DataError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
         if not 1 <= self.text_len <= 128:
             raise DataError(f"text_len must be in [1, 128], got {self.text_len}")
-        if min(self.enc_layers, self.dec_layers, self.d_model, self.d_mlp,
-               self.text_vocab, self.image_vocab, self.grid_h, self.grid_w) < 1:
-            raise DataError("all model dimensions must be positive")
         return self
 
 
@@ -207,6 +207,7 @@ def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarr
     """
     if len(text_ids) != len(image_ids) or len(text_ids) == 0:
         raise DataError("train_model: need matching nonempty id arrays")
+    nn.check_sizes("model", tcfg, ("batch",))
     opt_cfg = optim.OptimizerConfig(base_lr=6e-3, warmup=max(1, tcfg.steps // 40),
                                     decay_frac=0.5, final_ratio=0.05,
                                     weight_decay=1e-4)

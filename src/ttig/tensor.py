@@ -10,15 +10,19 @@ Design rules:
     _softmax_grad, not a catalog op: the attention op, cross-entropy's
     backward and the sampler share it
   * backward rules may read what their forward stored in the recorded attrs
-    (layer_norm's inverse deviation, gelu's normal CDF)
+    (a LayerNorm's xhat and inverse deviation, a GELU's normal CDF)
   * broadcasting is restricted to trailing-axis alignment (one operand's shape
     must be a suffix of the other's, rank-0 scalars included); anything fancier
     must be spelled out with reshape/transpose
-  * matmul multiplies (..., n) by a 2-D (n, m) matrix. layer_norm and
-    l2_normalize work on the last axis: layer_norm with eps LN_EPS,
-    l2_normalize with the eps its caller passes. scale(x, f) is a mul by a
-    0-d constant of x's dtype, not a kind of its own; there is no sub either:
-    x - c is add(x, constant(-c)), which IEEE arithmetic rounds the same
+  * matmul multiplies (..., n) by a 2-D (n, m) matrix; linear adds a bias
+    to the product in place, after an optional pre-step on its left operand,
+    a LayerNorm or a GELU (see the notes above _PRE_READS). layer_norm takes
+    its gain and bias as inputs. It and l2_normalize work on the last axis:
+    layer_norm with eps LN_EPS, l2_normalize with the eps its caller passes.
+    There is no bare GELU kind: the MLP's GELU is the pre-step of its second
+    projection. scale(x, f) is a mul by a 0-d constant of x's dtype, not a
+    kind of its own; there is no sub either: x - c is add(x, constant(-c)),
+    which IEEE arithmetic rounds the same
   * integer ids and attention windows ride along as op attrs,
     never as Tensors
   * multi-head attention over projected q, k, v is one op that splits the
@@ -27,13 +31,16 @@ Design rules:
     record keeps q, k, v and the probabilities (see the notes above
     NEG_FILL)
   * a record keeps only what its backward reads: each op declares whether
-    that is its inputs, its output, the other input of a binary op, or
-    nothing; of the rest it keeps the shape and dtype. Backward computes a
-    gradient only for inputs that require one and drops each intermediate
-    gradient once its record has used it
-  * a record whose op keeps its inputs (attention, gelu, l2_normalize,
-    cross_entropy_with_logits) goes as soon as backward has run its rule, so
-    its inputs and attrs scratch are free while backward allocates gradients.
+    that is its inputs, its parameters (every input but the first), the
+    other one of its first two inputs, or nothing (a linear op's follows its
+    pre-step); of the rest it keeps the shape and dtype. No record keeps an
+    output: a linear's backward recomputes its pre-step's instead. Backward
+    computes a gradient only for inputs that require one and drops each
+    intermediate gradient once its record has used it
+  * a record whose op keeps its inputs (attention, a linear with a GELU
+    pre-step, l2_normalize, cross_entropy_with_logits) goes as soon as
+    backward has run its rule, so its inputs and attrs scratch are free
+    while backward allocates gradients.
     The other records live until the next step's forward replaces them: a
     Tape built with replaces=<the previous step's tape> drops that tape's
     record i just before it records its own op i, so the freed arrays, which
@@ -122,8 +129,8 @@ class Tape:
     """
 
     def __init__(self, replaces: "Tape | None" = None):
-        # (op, out_id, in_ids, in_datas, out_data, attrs, needs): in_datas and
-        # out_data hold an array where the op's backward reads it, else a _Spec
+        # (op, out_id, in_ids, in_datas, attrs, needs): in_datas holds an
+        # array where the op's backward reads it, else a _Spec
         self.records = []
         self._next_id = 0
         self.released = False
@@ -201,11 +208,11 @@ def _require(cond, op, msg):
 # ---------------------------------------------------------------------------
 # op catalog: each entry is an _Op (arity, forward, backward, reads)
 # forward(datas, attrs) -> out array
-# backward(g, datas, out, attrs, needs) -> list of per-input grads; needs[i]
-#   says whether input i requires a gradient, and a rule may return None for
-#   one that does not
-# reads names what backward reads besides g and attrs (see _READS); the tape
-#   hands backward a _Spec, carrying only shape and dtype, for anything else
+# backward(g, datas, attrs, needs) -> list of per-input grads; needs[i] says
+#   whether input i requires a gradient, and a rule may return None for one
+#   that does not
+# reads names the inputs backward reads besides g and attrs (see _READS); the
+#   tape hands backward a _Spec, carrying only shape and dtype, for the rest
 
 class _Spec:
     """Shape and dtype of an array a record does not keep."""
@@ -239,7 +246,7 @@ def _fwd_add(d, attrs):
     return d[0] + d[1]
 
 
-def _bwd_add(g, d, out, attrs, needs):
+def _bwd_add(g, d, attrs, needs):
     return [_unbroadcast(g, x.shape) if need else None for x, need in zip(d, needs)]
 
 
@@ -248,27 +255,33 @@ def _fwd_mul(d, attrs):
     return d[0] * d[1]
 
 
-def _bwd_mul(g, d, out, attrs, needs):
+def _bwd_mul(g, d, attrs, needs):
     return [_unbroadcast(g * d[1], d[0].shape) if needs[0] else None,
             _unbroadcast(g * d[0], d[1].shape) if needs[1] else None]
 
 
-def _fwd_matmul(d, attrs):
-    a, b = d
+def _check_matmul(op, a, b):
     if a.dtype != b.dtype:
-        raise ShapeError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
+        raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
     if a.ndim < 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: need (..., n) @ (n, m), got {a.shape} @ {b.shape}")
+        raise ShapeError(f"{op}: need (..., n) @ (n, m), got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
-    return a @ b
+        raise ShapeError(f"{op}: inner dims {a.shape} @ {b.shape}")
 
 
-def _bwd_matmul(g, d, out, attrs, needs):
+def _fwd_matmul(d, attrs):
+    _check_matmul("matmul", *d)
+    return d[0] @ d[1]
+
+
+def _weight_grad(a, g):
+    """The gradient at b of a @ b, given g at its output."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _bwd_matmul(g, d, attrs, needs):
     a, b = d
-    ga = g @ b.T if needs[0] else None
-    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if needs[1] else None
-    return [ga, gb]
+    return [g @ b.T if needs[0] else None, _weight_grad(a, g) if needs[1] else None]
 
 
 def _fwd_reshape(d, attrs):
@@ -278,7 +291,7 @@ def _fwd_reshape(d, attrs):
     return d[0].reshape(shape)
 
 
-def _bwd_reshape(g, d, out, attrs, needs):
+def _bwd_reshape(g, d, attrs, needs):
     return [g.reshape(d[0].shape)]
 
 
@@ -289,7 +302,7 @@ def _fwd_transpose(d, attrs):
     return np.transpose(d[0], axes)
 
 
-def _bwd_transpose(g, d, out, attrs, needs):
+def _bwd_transpose(g, d, attrs, needs):
     axes = tuple(attrs["axes"])
     inv = np.argsort(axes)
     return [np.transpose(g, inv)]
@@ -306,7 +319,7 @@ def _fwd_concat(d, attrs):
     return np.concatenate(d, axis=axis)
 
 
-def _bwd_concat(g, d, out, attrs, needs):
+def _bwd_concat(g, d, attrs, needs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "concat")
     splits = np.cumsum([x.shape[axis] for x in d])[:-1]
     return list(np.split(g, splits, axis=axis))
@@ -322,7 +335,7 @@ def _fwd_embedding_gather(d, attrs):
     return table[ids]
 
 
-def _bwd_embedding_gather(g, d, out, attrs, needs):
+def _bwd_embedding_gather(g, d, attrs, needs):
     ids = np.asarray(attrs["ids"])
     gt = np.zeros(d[0].shape, dtype=d[0].dtype)
     np.add.at(gt, ids.reshape(-1), g.reshape(-1, d[0].shape[1]))
@@ -334,7 +347,7 @@ def _bwd_embedding_gather(g, d, out, attrs, needs):
 # bit-identical and skips their dispatch (a third of a small layer_norm).
 # The reductions take (axis, dtype, out, keepdims) by position: parsing them
 # as keywords costs another 1.2 us, about what a (16, 64) sum costs itself.
-# The softmax, layer_norm and gelu forwards take an optional out buffer of
+# _softmax, _fwd_layer_norm and _fwd_gelu take an optional out buffer of
 # the result's shape and dtype (softmax's may be its input): the sampler's
 # decode step writes into per-chain buffers, with the same bits as a fresh
 # result.
@@ -463,7 +476,7 @@ def _fwd_attention(d, attrs):
     return _merge_heads(_split_heads(v, heads, (0, 2, 3, 1)) @ probs)
 
 
-def _bwd_attention(g, d, out, attrs, needs):
+def _bwd_attention(g, d, attrs, needs):
     q, k, v = d
     heads = attrs["heads"]
     probs = attrs["_probs"]
@@ -562,24 +575,52 @@ LN_EPS = 1e-5  # added to the variance before the square root
 
 
 def _fwd_layer_norm(d, attrs, out=None):
+    """The LayerNorm x-hat of d = [x], into out if given; 1/sigma goes to
+    attrs["_inv"]."""
     xc = np.subtract(d[0], _mean(d[0]), out=out)
     inv = _mean(xc * xc)
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    attrs["_inv"] = inv  # reused by backward together with out (= xhat)
+    attrs["_inv"] = inv
     xc *= inv
     return xc
 
 
-def _bwd_layer_norm(g, d, out, attrs, needs):
-    inv, xhat = attrs["_inv"], out
+def _layer_norm_grad(g, xhat, inv):
+    """The gradient at x of its LayerNorm xhat, given g at xhat."""
     gm = _mean(g)
     gxm = _mean(g * xhat)
     r = g - gm
     r -= xhat * gxm
     r *= inv
-    return [r]
+    return r
+
+
+def _affine(xhat, gain, bias):
+    y = xhat * gain
+    y += bias
+    return y
+
+
+def _fwd_ln_affine(d, attrs):
+    """xhat * gain + bias for d = [x, gain, bias]; xhat and 1/sigma stay in
+    attrs for backward."""
+    x, gain, bias = d
+    _require(x.ndim >= 1 and gain.shape == bias.shape == x.shape[-1:], "layer_norm",
+             f"gain {gain.shape} and bias {bias.shape} must match x {x.shape}'s last axis")
+    _require(x.dtype == gain.dtype == bias.dtype, "layer_norm",
+             f"dtype mismatch {x.dtype}, {gain.dtype}, {bias.dtype}")
+    xhat = _fwd_layer_norm([x], attrs)
+    attrs["_xhat"] = xhat
+    return _affine(xhat, gain, bias)
+
+
+def _bwd_ln_affine(g, d, attrs, needs):
+    xhat, gain = attrs["_xhat"], d[1]
+    return [_layer_norm_grad(g * gain, xhat, attrs["_inv"]) if needs[0] else None,
+            _unbroadcast(g * xhat, gain.shape) if needs[1] else None,
+            _unbroadcast(g, d[2].shape) if needs[2] else None]
 
 
 # Float32 GELU reads the normal CDF from a piecewise-linear table built once
@@ -649,20 +690,24 @@ def _normal_cdf(x, out=None):
 
 
 def _fwd_gelu(d, attrs, out=None, cdf=None):
-    """x * cdf(x); cdf, if given, is the buffer the cdf is written to (and
-    kept for backward); out may be x itself."""
+    """x * cdf(x) of d = [x]; cdf, if given, is the buffer the cdf is written
+    to (and kept in attrs["_cdf"]); out may be x itself."""
     x = d[0]
     cdf = _normal_cdf(x, cdf)
-    attrs["_cdf"] = cdf  # reused by backward
+    attrs["_cdf"] = cdf
+    return _gelu_of(x, cdf, out)
+
+
+def _gelu_of(x, cdf, out=None):
+    """x * cdf, the GELU of x given its cdf, into out if given."""
     with np.errstate(invalid="ignore"):  # -inf * 0 is NaN, as erf gives
         if out is not None:
             return np.multiply(x, cdf, out=out)
         return (x * cdf).astype(x.dtype, copy=False)
 
 
-def _bwd_gelu(g, d, out, attrs, needs):
-    x = d[0]
-    cdf = attrs["_cdf"]
+def _gelu_grad(g, x, cdf):
+    """The gradient at x of its GELU, given g at the GELU's output."""
     t = x * x
     t *= -0.5
     np.exp(t, out=t)
@@ -670,7 +715,64 @@ def _bwd_gelu(g, d, out, attrs, needs):
     t *= x
     t += cdf
     t *= g
-    return [t.astype(x.dtype, copy=False)]
+    return t.astype(x.dtype, copy=False)
+
+
+# linear is x @ w + b, the bias added in place, after an optional pre-step on
+# x that attrs["pre"] names: "layer_norm" (inputs x, gain, bias, w, b) or
+# "gelu" (inputs x, w, b). Its record keeps no pre-step output: for w's
+# gradient backward recomputes it from xhat and the LayerNorm's parameters,
+# or from x and its cdf, with the calls the forward made, so every result
+# has the bits of the separate ops.
+
+# what a linear record reads (see _READS), by pre-step
+_PRE_READS = {None: "cross", "layer_norm": "params", "gelu": "inputs"}
+
+
+def _pre_output(pre, d, attrs):
+    """The matmul's left operand: the pre-step's output, recomputed, or x."""
+    if pre == "layer_norm":
+        return _affine(attrs["_xhat"], d[1], d[2])
+    if pre == "gelu":
+        return _gelu_of(d[0], attrs["_cdf"])
+    return d[0]
+
+
+def _fwd_linear(d, attrs):
+    pre = attrs.get("pre")
+    _require(pre in _PRE_READS, "linear",
+             f"pre must be one of {list(_PRE_READS)}, got {pre!r}")
+    n = 5 if pre == "layer_norm" else 3
+    _require(len(d) == n, "linear", f"pre {pre!r} takes {n} inputs, got {len(d)}")
+    x, w, b = d[0], d[-2], d[-1]
+    _check_matmul("linear", x, w)
+    _require(b.shape == w.shape[1:] and b.dtype == w.dtype, "linear",
+             f"bias {b.shape} {b.dtype} does not fit w {w.shape} {w.dtype}")
+    if pre == "layer_norm":
+        x = _fwd_ln_affine(d[:3], attrs)
+    elif pre == "gelu":
+        x = _fwd_gelu(d[:1], attrs)
+    y = x @ w
+    y += b
+    return y
+
+
+def _bwd_linear(g, d, attrs, needs):
+    pre = attrs.get("pre")
+    grads = [None] * len(d)
+    if needs[-1]:
+        grads[-1] = _unbroadcast(g, d[-1].shape)
+    if needs[-2]:
+        grads[-2] = _weight_grad(_pre_output(pre, d, attrs), g)
+    if any(needs[:-2]):
+        gx = g @ d[-2].T
+        if pre == "layer_norm":
+            grads[:3] = _bwd_ln_affine(gx, d[:3], attrs, needs[:3])
+        elif pre == "gelu":
+            grads[0] = _gelu_grad(gx, d[0], attrs["_cdf"])
+        else:
+            grads[0] = gx
+    return grads
 
 
 def _fwd_reduce_sum(d, attrs):
@@ -680,7 +782,7 @@ def _fwd_reduce_sum(d, attrs):
     return d[0].sum(axis=_norm_axis(axis, d[0].ndim, "reduce_sum"))
 
 
-def _bwd_reduce_sum(g, d, out, attrs, needs):
+def _bwd_reduce_sum(g, d, attrs, needs):
     axis = attrs.get("axis")
     if axis is None:
         return [np.broadcast_to(g, d[0].shape).astype(d[0].dtype, copy=False)]
@@ -695,7 +797,7 @@ def _fwd_reduce_mean(d, attrs):
     return d[0].mean(axis=_norm_axis(axis, d[0].ndim, "reduce_mean"))
 
 
-def _bwd_reduce_mean(g, d, out, attrs, needs):
+def _bwd_reduce_mean(g, d, attrs, needs):
     axis = attrs.get("axis")
     if axis is None:
         n = d[0].size
@@ -714,7 +816,7 @@ def _fwd_l2_normalize(d, attrs):
     return x / np.sqrt(sq)
 
 
-def _bwd_l2_normalize(g, d, out, attrs, needs):
+def _bwd_l2_normalize(g, d, attrs, needs):
     eps = float(attrs.get("eps", 0.0))
     x = d[0]
     sq = (x * x).sum(axis=-1, keepdims=True) + eps
@@ -739,7 +841,7 @@ def _fwd_cross_entropy(d, attrs):
     return lse - z[np.arange(logits.shape[0]), targets]
 
 
-def _bwd_cross_entropy(g, d, out, attrs, needs):
+def _bwd_cross_entropy(g, d, attrs, needs):
     logits = d[0]
     p = _softmax(logits, 1)
     p[np.arange(logits.shape[0]), np.asarray(attrs["targets"])] -= 1.0
@@ -750,25 +852,26 @@ class _Op(NamedTuple):
     arity: int | None  # None: any positive number of inputs
     forward: object
     backward: object
-    reads: str  # one of _READS
+    reads: str | dict  # one of _READS, or a dict from attrs["pre"] to one
 
 
-# What a backward rule reads besides g and attrs: nothing, all its inputs, its
-# output, or ("cross", binary ops only) for each input's gradient the other
-# input, so an input is kept only when the other one requires a gradient.
-_READS = ("nothing", "inputs", "output", "cross")
+# What a backward rule reads besides g and attrs: nothing, all its inputs,
+# its parameters (every input but the first), or ("cross") for the gradient
+# of each of its first two inputs the other one, so each is kept only when
+# the other requires a gradient, and none of the rest (a bias).
+_READS = ("nothing", "inputs", "params", "cross")
 
 _CATALOG = {
     "add": _Op(2, _fwd_add, _bwd_add, "nothing"),
     "mul": _Op(2, _fwd_mul, _bwd_mul, "cross"),
     "matmul": _Op(2, _fwd_matmul, _bwd_matmul, "cross"),
+    "linear": _Op(None, _fwd_linear, _bwd_linear, _PRE_READS),
     "reshape": _Op(1, _fwd_reshape, _bwd_reshape, "nothing"),
     "transpose": _Op(1, _fwd_transpose, _bwd_transpose, "nothing"),
     "concat": _Op(None, _fwd_concat, _bwd_concat, "nothing"),
     "embedding_gather": _Op(1, _fwd_embedding_gather, _bwd_embedding_gather, "nothing"),
     "attention": _Op(3, _fwd_attention, _bwd_attention, "inputs"),
-    "layer_norm": _Op(1, _fwd_layer_norm, _bwd_layer_norm, "output"),
-    "gelu": _Op(1, _fwd_gelu, _bwd_gelu, "inputs"),
+    "layer_norm": _Op(3, _fwd_ln_affine, _bwd_ln_affine, "params"),
     "reduce_sum": _Op(1, _fwd_reduce_sum, _bwd_reduce_sum, "nothing"),
     "reduce_mean": _Op(1, _fwd_reduce_mean, _bwd_reduce_mean, "nothing"),
     "l2_normalize": _Op(1, _fwd_l2_normalize, _bwd_l2_normalize, "inputs"),
@@ -778,16 +881,22 @@ _CATALOG = {
 OP_KINDS = tuple(sorted(_CATALOG))
 
 
-def _kept(reads, datas, out, needs):
-    """The (inputs, output) a record keeps: arrays backward reads, else _Spec."""
+def _reads(op, attrs):
+    """What a record of op reads: one of _READS."""
+    return op.reads if isinstance(op.reads, str) else op.reads[attrs.get("pre")]
+
+
+def _kept(reads, datas, needs):
+    """The inputs a record keeps: arrays backward reads, else _Spec."""
     if reads == "inputs":
-        ins = tuple(datas)
-    elif reads == "cross":
-        a, b = datas
-        ins = (a if needs[1] else _Spec(a), b if needs[0] else _Spec(b))
-    else:
-        ins = tuple(_Spec(x) for x in datas)
-    return ins, (out if reads == "output" else _Spec(out))
+        return tuple(datas)
+    if reads == "params":
+        return (_Spec(datas[0]), *datas[1:])
+    if reads == "cross":
+        a, b, *rest = datas
+        return (a if needs[1] else _Spec(a), b if needs[0] else _Spec(b),
+                *(_Spec(x) for x in rest))
+    return tuple(_Spec(x) for x in datas)
 
 
 def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
@@ -798,10 +907,10 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
     """
     if op_kind not in _CATALOG:
         raise CatalogError(f"unknown op kind: {op_kind!r}")
-    arity, fwd, _, reads = _CATALOG[op_kind]
+    op = _CATALOG[op_kind]
     inputs = list(inputs)
-    if arity is not None and len(inputs) != arity:
-        raise ShapeError(f"{op_kind}: expected {arity} inputs, got {len(inputs)}")
+    if op.arity is not None and len(inputs) != op.arity:
+        raise ShapeError(f"{op_kind}: expected {op.arity} inputs, got {len(inputs)}")
     if not inputs:
         raise ShapeError(f"{op_kind}: needs at least one input")
     for x in inputs:
@@ -818,15 +927,15 @@ def apply(op_kind: str, inputs, attrs: dict | None = None) -> Tensor:
             # free the replaced tape's record at this position before the
             # forward allocates the arrays that take its place
             old[i] = None
-    out_data = fwd(datas, attrs)
+    out_data = op.forward(datas, attrs)
     out = Tensor(out_data, dtype=out_data.dtype)
     if tape is not None:
         needs = tuple(x.requires_grad for x in inputs)
         in_ids = [tape._bind(x) for x in inputs]
         out.requires_grad = True
         out_id = tape._bind(out)
-        kept_in, kept_out = _kept(reads, datas, out_data, needs)
-        tape.records.append((op_kind, out_id, tuple(in_ids), kept_in, kept_out, attrs, needs))
+        kept = _kept(_reads(op, attrs), datas, needs)
+        tape.records.append((op_kind, out_id, tuple(in_ids), kept, attrs, needs))
     return out
 
 
@@ -865,16 +974,16 @@ def _run_record(records, i, grads):
     this call's locals hold the last references to its arrays and attrs
     scratch, and they are freed on return, before the next rule allocates.
     """
-    op_kind, out_id, in_ids, in_datas, out_data, attrs, needs = records[i]
+    op_kind, out_id, in_ids, in_datas, attrs, needs = records[i]
     op = _CATALOG[op_kind]
-    if op.reads == "inputs":
+    if _reads(op, attrs) == "inputs":
         records[i] = None
     # every consumer of out_id comes later on the tape, so its gradient
     # is complete here and nothing reads it again
     g = grads.pop(out_id, None)
     if g is None:
         return
-    in_grads = op.backward(g, in_datas, out_data, attrs, needs)
+    in_grads = op.backward(g, in_datas, attrs, needs)
     for nid, ig, idata, need in zip(in_ids, in_grads, in_datas, needs):
         if ig is None or not need:
             continue
@@ -926,12 +1035,25 @@ def attention(q, k, v, heads, window=None):
     return apply("attention", [q, k, v], attrs)
 
 
-def layer_norm(x):
-    return apply("layer_norm", [x])
+def linear(x, w, b):
+    """x @ w + b."""
+    return apply("linear", [x, w, b])
 
 
-def gelu(x):
-    return apply("gelu", [x])
+def norm_linear(x, gain, bias, w, b):
+    """layer_norm(x, gain, bias) @ w + b, whose record keeps no LayerNorm
+    output."""
+    return apply("linear", [x, gain, bias, w, b], {"pre": "layer_norm"})
+
+
+def gelu_linear(x, w, b):
+    """GELU(x) @ w + b, whose record keeps no GELU output."""
+    return apply("linear", [x, w, b], {"pre": "gelu"})
+
+
+def layer_norm(x, gain, bias):
+    """x normalised over its last axis, times gain, plus bias."""
+    return apply("layer_norm", [x, gain, bias])
 
 
 def reduce_sum(x, axis=None):

@@ -59,8 +59,9 @@ def build_tokenizer(cfg: TokenizerConfig, seed: int, *,
     if cfg.patch < 1 or cfg.image_size % cfg.patch:
         raise DataError(f"tokenizer.patch must be a positive divisor of "
                         f"image_size {cfg.image_size}, got {cfg.patch}")
+    nn.check_sizes("tokenizer", cfg, ("d_model", "heads", "d_mlp", "d_code", "codebook_size"))
     if cfg.d_model % cfg.heads:
-        raise DataError(f"heads {cfg.heads} must divide d_model {cfg.d_model}")
+        raise DataError(f"tokenizer.heads {cfg.heads} must divide d_model {cfg.d_model}")
     rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     nn.add_linear(ps, "enc.in", cfg.patch_dim, cfg.d_model, rng)
@@ -217,6 +218,7 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
     """
     if images.ndim != 4 or images.shape[0] == 0:
         raise DataError(f"need a nonempty (n,H,W,3) image array, got {images.shape}")
+    nn.check_sizes("tokenizer", tcfg, ("batch",))
     w = build_tokenizer(cfg, tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 1)
     _init_codebook_from_data(w, images, rng)

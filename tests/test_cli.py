@@ -151,6 +151,25 @@ def test_training_with_a_patch_below_1_is_a_data_error(tmp_path, capsys, cmd, pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "heads", 0), ("tokenizer", "heads", 0), ("reranker", "heads", 0),
+    ("reranker", "d_model", 0), ("tokenizer", "d_code", 0), ("tokenizer", "d_code", -1),
+    ("tokenizer", "d_mlp", 0), ("reranker", "d_mlp", 0), ("reranker", "d_e", 0),
+    ("tokenizer", "codebook_size", 0), ("model", "batch", 0), ("model", "batch", -1),
+    ("tokenizer", "batch", 0), ("tokenizer", "batch", -1)])
+def test_training_with_a_size_below_1_is_a_data_error_naming_the_key(tmp_path, capsys,
+                                                                     section, key, value):
+    cmd = next(c for c, (_, sec) in _TRAINING.items() if sec == section)
+    extra = ["--tokenizer", str(_tiny_checkpoints(tmp_path)[1])] if cmd == "train-model" else []
+    data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
+    cfg = _cfg(tmp_path, {**data, section: {key: value}})
+    assert cli.run([cmd, "--config", cfg, "--steps", "1", *extra,
+                    "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {section}.{key} must be at least 1, got {value}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_section_rejected(tmp_path, capsys):
     # each trainer states its own schedule, so there is no optimizer section
     for section in ("dta", "sim", "optimizer"):
