@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (checkpoint, contrastive, metrics, pngio, sampling, scenes,
-               seq2seq, textproc, vq)
+from . import (checkpoint, contrastive, metrics, nn, pngio, sampling,
+               scenes, seq2seq, textproc, vq)
 from .checkpoint import check_section, field_types
 from .errors import DataError, NumericError, UsageError
 from .tensor import CatalogError, ShapeError
@@ -37,24 +37,30 @@ class _Parser(argparse.ArgumentParser):
 @dataclasses.dataclass(frozen=True)
 class DataConfig:
     """The seeded scene data every command draws its splits from."""
-    n_train: int = 2048
-    n_eval: int = 256
-    seed: int = 0
-    image_size: int = 32
+    n_train: int = nn.setting(2048, low=1)
+    n_eval: int = nn.setting(256, low=1)
+    seed: int = nn.setting(0, low=0)
+    image_size: int = nn.setting(32, low=1)
+
+    def __post_init__(self):
+        if self.image_size < 1 or self.image_size % scenes.GRID:
+            raise DataError(f"data.image_size must be a positive multiple of "
+                            f"{scenes.GRID}, got {self.image_size}")
+        nn.check_settings(self, "data")
 
 
 # Keys a command sets from elsewhere, so no section but data takes them:
 # image_size comes from data, the generator's image vocabulary and grid from
 # its tokenizer, and log_every paces hooks, which train-model does not pass.
 _DERIVED = {"image_size", "image_vocab", "grid_h", "grid_w", "log_every"}
-_SCHEMA = {"data": field_types(DataConfig)} | {
-    section: {k: v for cls in classes for k, v in field_types(cls).items()
-              if k not in _DERIVED}
-    for section, classes in (
-        ("tokenizer", (vq.TokenizerConfig, vq.TokTrainConfig)),
-        ("model", (seq2seq.ModelConfig, seq2seq.TrainConfig)),
-        ("sampler", (sampling.SamplerConfig,)),
-        ("reranker", (contrastive.EncoderConfig, contrastive.CLTrainConfig)))}
+# config section -> the config dataclasses its keys are fields of
+_CONFIGS = {"data": (DataConfig,), "tokenizer": (vq.TokenizerConfig, vq.TokTrainConfig),
+            "model": (seq2seq.ModelConfig, seq2seq.TrainConfig),
+            "sampler": (sampling.SamplerConfig,),
+            "reranker": (contrastive.EncoderConfig, contrastive.CLTrainConfig)}
+_SCHEMA = {section: {k: v for cls in classes for k, v in field_types(cls).items()
+                     if section == "data" or k not in _DERIVED}
+           for section, classes in _CONFIGS.items()}
 
 
 def load_config(path) -> dict:
@@ -96,9 +102,6 @@ def _split_seed(d: DataConfig, split: str) -> int:
 def _dataset(d: DataConfig, split="train", n=None):
     """One split of the seeded scene data. train and eval draw from disjoint
     parts of the caption space; all draws from the whole space."""
-    if d.image_size < 1 or d.image_size % scenes.GRID:
-        raise DataError(f"data.image_size must be a positive multiple of "
-                        f"{scenes.GRID}, got {d.image_size}")
     train_caps, held_caps = scenes.split_captions()
     exclude = {"train": held_caps, "eval": train_caps, "all": ()}[split]
     if n is None:
@@ -492,10 +495,7 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except (DataError, ShapeError, CatalogError) as e:
+    except (OSError, DataError, ShapeError, CatalogError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

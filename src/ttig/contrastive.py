@@ -30,15 +30,23 @@ TAU_MIN = 1e-3
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    image_size: int = 32
-    patch: int = 4
-    d_model: int = 64
-    n_blocks: int = 2
-    heads: int = 4
-    d_mlp: int = 128
-    d_e: int = 32
-    text_vocab: int = 512
-    text_len: int = 32
+    image_size: int = nn.setting(32, low=1)
+    patch: int = nn.setting(4, low=1)
+    d_model: int = nn.setting(64, low=1)
+    n_blocks: int = nn.setting(2, low=1)
+    heads: int = nn.setting(4, low=1)
+    d_mlp: int = nn.setting(128, low=1)
+    d_e: int = nn.setting(32, low=1)
+    text_vocab: int = nn.setting(512, low=1)
+    text_len: int = nn.setting(32, low=1)
+
+    def __post_init__(self):
+        if self.patch < 1 or self.image_size % self.patch:
+            raise DataError(f"reranker.patch must be a positive divisor of "
+                            f"image_size {self.image_size}, got {self.patch}")
+        nn.check_settings(self, "reranker")
+        if self.d_model % self.heads:
+            raise DataError(f"reranker.heads {self.heads} must divide d_model {self.d_model}")
 
     @property
     def n_patches(self) -> int:
@@ -47,16 +55,6 @@ class EncoderConfig:
     @property
     def patch_dim(self) -> int:
         return 3 * self.patch * self.patch
-
-    def validate(self):
-        if self.patch < 1 or self.image_size % self.patch:
-            raise DataError(f"reranker.patch must be a positive divisor of "
-                            f"image_size {self.image_size}, got {self.patch}")
-        nn.check_sizes("reranker", self, ("d_model", "heads", "d_mlp", "d_e", "text_vocab",
-                                          "text_len"))
-        if self.d_model % self.heads:
-            raise DataError(f"reranker.heads {self.heads} must divide d_model {self.d_model}")
-        return self
 
 
 @dataclass
@@ -71,7 +69,6 @@ class DualEncoder:
 
 def build_encoder(cfg: EncoderConfig, seed: int = 0, *,
                   skeleton: bool = False) -> DualEncoder:
-    cfg.validate()
     rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     nn.add_linear(ps, "img.in", cfg.patch_dim, cfg.d_model, rng)
@@ -160,10 +157,13 @@ def make_scorer(enc: DualEncoder, vocab: textproc.Vocab):
 
 @dataclass(frozen=True)
 class CLTrainConfig:
-    steps: int = 600
-    batch: int = 32
-    seed: int = 0
-    warmup: int = 50
+    steps: int = nn.setting(600, low=1)
+    batch: int = nn.setting(32, low=2)  # in-batch negatives
+    seed: int = nn.setting(0, low=0)
+    warmup: int = nn.setting(50, low=0)
+
+    def __post_init__(self):
+        nn.check_settings(self, "reranker")
 
 
 def contrastive_loss(enc: DualEncoder, images: np.ndarray, text_ids: np.ndarray):
@@ -190,9 +190,6 @@ def train_contrastive(images: np.ndarray, captions_ids, tcfg: CLTrainConfig,
     Returns (encoder, loss history).
     """
     cfg = cfg or EncoderConfig()
-    if tcfg.batch < 2:
-        raise DataError(f"reranker.batch must be at least 2 (in-batch negatives), "
-                        f"got {tcfg.batch}")
     n = len(images)
     if n < tcfg.batch:
         raise DataError(f"need at least {tcfg.batch} pairs, got {n}")

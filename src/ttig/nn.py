@@ -21,6 +21,8 @@ this module only the sampler's per-chain packing reads those names.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import tensor as T
@@ -81,13 +83,22 @@ class ParamSet:
             t.data = np.ascontiguousarray(arr, dtype=np.float32)
 
 
-def check_sizes(section: str, cfg, names):
-    """Raise a DataError naming section.name for the first of cfg's fields
-    names that is below 1."""
-    for name in names:
-        value = getattr(cfg, name)
-        if value < 1:
-            raise DataError(f"{section}.{name} must be at least 1, got {value}")
+def setting(default, low, high=np.inf):
+    """A config dataclass field of legal values [low, high], for check_settings."""
+    return dataclasses.field(default=default, metadata={"range": (low, high)})
+
+
+def check_settings(cfg, section: str):
+    """Raise a DataError naming section.key for the first field of cfg, a
+    dataclass of setting fields, that is NaN, infinite or out of its range."""
+    for f in dataclasses.fields(cfg):
+        low, high = f.metadata["range"]
+        value = getattr(cfg, f.name)
+        if not -np.inf < value < np.inf:  # NaN fails the comparison too
+            raise DataError(f"{section}.{f.name} must be finite, got {value}")
+        if not low <= value <= high:
+            bound = f"at least {low}" if high == np.inf else f"in [{low}, {high}]"
+            raise DataError(f"{section}.{f.name} must be {bound}, got {value}")
 
 
 def add_linear(ps: ParamSet, pre: str, d_in: int, d_out: int, rng):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import DataError, NumericError
+from .errors import NumericError
 
 BETA1 = 0.9
 BETA2 = 0.96
@@ -132,8 +132,7 @@ def adafactor_step(params, grads: dict, state: OptimizerState,
 def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
                after_step=None) -> list:
     """Train params (a ParamSet) for `steps` steps, the length of cfg's
-    schedule; returns the per-step losses. Fewer than one step raises
-    DataError naming `what`.
+    schedule; returns the per-step losses.
 
     loss_at(step) builds the scalar loss on the active tape.
     after_step(step, loss), if given, runs after every optimizer step. A
@@ -145,8 +144,6 @@ def train_loop(params, loss_at, steps: int, cfg: OptimizerConfig, what: str,
     the rest record by record as its forward runs, and the last one is
     released on return, so the trained params pin no records.
     """
-    if steps < 1:
-        raise DataError(f"{what}: steps must be at least 1, got {steps}")
     state = OptimizerState()
     history = []
     tape = None

@@ -67,29 +67,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seq2seq, textproc, vq
+from . import nn, seq2seq, textproc, vq
 from . import tensor as T
 from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    guidance: float = 1.2
-    temperature: float = 1.0
-    top_k: int = 0          # 0 disables the filter
-    n_samples: int = 16
-    seed: int = 0
+    guidance: float = nn.setting(1.2, low=0)
+    temperature: float = nn.setting(1.0, low=0)
+    top_k: int = nn.setting(0, low=0)  # 0 disables the filter
+    n_samples: int = nn.setting(16, low=1)
+    seed: int = nn.setting(0, low=0)
 
-    def validate(self, image_vocab: int) -> "SamplerConfig":
-        if self.guidance < 0:
-            raise DataError(f"guidance weight must be >= 0, got {self.guidance}")
-        if self.temperature <= 0:
-            raise DataError(f"temperature must be > 0, got {self.temperature}")
-        if not 0 <= self.top_k <= image_vocab:
-            raise DataError(f"top_k must be in [0, {image_vocab}], got {self.top_k}")
-        if self.n_samples < 1:
-            raise DataError(f"n_samples must be >= 1, got {self.n_samples}")
-        return self
+    def __post_init__(self):
+        nn.check_settings(self, "sampler")
+        if self.temperature == 0:
+            raise DataError(f"sampler.temperature must be above 0, got {self.temperature}")
 
 
 @dataclass
@@ -305,7 +299,8 @@ def _run_chains(w: seq2seq.TransformerWeights, text_ids, n: int,
                 cfg: SamplerConfig, uniform_fn) -> np.ndarray:
     """Sample n token grids for one prompt; uniform_fn(t) -> (n,) uniforms."""
     mcfg = w.cfg
-    cfg.validate(mcfg.image_vocab)
+    if cfg.top_k > mcfg.image_vocab:
+        raise DataError(f"sampler.top_k must be at most image_vocab {mcfg.image_vocab}, got {cfg.top_k}")
     text_ids = np.asarray(text_ids)
     if text_ids.ndim == 1:
         text_ids = text_ids[None]

@@ -286,8 +286,8 @@ class PromptRow:
 
 
 def load_prompts(path) -> list:
-    """Parse prompt TSV (prompt<TAB>category<TAB>challenge, optional header).
-    Label vocab is closed; violations raise DataError with the line number."""
+    """Parse a prompt TSV: one or more rows prompt<TAB>category<TAB>challenge
+    from closed label sets, optional header. Violations raise DataError."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = [raw.rstrip("\n") for raw in f]
@@ -310,4 +310,6 @@ def load_prompts(path) -> list:
         if chal not in CHALLENGES:
             raise DataError(f"{path}:{lineno}: unknown challenge {chal!r}")
         rows.append(PromptRow(prompt, cat, chal))
+    if not rows:
+        raise DataError(f"{path}: no prompts")
     return rows

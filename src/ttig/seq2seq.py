@@ -25,35 +25,32 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class ModelConfig:
-    enc_layers: int = 2
-    dec_layers: int = 4
-    d_model: int = 64
-    d_mlp: int = 256
-    heads: int = 4
-    text_vocab: int = 512
-    image_vocab: int = 64
-    text_len: int = 32
-    grid_h: int = 8
-    grid_w: int = 8
-    cond_dropout_rate: float = 0.1
-    conv_kernel: int = 3
-    dropout: float = 0.1
+    enc_layers: int = nn.setting(2, low=1)
+    dec_layers: int = nn.setting(4, low=1)
+    d_model: int = nn.setting(64, low=1)
+    d_mlp: int = nn.setting(256, low=1)
+    heads: int = nn.setting(4, low=1)
+    text_vocab: int = nn.setting(512, low=1)
+    image_vocab: int = nn.setting(64, low=1)
+    text_len: int = nn.setting(32, low=1, high=128)
+    grid_h: int = nn.setting(8, low=1)
+    grid_w: int = nn.setting(8, low=1)
+    cond_dropout_rate: float = nn.setting(0.1, low=0, high=1)
+    conv_kernel: int = nn.setting(3, low=1)
+    dropout: float = nn.setting(0.1, low=0, high=1)
+
+    def __post_init__(self):
+        nn.check_settings(self, "model")
+        if self.d_model % self.heads:
+            raise DataError(f"model.heads {self.heads} must divide d_model {self.d_model}")
+        if self.conv_kernel % 2 == 0:
+            raise DataError(f"model.conv_kernel must be odd, got {self.conv_kernel}")
+        if self.dropout == 1:
+            raise DataError(f"model.dropout must be below 1, got {self.dropout}")
 
     @property
     def image_len(self) -> int:
         return self.grid_h * self.grid_w
-
-    def validate(self):
-        nn.check_sizes("model", self, ("enc_layers", "dec_layers", "d_model", "d_mlp",
-                                       "heads", "text_vocab", "image_vocab", "grid_h",
-                                       "grid_w"))
-        if self.d_model % self.heads:
-            raise DataError(f"model.heads {self.heads} must divide d_model {self.d_model}")
-        if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
-            raise DataError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
-        if not 1 <= self.text_len <= 128:
-            raise DataError(f"text_len must be in [1, 128], got {self.text_len}")
-        return self
 
 
 DESK = ModelConfig()
@@ -67,10 +64,8 @@ class TransformerWeights:
 
 
 def conv_sparse_mask(grid_h: int, grid_w: int, k: int) -> np.ndarray:
-    """allowed[i][j]: j == i, or j < i with Chebyshev(cell_i, cell_j) <= (k-1)/2.
-    Always a subset of the causal lower triangle."""
-    if k % 2 == 0 or k < 1:
-        raise DataError(f"kernel must be odd and >= 1, got {k}")
+    """allowed[i][j]: j == i, or j < i with Chebyshev(cell_i, cell_j) <= (k-1)/2,
+    for an odd k (ModelConfig.conv_kernel). A subset of the causal lower triangle."""
     n = grid_h * grid_w
     rows = np.arange(n) // grid_w
     cols = np.arange(n) % grid_w
@@ -84,7 +79,6 @@ def conv_sparse_mask(grid_h: int, grid_w: int, k: int) -> np.ndarray:
 
 def build_model(cfg: ModelConfig, seed: int, *,
                 skeleton: bool = False) -> TransformerWeights:
-    cfg.validate()
     rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     ps.add("text_emb", nn.trunc_normal(rng, (cfg.text_vocab, cfg.d_model)))
@@ -189,12 +183,15 @@ def forward_loss(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndar
     return T.reduce_mean(per_tok)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 20000
-    batch: int = 16
-    seed: int = 0
-    log_every: int = 200
+    steps: int = nn.setting(20000, low=1)
+    batch: int = nn.setting(16, low=1)
+    seed: int = nn.setting(0, low=0)
+    log_every: int = nn.setting(200, low=1)
+
+    def __post_init__(self):
+        nn.check_settings(self, "model")
 
 
 def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarray,
@@ -207,7 +204,6 @@ def train_model(w: TransformerWeights, text_ids: np.ndarray, image_ids: np.ndarr
     """
     if len(text_ids) != len(image_ids) or len(text_ids) == 0:
         raise DataError("train_model: need matching nonempty id arrays")
-    nn.check_sizes("model", tcfg, ("batch",))
     opt_cfg = optim.OptimizerConfig(base_lr=6e-3, warmup=max(1, tcfg.steps // 40),
                                     decay_frac=0.5, final_ratio=0.05,
                                     weight_decay=1e-4)

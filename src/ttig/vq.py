@@ -22,14 +22,22 @@ from .errors import DataError, NumericError
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    image_size: int = 32
-    patch: int = 4
-    d_model: int = 64
-    n_blocks: int = 2
-    heads: int = 4
-    d_mlp: int = 256
-    d_code: int = 8
-    codebook_size: int = 64
+    image_size: int = nn.setting(32, low=1)
+    patch: int = nn.setting(4, low=1)
+    d_model: int = nn.setting(64, low=1)
+    n_blocks: int = nn.setting(2, low=1)
+    heads: int = nn.setting(4, low=1)
+    d_mlp: int = nn.setting(256, low=1)
+    d_code: int = nn.setting(8, low=1)
+    codebook_size: int = nn.setting(64, low=1)
+
+    def __post_init__(self):
+        if self.patch < 1 or self.image_size % self.patch:
+            raise DataError(f"tokenizer.patch must be a positive divisor of "
+                            f"image_size {self.image_size}, got {self.patch}")
+        nn.check_settings(self, "tokenizer")
+        if self.d_model % self.heads:
+            raise DataError(f"tokenizer.heads {self.heads} must divide d_model {self.d_model}")
 
     @property
     def grid(self) -> int:
@@ -56,12 +64,6 @@ class TokenizerWeights:
 
 def build_tokenizer(cfg: TokenizerConfig, seed: int, *,
                     skeleton: bool = False) -> TokenizerWeights:
-    if cfg.patch < 1 or cfg.image_size % cfg.patch:
-        raise DataError(f"tokenizer.patch must be a positive divisor of "
-                        f"image_size {cfg.image_size}, got {cfg.patch}")
-    nn.check_sizes("tokenizer", cfg, ("d_model", "heads", "d_mlp", "d_code", "codebook_size"))
-    if cfg.d_model % cfg.heads:
-        raise DataError(f"tokenizer.heads {cfg.heads} must divide d_model {cfg.d_model}")
     rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
     nn.add_linear(ps, "enc.in", cfg.patch_dim, cfg.d_model, rng)
@@ -148,8 +150,6 @@ TOKENIZE_CHUNK = 64
 def tokenize(w: TokenizerWeights, images: np.ndarray) -> np.ndarray:
     """Images (n, H, W, 3) in [0,1] -> int token grids (n, grid, grid)."""
     cfg = w.cfg
-    if images.shape[1] % cfg.patch or images.shape[2] % cfg.patch:
-        raise DataError(f"image dims {images.shape[1:3]} not divisible by patch {cfg.patch}")
     if images.shape[1] != cfg.image_size or images.shape[2] != cfg.image_size:
         raise DataError(f"expected {cfg.image_size}x{cfg.image_size} input, got {images.shape[1:3]}")
     ids = [quantize(w.codebook, _encode_tensor(w, images[s:s + TOKENIZE_CHUNK]).data)
@@ -175,12 +175,15 @@ def reconstruction_mse(w: TokenizerWeights, images: np.ndarray) -> float:
     return float(np.mean((recon - images) ** 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokTrainConfig:
-    steps: int = 6000
-    batch: int = 32
-    seed: int = 0
-    warmup: int = 200
+    steps: int = nn.setting(6000, low=1)
+    batch: int = nn.setting(32, low=1)
+    seed: int = nn.setting(0, low=0)
+    warmup: int = nn.setting(200, low=0)
+
+    def __post_init__(self):
+        nn.check_settings(self, "tokenizer")
 
 
 # weight of the commitment term, which pulls the encoder's codes toward
@@ -218,7 +221,6 @@ def train_tokenizer(images: np.ndarray, cfg: TokenizerConfig, tcfg: TokTrainConf
     """
     if images.ndim != 4 or images.shape[0] == 0:
         raise DataError(f"need a nonempty (n,H,W,3) image array, got {images.shape}")
-    nn.check_sizes("tokenizer", tcfg, ("batch",))
     w = build_tokenizer(cfg, tcfg.seed)
     rng = np.random.default_rng(tcfg.seed + 1)
     _init_codebook_from_data(w, images, rng)

@@ -245,6 +245,20 @@ def test_typed_load_rejects_bad_config_section(tmp_path, kind, damage):
 
 
 @pytest.mark.parametrize("kind", sorted(_TYPED))
+def test_typed_load_rejects_a_config_value_out_of_range(tmp_path, kind):
+    # the config dataclass checks its ranges however it is built
+    save, load, build = _TYPED[kind]
+    path = tmp_path / "ck"
+    save(build(), path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    section = next(k for k in manifest["config"] if k != "kind")
+    manifest["config"][section]["heads"] = -2
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=r"\.heads must be at least 1, got -2$"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_TYPED))
 def test_typed_load_is_byte_exact_and_draws_no_init(tmp_path, kind, monkeypatch):
     """A load builds its skeleton from no generator: no truncated-normal draw
     (nor the tokenizer's codebook draw), only the saved bytes."""

@@ -2,6 +2,7 @@
 the README and format docs that show them."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -99,7 +100,9 @@ def test_make_data_with_no_scenes_is_a_data_error(tmp_path, capsys):
     assert cli.run(["make-data", "--config", _cfg(tmp_path, empty),
                     "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3 and all("at least one scene" in line for line in err)
+    assert err == ["data error: a dataset needs at least one scene, got n=0",
+                   "data error: a dataset needs at least one scene, got n=-3",
+                   "data error: data.n_train must be at least 1, got 0"]
     assert not (tmp_path / "d").exists()
 
 
@@ -115,16 +118,15 @@ def test_make_data_of_an_image_size_no_scene_fits_is_a_data_error(tmp_path, caps
     assert not (tmp_path / "d").exists()
 
 
-# command -> (the trainer its error names, its config section)
-_TRAINING = {"train-tokenizer": ("vq.train_tokenizer", "tokenizer"),
-             "train-model": ("seq2seq.train_model", "model"),
-             "train-reranker": ("contrastive.train_contrastive", "reranker")}
+# command -> its config section
+_TRAINING = {"train-tokenizer": "tokenizer", "train-model": "model",
+             "train-reranker": "reranker"}
 
 
 @pytest.mark.parametrize("steps", [0, -1])
 @pytest.mark.parametrize("cmd", sorted(_TRAINING))
 def test_training_with_fewer_than_one_step_is_a_data_error(tmp_path, capsys, cmd, steps):
-    what, section = _TRAINING[cmd]
+    section = _TRAINING[cmd]
     extra = ["--tokenizer", str(_tiny_checkpoints(tmp_path)[1])] if cmd == "train-model" else []
     data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
     by_flag = [cmd, "--config", _cfg(tmp_path, data), "--steps", str(steps), *extra]
@@ -133,14 +135,14 @@ def test_training_with_fewer_than_one_step_is_a_data_error(tmp_path, capsys, cmd
     for argv in (by_flag, by_config):
         assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and f"{what}: steps must be at least 1, got {steps}" in err[0]
+        assert err == [f"data error: {section}.steps must be at least 1, got {steps}"]
         assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("patch", [0, -4])
 @pytest.mark.parametrize("cmd", ["train-tokenizer", "train-reranker"])
 def test_training_with_a_patch_below_1_is_a_data_error(tmp_path, capsys, cmd, patch):
-    section = _TRAINING[cmd][1]
+    section = _TRAINING[cmd]
     data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
     cfg = _cfg(tmp_path, {**data, section: {"patch": patch}})
     assert cli.run([cmd, "--config", cfg, "--steps", "1",
@@ -159,7 +161,7 @@ def test_training_with_a_patch_below_1_is_a_data_error(tmp_path, capsys, cmd, pa
     ("tokenizer", "batch", 0), ("tokenizer", "batch", -1)])
 def test_training_with_a_size_below_1_is_a_data_error_naming_the_key(tmp_path, capsys,
                                                                      section, key, value):
-    cmd = next(c for c, (_, sec) in _TRAINING.items() if sec == section)
+    cmd = next(c for c, sec in _TRAINING.items() if sec == section)
     extra = ["--tokenizer", str(_tiny_checkpoints(tmp_path)[1])] if cmd == "train-model" else []
     data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
     cfg = _cfg(tmp_path, {**data, section: {key: value}})
@@ -167,6 +169,80 @@ def test_training_with_a_size_below_1_is_a_data_error_naming_the_key(tmp_path, c
                     "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: {section}.{key} must be at least 1, got {value}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_field_declares_its_range():
+    # a field with no declared range, derived ones included, is a setting
+    # nothing checks
+    classes = [cls for group in cli._CONFIGS.values() for cls in group]
+    missing = [f"{cls.__name__}.{f.name}" for cls in classes
+               for f in dataclasses.fields(cls) if "range" not in f.metadata]
+    assert not missing, missing
+
+
+def _out_of_range():
+    """(section, key, value) for every config key: one value below its range,
+    one above it if it has an upper bound, and NaN and both infinities if it
+    is a float key."""
+    cases = []
+    for section, classes in cli._CONFIGS.items():
+        for f in (f for cls in classes for f in dataclasses.fields(cls)):
+            if f.name not in cli._SCHEMA[section]:
+                continue  # derived: set by the command, not by a key
+            low, high = f.metadata["range"]
+            values = [low - 1] + ([high + 1] if high < float("inf") else [])
+            if f.type == "float":
+                values += [float("nan"), float("inf"), -float("inf")]
+            cases += [(section, f.name, v) for v in values]
+    return cases
+
+
+# config section -> the command that builds its configs, less --config and --out;
+# None stands for the tokenizer checkpoint
+_READER = {"data": ["make-data"], "tokenizer": ["train-tokenizer"],
+           "model": ["train-model", "--tokenizer", None],
+           "sampler": ["sample", "--model", "m", "--tokenizer", "t", "--prompt", "a red circle"],
+           "reranker": ["train-reranker"]}
+
+
+@pytest.fixture(scope="module")
+def tiny_tokenizer(tmp_path_factory):
+    return str(_tiny_checkpoints(tmp_path_factory.mktemp("ck"))[1])
+
+
+def _reader_argv(tmp_path, section, tokenizer, **values):
+    """The reader of section with a config of tiny data, one training step
+    and values, so a value that slips through fails fast."""
+    body = {"data": dict(TINY_DATA["data"])}
+    body.setdefault(section, {"steps": 1} if section in _TRAINING.values() else {})
+    body[section].update(values)
+    return [tokenizer if a is None else a for a in _READER[section]] + [
+        "--config", _cfg(tmp_path, body), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("section,key,value", _out_of_range())
+def test_config_value_out_of_range_fails_while_the_config_is_built(
+        tmp_path, capsys, tiny_tokenizer, section, key, value):
+    assert cli.run(_reader_argv(tmp_path, section, tiny_tokenizer, **{key: value})) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {section}.{key} "), err
+    assert not (tmp_path / "out").exists()
+
+
+# a flag sets the same config field as its key, so the same range holds
+@pytest.mark.parametrize("section,key,flag,value", [
+    ("data", "seed", "--seed", "-1"), ("tokenizer", "seed", "--seed", "-1"),
+    ("model", "seed", "--seed", "-1"), ("reranker", "seed", "--seed", "-1"),
+    ("sampler", "seed", "--seed", "-1"), ("sampler", "guidance", "--lambda", "nan"),
+    ("sampler", "temperature", "--temperature", "inf"),
+    ("sampler", "temperature", "--temperature", "0"),
+    ("sampler", "n_samples", "--n-samples", "0")])
+def test_flag_value_out_of_range_is_a_data_error(tmp_path, capsys, tiny_tokenizer,
+                                                 section, key, flag, value):
+    assert cli.run([*_reader_argv(tmp_path, section, tiny_tokenizer), flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: {section}.{key} "), err
     assert not (tmp_path / "out").exists()
 
 
@@ -488,6 +564,18 @@ def test_unreadable_prompt_list_is_a_data_error(tmp_path, capsys, case):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("text", ["", "Prompt\tCategory\tChallenge\n", "\n\n"],
+                         ids=["empty", "header_only", "blank_lines"])
+def test_sample_of_a_prompt_list_with_no_prompts_is_a_data_error(tmp_path, capsys, text):
+    tsv = tmp_path / "p.tsv"
+    tsv.write_text(text)
+    # the list is read before any checkpoint, so none is needed
+    assert cli.run(["sample", "--model", "m", "--tokenizer", "t",
+                    "--prompts", str(tsv), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {tsv}: no prompts"]
+    assert not (tmp_path / "s").exists()
+
+
 def test_sample_with_a_vocab_not_utf8_is_a_data_error(tmp_path, capsys):
     model, tok = _tiny_checkpoints(tmp_path)
     vocab = model / "vocab.json"
@@ -784,7 +872,11 @@ def test_formats_doc_example_config_loads(tmp_path):
     example = _code_blocks(doc[doc.index("## Run configuration"):])[0]
     path = tmp_path / "cfg.json"
     path.write_text(example)
-    assert set(cli.load_config(path)) == set(cli._SCHEMA)
+    doc = cli.load_config(path)
+    assert set(doc) == set(cli._SCHEMA)
+    for section, classes in cli._CONFIGS.items():
+        for cls in classes:
+            cli._pick(doc[section], cls)  # every value is inside its range
 
 
 # eval-alignment records of _oracle_sample_dir, as the per-placement oracle

@@ -72,15 +72,15 @@ def test_top_k_zero_keeps_everything():
 
 
 def test_sampler_config_validation():
-    sampling.SamplerConfig().validate(16)
-    with pytest.raises(DataError):
-        sampling.SamplerConfig(temperature=0.0).validate(16)
-    with pytest.raises(DataError):
-        sampling.SamplerConfig(top_k=-2).validate(16)
-    with pytest.raises(DataError):
-        sampling.SamplerConfig(top_k=17).validate(16)
-    with pytest.raises(DataError):
-        sampling.SamplerConfig(n_samples=0).validate(16)
+    # a SamplerConfig checks itself when built; top_k's bound is the model's
+    for bad in ({"temperature": 0.0}, {"top_k": -2}, {"n_samples": 0}):
+        with pytest.raises(DataError):
+            sampling.SamplerConfig(**bad)
+    w = _model()
+    assert w.cfg.image_vocab == 16
+    sampling.sample_token_batch(w, _text(), sampling.SamplerConfig(top_k=16, n_samples=1))
+    with pytest.raises(DataError, match="^sampler.top_k must be at most image_vocab 16, got 17$"):
+        sampling.sample_token_batch(w, _text(), sampling.SamplerConfig(top_k=17, n_samples=1))
 
 
 # ---------------------------------------------------------------- sampling

@@ -1,6 +1,7 @@
 """Encoder-decoder model: shapes, causality, conditioning, short training."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -126,8 +127,6 @@ def test_conv_sparse_mask_window():
     # the center cell sees the row above and its left neighbour
     assert set(np.flatnonzero(m[4])) == {0, 1, 2, 3, 4}
     np.testing.assert_array_equal(seq2seq.conv_sparse_mask(3, 3, 1), np.eye(9, dtype=bool))
-    with pytest.raises(DataError):
-        seq2seq.conv_sparse_mask(3, 3, 2)
 
 
 def test_build_model_is_seeded_and_validated():
@@ -136,6 +135,11 @@ def test_build_model_is_seeded_and_validated():
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
     with pytest.raises(DataError):
         seq2seq.build_model(seq2seq.ModelConfig(d_model=66), seed=0)  # 4 heads
+    # relations a single field's range does not state
+    for bad, words in (({"conv_kernel": 2}, "model.conv_kernel must be odd, got 2"),
+                       ({"dropout": 1.0}, "model.dropout must be below 1, got 1.0")):
+        with pytest.raises(DataError, match=f"^{re.escape(words)}$"):
+            seq2seq.ModelConfig(**bad)
 
 
 def test_full_condition_dropout_ignores_the_text():
