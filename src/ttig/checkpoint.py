@@ -148,13 +148,17 @@ def _load_typed(path, kind, cfg_cls, build):
     section = config.get(key)
     if not isinstance(section, dict):
         raise DataError(f"{kind!r} checkpoint at {path} has no {key!r} config")
-    check_section(section, field_types(cfg_cls), key,
-                  f"{kind!r} checkpoint at {path}")
+    where = f"{kind!r} checkpoint at {path}"
+    check_section(section, field_types(cfg_cls), key, where)
+    try:
+        cfg = cfg_cls(**section)
+    except DataError as e:  # a value out of its range
+        raise DataError(f"{where}: {e}") from None
     for name, arr in state.items():
         if not np.isfinite(arr).all():
             raise DataError(f"{Path(path) / 'weights.bin'}: parameter {name!r} "
                             f"holds a NaN or infinite value")
-    w = build(cfg_cls(**section), 0, skeleton=True)
+    w = build(cfg, 0, skeleton=True)
     w.params.load_state(state)
     return w
 

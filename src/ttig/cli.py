@@ -1,11 +1,11 @@
 """Command-line orchestration: data, training, sampling, evaluation.
 
-The commands that render, train, sample or retrieve read an
-optional JSON run config (strict schema: unknown keys and values of the
-wrong JSON type are rejected) plus flag overrides; no command accepts a flag
-or key it does not read. Exit codes: 0 success, 1 usage error, 2 data/format
-error, 3 numeric failure. Diagnostics are one line on stderr; structured
-results are JSON lines on stdout or in files.
+The commands that render, train, sample or retrieve read an optional JSON
+run config with a strict schema (unknown keys and wrongly typed values are
+rejected), which only sample's --seed, --lambda and --n-samples override;
+no command accepts a flag or key it does not read. Exit codes: 0 success,
+1 usage error, 2 data/format error, 3 numeric failure. Diagnostics are one
+line on stderr; structured results are JSON lines on stdout or in files.
 """
 
 from __future__ import annotations
@@ -99,13 +99,12 @@ def _split_seed(d: DataConfig, split: str) -> int:
     return d.seed + (1 if split == "eval" else 0)
 
 
-def _dataset(d: DataConfig, split="train", n=None):
+def _dataset(d: DataConfig, split="train"):
     """One split of the seeded scene data. train and eval draw from disjoint
     parts of the caption space; all draws from the whole space."""
     train_caps, held_caps = scenes.split_captions()
     exclude = {"train": held_caps, "eval": train_caps, "all": ()}[split]
-    if n is None:
-        n = d.n_eval if split == "eval" else d.n_train
+    n = d.n_eval if split == "eval" else d.n_train
     return scenes.gen_dataset(n, _split_seed(d, split),
                               exclude_captions=exclude,
                               size=d.image_size)
@@ -128,14 +127,6 @@ def _finish_run(out, history, records: dict, n: int, seed):
               out / "metrics.jsonl")
 
 
-def _write_pngs(out: Path, images, prefix: str) -> list:
-    out.mkdir(parents=True, exist_ok=True)
-    names = [f"{prefix}_{i:02d}.png" for i in range(len(images))]
-    for name, img in zip(names, images):
-        pngio.write_png(out / name, img)
-    return names
-
-
 def _read_image_dir(path) -> np.ndarray:
     root = Path(path)
     if (root / "images").is_dir():
@@ -143,7 +134,11 @@ def _read_image_dir(path) -> np.ndarray:
     files = sorted(root.glob("*.png"))
     if not files:
         raise DataError(f"no .png files under {path}")
-    images = [pngio.read_png(f) for f in files]
+    return _stack(files, [pngio.read_png(f) for f in files])
+
+
+def _stack(files, images) -> np.ndarray:
+    """images, each read from its file, as one array; all must be one size."""
     for f, img in zip(files, images):
         if img.shape != images[0].shape:
             raise DataError(f"{f}: image is {img.shape[1]}x{img.shape[0]}, but "
@@ -151,13 +146,19 @@ def _read_image_dir(path) -> np.ndarray:
     return np.stack(images)
 
 
+def _check_text_vocab(cfg, section: str):
+    """Name the key of a text_vocab too small for BPE before data is rendered."""
+    if cfg.text_vocab < textproc.MIN_VOCAB:
+        raise DataError(f"{section}.text_vocab must be at least {textproc.MIN_VOCAB} "
+                        f"to train a BPE vocabulary, got {cfg.text_vocab}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_make_data(args) -> int:
-    d = _pick(load_config(args.config).get("data", {}), DataConfig,
-              seed=args.seed)
-    ds = _dataset(d, args.split, n=args.n)
+    d = _pick(load_config(args.config).get("data", {}), DataConfig)
+    ds = _dataset(d, args.split)
     n, seed = len(ds), _split_seed(d, args.split)
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -176,7 +177,7 @@ def cmd_train_tokenizer(args) -> int:
     d = _pick(cfg.get("data", {}), DataConfig)
     sec = cfg.get("tokenizer", {})
     tok_cfg = _pick(sec, vq.TokenizerConfig, image_size=d.image_size)
-    tcfg = _pick(sec, vq.TokTrainConfig, steps=args.steps, seed=args.seed)
+    tcfg = _pick(sec, vq.TokTrainConfig)
     ds = _dataset(d)
     w, history = vq.train_tokenizer(ds.images, tok_cfg, tcfg)
     checkpoint.save_tokenizer(w, args.out)
@@ -204,7 +205,8 @@ def cmd_train_model(args) -> int:
     tok = checkpoint.load_tokenizer(args.tokenizer)
     mcfg = _pick(sec, seq2seq.ModelConfig, image_vocab=tok.cfg.codebook_size,
                  grid_h=tok.cfg.grid, grid_w=tok.cfg.grid)
-    tcfg = _pick(sec, seq2seq.TrainConfig, steps=args.steps, seed=args.seed)
+    tcfg = _pick(sec, seq2seq.TrainConfig)
+    _check_text_vocab(mcfg, "model")
     ds = _dataset(d)
     vocab = textproc.train_bpe(ds.captions, vocab_size=mcfg.text_vocab)
     text_ids = _encode_captions(vocab, ds.captions, mcfg.text_len)
@@ -224,8 +226,8 @@ def cmd_train_reranker(args) -> int:
     d = _pick(cfg.get("data", {}), DataConfig)
     sec = cfg.get("reranker", {})
     ecfg = _pick(sec, contrastive.EncoderConfig, image_size=d.image_size)
-    tcfg = _pick(sec, contrastive.CLTrainConfig, steps=args.steps,
-                 seed=args.seed)
+    tcfg = _pick(sec, contrastive.CLTrainConfig)
+    _check_text_vocab(ecfg, "reranker")
     ds = _dataset(d)
     vocab = textproc.train_bpe(ds.captions, vocab_size=ecfg.text_vocab)
     cap_ids = [textproc.encode_clipped(vocab, c, ecfg.text_len)
@@ -240,7 +242,10 @@ def cmd_train_reranker(args) -> int:
 
 
 def _write_sample_dir(out: Path, batch, scfg, extra=None):
-    names = _write_pngs(out, batch.images, "sample")
+    out.mkdir(parents=True, exist_ok=True)
+    names = [f"sample_{i:02d}.png" for i in range(len(batch.images))]
+    for name, img in zip(names, batch.images):
+        pngio.write_png(out / name, img)
     meta = {"prompt": batch.prompt, "seed": scfg.seed,
             "guidance": scfg.guidance, "temperature": scfg.temperature,
             "top_k": scfg.top_k, "n_samples": scfg.n_samples,
@@ -255,11 +260,8 @@ def _write_sample_dir(out: Path, batch, scfg, extra=None):
 def cmd_sample(args) -> int:
     if (args.prompt is None) == (args.prompts is None):
         raise UsageError("give exactly one of --prompt or --prompts")
-    cfg = load_config(args.config)
-    sec = cfg.get("sampler", {})
-    scfg = _pick(sec, sampling.SamplerConfig, guidance=args.guidance,
-                 n_samples=args.n_samples, seed=args.seed,
-                 top_k=args.top_k, temperature=args.temperature)
+    scfg = _pick(load_config(args.config).get("sampler", {}), sampling.SamplerConfig,
+                 guidance=args.guidance, n_samples=args.n_samples, seed=args.seed)
     # parse the prompt list before loading anything heavy
     rows = scenes.load_prompts(args.prompts) if args.prompts else None
     w = checkpoint.load_model(args.model)
@@ -326,8 +328,11 @@ def _load_sample_dir(path, *keys):
         except ValueError:  # ragged nesting
             raise DataError(f"{meta_path}: grids must all have one shape") from None
     files = [Path(path) / f for f in names]
-    blobs = [f.read_bytes() for f in files]
-    images = np.stack([pngio.read_png(f, b) for f, b in zip(files, blobs)])
+    try:
+        blobs = [f.read_bytes() for f in files]
+    except OSError as e:  # missing, or a directory
+        raise DataError(f"{meta_path} lists {e.filename}: {e.strerror}") from None
+    images = _stack(files, [pngio.read_png(f, b) for f, b in zip(files, blobs)])
     return meta, blobs, images
 
 
@@ -367,6 +372,10 @@ def cmd_eval_fid(args) -> int:
 
 def cmd_eval_alignment(args) -> int:
     meta, _, images = _load_sample_dir(args.dir)
+    try:  # the oracle scores captions of the scene grammar only
+        scenes.parse_caption(meta["prompt"])
+    except DataError as e:
+        raise DataError(f"{Path(args.dir) / 'meta.json'}: {e}") from None
     scores = metrics.caption_fidelities(images, meta["prompt"])
     for name, value in (("caption_fidelity_mean", np.mean(scores)),
                         ("caption_fidelity_best", np.max(scores))):
@@ -397,9 +406,6 @@ def cmd_inspect_checkpoint(args) -> int:
            "n_params": total, "n_tensors": len(state),
            "total_bytes": 4 * total,
            "params": [{"name": k, "shape": list(v.shape)} for k, v in state.items()]}
-    if not args.full:
-        doc["params"] = doc["params"][:16]
-        doc["params_truncated"] = len(state) > 16
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -411,18 +417,15 @@ def build_parser() -> _Parser:
     p = _Parser(prog="ttig", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help, config=True, seed=True):
+    def add(name, help, config=True):
         """The subparser of name; run() calls cmd_<name, "-" read as "_">."""
         sp = sub.add_parser(name, help=help)
         if config:
             sp.add_argument("--config", default=None, help="RunConfig JSON path")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
         return sp
 
     sp = add("make-data", "render a captioned dataset to PNGs")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--split", choices=("train", "eval", "all"), default="train")
 
     for name, what in (
@@ -433,7 +436,6 @@ def build_parser() -> _Parser:
         if name == "train-model":
             sp.add_argument("--tokenizer", required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--steps", type=int, default=None)
 
     sp = add("sample", "generate images for a prompt")
     sp.add_argument("--model", required=True)
@@ -442,39 +444,32 @@ def build_parser() -> _Parser:
     sp.add_argument("--prompts", default=None,
                     help="prompt TSV; one sample dir per row")
     sp.add_argument("--out", required=True)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--lambda", dest="guidance", type=float, default=None)
     sp.add_argument("--n-samples", type=int, default=None)
-    sp.add_argument("--top-k", type=int, default=None)
-    sp.add_argument("--temperature", type=float, default=None)
 
-    sp = add("rerank", "order sampled images by alignment",
-             config=False, seed=False)
+    sp = add("rerank", "order sampled images by alignment", config=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--reranker", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = add("eval-fid", "FID between two image directories",
-             config=False, seed=False)
+    sp = add("eval-fid", "FID between two image directories", config=False)
     sp.add_argument("--real", required=True)
     sp.add_argument("--gen", required=True)
     sp.add_argument("--features", required=True, help="dual-encoder checkpoint")
     sp.add_argument("--out", default=None)
 
-    sp = add("eval-alignment", "oracle fidelity of a sample dir",
-             config=False, seed=False)
+    sp = add("eval-alignment", "oracle fidelity of a sample dir", config=False)
     sp.add_argument("--dir", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = add("retrieve", "nearest training images for a caption",
-             seed=False)
+    sp = add("retrieve", "nearest training images for a caption")
     sp.add_argument("--reranker", required=True)
     sp.add_argument("--caption", required=True)
     sp.add_argument("--k", type=int, default=5)
 
-    sp = add("inspect-checkpoint", "print checkpoint summary",
-             config=False, seed=False)
+    sp = add("inspect-checkpoint", "print checkpoint summary", config=False)
     sp.add_argument("--dir", required=True)
-    sp.add_argument("--full", action="store_true")
 
     return p
 

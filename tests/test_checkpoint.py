@@ -254,8 +254,12 @@ def test_typed_load_rejects_a_config_value_out_of_range(tmp_path, kind):
     section = next(k for k in manifest["config"] if k != "kind")
     manifest["config"][section]["heads"] = -2
     (path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match=r"\.heads must be at least 1, got -2$"):
+    # the message names the file and its kind: sample reads two checkpoints
+    with pytest.raises(DataError) as e:
         load(path)
+    kind = manifest["config"]["kind"]
+    assert str(e.value).startswith(f"{kind!r} checkpoint at {path}: ")
+    assert str(e.value).endswith(".heads must be at least 1, got -2")
 
 
 @pytest.mark.parametrize("kind", sorted(_TYPED))

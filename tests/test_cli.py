@@ -93,16 +93,13 @@ def test_make_data_eval_split_differs(tmp_path, capsys):
 
 
 def test_make_data_with_no_scenes_is_a_data_error(tmp_path, capsys):
-    for n in ("0", "-3"):
-        assert cli.run(["make-data", "--config", _cfg(tmp_path, TINY_DATA),
-                        "--n", n, "--out", str(tmp_path / "d")]) == 2
-    empty = {"data": {**TINY_DATA["data"], "n_train": 0}}
-    assert cli.run(["make-data", "--config", _cfg(tmp_path, empty),
-                    "--out", str(tmp_path / "d")]) == 2
+    for split, key in (("train", "n_train"), ("eval", "n_eval")):
+        empty = {"data": {**TINY_DATA["data"], key: 0}}
+        assert cli.run(["make-data", "--config", _cfg(tmp_path, empty),
+                        "--split", split, "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["data error: a dataset needs at least one scene, got n=0",
-                   "data error: a dataset needs at least one scene, got n=-3",
-                   "data error: data.n_train must be at least 1, got 0"]
+    assert err == ["data error: data.n_train must be at least 1, got 0",
+                   "data error: data.n_eval must be at least 1, got 0"]
     assert not (tmp_path / "d").exists()
 
 
@@ -110,8 +107,7 @@ def test_make_data_with_no_scenes_is_a_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("size", [-2, 0, 3])
 def test_make_data_of_an_image_size_no_scene_fits_is_a_data_error(tmp_path, capsys, size):
     cfg = _cfg(tmp_path, {"data": {**TINY_DATA["data"], "image_size": size}})
-    assert cli.run(["make-data", "--config", cfg, "--n", "1",
-                    "--out", str(tmp_path / "d")]) == 2
+    assert cli.run(["make-data", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: data.image_size must be a positive multiple of 2, "
                    f"got {size}"]
@@ -129,14 +125,11 @@ def test_training_with_fewer_than_one_step_is_a_data_error(tmp_path, capsys, cmd
     section = _TRAINING[cmd]
     extra = ["--tokenizer", str(_tiny_checkpoints(tmp_path)[1])] if cmd == "train-model" else []
     data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
-    by_flag = [cmd, "--config", _cfg(tmp_path, data), "--steps", str(steps), *extra]
-    by_config = [cmd, "--config", _cfg(tmp_path, {**data, section: {"steps": steps}}),
-                 *extra]
-    for argv in (by_flag, by_config):
-        assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"data error: {section}.steps must be at least 1, got {steps}"]
-        assert not (tmp_path / "out").exists()
+    cfg = _cfg(tmp_path, {**data, section: {"steps": steps}})
+    assert cli.run([cmd, "--config", cfg, *extra, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {section}.steps must be at least 1, got {steps}"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("patch", [0, -4])
@@ -144,9 +137,8 @@ def test_training_with_fewer_than_one_step_is_a_data_error(tmp_path, capsys, cmd
 def test_training_with_a_patch_below_1_is_a_data_error(tmp_path, capsys, cmd, patch):
     section = _TRAINING[cmd]
     data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
-    cfg = _cfg(tmp_path, {**data, section: {"patch": patch}})
-    assert cli.run([cmd, "--config", cfg, "--steps", "1",
-                    "--out", str(tmp_path / "out")]) == 2
+    cfg = _cfg(tmp_path, {**data, section: {"patch": patch, "steps": 1}})
+    assert cli.run([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: {section}.patch must be a positive divisor of "
                    f"image_size 16, got {patch}"]
@@ -164,9 +156,8 @@ def test_training_with_a_size_below_1_is_a_data_error_naming_the_key(tmp_path, c
     cmd = next(c for c, sec in _TRAINING.items() if sec == section)
     extra = ["--tokenizer", str(_tiny_checkpoints(tmp_path)[1])] if cmd == "train-model" else []
     data = {"data": {**TINY_DATA["data"], "n_train": 32}}  # one reranker batch
-    cfg = _cfg(tmp_path, {**data, section: {key: value}})
-    assert cli.run([cmd, "--config", cfg, "--steps", "1", *extra,
-                    "--out", str(tmp_path / "out")]) == 2
+    cfg = _cfg(tmp_path, {**data, section: {key: value, "steps": 1}})
+    assert cli.run([cmd, "--config", cfg, *extra, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"data error: {section}.{key} must be at least 1, got {value}"]
     assert not (tmp_path / "out").exists()
@@ -221,7 +212,9 @@ def _reader_argv(tmp_path, section, tokenizer, **values):
         "--config", _cfg(tmp_path, body), "--out", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("section,key,value", _out_of_range())
+# sampler.temperature's declared range starts at 0, but the class rejects 0 itself
+@pytest.mark.parametrize("section,key,value",
+                         _out_of_range() + [("sampler", "temperature", 0.0)])
 def test_config_value_out_of_range_fails_while_the_config_is_built(
         tmp_path, capsys, tiny_tokenizer, section, key, value):
     assert cli.run(_reader_argv(tmp_path, section, tiny_tokenizer, **{key: value})) == 2
@@ -232,11 +225,7 @@ def test_config_value_out_of_range_fails_while_the_config_is_built(
 
 # a flag sets the same config field as its key, so the same range holds
 @pytest.mark.parametrize("section,key,flag,value", [
-    ("data", "seed", "--seed", "-1"), ("tokenizer", "seed", "--seed", "-1"),
-    ("model", "seed", "--seed", "-1"), ("reranker", "seed", "--seed", "-1"),
     ("sampler", "seed", "--seed", "-1"), ("sampler", "guidance", "--lambda", "nan"),
-    ("sampler", "temperature", "--temperature", "inf"),
-    ("sampler", "temperature", "--temperature", "0"),
     ("sampler", "n_samples", "--n-samples", "0")])
 def test_flag_value_out_of_range_is_a_data_error(tmp_path, capsys, tiny_tokenizer,
                                                  section, key, flag, value):
@@ -339,6 +328,21 @@ def test_config_key_set_from_elsewhere_rejected(tmp_path, capsys, section, key,
      "--index-out", "idx"],
     ["retrieve", "--reranker", "rr", "--caption", "a red circle",
      "--exclude-query"],
+    # flags that repeated a config key, which stays (data.seed, data.n_train
+    # and n_eval, each trainer's steps and seed, the sampler's top_k and
+    # temperature), and --full: inspect-checkpoint lists every parameter. The
+    # config and the checkpoint do not exist, so a command that still took
+    # the flag would exit 2, not 1.
+    *([cmd, "--config", "no.json", "--out", "out", *extra, flag, "1"]
+      for cmd, extra, flags in (("make-data", [], ("--seed", "--n")),
+                                ("train-tokenizer", [], ("--steps", "--seed")),
+                                ("train-model", ["--tokenizer", "tok"], ("--steps", "--seed")),
+                                ("train-reranker", [], ("--steps", "--seed")),
+                                ("sample", ["--model", "m", "--tokenizer", "t",
+                                            "--prompt", "a red circle"],
+                                 ("--top-k", "--temperature")))
+      for flag in flags),
+    ["inspect-checkpoint", "--dir", "no_ck", "--full"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv
                              if a.startswith("--") or a == argv[0]))
 def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
@@ -371,6 +375,15 @@ def test_inspect_checkpoint(tmp_path, capsys):
     assert rec["n_params"] == 30
     names = {p["name"]: p for p in rec["params"]}
     assert names["layer.w"]["shape"] == [4, 6]
+
+
+def test_inspect_checkpoint_lists_every_parameter(tmp_path, capsys):
+    state = {f"p{i:02d}": np.zeros(i + 1, np.float32) for i in range(20)}
+    checkpoint.save_checkpoint(state, {"kind": "demo"}, tmp_path / "ck")
+    assert cli.run(["inspect-checkpoint", "--dir", str(tmp_path / "ck")]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["params"] == [{"name": k, "shape": [v.size]} for k, v in state.items()]
+    assert "params_truncated" not in rec
 
 
 def test_inspect_checkpoint_missing_dir(tmp_path, capsys):
@@ -484,14 +497,30 @@ def test_train_model_takes_image_vocab_and_grid_from_the_tokenizer(tmp_path, cap
     # a 4x4 tokenizer with 16 codes; ModelConfig's defaults are 8x8 and 64
     _, tok = _tiny_checkpoints(tmp_path)
     model = {"enc_layers": 1, "dec_layers": 1, "d_model": 32, "d_mlp": 64,
-             "heads": 4, "text_vocab": 300, "text_len": 12, "batch": 4}
+             "heads": 4, "text_vocab": 300, "text_len": 12, "batch": 4, "steps": 1}
     out = tmp_path / "m"
-    assert cli.run(["train-model", "--steps", "1", "--tokenizer", str(tok),
+    assert cli.run(["train-model", "--tokenizer", str(tok),
                     "--config", _cfg(tmp_path, {**TINY_DATA, "model": model}),
                     "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     got = manifest["config"]["model"]
     assert (got["grid_h"], got["grid_w"], got["image_vocab"]) == (4, 4, 16)
+
+
+# textproc.MIN_VOCAB is the floor for a trained BPE vocabulary; library code
+# builds models with smaller vocabularies, so the config range starts at 1
+@pytest.mark.parametrize("cmd", ["train-model", "train-reranker"])
+def test_training_a_text_vocab_below_the_bpe_floor_names_the_key(tmp_path, capsys,
+                                                                  monkeypatch, cmd):
+    section = _TRAINING[cmd]
+    extra = ["--tokenizer", str(_tiny_checkpoints(tmp_path)[1])] if cmd == "train-model" else []
+    monkeypatch.setattr(cli, "_dataset", None)  # the check comes before any data
+    cfg = _cfg(tmp_path, {**TINY_DATA, section: {"text_vocab": 100, "steps": 1}})
+    assert cli.run([cmd, "--config", cfg, *extra, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {section}.text_vocab must be at least 260 to train a BPE "
+        f"vocabulary, got 100"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_requires_exactly_one_prompt_source(tmp_path, capsys):
@@ -837,6 +866,23 @@ def test_eval_fid_of_a_directory_of_two_image_sizes_names_the_file(tmp_path, cap
     assert err == [f"data error: {d / 'c.png'}: image is 8x8, but {d / 'a.png'} is 16x16"]
 
 
+@pytest.mark.parametrize("cmd", ["rerank", "eval-alignment"])
+def test_a_sample_dir_of_two_image_sizes_names_the_file(tmp_path, capsys, cmd):
+    _tiny_reranker(tmp_path)
+    d = tmp_path / "s"
+    d.mkdir()
+    pngio.write_png(d / "sample_00.png", np.zeros((32, 32, 3), np.uint8))
+    pngio.write_png(d / "sample_01.png", np.zeros((16, 16, 3), np.uint8))
+    (d / "meta.json").write_text(json.dumps(
+        {**_META, "files": ["sample_00.png", "sample_01.png"], "grids": [[[0]], [[1]]]}))
+    argv = {"rerank": ["rerank", "--dir", str(d), "--reranker", str(tmp_path / "rr")],
+            "eval-alignment": ["eval-alignment", "--dir", str(d)]}[cmd]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {d / 'sample_01.png'}: image is 16x16, but {d / 'sample_00.png'} is 32x32"]
+    assert not (d / "reranked").exists()
+
+
 def test_eval_alignment_of_a_png_with_a_short_ihdr_is_a_data_error(tmp_path, capsys):
     d = tmp_path / "s"
     d.mkdir()
@@ -933,14 +979,14 @@ def test_run_shares_one_parser_and_each_result_matches_a_fresh_process(tmp_path,
     """run() builds its parser once per process. A second subcommand, a usage
     error, and a later run that leaves out a flag an earlier run set each give
     what a fresh process gives, files included."""
-    cfg = _cfg(tmp_path, TINY_DATA)
+    cfg = _cfg(tmp_path, {"data": {**TINY_DATA["data"], "n_train": 3, "n_eval": 3}})
     _oracle_sample_dir(tmp_path / "samples", "a red circle", 0)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    runs = ((0, ["make-data", "--config", cfg, "--n", "3", "--seed", "5", "--out", "{}/a"]),
+    runs = ((0, ["make-data", "--config", cfg, "--split", "eval", "--out", "{}/a"]),
             (0, ["eval-alignment", "--dir", str(tmp_path / "samples")]),
             (1, ["make-data", "--config", cfg]),
-            (0, ["make-data", "--config", cfg, "--n", "3", "--out", "{}/b"]))
+            (0, ["make-data", "--config", cfg, "--out", "{}/b"]))
     for want_code, argv in runs:
         code = cli.run([a.format(tmp_path / "in") for a in argv])
         got = capsys.readouterr()
@@ -957,6 +1003,19 @@ def test_run_shares_one_parser_and_each_result_matches_a_fresh_process(tmp_path,
     assert len(files) == 2 * (3 + 2)  # per dataset: 3 PNGs, captions, manifest
     assert all((tmp_path / "in" / f).read_bytes() == (tmp_path / "fresh" / f).read_bytes()
                for f in files)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_ttig_sets_one_blas_thread_unless_the_caller_set_one(preset):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = ("import os, ttig, numpy; print([os.environ[v] for v in "
+             "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == repr([preset or "1", "1", "1"])
 
 
 def test_rerank_writes_the_sample_files_in_score_order(tmp_path, monkeypatch, capsys):

@@ -13,14 +13,22 @@ TOY = {
     "data": {"n_train": 16, "n_eval": 8, "seed": 3, "image_size": 16},
     "tokenizer": {"patch": 4, "d_model": 16, "n_blocks": 1, "heads": 2,
                   "d_mlp": 32, "d_code": 4, "codebook_size": 16, "batch": 8,
-                  "warmup": 1},
+                  "warmup": 1, "steps": 3, "seed": 1},
     "model": {"enc_layers": 1, "dec_layers": 1, "d_model": 16, "d_mlp": 32,
-              "heads": 2, "text_vocab": 300, "text_len": 12, "batch": 4},
+              "heads": 2, "text_vocab": 300, "text_len": 12, "batch": 4,
+              "steps": 3, "seed": 1},
     "sampler": {"guidance": 1.2, "n_samples": 3, "top_k": 8},
     "reranker": {"patch": 4, "d_model": 16, "n_blocks": 1, "heads": 2,
                  "d_mlp": 32, "d_e": 8, "text_vocab": 300, "text_len": 12,
-                 "batch": 4, "warmup": 1},
+                 "batch": 4, "warmup": 1, "steps": 3, "seed": 1},
 }
+# the other configs the chain runs: a small data set drawn from the whole
+# caption space, and a sampler with its own top_k and temperature, whose
+# seed, guidance and sample count come from flags
+CONFIGS = {"cfg.json": TOY,
+           "cfg_all.json": {"data": {**TOY["data"], "n_train": 5, "seed": 9}},
+           "cfg_many.json": {"sampler": {**TOY["sampler"], "top_k": 4,
+                                         "temperature": 0.8}}}
 
 PROMPTS = ("Prompt\tCategory\tChallenge\n"
            "a red circle\tAbstract\tBasic\n"
@@ -33,18 +41,15 @@ CAPTION = "a red circle"
 CHAIN = [
     ["make-data", *CFG, "--out", "data/train"],
     ["make-data", *CFG, "--split", "eval", "--out", "data/eval"],
-    ["make-data", *CFG, "--split", "all", "--n", "5", "--seed", "9",
-     "--out", "data/all"],
-    ["train-tokenizer", *CFG, "--steps", "3", "--seed", "1", "--out", "tok"],
-    ["train-model", *CFG, "--steps", "3", "--seed", "1", "--tokenizer", "tok",
-     "--out", "model"],
-    ["train-reranker", *CFG, "--steps", "3", "--seed", "1", "--out", "rr"],
+    ["make-data", "--config", "cfg_all.json", "--split", "all", "--out", "data/all"],
+    ["train-tokenizer", *CFG, "--out", "tok"],
+    ["train-model", *CFG, "--tokenizer", "tok", "--out", "model"],
+    ["train-reranker", *CFG, "--out", "rr"],
     ["sample", *CFG, "--model", "model", "--tokenizer", "tok",
      "--prompt", CAPTION, "--out", "one"],
-    ["sample", *CFG, "--model", "model", "--tokenizer", "tok",
+    ["sample", "--config", "cfg_many.json", "--model", "model", "--tokenizer", "tok",
      "--prompts", "prompts.tsv", "--n-samples", "2", "--seed", "5",
-     "--lambda", "2.0", "--temperature", "0.8", "--top-k", "4",
-     "--out", "many"],
+     "--lambda", "2.0", "--out", "many"],
     ["rerank", "--dir", "one", "--reranker", "rr"],
     ["rerank", "--dir", "many/prompt_001", "--reranker", "rr",
      "--out", "many_reranked"],
@@ -53,7 +58,7 @@ CHAIN = [
      "--out", "fid.jsonl"],
     ["retrieve", *CFG, "--reranker", "rr", "--caption", CAPTION, "--k", "3"],
     ["inspect-checkpoint", "--dir", "model"],
-    ["inspect-checkpoint", "--dir", "tok", "--full"],
+    ["inspect-checkpoint", "--dir", "tok"],
 ]
 
 def run_chain(root: Path):
@@ -61,7 +66,8 @@ def run_chain(root: Path):
 
     -> (stdout lines, {relative path: file bytes}).
     """
-    (root / "cfg.json").write_text(json.dumps(TOY))
+    for name, body in CONFIGS.items():
+        (root / name).write_text(json.dumps(body))
     (root / "prompts.tsv").write_text(PROMPTS)
     lines = []
     for argv in CHAIN:

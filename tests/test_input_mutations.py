@@ -4,8 +4,10 @@ through a command that reads it.
 A command given a damaged file must return 0-3, write at most one stderr
 line, name the file in that line when it fails, and raise no warning. The
 mutations are a fixed list, so a run is reproducible. They cover the PNG
-images that eval-fid reads, and the checkpoint files (manifest.json,
-weights.bin, vocab.json) that inspect-checkpoint, sample and rerank read.
+images that eval-fid reads, the checkpoint files (manifest.json,
+weights.bin, vocab.json) that inspect-checkpoint, sample and rerank read,
+the sample meta.json that rerank and eval-alignment read, and the prompt TSV
+that sample --prompts reads.
 """
 
 import json
@@ -289,3 +291,92 @@ def test_a_command_given_a_damaged_checkpoint_file_fails_typed(
     # one is not a saved vocab
     if (file, rule) == ("vocab.json", "cut_last_byte"):
         assert code == 2
+
+
+# ------------------------------------------------------- sample meta.json
+# the keys rerank reads (eval-alignment reads all but grids): path -> JSON type
+META_LEAVES = {("prompt",): "string", ("seed",): "int", ("files",): "list",
+               ("files", 0): "string", ("files", -1): "string", ("grids",): "list",
+               ("grids", 0): "list", ("grids", -1, 0): "list", ("grids", 0, 0, 0): "int"}
+
+META_RULES = {
+    **{f"{_name(p)}_to_{t}": _edit_json(p, v)
+       for p, own in META_LEAVES.items() for t, v in JSON_VALUES.items() if t != own},
+    **{f"del_{_name(p)}": _edit_json(p, delete=True) for p in META_LEAVES},
+    "prompt_empty": _edit_json(("prompt",), ""),
+    "prompt_off_grammar": _edit_json(("prompt",), "a purple hexagon"),
+    "seed_negative": _edit_json(("seed",), -1),
+    "seed_huge": _edit_json(("seed",), 2 ** 70),
+    "files_empty": _edit_json(("files",), []),
+    "file_missing": _edit_json(("files", 0), "missing.png"),
+    "file_empty_name": _edit_json(("files", 0), ""),
+    "file_parent_dir": _edit_json(("files", 0), ".."),
+    "file_is_meta": _edit_json(("files", 0), "meta.json"),
+    "grids_ragged": _edit_json(("grids", 0), [[0, 1]]),
+    "cut_0": _cut(0), "cut_half": _half(_cut), "cut_last_byte": _cut(-1),
+    "non_utf8_first": _insert(0, b"\xff"),
+}
+META_CASES = [(cmd, rule) for cmd in ("rerank", "eval-alignment") for rule in sorted(META_RULES)]
+
+
+@pytest.mark.parametrize("cmd,rule", META_CASES, ids=[f"{c}-{r}" for c, r in META_CASES])
+def test_a_command_given_a_damaged_sample_meta_fails_typed(artifacts, tmp_path, capsys,
+                                                          cmd, rule):
+    work = tmp_path / "s"
+    shutil.copytree(artifacts / "s", work)
+    damaged = work / "meta.json"
+    damaged.write_bytes(META_RULES[rule](damaged.read_bytes()))
+    argv = {"rerank": ["rerank", "--dir", str(work), "--reranker", str(artifacts / "rr"),
+                       "--out", str(tmp_path / "out")],
+            "eval-alignment": ["eval-alignment", "--dir", str(work)]}[cmd]
+    _fails_typed(argv, damaged, capsys)
+
+
+# ------------------------------------------------------- prompt TSV
+PROMPTS = ("Prompt\tCategory\tChallenge\n"
+           f"{CAPTIONS[0]}\tAbstract\tBasic\n"
+           f"{CAPTIONS[1]}\tArts\tSimple Detail\n")
+
+
+def _lines_of(edit):
+    """A TSV rule from edit(lines)."""
+    def mutate(blob):
+        return ("\n".join(edit(blob.decode("utf-8").split("\n")[:-1])) + "\n").encode("utf-8")
+    return mutate
+
+
+def _row(i, edit):
+    """Replace line i of the TSV (0 is the header) by edit(line)."""
+    return _lines_of(lambda lines: lines[:i] + [edit(lines[i])] + lines[i + 1:])
+
+
+PROMPT_RULES = {
+    "header_deleted": _lines_of(lambda lines: lines[1:]),
+    "header_lowercase": _row(0, str.lower),
+    "header_bom": _row(0, lambda ln: "\ufeff" + ln),
+    "row_blank_between": _lines_of(lambda lines: lines[:2] + [""] + lines[2:]),
+    "row_tab_to_space": _row(1, lambda ln: ln.replace("\t", " ")),
+    "row_fourth_column": _row(1, lambda ln: ln + "\tx"),
+    "row_two_columns": _row(1, lambda ln: ln.rsplit("\t", 1)[0]),
+    "row_prompt_empty": _row(1, lambda ln: ln[ln.index("\t"):]),
+    "row_prompt_spaces": _row(1, lambda ln: "   " + ln[ln.index("\t"):]),
+    "row_prompt_off_grammar": _row(1, lambda ln: "a cat" + ln[ln.index("\t"):]),
+    "row_prompt_long": _row(1, lambda ln: "a red circle " * 80 + ln[ln.index("\t"):]),
+    "row_prompt_nul": _row(1, lambda ln: "a\x00" + ln),
+    "row_prompt_non_ascii": _row(1, lambda ln: "a r\u00e9d circle \u2603" + ln[ln.index("\t"):]),
+    "row_category_unknown": _row(1, lambda ln: ln.replace("Abstract", "Nope")),
+    "row_category_lowercase": _row(1, lambda ln: ln.replace("Abstract", "abstract")),
+    "row_challenge_unknown": _row(2, lambda ln: ln.replace("Simple Detail", "Hard")),
+    "crlf": lambda blob: blob.replace(b"\n", b"\r\n"),
+    "cut_0": _cut(0), "cut_half": _half(_cut), "cut_last_byte": _cut(-1),
+    "non_utf8_first": _insert(0, b"\xff"), "non_utf8_half": _half(lambda o: _insert(o, b"\xc3")),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PROMPT_RULES))
+def test_sample_given_a_damaged_prompt_list_fails_typed(artifacts, tmp_path, capsys, rule):
+    damaged = tmp_path / "prompts.tsv"
+    damaged.write_bytes(PROMPT_RULES[rule](PROMPTS.encode("utf-8")))
+    _fails_typed(["sample", "--model", str(artifacts / "model"),
+                  "--tokenizer", str(artifacts / "tok"), "--prompts", str(damaged),
+                  "--n-samples", "1", "--out", str(tmp_path / "out")], damaged, capsys)

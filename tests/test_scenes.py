@@ -137,6 +137,12 @@ def test_gen_dataset_rejects_a_size_off_the_grid():
         scenes.gen_dataset(2, 0, size=33)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_gen_dataset_of_no_scenes_is_a_data_error(n):
+    with pytest.raises(DataError, match=f"^a dataset needs at least one scene, got n={n}$"):
+        scenes.gen_dataset(n, 0)
+
+
 def test_split_captions_partitions_the_space():
     train, held = scenes.split_captions(0, 0.15)
     all_caps = scenes.all_captions()
