@@ -336,9 +336,20 @@ def _load_sample_dir(path, *keys):
     return meta, blobs, images
 
 
+def _check_sample_size(path, meta, images, fits, want: str):
+    """Name the sample directory's first file unless fits(height, width) of
+    its images: _stack made them one size, so the first fails if any does."""
+    h, w = images.shape[1:3]
+    if not fits(h, w):
+        raise DataError(f"{Path(path) / meta['files'][0]}: image is {w}x{h}, but {want}")
+
+
 def cmd_rerank(args) -> int:
     meta, blobs, images = _load_sample_dir(args.dir, "grids")
     enc = checkpoint.load_encoder(args.reranker)
+    size = enc.cfg.image_size
+    _check_sample_size(args.dir, meta, images, lambda h, w: h == w == size,
+                       f"the reranker at {args.reranker} takes {size}x{size} images")
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     batch = sampling.SampleBatch(prompt=meta["prompt"], grids=meta["grids"],
                                  images=images)
@@ -372,6 +383,9 @@ def cmd_eval_fid(args) -> int:
 
 def cmd_eval_alignment(args) -> int:
     meta, _, images = _load_sample_dir(args.dir)
+    _check_sample_size(args.dir, meta, images, lambda h, w: h == w and h % scenes.GRID == 0,
+                       f"the oracle scores square images whose side is a multiple "
+                       f"of {scenes.GRID}")
     try:  # the oracle scores captions of the scene grammar only
         scenes.parse_caption(meta["prompt"])
     except DataError as e:

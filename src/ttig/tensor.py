@@ -8,9 +8,11 @@ Design rules:
     its own shape check and backward rule, and every kind in it is one that
     a training loop records. Softmax is a plain kernel pair, _softmax and
     _softmax_grad, not a catalog op: the attention op, cross-entropy's
-    backward and the sampler share it
+    backward and the sampler share it (dense attention runs _softmax's calls
+    itself, to keep their row max and sum)
   * backward rules may read what their forward stored in the recorded attrs
-    (a LayerNorm's xhat and inverse deviation, a GELU's normal CDF)
+    (a LayerNorm's xhat and inverse deviation, a GELU's normal CDF, dense
+    attention's softmax max and sum)
   * broadcasting is restricted to trailing-axis alignment (one operand's shape
     must be a suffix of the other's, rank-0 scalars included); anything fancier
     must be spelled out with reshape/transpose
@@ -28,8 +30,9 @@ Design rules:
   * multi-head attention over projected q, k, v is one op that splits the
     heads itself; it scores every key, or only a self-attention mask's
     static Window, and its softmax reduces over a leading key axis. Its
-    record keeps q, k, v and the probabilities (see the notes above
-    NEG_FILL)
+    record keeps q, k, v and, for dense attention, the softmax's row max and
+    sum, from which backward recomputes the probabilities; a windowed
+    record keeps the probabilities (see the notes above NEG_FILL)
   * a record keeps only what its backward reads: each op declares whether
     that is its inputs, its parameters (every input but the first), the
     other one of its first two inputs, or nothing (a linear op's follows its
@@ -374,6 +377,10 @@ def _softmax_grad(g, p, axis):
 # axis -2 against 0.92 ms over the last axis, one core, numpy 2.4).
 #
 # Dense attention scores key-major, (B, H, S, L), and normalises over axis 2.
+# Its record keeps the softmax's row max and sum, (B, H, 1, L), not the
+# probabilities: backward rebuilds them from the kept q and k with the
+# forward's calls (_dense_probs), which gives the same bits at 1/S of the
+# memory held from forward to backward.
 # Windowed self-attention reads a Window: key j = i - offsets[w] serves query
 # i where valid[w, i]. Each offset pairs a shifted slab of the (B, L, D) keys
 # with the queries, so the scores are (W, B, L, H): the slab's elementwise
@@ -381,7 +388,10 @@ def _softmax_grad(g, p, axis):
 # slots get NEG_FILL before the softmax over axis 0, which gives them exactly
 # zero weight and zero gradient (attention_window guarantees every query one
 # allowed key). The (heads, D) head-indicator matrix spreads each head's
-# weights back over its lanes before they weight the shifted values.
+# weights back over its lanes before they weight the shifted values. A
+# windowed record keeps its (W, B, L, H) probabilities: they are H/D of the
+# (W, B, L, D) buffer its backward builds anyway (1/16 in the desk model),
+# and rebuilding them would cost another _window_products pass.
 
 NEG_FILL = -1e9  # attention score in the window slots the mask rules out
 
@@ -462,6 +472,20 @@ def _merge_heads(x):
     return x.transpose(0, 3, 1, 2).reshape(B, N, H * dh)
 
 
+def _dense_probs(qs, k, heads, stats=None):
+    """(probs, max, sum): the (B, H, S, L) probabilities of the scaled
+    queries qs over the keys k, by _softmax's calls over axis 2 in place on
+    the scores, and the row max and sum they reduce. Backward passes the
+    forward's (max, sum) as stats, so its probabilities have the same bits."""
+    z = _split_heads(k, heads, (0, 2, 1, 3)) @ _split_heads(qs, heads, (0, 2, 3, 1))
+    m = np.maximum.reduce(z, 2, None, None, True) if stats is None else stats[0]
+    np.subtract(z, m, out=z)
+    np.exp(z, out=z)
+    s = np.add.reduce(z, 2, None, None, True) if stats is None else stats[1]
+    z /= s
+    return z, m, s
+
+
 def _fwd_attention(d, attrs):
     _check_attention(d, attrs)
     q, k, v = d
@@ -470,31 +494,31 @@ def _fwd_attention(d, attrs):
     if window is not None:
         return _fwd_window_attention(q, k, v, heads, window, attrs)
     qs = q * _scale(q.shape[2], heads, q.dtype)
-    scores = _split_heads(k, heads, (0, 2, 1, 3)) @ _split_heads(qs, heads, (0, 2, 3, 1))
-    probs = _softmax(scores, 2)                                # (B, H, S, L)
-    attrs["_probs"] = probs  # reused by backward
+    probs, attrs["_max"], attrs["_sum"] = _dense_probs(qs, k, heads)  # (B, H, 1, L) stats
     return _merge_heads(_split_heads(v, heads, (0, 2, 3, 1)) @ probs)
 
 
 def _bwd_attention(g, d, attrs, needs):
     q, k, v = d
     heads = attrs["heads"]
-    probs = attrs["_probs"]
     if attrs.get("window") is not None:
-        return _bwd_window_attention(g, q, k, v, heads, attrs["window"], probs, needs)
+        return _bwd_window_attention(g, q, k, v, heads, attrs["window"], attrs["_probs"], needs)
     scale = _scale(q.shape[2], heads, q.dtype)
+    qs = q * scale
+    probs = _dense_probs(qs, k, heads, (attrs["_max"], attrs["_sum"]))[0]
     gh = _split_heads(g, heads, (0, 2, 3, 1))                  # (B, H, dh, L)
     gq = gk = gv = None
-    if needs[2]:
-        gv = _merge_heads(gh @ np.swapaxes(probs, -1, -2))
+    # gs before gv: the softmax gradient's (B, H, S, L) temporaries, the
+    # peak of the rule, then coexist with qs but not with gv
     if needs[0] or needs[1]:
         gs = _softmax_grad(_split_heads(v, heads, (0, 2, 1, 3)) @ gh, probs, 2)
-        if needs[0]:
-            gq = _merge_heads(_split_heads(k, heads, (0, 2, 3, 1)) @ gs)
-            gq *= scale
-        if needs[1]:
-            qs = q * scale
-            gk = _merge_heads(np.swapaxes(gs @ _split_heads(qs, heads, (0, 2, 1, 3)), -1, -2))
+    if needs[2]:
+        gv = _merge_heads(gh @ np.swapaxes(probs, -1, -2))
+    if needs[0]:
+        gq = _merge_heads(_split_heads(k, heads, (0, 2, 3, 1)) @ gs)
+        gq *= scale
+    if needs[1]:
+        gk = _merge_heads(np.swapaxes(gs @ _split_heads(qs, heads, (0, 2, 1, 3)), -1, -2))
     return [gq, gk, gv]
 
 

@@ -6,8 +6,8 @@ line, name the file in that line when it fails, and raise no warning. The
 mutations are a fixed list, so a run is reproducible. They cover the PNG
 images that eval-fid reads, the checkpoint files (manifest.json,
 weights.bin, vocab.json) that inspect-checkpoint, sample and rerank read,
-the sample meta.json that rerank and eval-alignment read, and the prompt TSV
-that sample --prompts reads.
+the sample meta.json and PNGs that rerank and eval-alignment read, and the
+prompt TSV that sample --prompts reads.
 """
 
 import json
@@ -330,6 +330,29 @@ def test_a_command_given_a_damaged_sample_meta_fails_typed(artifacts, tmp_path, 
                        "--out", str(tmp_path / "out")],
             "eval-alignment": ["eval-alignment", "--dir", str(work)]}[cmd]
     _fails_typed(argv, damaged, capsys)
+
+
+# sample PNGs written at another size, (width, height): the reranker takes
+# SIZE x SIZE images, the oracle square ones whose side is even
+SAMPLE_SIZES = {"15x15": (15, 15), "17x17": (17, 17), "8x8": (8, 8), "18x18": (18, 18),
+                "8x16": (8, 16), "16x8": (16, 8)}
+SIZE_CASES = [(cmd, size) for cmd in ("rerank", "eval-alignment") for size in SAMPLE_SIZES]
+
+
+@pytest.mark.parametrize("cmd,size", SIZE_CASES, ids=[f"{c}-{s}" for c, s in SIZE_CASES])
+def test_a_command_given_sample_pngs_of_another_size_fails_typed(artifacts, tmp_path, capsys,
+                                                                cmd, size):
+    work = tmp_path / "s"
+    shutil.copytree(artifacts / "s", work)
+    w, h = SAMPLE_SIZES[size]
+    rng = np.random.default_rng(1)
+    for f in GEN:  # all of one size, so the first file is the one named
+        pngio.write_png(work / f, rng.integers(0, 256, (h, w, 3), np.uint8))
+    argv = {"rerank": ["rerank", "--dir", str(work), "--reranker", str(artifacts / "rr"),
+                       "--out", str(tmp_path / "out")],
+            "eval-alignment": ["eval-alignment", "--dir", str(work)]}[cmd]
+    code = _fails_typed(argv, work / GEN[0], capsys)
+    assert code == (0 if cmd == "eval-alignment" and w == h and w % 2 == 0 else 2)
 
 
 # ------------------------------------------------------- prompt TSV

@@ -1,5 +1,6 @@
 """Op catalog: forward oracles, gradient checks, shape rules, tape mechanics."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -646,6 +647,76 @@ def test_grad_attention_window(kernel, grid, heads):
     _check_attention_grads(1, len(allowed), len(allowed), 4, heads, T.attention_window(allowed))
 
 
+def _kept_probs_attention(g, q, k, v, heads, needs):
+    """Dense attention's output and gradients as the rule that kept the
+    probabilities from forward to backward computed them: the reference for
+    the one that recomputes them from the kept row max and sum."""
+    scale = T._scale(q.shape[2], heads, q.dtype)
+    qs = q * scale
+    scores = T._split_heads(k, heads, (0, 2, 1, 3)) @ T._split_heads(qs, heads, (0, 2, 3, 1))
+    probs = T._softmax(scores, 2)
+    out = T._merge_heads(T._split_heads(v, heads, (0, 2, 3, 1)) @ probs)
+    gh = T._split_heads(g, heads, (0, 2, 3, 1))
+    gq = gk = gv = None
+    if needs[2]:
+        gv = T._merge_heads(gh @ np.swapaxes(probs, -1, -2))
+    if needs[0] or needs[1]:
+        gs = T._softmax_grad(T._split_heads(v, heads, (0, 2, 1, 3)) @ gh, probs, 2)
+        if needs[0]:
+            gq = T._merge_heads(T._split_heads(k, heads, (0, 2, 3, 1)) @ gs)
+            gq *= scale
+        if needs[1]:
+            qs = q * scale
+            gk = T._merge_heads(np.swapaxes(gs @ T._split_heads(qs, heads, (0, 2, 1, 3)),
+                                            -1, -2))
+    return out, [gq, gk, gv]
+
+
+_NEEDS = [n for n in itertools.product((False, True), repeat=3) if any(n)]
+
+
+# the shapes the trainers run: q (B, L, D) over S keys, 4 heads
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B,L,S", [(32, 64, 64), (64, 32, 32), (16, 64, 8)],
+                         ids=["tokenizer", "reranker-text", "seq2seq-cross"])
+def test_dense_attention_recomputes_the_kept_probabilities_bits(B, L, S, dtype):
+    heads, D = 4, 64
+    rng = _rng(L + S)
+    q, k, v = (rng.normal(size=(B, n, D)).astype(dtype) for n in (L, S, S))
+    g = rng.normal(size=(B, L, D)).astype(dtype)
+    for needs in _NEEDS:
+        ins = [T.Tensor(x, requires_grad=n) for x, n in zip((q, k, v), needs)]
+        with T.Tape() as tape:
+            out = T.attention(*ins, heads)
+            _, _, _, kept_in, attrs, _ = tape.records[-1]
+            loss = T.reduce_sum(T.mul(out, T.constant(g)))
+        held = [a for a in (*kept_in, *attrs.values()) if isinstance(a, np.ndarray)]
+        assert all(a.shape != (B, heads, S, L) for a in held), needs
+        assert attrs["_max"].shape == attrs["_sum"].shape == (B, heads, 1, L)
+        grads = T.backward(loss)
+        want_out, want = _kept_probs_attention(g, q, k, v, heads, needs)
+        np.testing.assert_array_equal(out.data, want_out)
+        for x, n, wg in zip(ins, needs, want):
+            if n:
+                got = grads[x.node_id].data
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, wg, err_msg=f"{needs}")
+            else:
+                assert x.node_id not in grads and wg is None
+
+
+def test_window_attention_record_keeps_its_probabilities():
+    window = T.attention_window(seq2seq.conv_sparse_mask(8, 8, 3))
+    rng = _rng(2)
+    q, k, v = (T.Tensor(rng.normal(size=(2, 64, 16)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    with T.Tape() as tape:
+        T.attention(q, k, v, 4, window)
+    attrs = tape.records[-1][4]
+    assert attrs["_probs"].shape == (len(window.offsets), 2, 64, 4)
+    assert "_max" not in attrs and "_sum" not in attrs
+
+
 # ---------------------------------------------------------------- tape
 
 def test_backward_accumulates_over_reuse():
@@ -767,9 +838,9 @@ def test_released_arrays_are_free_before_the_next_rule_runs(monkeypatch, kept_by
     i = next(i for i, r in enumerate(tape.records) if r[0] == kept_by and _keeps_inputs(r))
     rec = tape.records[i]
     # its kept input that is no parameter (h, or the GELU's x) and its attrs
-    # scratch
-    scratch = {"attention": "_probs", "linear": "_cdf"}[kept_by]
-    kept = [weakref.ref(a) for a in (rec[3][0], rec[4][scratch])]
+    # scratch (dense attention's softmax max and sum, or the GELU's CDF)
+    scratch = {"attention": ["_max", "_sum"], "linear": ["_cdf"]}[kept_by]
+    kept = [weakref.ref(a) for a in (rec[3][0], *(rec[4][key] for key in scratch))]
     del rec
     seen = []
     op = T._CATALOG[next_rule]
@@ -942,28 +1013,31 @@ def _one_step_pinned_mib(monkeypatch, train):
     return pinned[0]
 
 
-# The limits below sit about 1 MiB above what one step pins with the MLP's
-# LayerNorm and GELU recomputed in backward. Keeping the ln2 and GELU
-# outputs, and the LayerNorm's own output besides its gain-and-bias one, as
-# separate layer_norm, mul, add and gelu records did, pins 51.9 (tokenizer),
-# 55.0 (reranker) and 32.0 MiB (desk seq2seq).
+# The limits below sit just above what one step pins with the MLP's
+# LayerNorm and GELU recomputed in backward and dense attention keeping its
+# softmax's row max and sum instead of its probabilities: 34.1 (tokenizer),
+# 36.4 (reranker) and 26.3 MiB (desk seq2seq). Keeping the dense
+# probabilities pins 41.9, 46.0 and 26.7 MiB; keeping besides them the ln2
+# and GELU outputs, and the LayerNorm's own output besides its gain-and-bias
+# one, as separate layer_norm, mul, add and gelu records did, pins 51.9,
+# 55.0 and 32.0 MiB.
 
-def test_tokenizer_train_step_tape_pins_at_most_43_mib(monkeypatch):
+def test_tokenizer_train_step_tape_pins_at_most_35_mib(monkeypatch):
     images = scenes.gen_dataset(32, 1).images
     pinned = _one_step_pinned_mib(monkeypatch, lambda: vq.train_tokenizer(
         images, vq.TokenizerConfig(), vq.TokTrainConfig(steps=1, batch=32)))
-    assert pinned <= 43.0, pinned
+    assert pinned <= 35.0, pinned
 
 
-def test_reranker_train_step_tape_pins_at_most_47_mib(monkeypatch):
+def test_reranker_train_step_tape_pins_at_most_37_5_mib(monkeypatch):
     images = scenes.gen_dataset(64, 1).images
     ids = [list(r) for r in _rng(0).integers(4, 512, (64, 12))]  # padded to text_len
     pinned = _one_step_pinned_mib(monkeypatch, lambda: contrastive.train_contrastive(
         images, ids, contrastive.CLTrainConfig(steps=1, batch=64), contrastive.EncoderConfig()))
-    assert pinned <= 47.0, pinned
+    assert pinned <= 37.5, pinned
 
 
-def test_desk_train_step_tape_pins_at_most_28_mib(monkeypatch):
+def test_desk_train_step_tape_pins_at_most_26_5_mib(monkeypatch):
     cfg = seq2seq.DESK
     rng = _rng(11)
     # scene captions encode to about 7 tokens; trim_pad drops the PAD tail
@@ -974,4 +1048,4 @@ def test_desk_train_step_tape_pins_at_most_28_mib(monkeypatch):
         seq2seq.build_model(cfg, 0), text, image, seq2seq.TrainConfig(steps=1, batch=16, seed=0)))
     # a tape that keeps every input and output of every op, with the score
     # chain unfused (scale, fill, softmax), pins about 77 MiB here
-    assert pinned <= 28.0, pinned
+    assert pinned <= 26.5, pinned
