@@ -127,14 +127,16 @@ def _finish_run(out, history, records: dict, n: int, seed):
               out / "metrics.jsonl")
 
 
-def _read_image_dir(path) -> np.ndarray:
+def _read_image_dir(path):
+    """-> (the .png files of path, or of path/images if it is a directory,
+    sorted; their pixels). FID needs at least 2 of them."""
     root = Path(path)
     if (root / "images").is_dir():
         root = root / "images"
     files = sorted(root.glob("*.png"))
-    if not files:
-        raise DataError(f"no .png files under {path}")
-    return _stack(files, [pngio.read_png(f) for f in files])
+    if len(files) < 2:
+        raise DataError(f"FID needs at least 2 images per set, but {root} holds {len(files)}")
+    return files, _stack(files, [pngio.read_png(f) for f in files])
 
 
 def _stack(files, images) -> np.ndarray:
@@ -336,20 +338,20 @@ def _load_sample_dir(path, *keys):
     return meta, blobs, images
 
 
-def _check_sample_size(path, meta, images, fits, want: str):
-    """Name the sample directory's first file unless fits(height, width) of
-    its images: _stack made them one size, so the first fails if any does."""
+def _check_image_size(first, images, fits, want: str):
+    """Name first, the file of images[0], unless fits(height, width) of the
+    images: _stack made them one size, so the first fails if any does."""
     h, w = images.shape[1:3]
     if not fits(h, w):
-        raise DataError(f"{Path(path) / meta['files'][0]}: image is {w}x{h}, but {want}")
+        raise DataError(f"{first}: image is {w}x{h}, but {want}")
 
 
 def cmd_rerank(args) -> int:
     meta, blobs, images = _load_sample_dir(args.dir, "grids")
     enc = checkpoint.load_encoder(args.reranker)
     size = enc.cfg.image_size
-    _check_sample_size(args.dir, meta, images, lambda h, w: h == w == size,
-                       f"the reranker at {args.reranker} takes {size}x{size} images")
+    _check_image_size(Path(args.dir) / meta["files"][0], images, lambda h, w: h == w == size,
+                      f"the reranker at {args.reranker} takes {size}x{size} images")
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     batch = sampling.SampleBatch(prompt=meta["prompt"], grids=meta["grids"],
                                  images=images)
@@ -371,9 +373,13 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_eval_fid(args) -> int:
-    real = _read_image_dir(args.real)
-    gen = _read_image_dir(args.gen)
+    real_files, real = _read_image_dir(args.real)
+    gen_files, gen = _read_image_dir(args.gen)
     enc = checkpoint.load_encoder(args.features)
+    size = enc.cfg.image_size
+    for files, images in ((real_files, real), (gen_files, gen)):
+        _check_image_size(files[0], images, lambda h, w: h == w == size,
+                          f"the reranker at {args.features} takes {size}x{size} images")
     value = metrics.fid(real, gen, lambda imgs: contrastive.image_features(enc, imgs))
     # FID draws nothing at random
     _emit(metrics.metric_record("fid", value, len(real), len(gen),
@@ -383,9 +389,10 @@ def cmd_eval_fid(args) -> int:
 
 def cmd_eval_alignment(args) -> int:
     meta, _, images = _load_sample_dir(args.dir)
-    _check_sample_size(args.dir, meta, images, lambda h, w: h == w and h % scenes.GRID == 0,
-                       f"the oracle scores square images whose side is a multiple "
-                       f"of {scenes.GRID}")
+    _check_image_size(Path(args.dir) / meta["files"][0], images,
+                      lambda h, w: h == w and h % scenes.GRID == 0,
+                      f"the oracle scores square images whose side is a multiple "
+                      f"of {scenes.GRID}")
     try:  # the oracle scores captions of the scene grammar only
         scenes.parse_caption(meta["prompt"])
     except DataError as e:

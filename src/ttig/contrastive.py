@@ -29,32 +29,12 @@ TAU_MIN = 1e-3
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    image_size: int = nn.setting(32, low=1)
-    patch: int = nn.setting(4, low=1)
-    d_model: int = nn.setting(64, low=1)
-    n_blocks: int = nn.setting(2, low=1)
-    heads: int = nn.setting(4, low=1)
+class EncoderConfig(nn.PatchTowerConfig):
+    SECTION = "reranker"
     d_mlp: int = nn.setting(128, low=1)
     d_e: int = nn.setting(32, low=1)
     text_vocab: int = nn.setting(512, low=1)
     text_len: int = nn.setting(32, low=1)
-
-    def __post_init__(self):
-        if self.patch < 1 or self.image_size % self.patch:
-            raise DataError(f"reranker.patch must be a positive divisor of "
-                            f"image_size {self.image_size}, got {self.patch}")
-        nn.check_settings(self, "reranker")
-        if self.d_model % self.heads:
-            raise DataError(f"reranker.heads {self.heads} must divide d_model {self.d_model}")
-
-    @property
-    def n_patches(self) -> int:
-        return (self.image_size // self.patch) ** 2
-
-    @property
-    def patch_dim(self) -> int:
-        return 3 * self.patch * self.patch
 
 
 @dataclass
@@ -71,9 +51,7 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0, *,
                   skeleton: bool = False) -> DualEncoder:
     rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
-    nn.add_linear(ps, "img.in", cfg.patch_dim, cfg.d_model, rng)
-    ps.add("img.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
-    nn.add_stack(ps, "img", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
+    nn.add_patch_tower(ps, "img", cfg.patch_dim, cfg, rng)
     nn.add_linear(ps, "img.proj", cfg.d_model, cfg.d_e, rng)
     ps.add("txt.emb", nn.trunc_normal(rng, (cfg.text_vocab, cfg.d_model)))
     ps.add("txt.pos", nn.trunc_normal(rng, (cfg.text_len, cfg.d_model)))
@@ -86,14 +64,11 @@ def build_encoder(cfg: EncoderConfig, seed: int = 0, *,
 def _image_pooled(enc: DualEncoder, images: np.ndarray):
     """Mean-pooled image-tower features (B, d_model), before projection."""
     cfg = enc.cfg
-    p = enc.params
     images = np.asarray(images, dtype=np.float32)
     if images.shape[1:] != (cfg.image_size, cfg.image_size, 3):
         raise DataError(f"expected {cfg.image_size}x{cfg.image_size}x3 images, "
                         f"got {images.shape[1:]}")
-    x = nn.linear(p, "img.in", T.constant(vq.patchify(images, cfg.patch)))
-    x = T.add(x, p["img.pos"])
-    x = nn.stack(p, "img", x, cfg.n_blocks, cfg.heads)
+    x = nn.patch_tower(enc.params, "img", T.constant(vq.patchify(images, cfg.patch)), cfg)
     return T.reduce_mean(x, axis=1)
 
 

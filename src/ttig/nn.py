@@ -16,7 +16,10 @@ weight, before normalising. A mask row that allows no key is a ShapeError.
 Every transformer tower (tokenizer encoder and decoder, text encoder and
 image decoder, reranker image and text towers) is one add_stack/stack pair:
 blocks pre.b0 ... pre.b{n-1}, then the final LayerNorm pre.ln_out. Outside
-this module only the sampler's per-chain packing reads those names.
+this module only the sampler's per-chain packing reads those names. The
+three over an image's patches (tokenizer encoder and decoder, reranker image
+tower) are one add_patch_tower/patch_tower pair sized by a PatchTowerConfig:
+the in-projection pre.in, the learned positions pre.pos, then the stack.
 """
 
 from __future__ import annotations
@@ -101,6 +104,41 @@ def check_settings(cfg, section: str):
             raise DataError(f"{section}.{f.name} must be {bound}, got {value}")
 
 
+@dataclasses.dataclass(frozen=True)
+class PatchTowerConfig:
+    """The settings of a transformer over an image's patches. A subclass
+    declares its own fields after these (re-declaring one keeps its place)
+    and names its config section, for the messages, in the class attribute
+    SECTION, which is not a field."""
+    image_size: int = setting(32, low=1)
+    patch: int = setting(4, low=1)
+    d_model: int = setting(64, low=1)
+    n_blocks: int = setting(2, low=1)
+    heads: int = setting(4, low=1)
+    d_mlp: int = setting(256, low=1)
+
+    def __post_init__(self):
+        if self.patch < 1 or self.image_size % self.patch:
+            raise DataError(f"{self.SECTION}.patch must be a positive divisor of "
+                            f"image_size {self.image_size}, got {self.patch}")
+        check_settings(self, self.SECTION)
+        if self.d_model % self.heads:
+            raise DataError(f"{self.SECTION}.heads {self.heads} must divide "
+                            f"d_model {self.d_model}")
+
+    @property
+    def grid(self) -> int:
+        return self.image_size // self.patch  # patches a side
+
+    @property
+    def n_patches(self) -> int:
+        return self.grid * self.grid
+
+    @property
+    def patch_dim(self) -> int:
+        return self.patch * self.patch * 3
+
+
 def add_linear(ps: ParamSet, pre: str, d_in: int, d_out: int, rng):
     ps.add(pre + ".w", trunc_normal(rng, (d_in, d_out)))
     ps.add(pre + ".b", np.zeros(d_out, dtype=np.float32))
@@ -138,6 +176,14 @@ def add_stack(ps: ParamSet, pre: str, n: int, d: int, d_mlp: int, rng, cross: bo
     for i in range(n):
         add_block(ps, f"{pre}.b{i}", d, d_mlp, rng, cross=cross)
     add_ln(ps, pre + ".ln_out", d)
+
+
+def add_patch_tower(ps: ParamSet, pre: str, d_in: int, cfg: PatchTowerConfig, rng):
+    """The in-projection pre.in from d_in, the positions pre.pos of cfg's
+    patches, then add_stack's blocks under pre."""
+    add_linear(ps, pre + ".in", d_in, cfg.d_model, rng)
+    ps.add(pre + ".pos", trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
+    add_stack(ps, pre, cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
 
 
 def linear(p: ParamSet, pre: str, x):
@@ -197,6 +243,12 @@ def stack(p: ParamSet, pre: str, x, n: int, heads: int, window=None, cross_kv=No
     for i in range(n):
         x = block(p, f"{pre}.b{i}", x, heads, window=window, cross_kv=cross_kv, drop=drop)
     return ln_affine(p, pre + ".ln_out", x)
+
+
+def patch_tower(p: ParamSet, pre: str, x, cfg: PatchTowerConfig):
+    """The tower of add_patch_tower(..., pre, ...) on x (B, n_patches, d_in)."""
+    h = T.add(linear(p, pre + ".in", x), p[pre + ".pos"])
+    return stack(p, pre, h, cfg.n_blocks, cfg.heads)
 
 
 def grads_of(loss, params: ParamSet) -> dict:

@@ -44,7 +44,7 @@ A step is dispatch-bound (about 350 numpy calls on arrays of about
 the residual stream and its normalised copy, QKV, the attention scores and
 mixes, the attention and projection outputs, and the MLP hidden and its cdf.
 Every matmul and elementwise op writes into them with out=, and the
-LayerNorms, GELUs and softmaxes are tensor's _fwd_layer_norm, _fwd_gelu and
+LayerNorms, GELUs and softmaxes are tensor's _layer_norm, _gelu and
 _softmax called with out=, the same kernels the taped forward runs. Each
 layer's weights sit in one tuple, resolved once per chain, with every bias
 tiled to the chain's rows. Each step returns a new logits array, so a caller
@@ -215,8 +215,6 @@ class _Branch:
         self.xn_groups = self.xn.reshape(G, m, d).swapaxes(1, 2)
         self.xscores_text = self.xscores.reshape(G, S, heads * m)
         self.a_groups = self.a.reshape(G, m, d)
-        # where the LayerNorm and GELU kernels store what a backward would read
-        self.ln_attrs, self.gelu_attrs = {}, {}
 
     def _attn_self(self, t, wqkv, bqkv, keys, vals):
         """Self-attention of xn at position t, into a."""
@@ -243,7 +241,7 @@ class _Branch:
     def step_logits(self, prev_tokens, t: int) -> np.ndarray:
         """Advance to position t given the token drawn at t-1 (None at t=0);
         returns next-token logits (n, image_vocab), a new array."""
-        x, xn, a, proj, h, ln = self.x, self.xn, self.a, self.proj, self.hidden, self.ln_attrs
+        x, xn, a, proj, h = self.x, self.xn, self.a, self.proj, self.hidden
         if t == 0:
             x[...] = self.start
         else:
@@ -252,23 +250,23 @@ class _Branch:
             self.emb.take(prev_tokens, 0, x, "clip")
             x += self.pos[t]
         for wqkv, bqkv, keys, vals, wo, bo, xqk, xbias, xvo, xbo, w1, b1, w2, b2 in self.layers:
-            T._fwd_layer_norm([x], ln, out=xn)
+            T._layer_norm(x, out=xn)
             self._attn_self(t, wqkv, bqkv, keys, vals)
             np.matmul(a, wo, out=proj)
             proj += bo
             x += proj
-            T._fwd_layer_norm([x], ln, out=xn)
+            T._layer_norm(x, out=xn)
             self._attn_cross(xqk, xbias, xvo)
             a += xbo
             x += a
-            T._fwd_layer_norm([x], ln, out=xn)
+            T._layer_norm(x, out=xn)
             np.matmul(xn, w1, out=h)
             h += b1
-            T._fwd_gelu([h], self.gelu_attrs, out=h, cdf=self.cdf)
+            T._gelu(h, out=h, cdf=self.cdf)
             np.matmul(h, w2, out=proj)
             proj += b2
             x += proj
-        logits = _affine(T._fwd_layer_norm([x], ln, out=xn), *self.out)
+        logits = _affine(T._layer_norm(x, out=xn)[0], *self.out)
         return logits[::2] if self.twice else logits
 
 
@@ -283,7 +281,10 @@ def _probs_from(logits: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     z = logits if cfg.temperature == 1.0 else logits / np.float32(cfg.temperature)
     z = _filter_top_k(z, cfg.top_k)
     if not np.isfinite(np.maximum.reduce(z, -1)).all():
-        raise NumericError("sampling: a logit row has no finite entries")
+        # finite guided logits leave only the temperature to blame
+        key = "temperature" if np.isfinite(logits).all() else "guidance"
+        raise NumericError(f"sampling: a logit row has no finite entries at "
+                           f"sampler.{key} {getattr(cfg, key)}")
     return T._softmax(z, -1)
 
 
@@ -315,17 +316,20 @@ def _run_chains(w: seq2seq.TransformerWeights, text_ids, n: int,
     branch = _Branch(w, seq2seq.encode_text(w, cond_ids).data, rows)
     tokens = np.zeros((n, mcfg.image_len), dtype=np.int64)
     prev = None
-    for t in range(mcfg.image_len):
-        logits = branch.step_logits(prev, t)
-        if guided:
-            logits = guided_logits(logits[:n], logits[n:], lam)
-        probs = _probs_from(logits, cfg)
-        if cfg.top_k == 1:
-            tok = np.argmax(probs, axis=-1)
-        else:
-            tok = _draw(probs, uniform_fn(t))
-        tokens[:, t] = tok
-        prev = np.concatenate([tok, tok]) if guided else tok
+    # a guidance or temperature that overflows float32 is _probs_from's one
+    # error line, with no numpy warnings before it
+    with np.errstate(all="ignore"):
+        for t in range(mcfg.image_len):
+            logits = branch.step_logits(prev, t)
+            if guided:
+                logits = guided_logits(logits[:n], logits[n:], lam)
+            probs = _probs_from(logits, cfg)
+            if cfg.top_k == 1:
+                tok = np.argmax(probs, axis=-1)
+            else:
+                tok = _draw(probs, uniform_fn(t))
+            tokens[:, t] = tok
+            prev = np.concatenate([tok, tok]) if guided else tok
     return tokens.reshape(n, mcfg.grid_h, mcfg.grid_w)
 
 

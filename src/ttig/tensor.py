@@ -350,10 +350,10 @@ def _bwd_embedding_gather(g, d, attrs, needs):
 # bit-identical and skips their dispatch (a third of a small layer_norm).
 # The reductions take (axis, dtype, out, keepdims) by position: parsing them
 # as keywords costs another 1.2 us, about what a (16, 64) sum costs itself.
-# _softmax, _fwd_layer_norm and _fwd_gelu take an optional out buffer of
-# the result's shape and dtype (softmax's may be its input): the sampler's
-# decode step writes into per-chain buffers, with the same bits as a fresh
-# result.
+# _softmax, _layer_norm and _gelu take an optional out buffer of the
+# result's shape and dtype (softmax's and gelu's may be their input): the
+# sampler's decode step writes into per-chain buffers, with the same bits as
+# a fresh result.
 
 def _softmax(x, axis, out=None):
     """exp(x - max) / sum along axis, into out if given."""
@@ -598,17 +598,16 @@ def _mean(x):
 LN_EPS = 1e-5  # added to the variance before the square root
 
 
-def _fwd_layer_norm(d, attrs, out=None):
-    """The LayerNorm x-hat of d = [x], into out if given; 1/sigma goes to
-    attrs["_inv"]."""
-    xc = np.subtract(d[0], _mean(d[0]), out=out)
+def _layer_norm(x, out=None):
+    """(x-hat, 1/sigma): the LayerNorm of x, into out if given, and its
+    inverse deviation."""
+    xc = np.subtract(x, _mean(x), out=out)
     inv = _mean(xc * xc)
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
-    attrs["_inv"] = inv
     xc *= inv
-    return xc
+    return xc, inv
 
 
 def _layer_norm_grad(g, xhat, inv):
@@ -635,9 +634,8 @@ def _fwd_ln_affine(d, attrs):
              f"gain {gain.shape} and bias {bias.shape} must match x {x.shape}'s last axis")
     _require(x.dtype == gain.dtype == bias.dtype, "layer_norm",
              f"dtype mismatch {x.dtype}, {gain.dtype}, {bias.dtype}")
-    xhat = _fwd_layer_norm([x], attrs)
-    attrs["_xhat"] = xhat
-    return _affine(xhat, gain, bias)
+    attrs["_xhat"], attrs["_inv"] = _layer_norm(x)
+    return _affine(attrs["_xhat"], gain, bias)
 
 
 def _bwd_ln_affine(g, d, attrs, needs):
@@ -713,13 +711,11 @@ def _normal_cdf(x, out=None):
     return cdf
 
 
-def _fwd_gelu(d, attrs, out=None, cdf=None):
-    """x * cdf(x) of d = [x]; cdf, if given, is the buffer the cdf is written
-    to (and kept in attrs["_cdf"]); out may be x itself."""
-    x = d[0]
+def _gelu(x, out=None, cdf=None):
+    """(x * cdf(x), cdf(x)): the GELU of x, into out if given (out may be x
+    itself), and the cdf, into the buffer cdf if given."""
     cdf = _normal_cdf(x, cdf)
-    attrs["_cdf"] = cdf
-    return _gelu_of(x, cdf, out)
+    return _gelu_of(x, cdf, out), cdf
 
 
 def _gelu_of(x, cdf, out=None):
@@ -775,7 +771,7 @@ def _fwd_linear(d, attrs):
     if pre == "layer_norm":
         x = _fwd_ln_affine(d[:3], attrs)
     elif pre == "gelu":
-        x = _fwd_gelu(d[:1], attrs)
+        x, attrs["_cdf"] = _gelu(x)
     y = x @ w
     y += b
     return y

@@ -21,35 +21,10 @@ from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
-class TokenizerConfig:
-    image_size: int = nn.setting(32, low=1)
-    patch: int = nn.setting(4, low=1)
-    d_model: int = nn.setting(64, low=1)
-    n_blocks: int = nn.setting(2, low=1)
-    heads: int = nn.setting(4, low=1)
-    d_mlp: int = nn.setting(256, low=1)
+class TokenizerConfig(nn.PatchTowerConfig):
+    SECTION = "tokenizer"
     d_code: int = nn.setting(8, low=1)
     codebook_size: int = nn.setting(64, low=1)
-
-    def __post_init__(self):
-        if self.patch < 1 or self.image_size % self.patch:
-            raise DataError(f"tokenizer.patch must be a positive divisor of "
-                            f"image_size {self.image_size}, got {self.patch}")
-        nn.check_settings(self, "tokenizer")
-        if self.d_model % self.heads:
-            raise DataError(f"tokenizer.heads {self.heads} must divide d_model {self.d_model}")
-
-    @property
-    def grid(self) -> int:
-        return self.image_size // self.patch
-
-    @property
-    def n_patches(self) -> int:
-        return self.grid * self.grid
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch * self.patch * 3
 
 
 @dataclass
@@ -66,18 +41,14 @@ def build_tokenizer(cfg: TokenizerConfig, seed: int, *,
                     skeleton: bool = False) -> TokenizerWeights:
     rng = None if skeleton else np.random.default_rng(seed)
     ps = nn.ParamSet()
-    nn.add_linear(ps, "enc.in", cfg.patch_dim, cfg.d_model, rng)
-    ps.add("enc.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
-    nn.add_stack(ps, "enc", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
+    nn.add_patch_tower(ps, "enc", cfg.patch_dim, cfg, rng)
     nn.add_linear(ps, "enc.proj", cfg.d_model, cfg.d_code, rng)
     if rng is None:
         ps.add("codebook", np.zeros((cfg.codebook_size, cfg.d_code), dtype=np.float32))
     else:
         cb = rng.standard_normal((cfg.codebook_size, cfg.d_code))
         ps.add("codebook", cb / np.linalg.norm(cb, axis=1, keepdims=True))
-    nn.add_linear(ps, "dec.in", cfg.d_code, cfg.d_model, rng)
-    ps.add("dec.pos", nn.trunc_normal(rng, (cfg.n_patches, cfg.d_model)))
-    nn.add_stack(ps, "dec", cfg.n_blocks, cfg.d_model, cfg.d_mlp, rng)
+    nn.add_patch_tower(ps, "dec", cfg.d_code, cfg, rng)
     nn.add_linear(ps, "dec.out", cfg.d_model, cfg.patch_dim, rng)
     return TokenizerWeights(cfg=cfg, params=ps)
 
@@ -99,20 +70,14 @@ def unpatchify(flat: np.ndarray, patch: int, grid: int) -> np.ndarray:
 
 
 def _encode_tensor(w: TokenizerWeights, images: np.ndarray):
-    cfg = w.cfg
-    p = w.params
-    x = T.constant(patchify(images.astype(np.float32), cfg.patch))
-    h = T.add(nn.linear(p, "enc.in", x), p["enc.pos"])
-    h = nn.stack(p, "enc", h, cfg.n_blocks, cfg.heads)
-    return nn.linear(p, "enc.proj", h)  # (B, n_patches, d_code)
+    x = T.constant(patchify(images.astype(np.float32), w.cfg.patch))
+    h = nn.patch_tower(w.params, "enc", x, w.cfg)
+    return nn.linear(w.params, "enc.proj", h)  # (B, n_patches, d_code)
 
 
 def _decode_tensor(w: TokenizerWeights, z_q):
-    cfg = w.cfg
-    p = w.params
-    h = T.add(nn.linear(p, "dec.in", z_q), p["dec.pos"])
-    h = nn.stack(p, "dec", h, cfg.n_blocks, cfg.heads)
-    return nn.linear(p, "dec.out", h)  # (B, n_patches, patch_dim), unclamped
+    h = nn.patch_tower(w.params, "dec", z_q, w.cfg)
+    return nn.linear(w.params, "dec.out", h)  # (B, n_patches, patch_dim), unclamped
 
 
 def quantize(codebook: np.ndarray, z: np.ndarray):

@@ -145,6 +145,20 @@ def test_training_with_a_patch_below_1_is_a_data_error(tmp_path, capsys, cmd, pa
     assert not (tmp_path / "out").exists()
 
 
+# in range, but not a divisor: image_size is 16 and d_model 64
+@pytest.mark.parametrize("key,value,message", [
+    ("patch", 5, "patch must be a positive divisor of image_size 16, got 5"),
+    ("heads", 3, "heads 3 must divide d_model 64")])
+@pytest.mark.parametrize("cmd", ["train-tokenizer", "train-reranker"])
+def test_training_with_a_size_that_does_not_divide_is_a_data_error(tmp_path, capsys, cmd,
+                                                                  key, value, message):
+    section = _TRAINING[cmd]
+    cfg = _cfg(tmp_path, {**TINY_DATA, section: {key: value, "steps": 1}})
+    assert cli.run([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {section}.{message}"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("model", "heads", 0), ("tokenizer", "heads", 0), ("reranker", "heads", 0),
     ("reranker", "d_model", 0), ("tokenizer", "d_code", 0), ("tokenizer", "d_code", -1),
@@ -233,6 +247,22 @@ def test_flag_value_out_of_range_is_a_data_error(tmp_path, capsys, tiny_tokenize
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"data error: {section}.{key} "), err
     assert not (tmp_path / "out").exists()
+
+
+# inside their ranges, but guidance times a logit difference, or a logit over
+# the temperature, overflows float32: one line naming the setting, and no
+# numpy warning, which pytest makes an error
+@pytest.mark.parametrize("key,shown,sampler,flags", [
+    ("guidance", "1e+300", {}, ["--lambda", "1e300"]),
+    ("temperature", "1e-300", {"temperature": 1e-300}, [])])
+def test_sample_whose_setting_overflows_float32_is_one_numeric_error_line(
+        tmp_path, capsys, key, shown, sampler, flags):
+    model, tok = _tiny_checkpoints(tmp_path)
+    cfg = _cfg(tmp_path, {"sampler": {**sampler, "n_samples": 2}})
+    assert cli.run(["sample", "--config", cfg, "--model", str(model), "--tokenizer", str(tok),
+                    "--prompt", "a red circle", *flags, "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"numeric error: sampling: a logit row has no finite entries at sampler.{key} {shown}"]
 
 
 def test_unknown_config_section_rejected(tmp_path, capsys):
@@ -923,6 +953,35 @@ def test_formats_doc_example_config_loads(tmp_path):
     for section, classes in cli._CONFIGS.items():
         for cls in classes:
             cli._pick(doc[section], cls)  # every value is inside its range
+
+
+def _formats_doc_table():
+    """(section.key, default text) for every key of docs/formats.md's config
+    table. A row may list several keys, the later ones without their section,
+    with one default each or one default for all."""
+    doc = (ROOT / "docs" / "formats.md").read_text()
+    lines = doc[doc.index("| key | default | legal values |"):].splitlines()[2:]
+    rows = []
+    for line in lines[:next(i for i, ln in enumerate(lines) if not ln.startswith("|"))]:
+        keys, defaults = line.split(" | ")[:2]
+        names = re.findall(r"`([\w.]+)`", keys.removeprefix("| derived: ").removeprefix("| "))
+        section = names[0].split(".")[0]
+        names = [n if "." in n else f"{section}.{n}" for n in names]
+        values = defaults.split(", ")
+        rows += zip(names, values if len(values) == len(names) else [defaults] * len(names))
+    return rows
+
+
+def test_formats_doc_config_table_lists_every_key_once_with_its_default():
+    rows = _formats_doc_table()
+    fields = {f"{section}.{f.name}": f for section, classes in cli._CONFIGS.items()
+              for cls in classes for f in dataclasses.fields(cls)}
+    # every schema key and every derived field, each in one row
+    assert sorted(name for name, _ in rows) == sorted(fields)
+    for name, default in rows:
+        number = re.fullmatch(r"-?\d+(\.\d+)?", default.split(" (")[0])
+        if number:
+            assert float(number[0]) == fields[name].default, name
 
 
 # eval-alignment records of _oracle_sample_dir, as the per-placement oracle

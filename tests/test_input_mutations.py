@@ -4,10 +4,11 @@ through a command that reads it.
 A command given a damaged file must return 0-3, write at most one stderr
 line, name the file in that line when it fails, and raise no warning. The
 mutations are a fixed list, so a run is reproducible. They cover the PNG
-images that eval-fid reads, the checkpoint files (manifest.json,
-weights.bin, vocab.json) that inspect-checkpoint, sample and rerank read,
-the sample meta.json and PNGs that rerank and eval-alignment read, and the
-prompt TSV that sample --prompts reads.
+images that eval-fid reads (damaged, of another size, or one to a
+directory), the checkpoint files (manifest.json, weights.bin, vocab.json)
+that inspect-checkpoint, sample and rerank read, the sample meta.json and
+PNGs that rerank and eval-alignment read, and the prompt TSV that sample
+--prompts reads.
 """
 
 import json
@@ -333,10 +334,20 @@ def test_a_command_given_a_damaged_sample_meta_fails_typed(artifacts, tmp_path, 
 
 
 # sample PNGs written at another size, (width, height): the reranker takes
-# SIZE x SIZE images, the oracle square ones whose side is even
+# SIZE x SIZE images, and so does eval-fid, whose features it computes; the
+# oracle takes square ones whose side is even. eval-fid reads the sample
+# directory's PNGs as one of its two image sets
 SAMPLE_SIZES = {"15x15": (15, 15), "17x17": (17, 17), "8x8": (8, 8), "18x18": (18, 18),
                 "8x16": (8, 16), "16x8": (16, 8)}
-SIZE_CASES = [(cmd, size) for cmd in ("rerank", "eval-alignment") for size in SAMPLE_SIZES]
+SIZE_CASES = [(cmd, size) for cmd in ("rerank", "eval-alignment", "eval-fid-real", "eval-fid-gen")
+              for size in SAMPLE_SIZES]
+
+
+def _eval_fid(artifacts, flag, work):
+    """eval-fid's argv, with work as the image directory of flag."""
+    dirs = {"--real": artifacts / "real", "--gen": artifacts / "gen", flag: work}
+    return ["eval-fid", *(a for f, d in dirs.items() for a in (f, str(d))),
+            "--features", str(artifacts / "rr")]
 
 
 @pytest.mark.parametrize("cmd,size", SIZE_CASES, ids=[f"{c}-{s}" for c, s in SIZE_CASES])
@@ -350,9 +361,19 @@ def test_a_command_given_sample_pngs_of_another_size_fails_typed(artifacts, tmp_
         pngio.write_png(work / f, rng.integers(0, 256, (h, w, 3), np.uint8))
     argv = {"rerank": ["rerank", "--dir", str(work), "--reranker", str(artifacts / "rr"),
                        "--out", str(tmp_path / "out")],
-            "eval-alignment": ["eval-alignment", "--dir", str(work)]}[cmd]
+            "eval-alignment": ["eval-alignment", "--dir", str(work)],
+            "eval-fid-real": _eval_fid(artifacts, "--real", work),
+            "eval-fid-gen": _eval_fid(artifacts, "--gen", work)}[cmd]
     code = _fails_typed(argv, work / GEN[0], capsys)
     assert code == (0 if cmd == "eval-alignment" and w == h and w % 2 == 0 else 2)
+
+
+@pytest.mark.parametrize("flag", ["--real", "--gen"], ids=["real", "gen"])
+def test_eval_fid_given_a_directory_of_one_png_fails_typed(artifacts, tmp_path, capsys, flag):
+    work = tmp_path / "one"
+    work.mkdir()
+    shutil.copy(artifacts / "real" / REAL[0], work / REAL[0])
+    assert _fails_typed(_eval_fid(artifacts, flag, work), work, capsys) == 2
 
 
 # ------------------------------------------------------- prompt TSV

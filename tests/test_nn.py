@@ -1,9 +1,12 @@
 """Layer builders, ParamSet bookkeeping, attention masking."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from ttig import nn
+from ttig import contrastive, nn, vq
 from ttig import tensor as T
 from ttig.errors import DataError
 
@@ -35,7 +38,7 @@ def test_add_ln_identity_affine_at_init():
     assert (ps["n.g"].data == 1).all() and (ps["n.b"].data == 0).all()
     x = np.random.default_rng(0).normal(size=(3, 8)).astype(np.float32)
     got = nn.ln_affine(ps, "n", T.constant(x)).data
-    np.testing.assert_array_equal(got, T._fwd_layer_norm([x], {}))
+    np.testing.assert_array_equal(got, T._layer_norm(x)[0])
 
 
 def test_add_block_param_names():
@@ -185,3 +188,36 @@ def test_dropout_train_and_eval_modes():
     # inverted dropout: kept entries rescaled by 1/keep
     np.testing.assert_allclose(y[kept], 2.0, atol=1e-6)
     assert 0.3 < kept.mean() < 0.7
+
+
+def _param_digest(ps):
+    """sha256 over every parameter's name, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for name, t in ps.items():
+        h.update(f"{name} {t.data.shape}\n".encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()[:16]
+
+
+_SMALL_TOWER = dict(image_size=16, patch=2, d_model=16, n_blocks=1, heads=2, d_mlp=32)
+_TOWER = ["image_size", "patch", "d_model", "n_blocks", "heads", "d_mlp"]
+
+
+# each builder's parameters at seed 0 and its config's keys, pinned: a
+# checkpoint's weights.bin follows the parameter order and its manifest.json
+# embeds the config in asdict order, so a change to either breaks saved
+# checkpoints
+@pytest.mark.parametrize("build,cfg,digest,keys", [
+    (vq.build_tokenizer, vq.TokenizerConfig(), "4d934fb2433a9441",
+     _TOWER + ["d_code", "codebook_size"]),
+    (vq.build_tokenizer, vq.TokenizerConfig(**_SMALL_TOWER, d_code=4, codebook_size=16),
+     "19409b8af8daf2f3", _TOWER + ["d_code", "codebook_size"]),
+    (contrastive.build_encoder, contrastive.EncoderConfig(), "313575aaa657c9d1",
+     _TOWER + ["d_e", "text_vocab", "text_len"]),
+    (contrastive.build_encoder, contrastive.EncoderConfig(**_SMALL_TOWER, d_e=8, text_vocab=64,
+                                                          text_len=8),
+     "298581de4ef5d8a8", _TOWER + ["d_e", "text_vocab", "text_len"]),
+], ids=["tokenizer", "tokenizer-small", "reranker", "reranker-small"])
+def test_patch_tower_builders_keep_their_parameters_and_config_keys(build, cfg, digest, keys):
+    assert _param_digest(build(cfg, 0).params) == digest
+    assert list(dataclasses.asdict(cfg)) == keys

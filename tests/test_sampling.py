@@ -400,7 +400,7 @@ def _affine(x, w, b):
 
 
 def _normalize(x):
-    return T._fwd_layer_norm([x], {})
+    return T._layer_norm(x)[0]
 
 
 class _ReferenceBranch(sampling._Branch):
@@ -458,7 +458,7 @@ class _ReferenceBranch(sampling._Branch):
             a = self._attn_cross(_normalize(x), i)
             a += p[pre + ".xattn.bo"]
             x += a
-            h = T._fwd_gelu([_affine(_normalize(x), *self.fc1[i])], {})
+            h = T._gelu(_affine(_normalize(x), *self.fc1[i]))[0]
             x += _affine(h, p[pre + ".mlp.fc2.w"], p[pre + ".mlp.fc2.b"])
         return _affine(_normalize(x), *self.out)
 

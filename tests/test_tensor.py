@@ -137,7 +137,7 @@ def test_layer_norm_zero_mean_unit_var():
 def test_gelu_against_erf_form():
     x = np.linspace(-4, 4, 33, dtype=np.float32)
     want = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    np.testing.assert_allclose(T._fwd_gelu([x], {}), want, atol=1e-6)
+    np.testing.assert_allclose(T._gelu(x)[0], want, atol=1e-6)
 
 
 def _erf_cdf(x):
@@ -157,10 +157,9 @@ def test_float32_gelu_table_within_stated_tolerance_of_erf():
     x = np.concatenate([grid, normal]).astype(np.float32)
     x64 = x.astype(np.float64)
     want_cdf = _erf_cdf(x64)
-    attrs = {}
-    got = T._fwd_gelu([x], attrs)
-    assert got.dtype == np.float32 and attrs["_cdf"].dtype == np.float32
-    assert np.abs(attrs["_cdf"] - want_cdf).max() <= 2e-7
+    got, cdf = T._gelu(x)
+    assert got.dtype == np.float32 and cdf.dtype == np.float32
+    assert np.abs(cdf - want_cdf).max() <= 2e-7
     assert np.abs(got - x64 * want_cdf).max() <= 1e-6
     # exactly 0 and 1 outside the table's range
     far = np.array([-7.0, -6.5, 6.5, 7.0], np.float32)
@@ -178,7 +177,7 @@ def test_float32_cdf_table_is_the_one_scipy_erf_builds():
 
 def test_float64_gelu_is_the_erf_form():
     x = np.linspace(-8.0, 8.0, 1001)
-    got = T._fwd_gelu([x], {})
+    got = T._gelu(x)[0]
     want = [v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()]
     np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(got, x * _erf_cdf(x), rtol=0, atol=1e-15)
@@ -188,7 +187,7 @@ def test_float64_gelu_is_the_erf_form():
                          ids=["0d", "empty", "empty_3d", "2d"])
 def test_float64_gelu_takes_any_shape(shape):
     x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
-    y = T._fwd_gelu([x], {})
+    y = T._gelu(x)[0]
     assert y.shape == shape and y.dtype == np.float64
     np.testing.assert_allclose(y, x * _erf_cdf(x), rtol=0, atol=1e-15)
 
@@ -212,7 +211,7 @@ def test_gelu_nonfinite_inputs_propagate_without_warning(dtype):
     x = np.array([np.nan, np.inf, -np.inf, 1.0], dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = T._fwd_gelu([x], {})
+        y = T._gelu(x)[0]
     assert np.isnan(y[0])
     assert not np.isfinite(y[1]) and not np.isfinite(y[2])
     assert np.isfinite(y[3])
@@ -234,7 +233,7 @@ def test_gelu_peak_memory_within_one_block_of_erf_kernel():
             tracemalloc.stop()
 
     old = peak(erf_kernel)
-    new = peak(lambda x: (T._fwd_gelu([x], {}),))
+    new = peak(T._gelu)
     assert new <= old + T._CDF_BLOCK * x.itemsize, (new, old)
 
 
@@ -269,11 +268,10 @@ def test_layer_norm_and_softmax_reductions_bit_identical_to_method_forms(dtype):
     for shape in [(7, 64), (3, 5, 33), (2000, 256)]:
         x = (rng.normal(size=shape) * rng.uniform(0.1, 30.0)).astype(dtype)
         g = rng.normal(size=shape).astype(dtype)
-        attrs = {}
-        out = T._fwd_layer_norm([x], attrs)
+        out, inv = T._layer_norm(x)
         np.testing.assert_array_equal(out, _mean_ln_fwd(x))
         want = _mean_ln_bwd(g, x, out)
-        np.testing.assert_array_equal(T._layer_norm_grad(g, out, attrs["_inv"]), want)
+        np.testing.assert_array_equal(T._layer_norm_grad(g, out, inv), want)
         for axis in (0, -1):
             sm = T._softmax(x, axis)
             np.testing.assert_array_equal(sm, _sum_softmax_fwd(x, axis))
@@ -589,20 +587,19 @@ def test_linear_and_layer_norm_have_the_bits_of_the_separate_ops(chain, L):
     w2, b2 = draw(m, d), draw(d)
     ins = [x, gain, beta, w1, b1] + ([w2, b2] if chain == "mlp" else [])
 
-    xhat = T._fwd_layer_norm([x], {})
+    xhat = T._layer_norm(x)[0]
     a = xhat * gain
     a += beta
     h = a @ w1
     h += b1
     want_grads = {}
     if chain == "mlp":
-        attrs = {}
-        u = T._fwd_gelu([h], attrs)
+        u, cdf = T._gelu(h)
         want = u @ w2
         want += b2
         want_grads[5] = u.reshape(-1, m).T @ g.reshape(-1, d)
         want_grads[6] = g.sum(axis=(0, 1))
-        gh = _gelu_grad_written_out(g @ w2.T, h, attrs["_cdf"])
+        gh = _gelu_grad_written_out(g @ w2.T, h, cdf)
     else:
         want, gh = h, g
     want_grads[3] = a.reshape(-1, d).T @ gh.reshape(-1, m)
@@ -944,8 +941,8 @@ def _pre_step_outputs(attrs, datas):
     made them: the LayerNorm's gain-and-bias output, or the GELU output."""
     pre = attrs.get("pre")
     if pre == "layer_norm":
-        return [T._fwd_layer_norm(datas[:1], {}) * datas[1] + datas[2]]
-    return [T._fwd_gelu(datas[:1], {})] if pre == "gelu" else []
+        return [T._layer_norm(datas[0])[0] * datas[1] + datas[2]]
+    return [T._gelu(datas[0])[0]] if pre == "gelu" else []
 
 
 @pytest.mark.parametrize("case", sorted(_KIND_CASES))
