@@ -209,6 +209,9 @@ def cmd_train_model(args) -> int:
                  grid_h=tok.cfg.grid, grid_w=tok.cfg.grid)
     tcfg = _pick(sec, seq2seq.TrainConfig)
     _check_text_vocab(mcfg, "model")
+    if d.image_size != tok.cfg.image_size:
+        raise DataError(f"data.image_size is {d.image_size}, but the tokenizer at "
+                        f"{args.tokenizer} takes {tok.cfg.image_size}x{tok.cfg.image_size} images")
     ds = _dataset(d)
     vocab = textproc.train_bpe(ds.captions, vocab_size=mcfg.text_vocab)
     text_ids = _encode_captions(vocab, ds.captions, mcfg.text_len)
@@ -248,8 +251,7 @@ def _write_sample_dir(out: Path, batch, scfg, extra=None):
     names = [f"sample_{i:02d}.png" for i in range(len(batch.images))]
     for name, img in zip(names, batch.images):
         pngio.write_png(out / name, img)
-    meta = {"prompt": batch.prompt, "seed": scfg.seed,
-            "guidance": scfg.guidance, "temperature": scfg.temperature,
+    meta = {"prompt": batch.prompt, "seed": scfg.seed, "guidance": scfg.guidance,
             "top_k": scfg.top_k, "n_samples": scfg.n_samples,
             "files": names, "scores": None,
             "grids": np.asarray(batch.grids).tolist()}
@@ -269,6 +271,11 @@ def cmd_sample(args) -> int:
     w = checkpoint.load_model(args.model)
     vocab = textproc.load_vocab(Path(args.model) / "vocab.json")
     tok = checkpoint.load_tokenizer(args.tokenizer)
+    m, t = w.cfg, tok.cfg
+    if (m.image_vocab, m.grid_h, m.grid_w) != (t.codebook_size, t.grid, t.grid):
+        raise DataError(f"the model at {args.model} predicts {m.image_vocab} codes on a "
+                        f"{m.grid_h}x{m.grid_w} grid, but the tokenizer at {args.tokenizer} "
+                        f"has {t.codebook_size} codes on a {t.grid}x{t.grid} grid")
     out = Path(args.out)
     if rows is None:
         batch = sampling.generate(w, vocab, tok, args.prompt, scfg)
@@ -347,6 +354,9 @@ def _check_image_size(first, images, fits, want: str):
 
 
 def cmd_rerank(args) -> int:
+    if args.out and Path(args.out).resolve() == Path(args.dir).resolve():
+        raise DataError(f"rerank --out {args.out} is the sample directory --dir; "
+                        f"ranking there would overwrite its meta.json")
     meta, blobs, images = _load_sample_dir(args.dir, "grids")
     enc = checkpoint.load_encoder(args.reranker)
     size = enc.cfg.image_size

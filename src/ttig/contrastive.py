@@ -42,10 +42,6 @@ class DualEncoder:
     cfg: EncoderConfig
     params: nn.ParamSet
 
-    @property
-    def tau(self) -> float:
-        return float(self.params["tau"].data[0, 0])
-
 
 def build_encoder(cfg: EncoderConfig, seed: int = 0, *,
                   skeleton: bool = False) -> DualEncoder:
@@ -91,7 +87,8 @@ def _project(p: nn.ParamSet, pre: str, pooled):
 
 def embed_image(enc: DualEncoder, images: np.ndarray) -> np.ndarray:
     """Unit-norm projected image embeddings (n, d_e)."""
-    return _project(enc.params, "img.proj", _image_pooled(enc, images)).data
+    return nn.in_chunks(
+        lambda x: _project(enc.params, "img.proj", _image_pooled(enc, x)).data, images)
 
 
 def embed_text(enc: DualEncoder, text_ids) -> np.ndarray:
@@ -101,7 +98,7 @@ def embed_text(enc: DualEncoder, text_ids) -> np.ndarray:
 
 def image_features(enc: DualEncoder, images: np.ndarray) -> np.ndarray:
     """Pooled pre-projection features (n, d_model); the FID feature hook."""
-    return _image_pooled(enc, images).data
+    return nn.in_chunks(lambda x: _image_pooled(enc, x).data, images)
 
 
 def _pad_rows(cfg: EncoderConfig, text_ids):

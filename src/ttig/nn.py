@@ -65,9 +65,6 @@ class ParamSet:
     def __contains__(self, name):
         return name in self.params
 
-    def names(self):
-        return list(self.params)
-
     def items(self):
         return self.params.items()
 
@@ -249,6 +246,20 @@ def patch_tower(p: ParamSet, pre: str, x, cfg: PatchTowerConfig):
     """The tower of add_patch_tower(..., pre, ...) on x (B, n_patches, d_in)."""
     h = T.add(linear(p, pre + ".in", x), p[pre + ".pos"])
     return stack(p, pre, h, cfg.n_blocks, cfg.heads)
+
+
+# Images per tape-free patch-tower pass, which bounds the peak memory of a
+# pass over a large set. Every op of such a pass acts image by image, so its
+# output does not depend on the chunking.
+TOWER_CHUNK = 64
+
+
+def in_chunks(fn, x):
+    """fn(x) for a tape-free tower pass fn over x's leading axis: fn of each
+    run of at most TOWER_CHUNK rows, concatenated."""
+    if len(x) <= TOWER_CHUNK:
+        return fn(x)
+    return np.concatenate([fn(x[s:s + TOWER_CHUNK]) for s in range(0, len(x), TOWER_CHUNK)])
 
 
 def grads_of(loss, params: ParamSet) -> dict:

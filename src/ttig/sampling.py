@@ -75,15 +75,12 @@ from .errors import DataError, NumericError
 @dataclass(frozen=True)
 class SamplerConfig:
     guidance: float = nn.setting(1.2, low=0)
-    temperature: float = nn.setting(1.0, low=0)
     top_k: int = nn.setting(0, low=0)  # 0 disables the filter
     n_samples: int = nn.setting(16, low=1)
     seed: int = nn.setting(0, low=0)
 
     def __post_init__(self):
         nn.check_settings(self, "sampler")
-        if self.temperature == 0:
-            raise DataError(f"sampler.temperature must be above 0, got {self.temperature}")
 
 
 @dataclass
@@ -100,10 +97,6 @@ def guided_logits(u, c, lam: float) -> np.ndarray:
     c = np.asarray(c)
     if u.shape != c.shape:
         raise DataError(f"guided_logits: shape mismatch {u.shape} vs {c.shape}")
-    if lam == 0.0:
-        return u.copy()
-    if lam == 1.0:
-        return c.copy()
     z = lam * (c - u)
     z += u
     return z
@@ -278,13 +271,10 @@ def _filter_top_k(z: np.ndarray, k: int) -> np.ndarray:
 
 
 def _probs_from(logits: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
-    z = logits if cfg.temperature == 1.0 else logits / np.float32(cfg.temperature)
-    z = _filter_top_k(z, cfg.top_k)
+    z = _filter_top_k(logits, cfg.top_k)
     if not np.isfinite(np.maximum.reduce(z, -1)).all():
-        # finite guided logits leave only the temperature to blame
-        key = "temperature" if np.isfinite(logits).all() else "guidance"
         raise NumericError(f"sampling: a logit row has no finite entries at "
-                           f"sampler.{key} {getattr(cfg, key)}")
+                           f"sampler.guidance {cfg.guidance}")
     return T._softmax(z, -1)
 
 
@@ -316,8 +306,8 @@ def _run_chains(w: seq2seq.TransformerWeights, text_ids, n: int,
     branch = _Branch(w, seq2seq.encode_text(w, cond_ids).data, rows)
     tokens = np.zeros((n, mcfg.image_len), dtype=np.int64)
     prev = None
-    # a guidance or temperature that overflows float32 is _probs_from's one
-    # error line, with no numpy warnings before it
+    # a guidance that overflows float32 is _probs_from's one error line, with
+    # no numpy warnings before it
     with np.errstate(all="ignore"):
         for t in range(mcfg.image_len):
             logits = branch.step_logits(prev, t)

@@ -203,11 +203,6 @@ def _norm_axis(axis, ndim, op):
     return int(axis)
 
 
-def _require(cond, op, msg):
-    if not cond:
-        raise ShapeError(f"{op}: {msg}")
-
-
 # ---------------------------------------------------------------------------
 # op catalog: each entry is an _Op (arity, forward, backward, reads)
 # forward(datas, attrs) -> out array
@@ -234,8 +229,8 @@ class _Spec:
         return math.prod(self.shape)
 
 
-# The checks on the hot ops (add/mul/matmul) test first and format the
-# message only on failure: formatting dtype names costs about half an add.
+# Every op's checks test first and format the message only on failure:
+# formatting dtype names costs about half an add.
 
 def _ew_check(op, a, b):
     if a.dtype != b.dtype:
@@ -289,8 +284,8 @@ def _bwd_matmul(g, d, attrs, needs):
 
 def _fwd_reshape(d, attrs):
     shape = tuple(attrs["shape"])
-    _require(int(np.prod(shape, dtype=np.int64)) == d[0].size, "reshape",
-             f"cannot reshape {d[0].shape} to {shape}")
+    if int(np.prod(shape, dtype=np.int64)) != d[0].size:
+        raise ShapeError(f"reshape: cannot reshape {d[0].shape} to {shape}")
     return d[0].reshape(shape)
 
 
@@ -300,8 +295,9 @@ def _bwd_reshape(g, d, attrs, needs):
 
 def _fwd_transpose(d, attrs):
     axes = tuple(attrs["axes"])
-    _require(sorted(axes) == list(range(d[0].ndim)), "transpose",
-             f"axes {axes} is not a permutation for ndim {d[0].ndim}")
+    if sorted(axes) != list(range(d[0].ndim)):
+        raise ShapeError(f"transpose: axes {axes} is not a permutation for ndim "
+                         f"{d[0].ndim}")
     return np.transpose(d[0], axes)
 
 
@@ -314,11 +310,14 @@ def _bwd_transpose(g, d, attrs, needs):
 def _fwd_concat(d, attrs):
     axis = _norm_axis(attrs["axis"], d[0].ndim, "concat")
     for x in d[1:]:
-        _require(x.ndim == d[0].ndim, "concat", "rank mismatch")
-        _require(x.dtype == d[0].dtype, "concat", "dtype mismatch")
+        if x.ndim != d[0].ndim:
+            raise ShapeError("concat: rank mismatch")
+        if x.dtype != d[0].dtype:
+            raise ShapeError("concat: dtype mismatch")
         for ax in range(d[0].ndim):
-            _require(ax == axis or x.shape[ax] == d[0].shape[ax], "concat",
-                     f"non-concat axis {ax} differs: {x.shape} vs {d[0].shape}")
+            if ax != axis and x.shape[ax] != d[0].shape[ax]:
+                raise ShapeError(f"concat: non-concat axis {ax} differs: "
+                                 f"{x.shape} vs {d[0].shape}")
     return np.concatenate(d, axis=axis)
 
 
@@ -331,8 +330,10 @@ def _bwd_concat(g, d, attrs, needs):
 def _fwd_embedding_gather(d, attrs):
     table = d[0]
     ids = np.asarray(attrs["ids"])
-    _require(table.ndim == 2, "embedding_gather", f"table must be 2-D, got {table.shape}")
-    _require(np.issubdtype(ids.dtype, np.integer), "embedding_gather", "ids must be integers")
+    if table.ndim != 2:
+        raise ShapeError(f"embedding_gather: table must be 2-D, got {table.shape}")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ShapeError("embedding_gather: ids must be integers")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError(f"embedding_gather: ids outside [0, {table.shape[0]})")
     return table[ids]
@@ -409,12 +410,14 @@ def attention_window(allowed) -> Window:
     """The Window of a boolean (L, L) mask, True where query i may attend to
     key j. Raises ShapeError for a non-square mask or a row allowing no key."""
     allowed = np.asarray(allowed)
-    _require(allowed.dtype == np.bool_, "attention_window", "allowed must be boolean")
-    _require(allowed.ndim == 2 and allowed.shape[0] == allowed.shape[1], "attention_window",
-             f"allowed must be a square (L, L) mask, got shape {allowed.shape}")
+    if allowed.dtype != np.bool_:
+        raise ShapeError("attention_window: allowed must be boolean")
+    if not (allowed.ndim == 2 and allowed.shape[0] == allowed.shape[1]):
+        raise ShapeError(f"attention_window: allowed must be a square (L, L) mask, "
+                         f"got shape {allowed.shape}")
     empty = np.flatnonzero(~allowed.any(axis=1))
-    _require(empty.size == 0, "attention_window",
-             f"query rows {empty.tolist()} allow no key")
+    if empty.size:
+        raise ShapeError(f"attention_window: query rows {empty.tolist()} allow no key")
     i, j = np.nonzero(allowed)
     offsets = np.unique(i - j)[::-1]
     valid = np.zeros((len(offsets), allowed.shape[0]), dtype=bool)
@@ -438,22 +441,23 @@ def head_lanes(d, heads, dtype):
 
 def _check_attention(d, attrs):
     q, k, v = d
-    _require(q.ndim == 3 and k.ndim == 3 and k.shape == v.shape, "attention",
-             f"need q (B,L,D) and k, v (B,S,D), got {q.shape}, {k.shape}, {v.shape}")
-    _require(q.shape[0] == k.shape[0] and q.shape[2] == k.shape[2], "attention",
-             f"q {q.shape} and k {k.shape} differ in batch or width")
-    _require(q.dtype == k.dtype == v.dtype, "attention",
-             f"dtype mismatch {q.dtype}, {k.dtype}, {v.dtype}")
+    if not (q.ndim == 3 and k.ndim == 3 and k.shape == v.shape):
+        raise ShapeError(f"attention: need q (B,L,D) and k, v (B,S,D), "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    if not (q.shape[0] == k.shape[0] and q.shape[2] == k.shape[2]):
+        raise ShapeError(f"attention: q {q.shape} and k {k.shape} differ in batch or width")
+    if not (q.dtype == k.dtype == v.dtype):
+        raise ShapeError(f"attention: dtype mismatch {q.dtype}, {k.dtype}, {v.dtype}")
     heads = attrs["heads"]
-    _require(isinstance(heads, (int, np.integer)) and heads >= 1 and q.shape[2] % heads == 0,
-             "attention", f"heads {heads!r} must divide width {q.shape[2]}")
+    if not (isinstance(heads, (int, np.integer)) and heads >= 1 and q.shape[2] % heads == 0):
+        raise ShapeError(f"attention: heads {heads!r} must divide width {q.shape[2]}")
     window = attrs.get("window")
     if window is not None:
-        _require(isinstance(window, Window), "attention",
-                 f"window must be a Window, got {type(window).__name__}")
-        _require(q.shape[1] == k.shape[1] == window.valid.shape[1], "attention",
-                 f"a window of {window.valid.shape[1]} positions needs self-attention "
-                 f"over as many, got q {q.shape}, k {k.shape}")
+        if not isinstance(window, Window):
+            raise ShapeError(f"attention: window must be a Window, got {type(window).__name__}")
+        if not (q.shape[1] == k.shape[1] == window.valid.shape[1]):
+            raise ShapeError(f"attention: a window of {window.valid.shape[1]} positions needs "
+                             f"self-attention over as many, got q {q.shape}, k {k.shape}")
 
 
 def _scale(d, heads, dtype):
@@ -630,10 +634,11 @@ def _fwd_ln_affine(d, attrs):
     """xhat * gain + bias for d = [x, gain, bias]; xhat and 1/sigma stay in
     attrs for backward."""
     x, gain, bias = d
-    _require(x.ndim >= 1 and gain.shape == bias.shape == x.shape[-1:], "layer_norm",
-             f"gain {gain.shape} and bias {bias.shape} must match x {x.shape}'s last axis")
-    _require(x.dtype == gain.dtype == bias.dtype, "layer_norm",
-             f"dtype mismatch {x.dtype}, {gain.dtype}, {bias.dtype}")
+    if not (x.ndim >= 1 and gain.shape == bias.shape == x.shape[-1:]):
+        raise ShapeError(f"layer_norm: gain {gain.shape} and bias {bias.shape} must match "
+                         f"x {x.shape}'s last axis")
+    if not (x.dtype == gain.dtype == bias.dtype):
+        raise ShapeError(f"layer_norm: dtype mismatch {x.dtype}, {gain.dtype}, {bias.dtype}")
     attrs["_xhat"], attrs["_inv"] = _layer_norm(x)
     return _affine(attrs["_xhat"], gain, bias)
 
@@ -760,14 +765,15 @@ def _pre_output(pre, d, attrs):
 
 def _fwd_linear(d, attrs):
     pre = attrs.get("pre")
-    _require(pre in _PRE_READS, "linear",
-             f"pre must be one of {list(_PRE_READS)}, got {pre!r}")
+    if pre not in _PRE_READS:
+        raise ShapeError(f"linear: pre must be one of {list(_PRE_READS)}, got {pre!r}")
     n = 5 if pre == "layer_norm" else 3
-    _require(len(d) == n, "linear", f"pre {pre!r} takes {n} inputs, got {len(d)}")
+    if len(d) != n:
+        raise ShapeError(f"linear: pre {pre!r} takes {n} inputs, got {len(d)}")
     x, w, b = d[0], d[-2], d[-1]
     _check_matmul("linear", x, w)
-    _require(b.shape == w.shape[1:] and b.dtype == w.dtype, "linear",
-             f"bias {b.shape} {b.dtype} does not fit w {w.shape} {w.dtype}")
+    if not (b.shape == w.shape[1:] and b.dtype == w.dtype):
+        raise ShapeError(f"linear: bias {b.shape} {b.dtype} does not fit w {w.shape} {w.dtype}")
     if pre == "layer_norm":
         x = _fwd_ln_affine(d[:3], attrs)
     elif pre == "gelu":
@@ -848,12 +854,13 @@ def _bwd_l2_normalize(g, d, attrs, needs):
 def _fwd_cross_entropy(d, attrs):
     logits = d[0]
     targets = np.asarray(attrs["targets"])
-    _require(logits.ndim == 2, "cross_entropy_with_logits",
-             f"logits must be (N,V), got {logits.shape}")
-    _require(targets.shape == (logits.shape[0],), "cross_entropy_with_logits",
-             f"targets shape {targets.shape} does not match N={logits.shape[0]}")
-    _require(np.issubdtype(targets.dtype, np.integer), "cross_entropy_with_logits",
-             "targets must be integers")
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy_with_logits: logits must be (N,V), got {logits.shape}")
+    if targets.shape != (logits.shape[0],):
+        raise ShapeError(f"cross_entropy_with_logits: targets shape {targets.shape} "
+                         f"does not match N={logits.shape[0]}")
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ShapeError("cross_entropy_with_logits: targets must be integers")
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ShapeError(f"cross_entropy_with_logits: targets outside [0, {logits.shape[1]})")
     z = logits - logits.max(axis=1, keepdims=True)

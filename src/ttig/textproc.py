@@ -51,10 +51,6 @@ class Vocab:
             self._ids.setdefault(self.tokens[i], i)
         self._rules = _rewrite_rules(self.merges, self._ids)
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.tokens)
-
 
 def _one_char(text: str) -> str:
     """UTF-8 bytes of text, one character per byte (byte b is chr(b))."""

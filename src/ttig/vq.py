@@ -106,21 +106,13 @@ def quantize(codebook: np.ndarray, z: np.ndarray):
     return ids.reshape(z.shape[:-1])
 
 
-# Images per encoder pass in tokenize: bounds its peak memory on large sets.
-# Every op of the untaped encoder acts row by row, so the codes do not depend
-# on the chunking.
-TOKENIZE_CHUNK = 64
-
-
 def tokenize(w: TokenizerWeights, images: np.ndarray) -> np.ndarray:
     """Images (n, H, W, 3) in [0,1] -> int token grids (n, grid, grid)."""
     cfg = w.cfg
     if images.shape[1] != cfg.image_size or images.shape[2] != cfg.image_size:
         raise DataError(f"expected {cfg.image_size}x{cfg.image_size} input, got {images.shape[1:3]}")
-    ids = [quantize(w.codebook, _encode_tensor(w, images[s:s + TOKENIZE_CHUNK]).data)
-           for s in range(0, len(images), TOKENIZE_CHUNK)]
-    grids = np.concatenate(ids or [np.zeros(0, np.intp)])
-    return grids.reshape(images.shape[0], cfg.grid, cfg.grid)
+    ids = nn.in_chunks(lambda x: quantize(w.codebook, _encode_tensor(w, x).data), images)
+    return ids.reshape(images.shape[0], cfg.grid, cfg.grid)
 
 
 def detokenize(w: TokenizerWeights, tokens: np.ndarray) -> np.ndarray:
@@ -130,9 +122,13 @@ def detokenize(w: TokenizerWeights, tokens: np.ndarray) -> np.ndarray:
     cfg = w.cfg
     if tokens.min() < 0 or tokens.max() >= cfg.codebook_size:
         raise DataError(f"token id outside [0, {cfg.codebook_size})")
-    zq = w.codebook[tokens.reshape(tokens.shape[0], -1)]
-    flat = _decode_tensor(w, T.constant(zq)).data
-    return np.clip(unpatchify(flat, cfg.patch, cfg.grid), 0.0, 1.0)
+
+    def decode(grids):
+        zq = w.codebook[grids.reshape(len(grids), -1)]
+        flat = _decode_tensor(w, T.constant(zq)).data
+        return np.clip(unpatchify(flat, cfg.patch, cfg.grid), 0.0, 1.0)
+
+    return nn.in_chunks(decode, tokens)
 
 
 def reconstruction_mse(w: TokenizerWeights, images: np.ndarray) -> float:

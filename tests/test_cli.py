@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttig import (checkpoint, cli, contrastive, metrics, pngio, scenes, seq2seq,
-                  textproc, vq)
+from ttig import (checkpoint, cli, contrastive, metrics, pngio, sampling, scenes,
+                  seq2seq, textproc, vq)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -226,9 +226,7 @@ def _reader_argv(tmp_path, section, tokenizer, **values):
         "--config", _cfg(tmp_path, body), "--out", str(tmp_path / "out")]
 
 
-# sampler.temperature's declared range starts at 0, but the class rejects 0 itself
-@pytest.mark.parametrize("section,key,value",
-                         _out_of_range() + [("sampler", "temperature", 0.0)])
+@pytest.mark.parametrize("section,key,value", _out_of_range())
 def test_config_value_out_of_range_fails_while_the_config_is_built(
         tmp_path, capsys, tiny_tokenizer, section, key, value):
     assert cli.run(_reader_argv(tmp_path, section, tiny_tokenizer, **{key: value})) == 2
@@ -249,20 +247,16 @@ def test_flag_value_out_of_range_is_a_data_error(tmp_path, capsys, tiny_tokenize
     assert not (tmp_path / "out").exists()
 
 
-# inside their ranges, but guidance times a logit difference, or a logit over
-# the temperature, overflows float32: one line naming the setting, and no
-# numpy warning, which pytest makes an error
-@pytest.mark.parametrize("key,shown,sampler,flags", [
-    ("guidance", "1e+300", {}, ["--lambda", "1e300"]),
-    ("temperature", "1e-300", {"temperature": 1e-300}, [])])
-def test_sample_whose_setting_overflows_float32_is_one_numeric_error_line(
-        tmp_path, capsys, key, shown, sampler, flags):
+# inside its range, but guidance times a logit difference overflows float32:
+# one line naming the setting, and no numpy warning, which pytest makes an error
+def test_sample_whose_guidance_overflows_float32_is_one_numeric_error_line(tmp_path, capsys):
     model, tok = _tiny_checkpoints(tmp_path)
-    cfg = _cfg(tmp_path, {"sampler": {**sampler, "n_samples": 2}})
+    cfg = _cfg(tmp_path, {"sampler": {"n_samples": 2}})
     assert cli.run(["sample", "--config", cfg, "--model", str(model), "--tokenizer", str(tok),
-                    "--prompt", "a red circle", *flags, "--out", str(tmp_path / "s")]) == 3
+                    "--prompt", "a red circle", "--lambda", "1e300",
+                    "--out", str(tmp_path / "s")]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        f"numeric error: sampling: a logit row has no finite entries at sampler.{key} {shown}"]
+        "numeric error: sampling: a logit row has no finite entries at sampler.guidance 1e+300"]
 
 
 def test_unknown_config_section_rejected(tmp_path, capsys):
@@ -278,8 +272,8 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
 # the pretraining keys were removed with the masked-text pretraining,
 # data_init with its off switch (the codebook always starts from data), the
 # decoder's own width and depth with the wider decoder, and the caption
-# holdout, the learning rates, the commitment weight and tau's start and
-# floor became the one value every caller used
+# holdout, the learning rates, the commitment weight, tau's start and floor
+# and the sampler's temperature became the one value every caller used
 @pytest.mark.parametrize("section,key", [("data", "n_trian"),
                                          ("model", "pretrain_steps"),
                                          ("model", "pretrain_mask_rate"),
@@ -292,7 +286,8 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
                                          ("tokenizer", "beta_commit"),
                                          ("reranker", "lr"),
                                          ("reranker", "tau_init"),
-                                         ("reranker", "tau_min")])
+                                         ("reranker", "tau_min"),
+                                         ("sampler", "temperature")])
 def test_unknown_config_key_rejected(tmp_path, capsys, section, key):
     cfg = _cfg(tmp_path, {section: {key: 8}})
     assert cli.run(["make-data", "--config", cfg,
@@ -359,10 +354,10 @@ def test_config_key_set_from_elsewhere_rejected(tmp_path, capsys, section, key,
     ["retrieve", "--reranker", "rr", "--caption", "a red circle",
      "--exclude-query"],
     # flags that repeated a config key, which stays (data.seed, data.n_train
-    # and n_eval, each trainer's steps and seed, the sampler's top_k and
-    # temperature), and --full: inspect-checkpoint lists every parameter. The
-    # config and the checkpoint do not exist, so a command that still took
-    # the flag would exit 2, not 1.
+    # and n_eval, each trainer's steps and seed, the sampler's top_k), the
+    # temperature, which is no setting now, and --full: inspect-checkpoint
+    # lists every parameter. The config and the checkpoint do not exist, so
+    # a command that still took the flag would exit 2, not 1.
     *([cmd, "--config", "no.json", "--out", "out", *extra, flag, "1"]
       for cmd, extra, flags in (("make-data", [], ("--seed", "--n")),
                                 ("train-tokenizer", [], ("--steps", "--seed")),
@@ -508,9 +503,12 @@ def test_inspect_checkpoint_reads_only_what_save_checkpoint_writes(tmp_path, cap
     assert str(ck / name) in err[0] and words in err[0], err[0]
 
 
+_TINY_TOKENIZER = dict(image_size=16, patch=4, d_model=32, heads=4, n_blocks=1, d_mlp=64,
+                       codebook_size=16)
+
+
 def _tiny_checkpoints(tmp_path):
-    tok_cfg = vq.TokenizerConfig(image_size=16, patch=4, d_model=32, heads=4,
-                                 n_blocks=1, d_mlp=64, codebook_size=16)
+    tok_cfg = vq.TokenizerConfig(**_TINY_TOKENIZER)
     checkpoint.save_tokenizer(vq.build_tokenizer(tok_cfg, seed=0),
                               tmp_path / "tok")
     mcfg = seq2seq.ModelConfig(enc_layers=1, dec_layers=1, d_model=32,
@@ -535,6 +533,44 @@ def test_train_model_takes_image_vocab_and_grid_from_the_tokenizer(tmp_path, cap
     manifest = json.loads((out / "manifest.json").read_text())
     got = manifest["config"]["model"]
     assert (got["grid_h"], got["grid_w"], got["image_vocab"]) == (4, 4, 16)
+
+
+# the tiny model predicts 16 codes on a 4x4 grid; a tokenizer of another grid
+# or codebook decodes none of its samples right, so sample stops before it
+# samples anything
+@pytest.mark.parametrize("change", [{"image_size": 32}, {"codebook_size": 8},
+                                    {"codebook_size": 32}],
+                         ids=["8x8-grid", "8-codes", "32-codes"])
+def test_sample_with_a_tokenizer_the_model_does_not_fit_is_a_data_error(
+        tmp_path, capsys, monkeypatch, change):
+    model, _ = _tiny_checkpoints(tmp_path)
+    tok_cfg = vq.TokenizerConfig(**{**_TINY_TOKENIZER, **change})
+    tok = tmp_path / "other_tok"
+    checkpoint.save_tokenizer(vq.build_tokenizer(tok_cfg, seed=0), tok)
+    monkeypatch.setattr(sampling, "generate", lambda *a: pytest.fail("sampled"))
+    assert cli.run(["sample", "--model", str(model), "--tokenizer", str(tok),
+                    "--prompt", "a red circle", "--n-samples", "2",
+                    "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: the model at {model} predicts 16 codes on a 4x4 grid, but the "
+        f"tokenizer at {tok} has {tok_cfg.codebook_size} codes on a "
+        f"{tok_cfg.grid}x{tok_cfg.grid} grid"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_train_model_on_images_its_tokenizer_does_not_take_is_a_data_error(
+        tmp_path, capsys, monkeypatch):
+    # the tokenizer takes 16x16 images; the check comes before any data is rendered
+    _, tok = _tiny_checkpoints(tmp_path)
+    monkeypatch.setattr(cli, "_dataset", lambda *a: pytest.fail("rendered"))
+    cfg = _cfg(tmp_path, {"data": {**TINY_DATA["data"], "image_size": 32},
+                          "model": {"steps": 1}})
+    assert cli.run(["train-model", "--tokenizer", str(tok), "--config", cfg,
+                    "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: data.image_size is 32, but the tokenizer at {tok} takes "
+        f"16x16 images"]
+    assert not (tmp_path / "m").exists()
 
 
 # textproc.MIN_VOCAB is the floor for a trained BPE vocabulary; library code
@@ -802,6 +838,23 @@ def test_rerank_of_grids_one_short_names_the_meta_json(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(d / "meta.json") in err[0] and "3 grids" in err[0]
+
+
+@pytest.mark.parametrize("out", ["s", "s/.", "s/../s"])
+def test_rerank_out_of_the_sample_directory_itself_is_a_data_error(tmp_path, capsys, out):
+    # ranking into --dir would replace its meta.json, the samples' own record
+    _tiny_reranker(tmp_path)
+    d = tmp_path / "s"
+    d.mkdir()
+    pngio.write_png(d / "sample_00.png", np.zeros((16, 16, 3), np.uint8))
+    (d / "meta.json").write_text(json.dumps(_META))
+    before = sorted((f.name, f.read_bytes()) for f in d.iterdir())
+    assert cli.run(["rerank", "--dir", str(d), "--reranker", str(tmp_path / "rr"),
+                    "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: rerank --out {tmp_path / out} is the sample directory --dir; "
+        f"ranking there would overwrite its meta.json"]
+    assert sorted((f.name, f.read_bytes()) for f in d.iterdir()) == before
     assert not (d / "reranked").exists()
 
 

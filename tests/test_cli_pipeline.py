@@ -23,12 +23,11 @@ TOY = {
                  "batch": 4, "warmup": 1, "steps": 3, "seed": 1},
 }
 # the other configs the chain runs: a small data set drawn from the whole
-# caption space, and a sampler with its own top_k and temperature, whose
-# seed, guidance and sample count come from flags
+# caption space, and a sampler with its own top_k, whose seed, guidance and
+# sample count come from flags
 CONFIGS = {"cfg.json": TOY,
            "cfg_all.json": {"data": {**TOY["data"], "n_train": 5, "seed": 9}},
-           "cfg_many.json": {"sampler": {**TOY["sampler"], "top_k": 4,
-                                         "temperature": 0.8}}}
+           "cfg_many.json": {"sampler": {**TOY["sampler"], "top_k": 4}}}
 
 PROMPTS = ("Prompt\tCategory\tChallenge\n"
            "a red circle\tAbstract\tBasic\n"

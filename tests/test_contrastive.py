@@ -26,10 +26,11 @@ def _data(n=8, seed=0):
 
 def test_tau_initialized_and_floored():
     enc = _enc()
-    assert abs(enc.tau - contrastive.TAU_INIT) < 1e-4
-    enc.params["tau"].data[:] = -5.0
-    np.maximum(enc.params["tau"].data, contrastive.TAU_MIN, out=enc.params["tau"].data)
-    assert enc.tau == np.float32(contrastive.TAU_MIN)
+    tau = enc.params["tau"].data
+    assert abs(tau[0, 0] - contrastive.TAU_INIT) < 1e-4
+    tau[:] = -5.0
+    np.maximum(tau, contrastive.TAU_MIN, out=tau)
+    assert tau[0, 0] == np.float32(contrastive.TAU_MIN)
 
 
 def test_embeddings_are_unit_norm():
@@ -132,7 +133,7 @@ def test_tau_stays_above_floor_during_training():
     ds, vocab, ids = _data(16, seed=2)
     tcfg = contrastive.CLTrainConfig(steps=30, batch=8)
     enc, _ = contrastive.train_contrastive(ds.images, ids, tcfg, CFG)
-    assert enc.tau >= contrastive.TAU_MIN
+    assert enc.params["tau"].data[0, 0] >= contrastive.TAU_MIN
 
 
 # ---------------------------------------------------------------- retrieval

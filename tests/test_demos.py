@@ -6,7 +6,8 @@ without running it and checks every ttig module attribute it names, parses
 every documented `ttig ...` command line with the real argument parser, and
 loads the demo run config with the real schema. It also checks that no
 Python file in the tree imports a name it never uses, and that every public
-function in src/ttig has a caller in src, demos or perfbench.
+function, method and property in src/ttig has a caller in src, demos or
+perfbench.
 """
 
 import ast
@@ -129,6 +130,30 @@ def test_every_public_function_is_referenced_outside_its_definition():
     # cli.run looks each cmd_<subcommand> up by name
     unused = [f for f in unused if not f.startswith("cli.cmd_")]
     assert sorted(unused) == sorted(_UNREFERENCED_OK), unused
+
+
+def test_every_public_member_is_referenced_outside_its_definition():
+    # a public method or property of a public src/ttig class, dunders and
+    # dataclass fields aside, must be read as an attribute, <anything>.<name>,
+    # in src, demos or perfbench outside its own def
+    members, reads = [], []
+    for path in sorted(p for d in ("src/ttig", "demos", "perfbench")
+                       for p in (ROOT / d).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        if path.parent.name != "ttig":
+            continue
+        members += [(f"{path.stem}.{cls.name}.{fn.name}", fn)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    and not cls.name.startswith("_")
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")]
+    unused = []
+    for name, fn in members:
+        inside = {id(node) for node in ast.walk(fn)}
+        if not any(r.attr == fn.name and id(r) not in inside for r in reads):
+            unused.append(name)
+    assert not unused, unused
 
 
 def _ttig_command_lines(path):

@@ -1,7 +1,9 @@
 """Layer builders, ParamSet bookkeeping, attention masking."""
 
 import dataclasses
+import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,13 +46,13 @@ def test_add_ln_identity_affine_at_init():
 def test_add_block_param_names():
     ps = nn.ParamSet()
     nn.add_block(ps, "b0", 8, 16, np.random.default_rng(0))
-    names = set(ps.names())
+    names = set(ps.params)
     for suffix in ("ln1.g", "attn.wq", "attn.bo", "ln2.g", "mlp.fc1.w", "mlp.fc2.b"):
         assert f"b0.{suffix}" in names
     assert not any(".xattn." in n for n in names)
     ps2 = nn.ParamSet()
     nn.add_block(ps2, "d0", 8, 16, np.random.default_rng(0), cross=True)
-    assert "d0.xattn.wq" in set(ps2.names()) and "d0.lnx.g" in set(ps2.names())
+    assert "d0.xattn.wq" in ps2 and "d0.lnx.g" in ps2
 
 
 def test_paramset_state_dict_roundtrip():
@@ -60,7 +62,7 @@ def test_paramset_state_dict_roundtrip():
     ps2 = nn.ParamSet()
     nn.add_mlp(ps2, "m", 4, 8, np.random.default_rng(7))
     ps2.load_state(state)
-    for name in ps.names():
+    for name in ps.params:
         np.testing.assert_array_equal(ps[name].data, ps2[name].data)
 
 
@@ -221,3 +223,37 @@ _TOWER = ["image_size", "patch", "d_model", "n_blocks", "heads", "d_mlp"]
 def test_patch_tower_builders_keep_their_parameters_and_config_keys(build, cfg, digest, keys):
     assert _param_digest(build(cfg, 0).params) == digest
     assert list(dataclasses.asdict(cfg)) == keys
+
+
+def _traced(fn, x):
+    """(fn(x), the tracemalloc peak of the call above what was live before it)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(x)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["embed_image", "image_features", "detokenize"])
+def test_tape_free_tower_passes_run_in_bounded_chunks(monkeypatch, name):
+    # three chunks' worth of inputs give the bytes of one call per chunk, and
+    # the pass peaks near one chunk's call, not near three
+    monkeypatch.setattr(nn, "TOWER_CHUNK", 4)
+    rng = np.random.default_rng(0)
+    if name == "detokenize":
+        cfg = vq.TokenizerConfig(**_SMALL_TOWER, d_code=4, codebook_size=16)
+        fn = functools.partial(vq.detokenize, vq.build_tokenizer(cfg, 0))
+        x = rng.integers(0, cfg.codebook_size, (12, cfg.grid, cfg.grid))
+    else:
+        enc = contrastive.build_encoder(contrastive.EncoderConfig(
+            **_SMALL_TOWER, d_e=8, text_vocab=64, text_len=8), 0)
+        fn = functools.partial(getattr(contrastive, name), enc)
+        x = rng.random((12, 16, 16, 3)).astype(np.float32)
+    one, one_peak = _traced(fn, x[:4])
+    whole, peak = _traced(fn, x)
+    by_chunk = np.concatenate([one, fn(x[4:8]), fn(x[8:])])
+    assert whole.dtype == by_chunk.dtype and whole.shape == by_chunk.shape
+    assert whole.tobytes() == by_chunk.tobytes()
+    assert peak < 1.5 * one_peak, (peak, one_peak)

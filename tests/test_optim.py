@@ -275,7 +275,7 @@ def test_every_trainable_parameter_receives_a_gradient(trainer, monkeypatch):
 
     def recording_grads_of(loss, params):
         grads = grads_of(loss, params)
-        calls.append((set(params.names()), set(grads)))
+        calls.append((set(params.params), set(grads)))
         return grads
 
     monkeypatch.setattr(nn, "grads_of", recording_grads_of)

@@ -26,14 +26,6 @@ def _text(B=1, seed=0):
 
 # ------------------------------------------------------------------ algebra
 
-def test_guided_logits_endpoints_are_exact_copies():
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=(3, 7)).astype(np.float32)
-    c = rng.normal(size=(3, 7)).astype(np.float32)
-    np.testing.assert_array_equal(sampling.guided_logits(u, c, 0.0), u)
-    np.testing.assert_array_equal(sampling.guided_logits(u, c, 1.0), c)
-
-
 def test_guided_logits_literal_case():
     # float64 so the decimal literals are meaningful at 1e-12
     u = np.array([[0.0, 1.0]], np.float64)
@@ -73,7 +65,7 @@ def test_top_k_zero_keeps_everything():
 
 def test_sampler_config_validation():
     # a SamplerConfig checks itself when built; top_k's bound is the model's
-    for bad in ({"temperature": 0.0}, {"top_k": -2}, {"n_samples": 0}):
+    for bad in ({"top_k": -2}, {"n_samples": 0}):
         with pytest.raises(DataError):
             sampling.SamplerConfig(**bad)
     w = _model()
@@ -99,8 +91,7 @@ def test_sample_tokens_deterministic_per_seed():
 
 def test_samples_in_batch_differ_across_chains():
     w = _model()
-    cfg = sampling.SamplerConfig(guidance=1.0, n_samples=4, seed=0,
-                                 temperature=1.5)
+    cfg = sampling.SamplerConfig(guidance=1.0, n_samples=4, seed=0)
     toks = sampling.sample_token_batch(w, _text(), cfg)
     assert toks.shape == (4, TINY.grid_h, TINY.grid_w)
     flat = toks.reshape(4, -1)
@@ -180,24 +171,17 @@ def test_nonfinite_probability_row_raises():
                              sampling.SamplerConfig())
 
 
-def test_temperature_sharpens_distribution():
-    z = np.array([[0.0, 1.0]], np.float32)
-    cold = sampling._probs_from(z.copy(), sampling.SamplerConfig(temperature=0.25))
-    hot = sampling._probs_from(z.copy(), sampling.SamplerConfig(temperature=4.0))
-    assert cold[0, 1] > hot[0, 1]
-
-
 @pytest.mark.parametrize("top_k", [0, 1, 5])
-def test_unit_temperature_probs_are_bit_identical_to_dividing(top_k):
-    # at temperature 1 the head skips the divide and normalises in place; the
-    # probabilities must be exactly those of the explicit logits / 1.0 path,
-    # and the logits must come back untouched
+def test_probs_are_the_softmax_of_the_filtered_logits(top_k):
+    # the head normalises the filtered logits in place: the probabilities
+    # must be exactly the softmax of a filtered copy, and the logits must
+    # come back untouched
     logits = (np.random.default_rng(6).normal(size=(6, 16)) * 3).astype(np.float32)
     kept = logits.copy()
-    z = sampling._filter_top_k(logits / np.float32(1.0), top_k)
+    z = sampling._filter_top_k(logits.copy(), top_k)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     want = e / e.sum(axis=-1, keepdims=True)
-    got = sampling._probs_from(logits, sampling.SamplerConfig(temperature=1.0, top_k=top_k))
+    got = sampling._probs_from(logits, sampling.SamplerConfig(top_k=top_k))
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(logits, kept)
 

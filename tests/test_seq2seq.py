@@ -131,7 +131,7 @@ def test_conv_sparse_mask_window():
 
 def test_build_model_is_seeded_and_validated():
     a, b = _model(seed=3), _model(seed=3)
-    for name in a.params.names():
+    for name in a.params.params:
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
     with pytest.raises(DataError):
         seq2seq.build_model(seq2seq.ModelConfig(d_model=66), seed=0)  # 4 heads

@@ -98,8 +98,8 @@ def test_load_vocab_rejects_a_bpe_v1_file(tmp_path):
     # the layout before v2: a vocab_size line, and the token table after
     # the merges
     v = tp.train_bpe(CORPUS, vocab_size=300)
-    lines = ["bpe v1", f"vocab_size {v.vocab_size}", f"merges {len(v.merges)}",
-             *(f"{l.hex()} {r.hex()}" for l, r in v.merges), f"tokens {v.vocab_size}",
+    lines = ["bpe v1", f"vocab_size {len(v.tokens)}", f"merges {len(v.merges)}",
+             *(f"{l.hex()} {r.hex()}" for l, r in v.merges), f"tokens {len(v.tokens)}",
              *(f"{i} {name}" for i, name in enumerate(("PAD", "BOS", "EOS", "UNK"))),
              *(f"{i} {tok.hex()}" for i, tok in enumerate(v.tokens) if i >= tp.N_SPECIALS)]
     path = tmp_path / "v1.json"
@@ -277,7 +277,7 @@ def test_bpe_matches_reference_on_overlapping_runs(corpus, vocab_size, tmp_path)
 
 def test_training_stops_early_when_no_pair_repeats(tmp_path):
     v = _assert_same_as_reference(["abc", "def"], 300, tmp_path, ["abcdef"])
-    assert v.merges == [] and v.vocab_size == tp.MIN_VOCAB
+    assert v.merges == [] and len(v.tokens) == tp.MIN_VOCAB
 
 
 def test_encode_matches_reference_on_random_strings():

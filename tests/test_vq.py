@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttig import scenes, vq
+from ttig import nn, scenes, vq
 from ttig import tensor as T
 from ttig.errors import DataError, NumericError
 
@@ -114,12 +114,12 @@ def test_tokenize_detokenize_shapes_and_determinism():
 def test_chunked_tokenize_equals_one_image_at_a_time(monkeypatch):
     w = vq.build_tokenizer(vq.TokenizerConfig(), seed=0)
     images = scenes.gen_dataset(130, 0).images  # chunks of 64, 64 and 2
-    assert len(images) > 2 * vq.TOKENIZE_CHUNK
+    assert len(images) > 2 * nn.TOWER_CHUNK
     toks = vq.tokenize(w, images)
     one_by_one = np.concatenate([vq.tokenize(w, images[i:i + 1])
                                  for i in range(len(images))])
     np.testing.assert_array_equal(toks, one_by_one)
-    monkeypatch.setattr(vq, "TOKENIZE_CHUNK", len(images))  # one pass over all
+    monkeypatch.setattr(nn, "TOWER_CHUNK", len(images))  # one pass over all
     np.testing.assert_array_equal(vq.tokenize(w, images), toks)
 
 
