@@ -419,7 +419,11 @@ def cmd_retrieve(args) -> int:
     enc = checkpoint.load_encoder(args.reranker)
     vocab = textproc.load_vocab(Path(args.reranker) / "vocab.json")
     cap_ids = textproc.encode_clipped(vocab, args.caption, enc.cfg.text_len)
-    ds = _dataset(_pick(load_config(args.config).get("data", {}), DataConfig))
+    d = _pick(load_config(args.config).get("data", {}), DataConfig)
+    if d.image_size != enc.cfg.image_size:
+        raise DataError(f"data.image_size is {d.image_size}, but the reranker at "
+                        f"{args.reranker} takes {enc.cfg.image_size}x{enc.cfg.image_size} images")
+    ds = _dataset(d)
     rows, sims = contrastive.retrieve_nearest(
         enc, contrastive.embed_image(enc, ds.images), cap_ids, args.k)
     results = [{"id": i, "score": s, "caption": ds.captions[i]}

@@ -3,12 +3,13 @@
 Pre-LN blocks, learned absolute positions, truncated-normal init (std 0.02,
 resampled beyond 2 sigma), layer norms carrying their own gain/bias params.
 A biased projection is one tensor.linear op, and a LayerNorm with its gain
-and bias one tensor.layer_norm op. Attention is one tensor.attention op
-after the Q/K/V projections (the key projection has no bias: a matmul). The
-MLP is two linear ops: fc1 takes the block's ln2 as its pre-step and fc2 the
-GELU, so a training step keeps neither the normalised input nor the GELU
-output. A
-self-attention mask is the tensor.Window that tensor.attention_window builds
+and bias one tensor.layer_norm op. An attention sublayer is one
+tensor.attention op (its LayerNorm, the Q/K/V projections, the key one
+without bias, and the head mix) and the output projection wo, a linear op;
+a training step keeps neither the normalised input nor q, k, v. The MLP is
+two linear ops: fc1 takes the block's ln2 as its pre-step and fc2 the GELU,
+so a training step keeps neither the normalised input nor the GELU output.
+A self-attention mask is the tensor.Window that tensor.attention_window builds
 once per model from a boolean "allowed" matrix: the op scores only its keys
 and gives ruled-out slots tensor.NEG_FILL (-1e9), which is exactly zero
 weight, before normalising. A mask row that allows no key is a ShapeError.
@@ -202,17 +203,16 @@ def dropout(x, drop):
     return T.mul(x, T.constant(keep, dtype=x.dtype))
 
 
-def attention(p: ParamSet, pre: str, x, heads: int, kv=None, window=None):
-    """x (B,L,D) queries; kv (B,S,D) or None for self-attention; window is an
-    optional self-attention mask, the tensor.Window of an (L,L) one."""
+def attention(p: ParamSet, pre: str, ln: str, x, heads: int, kv=None, window=None):
+    """The attention sublayer pre with the LayerNorm ln on x (B,L,D): queries
+    from ln(x), keys and values from ln(x) or, when given, kv (B,S,D); window
+    is an optional self-attention mask, the tensor.Window of an (L,L) one."""
     if window is not None and kv is not None:
         raise T.ShapeError("attention: a window applies to self-attention only, "
                            "but kv was given")
-    src = x if kv is None else kv
-    q = T.linear(x, p[pre + ".wq"], p[pre + ".bq"])
-    k = T.matmul(src, p[pre + ".wk"])
-    v = T.linear(src, p[pre + ".wv"], p[pre + ".bv"])
-    out = T.attention(q, k, v, heads, window)
+    out = T.attention(x, p[ln + ".g"], p[ln + ".b"],
+                      *(p[f"{pre}.{nm}"] for nm in ("wq", "bq", "wk", "wv", "bv")),
+                      heads, kv=kv, window=window)
     return T.linear(out, p[pre + ".wo"], p[pre + ".bo"])
 
 
@@ -225,10 +225,10 @@ def mlp(p: ParamSet, pre: str, x, ln: str):
 
 def block(p: ParamSet, pre: str, x, heads: int, window=None, cross_kv=None, drop=None):
     """One pre-LN block: self-attn, optional cross-attn, MLP, residuals."""
-    a = attention(p, pre + ".attn", ln_affine(p, pre + ".ln1", x), heads, window=window)
+    a = attention(p, pre + ".attn", pre + ".ln1", x, heads, window=window)
     x = T.add(x, dropout(a, drop))
     if cross_kv is not None:
-        a = attention(p, pre + ".xattn", ln_affine(p, pre + ".lnx", x), heads, kv=cross_kv)
+        a = attention(p, pre + ".xattn", pre + ".lnx", x, heads, kv=cross_kv)
         x = T.add(x, dropout(a, drop))
     m = mlp(p, pre + ".mlp", x, pre + ".ln2")
     return T.add(x, dropout(m, drop))

@@ -27,12 +27,15 @@ Design rules:
     which IEEE arithmetic rounds the same
   * integer ids and attention windows ride along as op attrs,
     never as Tensors
-  * multi-head attention over projected q, k, v is one op that splits the
-    heads itself; it scores every key, or only a self-attention mask's
-    static Window, and its softmax reduces over a leading key axis. Its
-    record keeps q, k, v and, for dense attention, the softmax's row max and
-    sum, from which backward recomputes the probabilities; a windowed
-    record keeps the probabilities (see the notes above NEG_FILL)
+  * an attention sublayer up to its head mix (LayerNorm, Q/K/V projections,
+    multi-head attention) is one op that splits the heads itself; it scores
+    every key, or only a self-attention mask's static Window, and its
+    softmax reduces over a leading key axis. Its record keeps the
+    LayerNorm's xhat and inverse deviation and, for dense attention, the
+    softmax's row max and sum, from which backward recomputes the LayerNorm
+    output, q, k, v and the probabilities; a windowed record keeps the
+    probabilities. Dense scores run in bounded blocks of images (see the
+    notes above NEG_FILL)
   * a record keeps only what its backward reads: each op declares whether
     that is its inputs, its parameters (every input but the first), the
     other one of its first two inputs, or nothing (a linear op's follows its
@@ -40,8 +43,8 @@ Design rules:
     output: a linear's backward recomputes its pre-step's instead. Backward
     computes a gradient only for inputs that require one and drops each
     intermediate gradient once its record has used it
-  * a record whose op keeps its inputs (attention, a linear with a GELU
-    pre-step, l2_normalize, cross_entropy_with_logits) goes as soon as
+  * a record whose op keeps its inputs (a linear with a GELU pre-step,
+    l2_normalize, cross_entropy_with_logits) goes as soon as
     backward has run its rule, so its inputs and attrs scratch are free
     while backward allocates gradients.
     The other records live until the next step's forward replaces them: a
@@ -372,16 +375,31 @@ def _softmax_grad(g, p, axis):
     return r
 
 
-# Attention splits heads itself and normalises over a leading key axis: a
+# The attention op is a whole sublayer up to its head mix: the LayerNorm
+# (gain, bias), the query projection (bias), the key projection (no bias:
+# q . bk would shift every score of a query alike) and the value projection
+# (bias), then the multi-head core. Its inputs are x, the LayerNorm's gain
+# and bias, wq, bq, wk, wv and bv, plus for cross-attention the key-value
+# source twice (values' slot first). The record keeps x's xhat and 1/sigma
+# and what the core's backward reads (below), not the LayerNorm output, q, k
+# or v: backward rebuilds them with the calls the forward made (_affine,
+# _projections), and gives every gradient the bits, and at a shared input
+# the summation order, of the separate layer_norm, linear and matmul
+# records the sublayer once was.
+#
+# The core splits heads itself and normalises over a leading key axis: a
 # reduction over an axis ahead of the last one runs as elementwise work on
 # whole rows (np.maximum.reduce on float32 (32, 4, 64, 64): 0.27 ms over
 # axis -2 against 0.92 ms over the last axis, one core, numpy 2.4).
 #
 # Dense attention scores key-major, (B, H, S, L), and normalises over axis 2.
 # Its record keeps the softmax's row max and sum, (B, H, 1, L), not the
-# probabilities: backward rebuilds them from the kept q and k with the
-# forward's calls (_dense_probs), which gives the same bits at 1/S of the
-# memory held from forward to backward.
+# probabilities: backward rebuilds them from q and k with the forward's
+# calls (_dense_probs), which gives the same bits at 1/S of the memory held
+# from forward to backward. Forward and backward score runs of consecutive
+# images, at most _SCORES_BLOCK floats each, so the (B, H, S, L) temporaries
+# stay bounded: a stacked matmul multiplies each (image, head) slice on its
+# own and the softmax reduces within one, so the blocks change no bit.
 # Windowed self-attention reads a Window: key j = i - offsets[w] serves query
 # i where valid[w, i]. Each offset pairs a shifted slab of the (B, L, D) keys
 # with the queries, so the scores are (W, B, L, H): the slab's elementwise
@@ -395,6 +413,7 @@ def _softmax_grad(g, p, axis):
 # and rebuilding them would cost another _window_products pass.
 
 NEG_FILL = -1e9  # attention score in the window slots the mask rules out
+_SCORES_BLOCK = 1 << 18  # dense scores per block of images, so its temporaries stay small
 
 
 class Window(NamedTuple):
@@ -440,24 +459,33 @@ def head_lanes(d, heads, dtype):
 
 
 def _check_attention(d, attrs):
-    q, k, v = d
-    if not (q.ndim == 3 and k.ndim == 3 and k.shape == v.shape):
-        raise ShapeError(f"attention: need q (B,L,D) and k, v (B,S,D), "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    if not (q.shape[0] == k.shape[0] and q.shape[2] == k.shape[2]):
-        raise ShapeError(f"attention: q {q.shape} and k {k.shape} differ in batch or width")
-    if not (q.dtype == k.dtype == v.dtype):
-        raise ShapeError(f"attention: dtype mismatch {q.dtype}, {k.dtype}, {v.dtype}")
+    if len(d) not in (8, 10):
+        raise ShapeError(f"attention: takes 8 inputs, or 10 with the key-value source "
+                         f"listed twice, got {len(d)}")
+    if len(d) == 10 and d[8] is not d[9]:
+        raise ShapeError("attention: the key-value source must be one array, listed twice")
+    x = d[0]
+    src = d[8] if len(d) == 10 else x
+    if not (x.ndim == 3 and src.ndim == 3 and x.shape[0] == src.shape[0]
+            and x.shape[2] == src.shape[2]):
+        raise ShapeError(f"attention: need x (B,L,D) and kv (B,S,D), got {x.shape}, {src.shape}")
+    D = x.shape[2]
+    if not (all(w.shape == (D, D) for w in (d[3], d[5], d[6]))
+            and d[4].shape == d[7].shape == (D,)):
+        raise ShapeError(f"attention: the projections of width {D} must be ({D}, {D}) "
+                         f"with ({D},) biases, got {[a.shape for a in d[3:8]]}")
+    if any(a.dtype != x.dtype for a in d[3:]):
+        raise ShapeError(f"attention: dtype mismatch {[a.dtype.name for a in d]}")
     heads = attrs["heads"]
-    if not (isinstance(heads, (int, np.integer)) and heads >= 1 and q.shape[2] % heads == 0):
-        raise ShapeError(f"attention: heads {heads!r} must divide width {q.shape[2]}")
+    if not (isinstance(heads, (int, np.integer)) and heads >= 1 and D % heads == 0):
+        raise ShapeError(f"attention: heads {heads!r} must divide width {D}")
     window = attrs.get("window")
     if window is not None:
         if not isinstance(window, Window):
             raise ShapeError(f"attention: window must be a Window, got {type(window).__name__}")
-        if not (q.shape[1] == k.shape[1] == window.valid.shape[1]):
+        if not (len(d) == 8 and x.shape[1] == window.valid.shape[1]):
             raise ShapeError(f"attention: a window of {window.valid.shape[1]} positions needs "
-                             f"self-attention over as many, got q {q.shape}, k {k.shape}")
+                             f"self-attention over as many, got x {x.shape}, kv {src.shape}")
 
 
 def _scale(d, heads, dtype):
@@ -471,9 +499,16 @@ def _split_heads(x, heads, axes):
 
 
 def _merge_heads(x):
-    # (B, H, dh, N) -> (B, N, D)
+    # (B, H, dh, N) -> (B, N, D), a view when x is contiguous
     B, H, dh, N = x.shape
     return x.transpose(0, 3, 1, 2).reshape(B, N, H * dh)
+
+
+def _image_blocks(B, per_image):
+    """Slices of consecutive images, each scoring at most _SCORES_BLOCK
+    floats (one image at least) when an image scores per_image."""
+    n = max(1, _SCORES_BLOCK // per_image)
+    return [slice(lo, min(lo + n, B)) for lo in range(0, B, n)]
 
 
 def _dense_probs(qs, k, heads, stats=None):
@@ -490,40 +525,113 @@ def _dense_probs(qs, k, heads, stats=None):
     return z, m, s
 
 
-def _fwd_attention(d, attrs):
-    _check_attention(d, attrs)
-    q, k, v = d
-    heads = attrs["heads"]
-    window = attrs.get("window")
+def _attend(q, k, v, heads, window, attrs):
+    """The (B, L, D) head mix of projected q over k, v (B, S, D); what
+    backward reads besides them goes to attrs."""
     if window is not None:
         return _fwd_window_attention(q, k, v, heads, window, attrs)
-    qs = q * _scale(q.shape[2], heads, q.dtype)
-    probs, attrs["_max"], attrs["_sum"] = _dense_probs(qs, k, heads)  # (B, H, 1, L) stats
-    return _merge_heads(_split_heads(v, heads, (0, 2, 3, 1)) @ probs)
+    B, L, D = q.shape
+    scale = _scale(D, heads, q.dtype)
+    out = np.empty((B, heads, D // heads, L), dtype=q.dtype)
+    m = attrs["_max"] = np.empty((B, heads, 1, L), dtype=q.dtype)
+    s = attrs["_sum"] = np.empty_like(m)
+    for b in _image_blocks(B, heads * k.shape[1] * L):
+        probs, m[b], s[b] = _dense_probs(q[b] * scale, k[b], heads)
+        np.matmul(_split_heads(v[b], heads, (0, 2, 3, 1)), probs, out=out[b])
+    return _merge_heads(out)
+
+
+def _attend_grad(g, q, k, v, heads, window, attrs, needs):
+    """[gq, gk, gv]: the gradients at _attend's q, k and v, given g at its
+    output; None for those needs rules out. Dense gq and gv are (B, L, D)
+    views of (B, D, L)-ordered buffers, as _merge_heads gives them: the
+    bits of the bias gradients, sums over their leading axes, depend on
+    that layout."""
+    if window is not None:
+        return _bwd_window_attention(g, q, k, v, heads, window, attrs["_probs"], needs)
+    B, L, D = q.shape
+    scale = _scale(D, heads, q.dtype)
+    gq, gv = (np.empty((B, heads, D // heads, n), dtype=q.dtype) if need else None
+              for n, need in ((L, needs[0]), (k.shape[1], needs[2])))
+    gk = np.empty_like(k) if needs[1] else None
+    for b in _image_blocks(B, heads * k.shape[1] * L):
+        qs = q[b] * scale
+        probs = _dense_probs(qs, k[b], heads, (attrs["_max"][b], attrs["_sum"][b]))[0]
+        gh = _split_heads(g[b], heads, (0, 2, 3, 1))              # (b, H, dh, L)
+        if needs[0] or needs[1]:
+            gs = _softmax_grad(_split_heads(v[b], heads, (0, 2, 1, 3)) @ gh, probs, 2)
+        if needs[2]:
+            np.matmul(gh, np.swapaxes(probs, -1, -2), out=gv[b])
+        if needs[0]:
+            np.matmul(_split_heads(k[b], heads, (0, 2, 3, 1)), gs, out=gq[b])
+        if needs[1]:
+            gk[b] = _merge_heads(np.swapaxes(gs @ _split_heads(qs, heads, (0, 2, 1, 3)), -1, -2))
+    if needs[0]:
+        gq = _merge_heads(gq)
+        gq *= scale
+    return [gq, gk, None if gv is None else _merge_heads(gv)]
+
+
+def _projections(y, d):
+    """q, k, v of the attention inputs d, given the LayerNorm output y, by
+    the calls the separate linear and matmul ops made."""
+    wq, bq, wk, wv, bv = d[3:8]
+    src = y if len(d) == 8 else d[8]
+    q = y @ wq
+    q += bq
+    k = src @ wk
+    v = src @ wv
+    v += bv
+    return q, k, v
+
+
+def _fwd_attention(d, attrs):
+    _check_attention(d, attrs)
+    q, k, v = _projections(_fwd_ln_affine(d[:3], attrs), d)
+    return _attend(q, k, v, attrs["heads"], attrs.get("window"), attrs)
 
 
 def _bwd_attention(g, d, attrs, needs):
-    q, k, v = d
-    heads = attrs["heads"]
-    if attrs.get("window") is not None:
-        return _bwd_window_attention(g, q, k, v, heads, attrs["window"], attrs["_probs"], needs)
-    scale = _scale(q.shape[2], heads, q.dtype)
-    qs = q * scale
-    probs = _dense_probs(qs, k, heads, (attrs["_max"], attrs["_sum"]))[0]
-    gh = _split_heads(g, heads, (0, 2, 3, 1))                  # (B, H, dh, L)
-    gq = gk = gv = None
-    # gs before gv: the softmax gradient's (B, H, S, L) temporaries, the
-    # peak of the rule, then coexist with qs but not with gv
-    if needs[0] or needs[1]:
-        gs = _softmax_grad(_split_heads(v, heads, (0, 2, 1, 3)) @ gh, probs, 2)
-    if needs[2]:
-        gv = _merge_heads(gh @ np.swapaxes(probs, -1, -2))
-    if needs[0]:
-        gq = _merge_heads(_split_heads(k, heads, (0, 2, 3, 1)) @ gs)
-        gq *= scale
-    if needs[1]:
-        gk = _merge_heads(np.swapaxes(gs @ _split_heads(qs, heads, (0, 2, 1, 3)), -1, -2))
-    return [gq, gk, gv]
+    gain, bias, wq, bq, wk, wv, bv = d[1:8]
+    cross = len(d) == 10
+    y = _affine(attrs["_xhat"], gain, bias)
+    src = d[8] if cross else y
+    q, k, v = _projections(y, d)
+    # the core's q, k and v gradients, each wanted by its projection's
+    # parameters or by the array it projects
+    want_y = any(needs[:3])
+    want_src = needs[8] if cross else want_y
+    gq, gk, gv = _attend_grad(g, q, k, v, attrs["heads"], attrs.get("window"), attrs,
+                              (want_y or needs[3] or needs[4], want_src or needs[5],
+                               want_src or needs[6] or needs[7]))
+    del q, k, v
+    grads = [None] * len(d)
+    for i, (a, ga) in zip((3, 5, 6), ((y, gq), (src, gk), (src, gv))):
+        if needs[i]:
+            grads[i] = _weight_grad(a, ga)
+    for i, ga in ((4, gq), (7, gv)):
+        if needs[i]:
+            grads[i] = _unbroadcast(ga, d[i].shape)
+    del y, src
+    if want_src:
+        # the tape summed the v, k and q records' gradients at y in that
+        # order; kv's values' slot comes before its keys' for the same sum
+        gsrc = gv @ wv.T
+        del gv
+        gk = gk @ wk.T
+        if cross:
+            grads[8:] = gsrc, gk
+        else:
+            gsrc += gk
+        del gk
+    if want_y:
+        gy = gq @ wq.T
+        del gq
+        if not cross:
+            gsrc += gy
+            gy = gsrc
+        grads[:3] = _bwd_ln_affine(gy, d[:3], attrs, needs[:3])
+    return grads
 
 
 def _window_products(a, b, offsets):
@@ -897,7 +1005,7 @@ _CATALOG = {
     "transpose": _Op(1, _fwd_transpose, _bwd_transpose, "nothing"),
     "concat": _Op(None, _fwd_concat, _bwd_concat, "nothing"),
     "embedding_gather": _Op(1, _fwd_embedding_gather, _bwd_embedding_gather, "nothing"),
-    "attention": _Op(3, _fwd_attention, _bwd_attention, "inputs"),
+    "attention": _Op(None, _fwd_attention, _bwd_attention, "params"),
     "layer_norm": _Op(3, _fwd_ln_affine, _bwd_ln_affine, "params"),
     "reduce_sum": _Op(1, _fwd_reduce_sum, _bwd_reduce_sum, "nothing"),
     "reduce_mean": _Op(1, _fwd_reduce_mean, _bwd_reduce_mean, "nothing"),
@@ -1052,14 +1160,17 @@ def embedding_gather(table, ids):
     return apply("embedding_gather", [table], {"ids": np.asarray(ids)})
 
 
-def attention(q, k, v, heads, window=None):
-    """Multi-head attention of projected q (B,L,D) over k, v (B,S,D): the
-    (B,L,D) head mix before the output projection. window is None (every
-    key) or the Window of a self-attention mask (see attention_window)."""
+def attention(x, gain, bias, wq, bq, wk, wv, bv, heads, kv=None, window=None):
+    """One attention sublayer up to its head mix: the (B,L,D) multi-head
+    attention of queries y @ wq + bq over keys src @ wk and values
+    src @ wv + bv, where y is x's LayerNorm with gain and bias and src is
+    y, or for cross-attention kv (B,S,D). window is None (every key) or the
+    Window of a self-attention mask (see attention_window)."""
     attrs = {"heads": heads}
     if window is not None:
         attrs["window"] = window
-    return apply("attention", [q, k, v], attrs)
+    return apply("attention", [x, gain, bias, wq, bq, wk, wv, bv]
+                 + ([] if kv is None else [kv, kv]), attrs)
 
 
 def linear(x, w, b):

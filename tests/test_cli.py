@@ -758,6 +758,19 @@ def test_in_dataset_is_whether_the_train_split_drew_the_caption(tmp_path, capsys
     assert _last_json(capsys)["in_dataset"] is True
 
 
+def test_retrieve_over_images_its_reranker_does_not_take_is_a_data_error(
+        tmp_path, capsys, monkeypatch):
+    # the reranker takes 16x16 images; the check comes before any data is rendered
+    _tiny_reranker(tmp_path)
+    monkeypatch.setattr(cli, "_dataset", lambda *a: pytest.fail("rendered"))
+    cfg = _cfg(tmp_path, {"data": {**TINY_DATA["data"], "image_size": 32}})
+    assert cli.run(["retrieve", "--reranker", str(tmp_path / "rr"), "--caption",
+                    "a red circle", "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: data.image_size is 32, but the reranker at {tmp_path / 'rr'} takes "
+        f"16x16 images"]
+
+
 _META = {"files": ["sample_00.png"], "prompt": "a red circle", "seed": 0,
          "grids": [[0]]}
 

@@ -73,44 +73,49 @@ def test_paramset_load_state_rejects_shape_mismatch():
         ps.load_state({"n.g": np.ones(5, np.float32), "n.b": np.zeros(4, np.float32)})
 
 
-def test_attention_mask_blocks_future_positions():
-    d, heads, L = 8, 2, 4
+def _attn_params(d):
+    """The attention sublayer "a" and its LayerNorm "n" at width d."""
     ps = nn.ParamSet()
     nn.add_attn(ps, "a", d, np.random.default_rng(0))
+    nn.add_ln(ps, "n", d)
+    return ps
+
+
+def test_attention_mask_blocks_future_positions():
+    d, heads, L = 8, 2, 4
+    ps = _attn_params(d)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, L, d)).astype(np.float32)
     causal = T.attention_window(np.tril(np.ones((L, L), bool)))
-    base = nn.attention(ps, "a", T.constant(x), heads, window=causal).data
+    base = nn.attention(ps, "a", "n", T.constant(x), heads, window=causal).data
     # changing position 3 must not affect outputs at positions 0..2
     x2 = x.copy()
     x2[0, 3] += 5.0
-    out2 = nn.attention(ps, "a", T.constant(x2), heads, window=causal).data
+    out2 = nn.attention(ps, "a", "n", T.constant(x2), heads, window=causal).data
     np.testing.assert_array_equal(base[0, :3], out2[0, :3])
     assert np.abs(base[0, 3] - out2[0, 3]).max() > 0
 
 
 def test_attention_all_allowed_matches_dense():
     d, heads, L = 8, 2, 3
-    ps = nn.ParamSet()
-    nn.add_attn(ps, "a", d, np.random.default_rng(0))
+    ps = _attn_params(d)
     x = np.random.default_rng(1).normal(size=(2, L, d)).astype(np.float32)
     full = T.attention_window(np.ones((L, L), bool))
-    a = nn.attention(ps, "a", T.constant(x), heads, window=full).data
-    b = nn.attention(ps, "a", T.constant(x), heads).data
+    a = nn.attention(ps, "a", "n", T.constant(x), heads, window=full).data
+    b = nn.attention(ps, "a", "n", T.constant(x), heads).data
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
 def test_cross_attention_reads_kv_not_x():
     d, heads = 8, 2
-    ps = nn.ParamSet()
-    nn.add_attn(ps, "a", d, np.random.default_rng(0))
+    ps = _attn_params(d)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, 2, d)).astype(np.float32)
     kv = rng.normal(size=(1, 5, d)).astype(np.float32)
-    out = nn.attention(ps, "a", T.constant(x), heads, kv=T.constant(kv)).data
+    out = nn.attention(ps, "a", "n", T.constant(x), heads, kv=T.constant(kv)).data
     kv2 = kv.copy()
     kv2[0, 4] += 3.0
-    out2 = nn.attention(ps, "a", T.constant(x), heads, kv=T.constant(kv2)).data
+    out2 = nn.attention(ps, "a", "n", T.constant(x), heads, kv=T.constant(kv2)).data
     assert np.abs(out - out2).max() > 0
 
 
@@ -126,18 +131,17 @@ def test_attention_ignores_a_key_bias(mask):
     bk = rng.normal(size=d).astype(np.float32)
     band = np.subtract.outer(np.arange(L), np.arange(L))
     window = None if mask == "dense" else T.attention_window((band >= 0) & (band <= 2))
-    with_bias = T.attention(T.constant(q), T.constant(k + bk), T.constant(v), heads, window)
-    without = T.attention(T.constant(q), T.constant(k), T.constant(v), heads, window)
-    np.testing.assert_allclose(with_bias.data, without.data, atol=1e-6, rtol=0)
+    with_bias = T._attend(q, k + bk, v, heads, window, {})
+    without = T._attend(q, k, v, heads, window, {})
+    np.testing.assert_allclose(with_bias, without, atol=1e-6, rtol=0)
 
 
 def test_attention_rejects_a_mask_with_kv():
-    ps = nn.ParamSet()
-    nn.add_attn(ps, "a", 8, np.random.default_rng(0))
+    ps = _attn_params(8)
     x = T.constant(np.zeros((1, 3, 8), np.float32))
     window = T.attention_window(np.ones((3, 3), bool))
     with pytest.raises(T.ShapeError, match="self-attention only"):
-        nn.attention(ps, "a", x, 2, kv=x, window=window)
+        nn.attention(ps, "a", "n", x, 2, kv=x, window=window)
 
 
 def test_trunc_normal_bounded_and_deterministic():

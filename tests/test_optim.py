@@ -286,8 +286,9 @@ def test_every_trainable_parameter_receives_a_gradient(trainer, monkeypatch):
 
 
 def test_train_loop_holds_one_step_tape(monkeypatch):
-    # the desk tokenizer at batch 8: each step's tape holds about 13.5 MiB
-    images = scenes.gen_dataset(8, 0).images
+    # the desk tokenizer at batch 12: about 10.4 MiB traced when each
+    # step's forward is done
+    images = scenes.gen_dataset(12, 0).images
     held = []  # traced bytes when each step's forward is done: its tape, mostly
 
     def measuring_grads_of(loss, params):
@@ -301,7 +302,7 @@ def test_train_loop_holds_one_step_tape(monkeypatch):
         tracemalloc.start()
         try:
             vq.train_tokenizer(images, vq.TokenizerConfig(),
-                               vq.TokTrainConfig(steps=steps, batch=8))
+                               vq.TokTrainConfig(steps=steps, batch=12))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

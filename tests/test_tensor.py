@@ -321,13 +321,11 @@ def test_attention_matches_scale_fill_softmax_chain(dtype, mode):
         if mode == "conv_mask" else None
     want = _chain_attention(q, k, v, cfg.heads, allowed, g)
 
-    leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
-    with T.Tape():
-        window = None if allowed is None else T.attention_window(allowed)
-        out = T.attention(*leaves, cfg.heads, window)
-        loss = T.reduce_sum(T.mul(out, T.constant(g)))  # upstream gradient is g
-    grads = T.backward(loss)
-    got = [out.data] + [grads[x.node_id].data for x in leaves]
+    # the attention op's multi-head core, forward and backward
+    window = None if allowed is None else T.attention_window(allowed)
+    attrs = {}
+    got = [T._attend(q, k, v, cfg.heads, window, attrs)]
+    got += T._attend_grad(g, q, k, v, cfg.heads, window, attrs, (True, True, True))
     for name, a, b in zip(("out", "gq", "gk", "gv"), got, want):
         assert a.dtype == dtype, name
         err = np.abs(a - b).max()
@@ -341,22 +339,18 @@ def test_attention_window_gives_ruled_out_keys_zero_weight_and_gradient():
     q, k, v = (rng.normal(size=(2, 16, 8)).astype(np.float32) for _ in range(3))
     i = 9
     ruled_out = ~allowed[i]
-    leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
-    pick = np.zeros((16, 8), np.float32)
-    pick[i] = 1.0  # the loss reads query i's output only
-    with T.Tape():
-        out = T.attention(*leaves, 2, window)
-        loss = T.reduce_sum(T.mul(out, T.constant(pick)))
-    grads = T.backward(loss)
-    for x in leaves[1:]:
-        g = grads[x.node_id].data
+    pick = np.zeros((2, 16, 8), np.float32)
+    pick[:, i] = 1.0  # the upstream gradient reads query i's output only
+    attrs = {}
+    out = T._attend(q, k, v, 2, window, attrs)
+    for g in T._attend_grad(pick, q, k, v, 2, window, attrs, (True, True, True))[1:]:
         assert (g[:, ruled_out] == 0.0).all() and (g[:, allowed[i]] != 0.0).all()
     # keys and values query i rules out do not move its output by one bit
     k2, v2 = k.copy(), v.copy()
     k2[:, ruled_out] += 3.0
     v2[:, ruled_out] -= 5.0
-    moved = T.attention(*(T.constant(x) for x in (q, k2, v2)), 2, window).data
-    np.testing.assert_array_equal(moved[:, i], out.data[:, i])
+    moved = T._attend(q, k2, v2, 2, window, {})
+    np.testing.assert_array_equal(moved[:, i], out[:, i])
 
 
 _WINDOW_CASES = [pytest.param(k, grid, id=f"k{k}-{grid[0]}x{grid[1]}")
@@ -386,10 +380,33 @@ def test_attention_window_rejects_a_row_allowing_no_key():
         T.attention_window(allowed)
 
 
+def _sublayer_inputs(rng, B, L, D, S=None):
+    """Inputs of one attention op: x (B, L, D), the LayerNorm's gain and
+    bias, wq, bq, wk, wv, bv, then kv (B, S, D) if S is given; float64."""
+    x = rng.normal(size=(B, L, D))
+    params = [rng.normal(size=D) * 0.1 + 1.0, rng.normal(size=D) * 0.1]
+    for shape in [(D, D), (D,), (D, D), (D, D), (D,)]:
+        params.append(rng.normal(size=shape) * (0.3 if len(shape) == 2 else 0.1))
+    return [x, *params] + ([] if S is None else [rng.normal(size=(B, S, D))])
+
+
+def _sublayer(*ins, heads, window=None):
+    """The attention op of _sublayer_inputs' inputs."""
+    return T.attention(*ins[:8], heads, kv=ins[8] if len(ins) == 9 else None, window=window)
+
+
 def test_attention_takes_a_window_not_a_mask():
-    x = T.constant(np.zeros((1, 4, 8), np.float32))
+    ins = [T.constant(a, np.float32) for a in _sublayer_inputs(_rng(), 1, 4, 8)]
     with pytest.raises(ShapeError, match="window must be a Window"):
-        T.attention(x, x, x, 2, np.tril(np.ones((4, 4), bool)))
+        _sublayer(*ins, heads=2, window=np.tril(np.ones((4, 4), bool)))
+
+
+def test_attention_takes_its_key_value_source_twice():
+    ins = [T.constant(a, np.float32) for a in _sublayer_inputs(_rng(), 1, 4, 8, S=3)]
+    with pytest.raises(ShapeError, match="listed twice"):
+        T.apply("attention", ins + [T.constant(ins[-1].data.copy())], {"heads": 2})
+    with pytest.raises(ShapeError, match="takes 8 inputs, or 10"):
+        T.apply("attention", ins, {"heads": 2})
 
 
 def test_attention_window_rejects_a_non_square_mask():
@@ -488,7 +505,7 @@ def test_grad_matmul_both_sides():
     _check(lambda t: T.reduce_sum(T.matmul(T.constant(a, np.float64), t)), b)
 
 
-def _check_each_input(op, xs, rng):
+def _check_each_input(op, xs, rng, eps=1e-6):
     """grad_check op's gradient at each of its inputs xs in turn, under a
     sum of its output weighted by draws from rng."""
     w = rng.normal(size=op(*(T.constant(x, np.float64) for x in xs)).shape)
@@ -496,7 +513,7 @@ def _check_each_input(op, xs, rng):
         def f(t):
             ins = [t if j == i else T.constant(x, np.float64) for j, x in enumerate(xs)]
             return T.reduce_sum(T.mul(op(*ins), T.constant(w, np.float64)))
-        _check(f, xs[i])
+        _check(f, xs[i], eps=eps)
 
 
 def test_grad_layer_norm():
@@ -626,33 +643,41 @@ def test_linear_and_layer_norm_have_the_bits_of_the_separate_ops(chain, L):
 
 
 def _check_attention_grads(B, L, S, D, heads, window=None):
+    # S None: self-attention. The gradient at x passes the LayerNorm's
+    # projection, which leaves some components far below the gradient's
+    # scale: at eps 1e-6 the central difference's rounding (about 1e-9)
+    # is a large part of them, so the step is 1e-5
     rng = _rng(heads)
-    xs = [rng.normal(size=(B, n, D)) for n in (L, S, S)]
-    _check_each_input(lambda q, k, v: T.attention(q, k, v, heads, window), xs, rng)
+    xs = _sublayer_inputs(rng, B, L, D, S)
+    _check_each_input(lambda *ins: _sublayer(*ins, heads=heads, window=window), xs, rng,
+                      eps=1e-5)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4], ids=lambda h: f"h{h}")
-@pytest.mark.parametrize("L,S", [(5, 5), (5, 3)], ids=["self", "cross"])
+@pytest.mark.parametrize("L,S", [(5, None), (5, 3)], ids=["self", "cross"])
 def test_grad_attention_dense(L, S, heads):
-    _check_attention_grads(2, L, S, 4, heads)
+    _check_attention_grads(2, L, S, 8, heads)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4], ids=lambda h: f"h{h}")
 @pytest.mark.parametrize("kernel,grid", _WINDOW_CASES)
 def test_grad_attention_window(kernel, grid, heads):
     allowed = seq2seq.conv_sparse_mask(*grid, kernel)
-    _check_attention_grads(1, len(allowed), len(allowed), 4, heads, T.attention_window(allowed))
+    _check_attention_grads(1, len(allowed), None, 8, heads, T.attention_window(allowed))
 
 
 def _kept_probs_attention(g, q, k, v, heads, needs):
     """Dense attention's output and gradients as the rule that kept the
-    probabilities from forward to backward computed them: the reference for
-    the one that recomputes them from the kept row max and sum."""
+    probabilities from forward to backward computed them (with g None, the
+    output alone): the reference for the one that recomputes them from the
+    kept row max and sum."""
     scale = T._scale(q.shape[2], heads, q.dtype)
     qs = q * scale
     scores = T._split_heads(k, heads, (0, 2, 1, 3)) @ T._split_heads(qs, heads, (0, 2, 3, 1))
     probs = T._softmax(scores, 2)
     out = T._merge_heads(T._split_heads(v, heads, (0, 2, 3, 1)) @ probs)
+    if g is None:
+        return out, None
     gh = T._split_heads(g, heads, (0, 2, 3, 1))
     gq = gk = gv = None
     if needs[2]:
@@ -682,36 +707,160 @@ def test_dense_attention_recomputes_the_kept_probabilities_bits(B, L, S, dtype):
     q, k, v = (rng.normal(size=(B, n, D)).astype(dtype) for n in (L, S, S))
     g = rng.normal(size=(B, L, D)).astype(dtype)
     for needs in _NEEDS:
-        ins = [T.Tensor(x, requires_grad=n) for x, n in zip((q, k, v), needs)]
-        with T.Tape() as tape:
-            out = T.attention(*ins, heads)
-            _, _, _, kept_in, attrs, _ = tape.records[-1]
-            loss = T.reduce_sum(T.mul(out, T.constant(g)))
-        held = [a for a in (*kept_in, *attrs.values()) if isinstance(a, np.ndarray)]
-        assert all(a.shape != (B, heads, S, L) for a in held), needs
+        # the attention op's multi-head core, forward and backward
+        attrs = {}
+        out = T._attend(q, k, v, heads, None, attrs)
+        assert all(a.shape != (B, heads, S, L) for a in attrs.values()), needs
         assert attrs["_max"].shape == attrs["_sum"].shape == (B, heads, 1, L)
-        grads = T.backward(loss)
+        got = T._attend_grad(g, q, k, v, heads, None, attrs, needs)
         want_out, want = _kept_probs_attention(g, q, k, v, heads, needs)
-        np.testing.assert_array_equal(out.data, want_out)
-        for x, n, wg in zip(ins, needs, want):
+        np.testing.assert_array_equal(out, want_out)
+        for n, gg, wg in zip(needs, got, want):
             if n:
-                got = grads[x.node_id].data
-                assert got.dtype == dtype
-                np.testing.assert_array_equal(got, wg, err_msg=f"{needs}")
+                assert gg.dtype == dtype
+                np.testing.assert_array_equal(gg, wg, err_msg=f"{needs}")
             else:
-                assert x.node_id not in grads and wg is None
+                assert gg is None and wg is None
 
 
-def test_window_attention_record_keeps_its_probabilities():
-    window = T.attention_window(seq2seq.conv_sparse_mask(8, 8, 3))
-    rng = _rng(2)
-    q, k, v = (T.Tensor(rng.normal(size=(2, 64, 16)).astype(np.float32), requires_grad=True)
-               for _ in range(3))
+# The attention sublayer as six records, as it ran before it was one op:
+# layer_norm, the q linear, the k matmul, the v linear, an attention op over
+# the projected q, k and v that keeps them (registered below as
+# "qkv_attention": dense scores over the whole batch at once, the window
+# kernels of tensor.py), and the wo linear. The op that replaced it must
+# give every output and gradient the same bits.
+
+def _qkv_attention_fwd(d, attrs):
+    q, k, v = d
+    if "window" in attrs:
+        return T._fwd_window_attention(q, k, v, attrs["heads"], attrs["window"], attrs)
+    return _kept_probs_attention(None, q, k, v, attrs["heads"], (False,) * 3)[0]
+
+
+def _qkv_attention_bwd(g, d, attrs, needs):
+    q, k, v = d
+    if "window" in attrs:
+        return T._bwd_window_attention(g, q, k, v, attrs["heads"], attrs["window"],
+                                       attrs["_probs"], needs)
+    return _kept_probs_attention(g, q, k, v, attrs["heads"], needs)[1]
+
+
+@pytest.fixture
+def six_records(monkeypatch):
+    monkeypatch.setitem(T._CATALOG, "qkv_attention",
+                        T._Op(3, _qkv_attention_fwd, _qkv_attention_bwd, "inputs"))
+
+    def sublayer(x, gain, bias, wq, bq, wk, wv, bv, wo, bo, heads, kv=None, window=None):
+        y = T.layer_norm(x, gain, bias)
+        src = y if kv is None else kv
+        attrs = {"heads": heads} if window is None else {"heads": heads, "window": window}
+        a = T.apply("qkv_attention",
+                    [T.linear(y, wq, bq), T.matmul(src, wk), T.linear(src, wv, bv)], attrs)
+        return T.linear(a, wo, bo)
+    return sublayer
+
+
+def _one_record(x, gain, bias, wq, bq, wk, wv, bv, wo, bo, heads, kv=None, window=None):
+    a = T.attention(x, gain, bias, wq, bq, wk, wv, bv, heads, kv=kv, window=window)
+    return T.linear(a, wo, bo)
+
+
+def _sublayer_run(sublayer, arrays, layers, heads, window=None):
+    """Output bits and every leaf's gradient bits of `layers` attention
+    sublayers, each a residual step x + sublayer(x), over float32 arrays:
+    x (B, L, D), then the nine parameters of each layer (LayerNorm gain and
+    bias, wq, bq, wk, wv, bv, wo, bo), the upstream gradient and, for
+    cross-attention, kv (B, S, D), which every layer reads."""
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays[:1 + 9 * layers]]
+    g = arrays[1 + 9 * layers]
+    kv = T.Tensor(arrays[-1], requires_grad=True) if len(arrays) > 2 + 9 * layers else None
+    with T.Tape():
+        x = leaves[0]
+        for i in range(layers):
+            x = T.add(x, sublayer(x, *leaves[1 + 9 * i:10 + 9 * i], heads, kv=kv,
+                                  window=window))
+        loss = T.reduce_sum(T.mul(x, T.constant(g)))
+    grads = T.backward(loss)
+    every = leaves + ([] if kv is None else [kv])
+    return [x.data.view(np.uint32)] + [grads[t.node_id].data.view(np.uint32) for t in every]
+
+
+def _sublayer_arrays(B, L, D, layers=1, S=None):
+    rng = _rng(B + L + D)
+
+    def draw(*shape, scale=1.0, mean=0.0):
+        return (mean + scale * rng.normal(size=shape)).astype(np.float32)
+
+    arrays = [draw(B, L, D)]
+    for _ in range(layers):
+        arrays += [draw(D, scale=0.1, mean=1.0), draw(D, scale=0.1)]
+        arrays += [draw(*shape, scale=0.2 if len(shape) == 2 else 0.1)
+                   for shape in [(D, D), (D,), (D, D), (D, D), (D,), (D, D), (D,)]]
+    arrays.append(draw(B, L, D))  # the upstream gradient
+    return arrays + ([] if S is None else [draw(B, S, D)])
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(a, b, err_msg=f"output or gradient {i}")
+
+
+# the shapes the trainers run, 4 heads over width 64: the tokenizer's
+# (32, 64, 64), the reranker image tower's (64, 64, 64), four blocks of
+# scores, and its text tower's (64, 32, 64)
+@pytest.mark.parametrize("B,L", [(32, 64), (64, 64), (64, 32)],
+                         ids=["tokenizer", "reranker-image", "reranker-text"])
+def test_attention_op_has_the_bits_of_the_six_records(six_records, B, L):
+    arrays = _sublayer_arrays(B, L, 64)
+    _assert_same_bits(_sublayer_run(_one_record, arrays, 1, 4),
+                      _sublayer_run(six_records, arrays, 1, 4))
+
+
+def test_windowed_attention_op_has_the_bits_of_the_six_records(six_records):
+    cfg = seq2seq.DESK
+    window = T.attention_window(seq2seq.conv_sparse_mask(cfg.grid_h, cfg.grid_w,
+                                                         cfg.conv_kernel))
+    arrays = _sublayer_arrays(16, cfg.image_len, cfg.d_model)
+    _assert_same_bits(_sublayer_run(_one_record, arrays, 1, cfg.heads, window),
+                      _sublayer_run(six_records, arrays, 1, cfg.heads, window))
+
+
+def test_two_cross_attention_ops_sum_their_shared_source_in_the_six_records_order(
+        six_records):
+    # the desk decoder's cross-attention: two layers read one encoder output,
+    # whose gradient is the sum, layer by layer, of the values' and keys' parts
+    cfg = seq2seq.DESK
+    arrays = _sublayer_arrays(16, cfg.image_len, cfg.d_model, layers=2, S=9)
+    _assert_same_bits(_sublayer_run(_one_record, arrays, 2, cfg.heads),
+                      _sublayer_run(six_records, arrays, 2, cfg.heads))
+
+
+@pytest.mark.parametrize("images", [1, 3, 64])
+def test_dense_score_blocks_change_no_bit(six_records, monkeypatch, images):
+    # the reranker image tower's shape: one image scores 4 * 64 * 64 floats
+    arrays = _sublayer_arrays(64, 64, 64)
+    want = _sublayer_run(six_records, arrays, 1, 4)
+    monkeypatch.setattr(T, "_SCORES_BLOCK", images * 4 * 64 * 64)
+    _assert_same_bits(_sublayer_run(_one_record, arrays, 1, 4), want)
+
+
+@pytest.mark.parametrize("mask", ["dense", "windowed"])
+def test_attention_record_keeps_xhat_and_the_softmax_scratch_only(mask):
+    # no LayerNorm output, q, k or v: backward rebuilds them
+    window = T.attention_window(seq2seq.conv_sparse_mask(8, 8, 3)) if mask == "windowed" else None
+    ins = [T.Tensor(a, np.float32, requires_grad=True)
+           for a in _sublayer_inputs(_rng(2), 2, 64, 16)]
     with T.Tape() as tape:
-        T.attention(q, k, v, 4, window)
-    attrs = tape.records[-1][4]
-    assert attrs["_probs"].shape == (len(window.offsets), 2, 64, 4)
-    assert "_max" not in attrs and "_sum" not in attrs
+        _sublayer(*ins, heads=4, window=window)
+    (_, _, _, kept, attrs, _), = tape.records
+    assert isinstance(kept[0], T._Spec) and all(k is x.data for k, x in zip(kept[1:], ins[1:]))
+    scratch = {"_xhat": (2, 64, 16), "_inv": (2, 64, 1)}
+    if window is None:
+        scratch.update(_max=(2, 4, 1, 64), _sum=(2, 4, 1, 64))
+    else:
+        scratch["_probs"] = (len(window.offsets), 2, 64, 4)
+    assert {key: a.shape for key, a in attrs.items() if key.startswith("_")} == scratch
 
 
 # ---------------------------------------------------------------- tape
@@ -785,15 +934,16 @@ def test_backward_on_a_released_tape_raises_a_typed_error():
 
 
 def _keeps_inputs(record):
-    return (record[0] in {"attention", "l2_normalize", "cross_entropy_with_logits"}
+    return (record[0] in {"l2_normalize", "cross_entropy_with_logits"}
             or (record[0] == "linear" and record[4].get("pre") == "gelu"))
 
 
 def _every_reads_kind(x, w, v):
-    """A scalar loss over ops of every reads kind, the four that keep their
+    """A scalar loss over ops of every reads kind, the three that keep their
     inputs among them, and over each linear pre-step."""
     h = T.matmul(x, w)                                     # (2, 3, 4)
-    z = T.gelu_linear(T.norm_linear(T.attention(h, h, h, heads=2), v, v, w, v), w, v)
+    a = T.attention(h, v, v, w, v, w, w, v, heads=2)
+    z = T.gelu_linear(T.norm_linear(a, v, v, w, v), w, v)
     z = T.layer_norm(T.linear(z, w, v), v, v)
     e = T.l2_normalize(T.reduce_mean(z, axis=1))           # (2, 4)
     logits = T.matmul(e, T.transpose(e, (1, 0)))
@@ -813,7 +963,7 @@ def test_backward_releases_exactly_the_records_that_keep_their_inputs():
         loss = _every_reads_kind(*ins)
     before = list(first.records)
     assert {T._reads(T._CATALOG[r[0]], r[4]) for r in before} == set(T._READS)
-    assert sum(map(_keeps_inputs, before)) == 4
+    assert sum(map(_keeps_inputs, before)) == 3
     T.backward(loss)
     for old, now in zip(before, first.records, strict=True):
         if _keeps_inputs(old):
@@ -826,30 +976,27 @@ def test_backward_releases_exactly_the_records_that_keep_their_inputs():
     assert first.records == [] and len(second.records) == len(before)
 
 
-@pytest.mark.parametrize("kept_by,next_rule", [("attention", "matmul"),
-                                               ("linear", "linear")])
-def test_released_arrays_are_free_before_the_next_rule_runs(monkeypatch, kept_by, next_rule):
+def test_released_arrays_are_free_before_the_next_rule_runs(monkeypatch):
     ins = _every_reads_kind_inputs()
     with T.Tape() as tape:
         loss = _every_reads_kind(*ins)
-    i = next(i for i, r in enumerate(tape.records) if r[0] == kept_by and _keeps_inputs(r))
+    i = next(i for i, r in enumerate(tape.records) if r[0] == "linear" and _keeps_inputs(r))
     rec = tape.records[i]
-    # its kept input that is no parameter (h, or the GELU's x) and its attrs
-    # scratch (dense attention's softmax max and sum, or the GELU's CDF)
-    scratch = {"attention": ["_max", "_sum"], "linear": ["_cdf"]}[kept_by]
-    kept = [weakref.ref(a) for a in (rec[3][0], *(rec[4][key] for key in scratch))]
+    # the GELU pre-step linear's kept input that is no parameter and its
+    # attrs scratch, the GELU's CDF
+    kept = [weakref.ref(a) for a in (rec[3][0], rec[4]["_cdf"])]
     del rec
     seen = []
-    op = T._CATALOG[next_rule]
+    op = T._CATALOG["linear"]
 
     def watching(g, d, attrs, needs):
         seen.append([ref() is None for ref in kept])
         return op.backward(g, d, attrs, needs)
 
-    # record i - 1 (the first matmul, which makes h, or the LayerNorm
-    # pre-step linear) is the rule backward runs after record i
-    assert tape.records[i - 1][0] == next_rule
-    monkeypatch.setitem(T._CATALOG, next_rule, op._replace(backward=watching))
+    # record i - 1, the LayerNorm pre-step linear, is the rule backward
+    # runs after record i
+    assert tape.records[i - 1][0] == "linear"
+    monkeypatch.setitem(T._CATALOG, "linear", op._replace(backward=watching))
     T.backward(loss)
     assert seen[-1] == [True] * len(kept), seen
 
@@ -886,7 +1033,8 @@ _KIND_CASES = {
     "transpose": ("transpose", [(3, 4)], {"axes": (1, 0)}),
     "concat": ("concat", [(3, 4), (3, 2)], {"axis": 1}),
     "embedding_gather": ("embedding_gather", [(5, 3)], {"ids": np.array([0, 4, 4])}),
-    "attention": ("attention", [(2, 5, 8), (2, 3, 8), (2, 3, 8)], {"heads": 2}),
+    "attention": ("attention", [(2, 5, 8), (8,), (8,), (8, 8), (8,), (8, 8), (8, 8), (8,)],
+                  {"heads": 2}),
     "layer_norm": ("layer_norm", [(3, 4), (4,), (4,)], {}),
     "reduce_sum": ("reduce_sum", [(3, 4)], {"axis": 1}),
     "reduce_mean": ("reduce_mean", [(3, 4)], {"axis": None}),
@@ -936,13 +1084,18 @@ def test_every_op_kind_declares_its_reads():
                                           "gelu": "inputs"}
 
 
-def _pre_step_outputs(attrs, datas):
-    """The arrays a linear's pre-step makes, written out as the separate ops
-    made them: the LayerNorm's gain-and-bias output, or the GELU output."""
-    pre = attrs.get("pre")
+def _pre_step_outputs(kind, attrs, datas):
+    """The arrays a linear's pre-step or an attention sublayer makes on the
+    way, written out as the separate ops made them: the LayerNorm's
+    gain-and-bias output, the GELU output, or attention's q, k and v."""
+    pre = "layer_norm" if kind == "attention" else attrs.get("pre")
+    made = []
     if pre == "layer_norm":
-        return [T._layer_norm(datas[0])[0] * datas[1] + datas[2]]
-    return [T._gelu(datas[0])[0]] if pre == "gelu" else []
+        made.append(T._layer_norm(datas[0])[0] * datas[1] + datas[2])
+    if kind == "attention":
+        y = made[0]
+        made += [y @ datas[3] + datas[4], y @ datas[5], y @ datas[6] + datas[7]]
+    return [T._gelu(datas[0])[0]] if pre == "gelu" else made
 
 
 @pytest.mark.parametrize("case", sorted(_KIND_CASES))
@@ -966,9 +1119,9 @@ def test_record_keeps_only_declared_reads_and_gradients_are_unchanged(case):
             assert (k is d) if keep else isinstance(k, T._Spec), (i, needs)
             assert (k.shape, k.dtype) == (d.shape, d.dtype)
         # no record holds its output or a pre-step's output, nor an input it
-        # declares unread (a LayerNorm pre-step's x)
+        # declares unread (a LayerNorm pre-step's x, attention's x)
         held = [a for a in (*kept_in, *rec_attrs.values()) if isinstance(a, np.ndarray)]
-        for made in [out.data, *_pre_step_outputs(attrs, datas)]:
+        for made in [out.data, *_pre_step_outputs(kind, attrs, datas)]:
             assert not any(a.shape == made.shape and np.array_equal(a, made) for a in held)
         for d, k in zip(datas, kept_in):
             if isinstance(k, T._Spec):
@@ -1010,31 +1163,33 @@ def _one_step_pinned_mib(monkeypatch, train):
     return pinned[0]
 
 
-# The limits below sit just above what one step pins with the MLP's
-# LayerNorm and GELU recomputed in backward and dense attention keeping its
-# softmax's row max and sum instead of its probabilities: 34.1 (tokenizer),
-# 36.4 (reranker) and 26.3 MiB (desk seq2seq). Keeping the dense
-# probabilities pins 41.9, 46.0 and 26.7 MiB; keeping besides them the ln2
-# and GELU outputs, and the LayerNorm's own output besides its gain-and-bias
-# one, as separate layer_norm, mul, add and gelu records did, pins 51.9,
-# 55.0 and 32.0 MiB.
+# The limits below sit just above what one step pins with an attention
+# sublayer's LayerNorm output, q, k and v, and the MLP's LayerNorm and GELU
+# outputs, recomputed in backward, and dense attention keeping its
+# softmax's row max and sum instead of its probabilities: 26.1 (tokenizer),
+# 24.4 (reranker) and 19.8 MiB (desk seq2seq). Keeping the sublayer's
+# LayerNorm output, q, k and v, as separate layer_norm, linear, matmul and
+# attention records did, pins 34.1, 36.4 and 26.3 MiB; keeping besides them
+# the dense probabilities pins 41.9, 46.0 and 26.7 MiB, and besides those
+# the ln2 and GELU outputs, and the LayerNorm's own output besides its
+# gain-and-bias one, 51.9, 55.0 and 32.0 MiB.
 
-def test_tokenizer_train_step_tape_pins_at_most_35_mib(monkeypatch):
+def test_tokenizer_train_step_tape_pins_at_most_27_mib(monkeypatch):
     images = scenes.gen_dataset(32, 1).images
     pinned = _one_step_pinned_mib(monkeypatch, lambda: vq.train_tokenizer(
         images, vq.TokenizerConfig(), vq.TokTrainConfig(steps=1, batch=32)))
-    assert pinned <= 35.0, pinned
+    assert pinned <= 27.0, pinned
 
 
-def test_reranker_train_step_tape_pins_at_most_37_5_mib(monkeypatch):
+def test_reranker_train_step_tape_pins_at_most_25_5_mib(monkeypatch):
     images = scenes.gen_dataset(64, 1).images
     ids = [list(r) for r in _rng(0).integers(4, 512, (64, 12))]  # padded to text_len
     pinned = _one_step_pinned_mib(monkeypatch, lambda: contrastive.train_contrastive(
         images, ids, contrastive.CLTrainConfig(steps=1, batch=64), contrastive.EncoderConfig()))
-    assert pinned <= 37.5, pinned
+    assert pinned <= 25.5, pinned
 
 
-def test_desk_train_step_tape_pins_at_most_26_5_mib(monkeypatch):
+def test_desk_train_step_tape_pins_at_most_21_mib(monkeypatch):
     cfg = seq2seq.DESK
     rng = _rng(11)
     # scene captions encode to about 7 tokens; trim_pad drops the PAD tail
@@ -1045,4 +1200,4 @@ def test_desk_train_step_tape_pins_at_most_26_5_mib(monkeypatch):
         seq2seq.build_model(cfg, 0), text, image, seq2seq.TrainConfig(steps=1, batch=16, seed=0)))
     # a tape that keeps every input and output of every op, with the score
     # chain unfused (scale, fill, softmax), pins about 77 MiB here
-    assert pinned <= 26.5, pinned
+    assert pinned <= 21.0, pinned
